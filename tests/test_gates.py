@@ -1,6 +1,7 @@
 """Tests for DRAG pulse gates: envelopes, propagation, fidelity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from fluxsim.coupled import ResonatorParams
 from fluxsim.errors import DomainError, StepSizeError
 from fluxsim.gates import (
+    UNITARITY_BUDGET,
     GateResult,
     PulseParams,
     build_gate_space,
@@ -67,6 +69,11 @@ def test_pulse_params_validation():
         PulseParams(0.0, 0.1, 0.0, 1.0)
     with pytest.raises(ValueError):
         PulseParams(10.0, -0.1, 0.0, 1.0)
+    for bad in ((math.inf, 0.1, 0.0, 1.0), (10.0, math.nan, 0.0, 1.0),
+                (10.0, math.inf, 0.0, 1.0), (10.0, 0.1, math.nan, 1.0),
+                (10.0, 0.1, 0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            PulseParams(*bad)
 
 
 def test_zero_amplitude_gives_free_evolution(space):
@@ -93,6 +100,69 @@ def test_coarse_step_raises(space):
     pulse = PulseParams(10.0, eps, 0.0, space.omega_01)
     with pytest.raises(StepSizeError):
         propagate_gate(space, pulse, dt=0.05)
+    # a non-finite propagator fails the budget instead of passing it
+    with pytest.raises(StepSizeError):
+        propagate_gate(replace(space, anharm=math.nan), pulse, dt=1e-2)
+
+
+def _reference_rk4(space, pulse, dt):
+    """The RK4 stage loop, one Python step at a time: classic RK4 on the
+    interaction-picture propagator with the generator rebuilt at each node."""
+    n_steps = max(1, int(round(pulse.tau_g / dt)))
+    dt = pulse.tau_g / n_steps
+    t_half = np.linspace(0.0, pulse.tau_g, 2 * n_steps + 1)
+    u = drive_coefficient(pulse, space.anharm, t_half)
+    lam0 = space.h0_evals
+    n_eig = space.charge_eig
+    dim = lam0.size
+    phases = np.exp(1j * np.outer(t_half, lam0))
+
+    def generator(idx):
+        ph = phases[idx]
+        return (-1j * u[idx]) * ((ph[:, None] * n_eig) * ph.conj()[None, :])
+
+    w_prop = np.eye(dim, dtype=complex)
+    for step in range(n_steps):
+        a1 = generator(2 * step)
+        a_mid = generator(2 * step + 1)
+        a4 = generator(2 * step + 2)
+        k1 = a1 @ w_prop
+        k2 = a_mid @ (w_prop + 0.5 * dt * k1)
+        k3 = a_mid @ (w_prop + 0.5 * dt * k2)
+        k4 = a4 @ (w_prop + dt * k3)
+        w_prop = w_prop + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    defect = float(np.max(np.abs(w_prop.conj().T @ w_prop - np.eye(dim))))
+    if defect > UNITARITY_BUDGET:
+        raise StepSizeError("unitarity budget exceeded", defect=defect, dt=dt)
+    v = space.h0_evecs
+    return (v * np.exp(-1j * lam0 * pulse.tau_g)) @ w_prop @ v.conj().T
+
+
+def test_propagator_matches_stage_loop_reference(space):
+    # the same RK4 propagator as the step-by-step loop, up to rounding
+    offset = replace(build_gate_space(PARAMS, FluxBias(0.51), RES),
+                     anharm=space.anharm)
+    cases = [
+        (space, PulseParams(3.0, 2.5 * rabi_area_estimate(space, 3.0), 1.5,
+                            space.omega_01)),
+        (space, PulseParams(10.0, 1.557152, 4.7745, space.omega_01)),
+        (offset, PulseParams(10.0, 1.557152, 4.7745, space.omega_01)),
+    ]
+    for gate_space, pulse in cases:
+        u = propagate_gate(gate_space, pulse)
+        u_ref = _reference_rk4(gate_space, pulse, 1e-3)
+        assert np.max(np.abs(u - u_ref)) <= 1e-11
+        err = gate_fidelity(u, gate_space, pulse).error
+        err_ref = gate_fidelity(u_ref, gate_space, pulse).error
+        assert abs(err - err_ref) <= 1e-12
+    pulse = PulseParams(10.0, 2.5 * rabi_area_estimate(space, 10.0), 0.0,
+                        space.omega_01)
+    defects = []
+    for propagate in (propagate_gate, _reference_rk4):
+        with pytest.raises(StepSizeError) as info:
+            propagate(space, pulse, dt=0.05)
+        defects.append(info.value.defect)
+    assert defects[0] == pytest.approx(defects[1], rel=1e-12)
 
 
 def test_fidelity_of_perfect_x(space):
