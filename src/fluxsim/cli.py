@@ -8,10 +8,11 @@ noise-readout, gates, noise-gates. Every run emits CSV files plus a
 manifest.json into the output directory. Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 I/O error.
 
-Sweep cells and Monte Carlo draws fan out to a process pool when
---workers > 1; all reductions are index-ordered so outputs are
-byte-identical for any worker count. The FLUXSIM_WORKERS environment
-variable overrides the worker count (and nothing else).
+Sweep cells and gate Monte Carlo draws fan out to a process pool when
+--workers > 1 (readout draws run as one batch in-process); all reductions
+are index-ordered so outputs are byte-identical for any worker count. The
+FLUXSIM_WORKERS environment variable overrides the worker count (and
+nothing else).
 """
 
 from __future__ import annotations
@@ -274,13 +275,7 @@ def _noise_rows(curve):
 
 def cmd_noise_readout(cfg: RunConfig, out_dir, cache_dir):
     profile = _profile_from_cache(cfg, cache_dir)
-    mapper, pool = _pool_map(cfg.workers)
-    try:
-        result = noisy_readout_snr(cfg.ramp, profile, cfg.readout, cfg.noise,
-                                   map_fn=mapper)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    result = noisy_readout_snr(cfg.ramp, profile, cfg.readout, cfg.noise)
     files = []
     for name, curve in (("noise_readout_snr.csv", result.snr),
                         ("noise_readout_error.csv", result.error)):

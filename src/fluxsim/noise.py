@@ -22,8 +22,8 @@ from .errors import DomainError
 from .gates import GateResult, PulseParams, build_gate_space, evaluate_gate
 from .gates import DEFAULT_GATE_DT
 from .qubit import EnergyParams, FluxBias, anharmonicity
-from .readout import (ChiProfile, FluxRamp, ReadoutConfig, run_ramped_readout,
-                      time_grid)
+from .readout import (ChiProfile, FluxRamp, ReadoutConfig, flux_ramp_profile,
+                      readout_snr_rows, time_grid)
 
 
 @dataclass(frozen=True)
@@ -139,36 +139,50 @@ def readout_draw(delta, ramp: FluxRamp, profile: ChiProfile, cfg: ReadoutConfig)
     Returns (snr_curve, error_curve, included); a draw whose shifted
     trajectory leaves the chi-profile domain is flagged as excluded.
     """
-    try:
-        traj = run_ramped_readout(ramp.shifted(delta), profile, cfg)
-    except DomainError:
-        zeros = np.zeros_like(time_grid(cfg.t_max, cfg.dt))
-        return zeros, zeros, False
-    return traj.snr, traj.error, True
+    snr, error, included = _readout_draws([delta], ramp, profile, cfg)
+    return snr[0], error[0], bool(included[0])
+
+
+def _readout_draws(deltas, ramp: FluxRamp, profile: ChiProfile,
+                   cfg: ReadoutConfig):
+    """(snr rows, error rows, included) of readout_draw at each offset.
+
+    An offset whose shifted ramp leaves the chi-profile domain is excluded
+    with zero rows; all included draws go through the readout in one batch.
+    """
+    n_t = time_grid(cfg.t_max, cfg.dt).size
+    snr = np.zeros((len(deltas), n_t))
+    error = np.zeros((len(deltas), n_t))
+    included = np.zeros(len(deltas), dtype=bool)
+    chi_fns, chi_targets = [], []
+    for k, delta in enumerate(deltas):
+        shifted = ramp.shifted(delta)
+        try:
+            chi_fns.append(flux_ramp_profile(shifted, profile))
+        except DomainError:
+            continue
+        chi_targets.append(profile.chi_at(shifted.f_end))
+        included[k] = True
+    if chi_fns:
+        snr[included], error[included] = readout_snr_rows(chi_fns, chi_targets,
+                                                          cfg)
+    return snr, error, included
 
 
 def noisy_readout_snr(ramp: FluxRamp, profile: ChiProfile, cfg: ReadoutConfig,
-                      spec: NoiseSpec, map_fn=map) -> NoisyReadoutResult:
+                      spec: NoiseSpec) -> NoisyReadoutResult:
     """Monte Carlo over flux offsets applied to flux-pulse-assisted readout.
 
-    map_fn lets a caller substitute a pool mapper; the reduction is always
-    draw-index ordered, so the aggregate is identical for any scheduler.
+    The draws are integrated as one batch; the reduction is draw-index
+    ordered.
     """
-    deltas = sample_flux_offsets(spec)
-    results = list(map_fn(_readout_draw_task,
-                          [(d, ramp, profile, cfg) for d in deltas]))
-    snr_draws = np.array([r[0] for r in results])
-    err_draws = np.array([r[1] for r in results])
-    included = np.array([r[2] for r in results])
+    snr, error, included = _readout_draws(sample_flux_offsets(spec), ramp,
+                                          profile, cfg)
     axis = time_grid(cfg.t_max, cfg.dt)
     return NoisyReadoutResult(
-        snr=aggregate_curves(axis, snr_draws, included, spec.scale, spec.seed),
-        error=aggregate_curves(axis, err_draws, included, spec.scale, spec.seed),
+        snr=aggregate_curves(axis, snr, included, spec.scale, spec.seed),
+        error=aggregate_curves(axis, error, included, spec.scale, spec.seed),
     )
-
-
-def _readout_draw_task(args):
-    return readout_draw(*args)
 
 
 def gate_draw(delta, params: EnergyParams, res: ResonatorParams,

@@ -41,6 +41,10 @@ class ReadoutConfig:
     dt: float = 0.05
 
     def __post_init__(self):
+        for name in ("n_bar", "kappa", "t_max", "dt"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_bar < 0:
             raise ValueError(f"n_bar must be >= 0, got {self.n_bar}")
         if not 0.0 < self.eta <= 1.0:
@@ -153,6 +157,62 @@ def time_grid(t_max, dt):
     return np.linspace(0.0, n * dt, n + 1)
 
 
+# RK4 steps whose affine coefficients are built at once; bounds the
+# temporaries at (_STEP_BLOCK x rows) whatever the trajectory length.
+_STEP_BLOCK = 256
+
+
+def _langevin_rows(chi_half, kappa, epsilon, dt):
+    """RK4 integration of alpha' = (-i chi(t) - kappa/2) alpha + epsilon from
+    alpha(0) = 0 for every row of chi_half at once.
+
+    chi_half is (rows, 2n + 1): chi of each trajectory on the half grid
+    t_0, t_0 + dt/2, t_1, ...; epsilon is (rows,). The ODE is linear, so
+    RK4 stage j of step s is k_j = p_j alpha + q_j epsilon (p_1 = a_1,
+    q_1 = 1, a = -i chi - kappa/2 on the step's half grid) and the step is
+    exactly the affine map alpha <- P_s alpha + Q_s with
+    P_s = 1 + (dt/6)(p_1 + 2 p_2 + 2 p_3 + p_4) and
+    Q_s = (dt/6)(q_1 + 2 q_2 + 2 q_3 + q_4) epsilon. P and Q are built for
+    _STEP_BLOCK steps at a time; the time loop advances all rows as one
+    vector. Returns alpha, (rows, n + 1).
+    """
+    epsilon = np.asarray(epsilon, dtype=float)
+    n = (chi_half.shape[1] - 1) // 2
+    h, hh = dt, 0.5 * dt
+    alpha = np.empty((n + 1, chi_half.shape[0]), dtype=complex)
+    alpha[0] = 0.0
+    y = alpha[0]
+    for lo in range(0, n, _STEP_BLOCK):
+        hi = min(lo + _STEP_BLOCK, n)
+        a = np.empty((2 * (hi - lo) + 1, chi_half.shape[0]), dtype=complex)
+        a.real = -0.5 * kappa
+        a.imag = -chi_half[:, 2 * lo:2 * hi + 1].T
+        a1, a2, a4 = a[0:-1:2], a[1::2], a[2::2]
+        p2 = a2 * (1.0 + hh * a1)
+        q2 = 1.0 + hh * a2
+        p3 = a2 * (1.0 + hh * p2)
+        q3 = 1.0 + hh * a2 * q2
+        p4 = a4 * (1.0 + h * p3)
+        q4 = 1.0 + h * a4 * q3
+        step_p = 1.0 + (h / 6.0) * (a1 + 2.0 * p2 + 2.0 * p3 + p4)
+        step_q = (h / 6.0) * (1.0 + 2.0 * q2 + 2.0 * q3 + q4) * epsilon
+        for s, (p, q) in enumerate(zip(step_p, step_q), lo + 1):
+            y = p * y + q
+            alpha[s] = y
+    if not np.all(np.isfinite(alpha.view(float))):
+        raise NumericalFailureError(
+            "non-finite value during Langevin integration",
+            kappa=kappa, dt=dt,
+        )
+    return np.ascontiguousarray(alpha.T)
+
+
+def _chi_half(chi_of_t, times):
+    """chi(t) on the half grid t_0, t_0 + dt/2, t_1, ... of a uniform grid."""
+    t_half = np.linspace(times[0], times[-1], 2 * (times.size - 1) + 1)
+    return np.asarray(chi_of_t(t_half), dtype=float)
+
+
 def integrate_langevin(chi_of_t, kappa, epsilon, sigma_z, times):
     """RK4 integration of alpha' = -i chi(t) sz alpha - kappa/2 alpha + epsilon
     from alpha(0) = 0 (the forcing is -sqrt(kappa) alpha_in with
@@ -161,32 +221,9 @@ def integrate_langevin(chi_of_t, kappa, epsilon, sigma_z, times):
     Returns the intracavity amplitude alpha(t) on the given uniform grid.
     """
     times = np.asarray(times, dtype=float)
-    n = times.size - 1
-    dt = times[1] - times[0]
-    # chi on the half grid: t_0, t_0 + dt/2, t_1, ...
-    t_half = np.linspace(times[0], times[-1], 2 * n + 1)
-    chi_half = np.asarray(chi_of_t(t_half), dtype=float)
-    a_half = -1j * chi_half * float(sigma_z) - 0.5 * kappa
-    alpha = np.empty(n + 1, dtype=complex)
-    alpha[0] = 0.0
-    y = 0.0 + 0.0j
-    eps = complex(epsilon)
-    for s in range(n):
-        a1 = a_half[2 * s]
-        a2 = a_half[2 * s + 1]
-        a4 = a_half[2 * s + 2]
-        k1 = a1 * y + eps
-        k2 = a2 * (y + 0.5 * dt * k1) + eps
-        k3 = a2 * (y + 0.5 * dt * k2) + eps
-        k4 = a4 * (y + dt * k3) + eps
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        alpha[s + 1] = y
-    if not np.all(np.isfinite(alpha.view(float))):
-        raise NumericalFailureError(
-            "non-finite value during Langevin integration",
-            kappa=kappa, epsilon=epsilon, sigma_z=sigma_z, dt=dt,
-        )
-    return alpha
+    chi_half = _chi_half(chi_of_t, times) * float(sigma_z)
+    return _langevin_rows(chi_half[None, :], kappa, [float(epsilon)],
+                          times[1] - times[0])[0]
 
 
 def output_field(alpha, kappa, epsilon):
@@ -259,9 +296,7 @@ def snr_curve(m_s_0, m_s_1, kappa, times):
 
 def readout_error(snr):
     """Assignment error = (1/2) erfc(SNR / 2)."""
-    arr = np.asarray(snr, dtype=float)
-    out = np.array([0.5 * special.erfc(0.5 * x) for x in arr.ravel()])
-    out = out.reshape(arr.shape)
+    out = 0.5 * special.erfc(0.5 * np.asarray(snr, dtype=float))
     return float(out) if np.isscalar(snr) else out
 
 
@@ -287,6 +322,25 @@ class ReadoutTrajectory:
         return float(self.snr[i]), float(self.error[i])
 
 
+def _record(times, alpha_plus, epsilon, cfg: ReadoutConfig) -> ReadoutTrajectory:
+    """Readout record of one sigma_z = +1 trajectory.
+
+    chi(t), kappa and epsilon are real, so the sigma_z = -1 field is the
+    complex conjugate of the sigma_z = +1 one.
+    """
+    alpha_minus = alpha_plus.conj()
+    out_p = output_field(alpha_plus, cfg.kappa, epsilon)
+    out_m = output_field(alpha_minus, cfg.kappa, epsilon)
+    if cfg.demod_phase.mode == "auto":
+        theta = optimal_demod_phase(out_p, out_m, times)
+    else:
+        theta = cfg.demod_phase.angle_rad
+    m_p, m_m = measurement_signal(out_p, out_m, cfg.eta, theta, times, cfg.kappa)
+    snr = snr_curve(m_p, m_m, cfg.kappa, times)
+    return ReadoutTrajectory(times, alpha_plus, alpha_minus, out_p, out_m,
+                             m_p, m_m, snr, readout_error(snr), theta, epsilon)
+
+
 def run_readout(chi_of_t, chi_target, cfg: ReadoutConfig) -> ReadoutTrajectory:
     """Simulate both qubit states for one drive configuration.
 
@@ -296,18 +350,26 @@ def run_readout(chi_of_t, chi_target, cfg: ReadoutConfig) -> ReadoutTrajectory:
     times = time_grid(cfg.t_max, cfg.dt)
     epsilon = drive_amplitude(cfg.n_bar, cfg.kappa, chi_target)
     alpha_p = integrate_langevin(chi_of_t, cfg.kappa, epsilon, +1, times)
-    alpha_m = integrate_langevin(chi_of_t, cfg.kappa, epsilon, -1, times)
-    out_p = output_field(alpha_p, cfg.kappa, epsilon)
-    out_m = output_field(alpha_m, cfg.kappa, epsilon)
-    if cfg.demod_phase.mode == "auto":
-        theta = optimal_demod_phase(out_p, out_m, times)
-    else:
-        theta = cfg.demod_phase.angle_rad
-    m_p, m_m = measurement_signal(out_p, out_m, cfg.eta, theta, times, cfg.kappa)
-    snr = snr_curve(m_p, m_m, cfg.kappa, times)
-    err = readout_error(snr)
-    return ReadoutTrajectory(times, alpha_p, alpha_m, out_p, out_m, m_p, m_m,
-                             snr, err, theta, epsilon)
+    return _record(times, alpha_p, epsilon, cfg)
+
+
+def readout_snr_rows(chi_fns, chi_targets, cfg: ReadoutConfig):
+    """(snr, error) curves, one row per (chi_of_t, chi_target) pair.
+
+    Every trajectory is integrated in one call and only its SNR and error
+    are kept; each row equals run_readout's on the same pair bit for bit.
+    """
+    times = time_grid(cfg.t_max, cfg.dt)
+    epsilon = np.array([drive_amplitude(cfg.n_bar, cfg.kappa, chi)
+                        for chi in chi_targets])
+    chi_half = np.array([_chi_half(fn, times) for fn in chi_fns])
+    alpha = _langevin_rows(chi_half, cfg.kappa, epsilon, times[1] - times[0])
+    snr = np.empty(alpha.shape)
+    error = np.empty(alpha.shape)
+    for k, (alpha_p, eps) in enumerate(zip(alpha, epsilon)):
+        traj = _record(times, alpha_p, eps, cfg)
+        snr[k], error[k] = traj.snr, traj.error
+    return snr, error
 
 
 def run_static_readout(chi, cfg: ReadoutConfig) -> ReadoutTrajectory:

@@ -1,70 +1,14 @@
-"""Scalar numerics: complementary error function and golden-section search.
+"""Shared numerics: the complementary error function and golden-section search.
 
-erfc is implemented directly (Maclaurin series for small arguments, Lentz
-continued fraction for large ones) so the readout error path does not depend
-on an external special-function library and can be regression-tested against
-an independent high-precision series.
+erfc is scipy.special.erfc, re-exported so the readout error path looks it
+up in one place.
 """
 
 import math
 
+from scipy.special import erfc  # noqa: F401  (re-exported)
+
 from .errors import BracketingError
-
-_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-_SERIES_CUTOFF = 2.0
-
-
-def erf_series(x, max_terms=200):
-    """Maclaurin series for erf(x); accurate in double precision for |x| <~ 3."""
-    term = x
-    total = x
-    x2 = x * x
-    for k in range(1, max_terms):
-        term *= -x2 / k
-        contrib = term / (2 * k + 1)
-        total += contrib
-        if abs(contrib) < 1e-18 * max(1.0, abs(total)):
-            break
-    return 2.0 * _INV_SQRT_PI * total
-
-
-def _erfc_cf(x, max_iter=300):
-    """Continued fraction erfc(x) = e^{-x^2}/sqrt(pi) * 1/(x + 1/(2x + 2/(x + ...)))
-    for x > 0, evaluated with the modified Lentz algorithm."""
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
-    d = 0.0
-    for n in range(1, max_iter):
-        # coefficients alternate: a_n = n/2, b_n = x for odd n, 2x pattern folded
-        a = 0.5 * n
-        b = x
-        d = b + a * d
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) * _INV_SQRT_PI / f
-
-
-def erfc(x):
-    """Complementary error function, absolute error < 1e-12 over the real line."""
-    if x != x:  # NaN
-        return x
-    if x >= 0.0:
-        if x < _SERIES_CUTOFF:
-            return 1.0 - erf_series(x)
-        if x > 27.0:
-            return 0.0  # below double-precision underflow of exp(-x^2)
-        return _erfc_cf(x)
-    return 2.0 - erfc(-x)
-
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -110,6 +110,24 @@ def test_excluded_draws_are_counted():
     assert np.all(curve.draws[~curve.included] == 0.0)
 
 
+def test_batched_draws_equal_single_draws():
+    # the Monte Carlo integrates all included draws as one batch; each row
+    # must equal the draw run on its own, and excluded draws stay zero rows
+    profile = _synthetic_profile()
+    spec = NoiseSpec(0.15, n_draws=10, seed=5)
+    result = noisy_readout_snr(RAMP, profile, CFG, spec)
+    assert 0 < result.snr.n_excluded < 10
+    for k, delta in enumerate(sample_flux_offsets(spec)):
+        snr, err, included = readout_draw(delta, RAMP, profile, CFG)
+        assert included == result.snr.included[k] == result.error.included[k]
+        assert np.array_equal(result.snr.draws[k], snr)
+        assert np.array_equal(result.error.draws[k], err)
+        if not included:
+            assert np.all(snr == 0.0) and np.all(err == 0.0)
+    assert result.error.n_excluded == result.snr.n_excluded == \
+        int(np.count_nonzero(~result.snr.included))
+
+
 def test_single_excluded_draw_flagged():
     profile = _synthetic_profile()
     snr, err, included = readout_draw(0.2, RAMP, profile, CFG)

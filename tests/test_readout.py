@@ -17,11 +17,15 @@ from fluxsim.readout import (
     drive_amplitude,
     flux_ramp_profile,
     integrate_langevin,
+    measurement_signal,
+    optimal_demod_phase,
     output_field,
     qubit_phase_shift,
     readout_error,
     run_ramped_readout,
+    run_readout,
     run_static_readout,
+    snr_curve,
     static_output_field,
     time_grid,
 )
@@ -29,6 +33,38 @@ from fluxsim.special import erfc
 
 KAPPA = units.mhz(5.0)
 CHI = units.mhz(0.527)
+
+
+def _reference_langevin(chi_of_t, kappa, epsilon, sigma_z, times):
+    """The scalar RK4 loop the batched kernel replaced, one trajectory and
+    one step at a time."""
+    times = np.asarray(times, dtype=float)
+    n = times.size - 1
+    dt = times[1] - times[0]
+    t_half = np.linspace(times[0], times[-1], 2 * n + 1)
+    chi_half = np.asarray(chi_of_t(t_half), dtype=float)
+    a_half = -1j * chi_half * float(sigma_z) - 0.5 * kappa
+    alpha = np.empty(n + 1, dtype=complex)
+    alpha[0] = 0.0
+    y = 0.0 + 0.0j
+    eps = complex(epsilon)
+    for s in range(n):
+        a1 = a_half[2 * s]
+        a2 = a_half[2 * s + 1]
+        a4 = a_half[2 * s + 2]
+        k1 = a1 * y + eps
+        k2 = a2 * (y + 0.5 * dt * k1) + eps
+        k3 = a2 * (y + 0.5 * dt * k2) + eps
+        k4 = a4 * (y + dt * k3) + eps
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        alpha[s + 1] = y
+    return alpha
+
+
+def _synthetic_profile():
+    grid = np.linspace(0.4, 0.7, 31)
+    vals = units.mhz(0.5 - 60.0 * (grid - 0.5))
+    return ChiProfile(grid, vals, clamp=units.mhz(50.0))
 
 
 def test_langevin_matches_closed_form_static():
@@ -145,9 +181,7 @@ def test_flux_ramp_profile_domain_check():
 
 
 def test_ramped_readout_targets_plateau_chi():
-    grid = np.linspace(0.4, 0.7, 31)
-    vals = units.mhz(0.5 - 60.0 * (grid - 0.5))  # synthetic smooth profile
-    profile = ChiProfile(grid, vals, clamp=units.mhz(50.0))
+    profile = _synthetic_profile()
     ramp = FluxRamp(0.5, 0.641, 50.0)
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=300.0, dt=0.05)
     traj = run_ramped_readout(ramp, profile, cfg)
@@ -183,5 +217,58 @@ def test_readout_config_validation():
         ReadoutConfig(n_bar=-1.0)
     with pytest.raises(ValueError):
         ReadoutConfig(dt=0.0)
+    for bad in ({"n_bar": math.nan}, {"kappa": math.nan}, {"kappa": math.inf},
+                {"t_max": math.inf}, {"t_max": math.nan}, {"dt": math.nan},
+                {"dt": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            ReadoutConfig(**bad)
     with pytest.raises(ValueError):
         DemodPhase("best")
+
+
+CASES = {"static": None, "ramp": 0.0, "ramp+0.01": 0.01, "ramp-0.02": -0.02}
+
+
+def _readout_case(name):
+    """(chi_of_t, chi_target): static chi, or the flux ramp shifted by a
+    quasi-static offset."""
+    delta = CASES[name]
+    if delta is None:
+        return lambda t: np.full_like(np.asarray(t, float), CHI), CHI
+    profile = _synthetic_profile()
+    shifted = FluxRamp(0.5, 0.641, 50.0).shifted(delta)
+    return flux_ramp_profile(shifted, profile), profile.chi_at(shifted.f_end)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_readout_matches_scalar_rk4_reference(name):
+    # same RK4 map, rounded differently: fields to 1e-12, error to 1e-13
+    chi_of_t, chi_target = _readout_case(name)
+    cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=1000.0,
+                        dt=0.05)
+    traj = run_readout(chi_of_t, chi_target, cfg)
+    times = time_grid(cfg.t_max, cfg.dt)
+    eps = drive_amplitude(cfg.n_bar, cfg.kappa, chi_target)
+    ref_p = _reference_langevin(chi_of_t, cfg.kappa, eps, +1, times)
+    ref_m = _reference_langevin(chi_of_t, cfg.kappa, eps, -1, times)
+    assert np.max(np.abs(traj.alpha_plus - ref_p)) <= 1e-12
+    assert np.max(np.abs(traj.alpha_minus - ref_m)) <= 1e-12
+    out_p = output_field(ref_p, cfg.kappa, eps)
+    out_m = output_field(ref_m, cfg.kappa, eps)
+    theta = optimal_demod_phase(out_p, out_m, times)
+    m_p, m_m = measurement_signal(out_p, out_m, cfg.eta, theta, times, cfg.kappa)
+    ref_error = [0.5 * math.erfc(0.5 * x)
+                 for x in snr_curve(m_p, m_m, cfg.kappa, times)]
+    assert np.max(np.abs(traj.error - ref_error)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_minus_field_is_conjugate_of_plus(name):
+    chi_of_t, chi_target = _readout_case(name)
+    cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=250.0, dt=0.05)
+    traj = run_readout(chi_of_t, chi_target, cfg)
+    assert np.array_equal(traj.alpha_minus, traj.alpha_plus.conj())
+    times = time_grid(cfg.t_max, cfg.dt)
+    assert np.array_equal(
+        integrate_langevin(chi_of_t, cfg.kappa, traj.epsilon, -1, times),
+        integrate_langevin(chi_of_t, cfg.kappa, traj.epsilon, +1, times).conj())

@@ -1,22 +1,22 @@
-"""Tests for the scalar special functions and the golden-section search."""
+"""Tests for the special functions and the golden-section search."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import special as sp
 
 from fluxsim.errors import BracketingError
 from fluxsim.special import erfc, golden_section_minimize
 
 
-def test_erfc_matches_scipy_reference():
+def test_erfc_matches_stdlib_reference():
     xs = np.concatenate([
         np.linspace(-6.0, 6.0, 1201),
         np.linspace(6.0, 30.0, 97),
         [0.0, 1e-12, -1e-12, 1.9999999, 2.0, 2.0000001],
     ])
-    worst = max(abs(erfc(float(x)) - sp.erfc(float(x))) for x in xs)
+    got = erfc(xs)
+    worst = max(abs(g - math.erfc(x)) for g, x in zip(got, xs))
     assert worst < 1e-12
 
 
