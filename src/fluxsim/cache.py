@@ -4,6 +4,12 @@ Entries are JSON files named by the SHA-256 of their canonical key. A hit
 requires a deep key comparison (a hash collision is treated as a miss), the
 schema version must match, and corrupt files are quarantined rather than
 trusted or deleted. Publication is atomic (write to a temp file, rename).
+
+The key names the computation but not the code that produced the value, so
+any change to cached numerics or to the layout of a cached value must bump
+CACHE_SCHEMA_VERSION: entries written under another version are misses and
+are recomputed. Version 2: real flux-affine spectra and whole-sweep chi and
+landscape entries.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,15 @@ noise-readout, gates, noise-gates. Every run emits CSV files plus a
 manifest.json into the output directory. Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 I/O error.
 
-Sweep cells and gate Monte Carlo draws fan out to a process pool when
---workers > 1 (readout draws run as one batch in-process); all reductions
-are index-ordered so outputs are byte-identical for any worker count. The
-FLUXSIM_WORKERS environment variable overrides the worker count (and
-nothing else).
+Flux sweeps (chi-curve, landscape and the chi profile of the readout
+subcommands) run batched in-process, and readout draws run as one batch
+in-process; only gate Monte Carlo draws fan out to a process pool when
+--workers > 1. All reductions are index-ordered, so outputs are
+byte-identical for any worker count. The FLUXSIM_WORKERS environment
+variable overrides the worker count (and nothing else).
+
+The result cache holds one entry per (device, chi window) for chi-curve,
+readout and noise-readout, and one per (device, sweep) for landscape.
 """
 
 from __future__ import annotations
@@ -35,16 +39,18 @@ from .coupled import (
     DEFAULT_TRANSITIONS,
     STATUS_OK,
     STATUS_RESONANT,
-    build_chi_profile,
+    LandscapeGrid,
     compute_landscapes,
-    dispersive_shift,
     fill_and_clamp,
     find_anticrossing,
-    _cell_values,
+    sweep_dressed,
 )
+# not called here: perfbench/spans.py wraps these where the CLI looks up
+# library functions
+from .coupled import _cell_values, dispersive_shift  # noqa: F401
 from .errors import ConfigError, FluxsimError
 from .gates import build_gate_space, optimize_pulse
-from .noise import NoiseSpec, noisy_gate_error, noisy_readout_snr
+from .noise import noisy_gate_error, noisy_readout_snr
 from .qubit import FluxBias, Spectrum, fluxonium_spectrum
 from .readout import ChiProfile, run_ramped_readout, run_static_readout
 from .output import write_csv, write_manifest
@@ -53,25 +59,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-
-# ---------------------------------------------------------------------------
-# Worker tasks (module-level so they pickle)
-
-def _chi_point_task(args):
-    cfg, f = args
-    try:
-        return dispersive_shift(cfg.params, FluxBias(f), cfg.resonator,
-                                cfg.mode, cfg.dims)
-    except FluxsimError:
-        return math.nan
-
-
-def _cell_task(args):
-    cfg, e_j_ghz, f = args
-    params = replace(cfg.params, e_j=units.ghz(e_j_ghz))
-    return _cell_values(params, FluxBias(f), cfg.resonator, cfg.mode,
-                        cfg.dims, DEFAULT_TRANSITIONS)
 
 
 def _pool_map(workers):
@@ -83,54 +70,60 @@ def _pool_map(workers):
 
 
 # ---------------------------------------------------------------------------
-# Cached evaluators
+# Cached sweeps
 
-def _device_key(cfg: RunConfig):
-    return {
-        "device": cfg.raw["device"],
-        "chi_clamp_mhz": cfg.raw["readout"]["chi_clamp_mhz"],
-    }
+def _to_json(values):
+    return [None if math.isnan(v) else float(v) for v in values]
 
 
-def _chi_points(cfg: RunConfig, grid, cache_dir):
-    """Dispersive shift at each grid point, via cache then pool; NaN marks
-    resonant points. Returns (values array, hit count)."""
-    values = np.full(len(grid), math.nan)
-    pending = []
-    hits = 0
-    for idx, f in enumerate(grid):
-        if cache_dir is not None:
-            key = {"op": "chi", "f": float(f), **_device_key(cfg)}
-            cached = cache_get(cache_dir, key)
-            if cached is not None:
-                values[idx] = math.nan if cached["chi"] is None else cached["chi"]
-                hits += 1
-                continue
-        pending.append((idx, float(f)))
-    if pending:
-        mapper, pool = _pool_map(cfg.workers)
-        try:
-            results = list(mapper(_chi_point_task,
-                                  [(cfg, f) for _, f in pending]))
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        for (idx, f), chi in zip(pending, results):
-            values[idx] = chi
-            if cache_dir is not None:
-                key = {"op": "chi", "f": f, **_device_key(cfg)}
-                cache_put(cache_dir, key,
-                          {"chi": None if math.isnan(chi) else float(chi)})
-    return values, hits
+def _from_json(values):
+    return np.array([math.nan if v is None else v for v in values], dtype=float)
 
 
-def _profile_from_cache(cfg: RunConfig, cache_dir) -> ChiProfile:
-    """Chi-vs-flux profile over the configured chi_curve window."""
+def _chi_values(cfg: RunConfig, cache_dir):
+    """The configured chi_curve grid and chi on it (NaN where resonant),
+    cached as one entry per (device, chi window)."""
     cc = cfg.raw["chi_curve"]
     n = int(round((cc["f_max"] - cc["f_min"]) / cc["step"]))
     grid = cc["f_min"] + cc["step"] * np.arange(n + 1)
-    values, _ = _chi_points(cfg, grid, cache_dir)
+    # raw chi, clamped only when emitted: the clamp is not part of the key
+    key = {"op": "chi-curve", "f_min": cc["f_min"], "f_max": cc["f_max"],
+           "step": cc["step"], "device": cfg.raw["device"]}
+    cached = cache_get(cache_dir, key) if cache_dir is not None else None
+    if cached is not None:
+        return grid, _from_json(cached)
+    values = sweep_dressed(cfg.params, grid, cfg.resonator, cfg.mode,
+                           cfg.dims).chi()
+    if cache_dir is not None:
+        cache_put(cache_dir, key, _to_json(values))
+    return grid, values
+
+
+def _chi_profile(cfg: RunConfig, cache_dir) -> ChiProfile:
+    """Chi-vs-flux profile over the configured chi_curve window."""
+    grid, values = _chi_values(cfg, cache_dir)
     return ChiProfile(grid, fill_and_clamp(values, cfg.chi_clamp), cfg.chi_clamp)
+
+
+def _landscape_grids(cfg: RunConfig, e_j_axis_ghz, f_axis, cache_dir):
+    """{kind: LandscapeGrid} of the configured sweep, cached as one entry
+    per (device, sweep)."""
+    e_j_axis = units.ghz(e_j_axis_ghz)
+    key = {"op": "landscape", "sweep": cfg.raw["sweep"],
+           "device": cfg.raw["device"]}
+    cached = cache_get(cache_dir, key) if cache_dir is not None else None
+    if cached is not None:
+        shape = (e_j_axis.size, f_axis.size)
+        return {kind: LandscapeGrid.of(e_j_axis, f_axis,
+                                       _from_json(values).reshape(shape), kind)
+                for kind, values in cached.items()}
+    grids = compute_landscapes(e_j_axis, f_axis, cfg.params.e_c,
+                               cfg.params.e_l, cfg.resonator, cfg.mode,
+                               cfg.dims, DEFAULT_TRANSITIONS)
+    if cache_dir is not None:
+        cache_put(cache_dir, key, {kind: _to_json(grid.values.ravel())
+                                   for kind, grid in grids.items()})
+    return grids
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +144,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir, cache_dir):
 
 
 def cmd_chi_curve(cfg: RunConfig, out_dir, cache_dir):
-    cc = cfg.raw["chi_curve"]
-    n = int(round((cc["f_max"] - cc["f_min"]) / cc["step"]))
-    grid = cc["f_min"] + cc["step"] * np.arange(n + 1)
-    values, _ = _chi_points(cfg, grid, cache_dir)
+    grid, values = _chi_values(cfg, cache_dir)
     status = [STATUS_OK if math.isfinite(v) else STATUS_RESONANT for v in values]
     emitted = fill_and_clamp(values, cfg.chi_clamp)
     rows = [(float(f), units.to_mhz(v), s)
@@ -168,52 +158,14 @@ def cmd_landscape(cfg: RunConfig, out_dir, cache_dir):
     e_j_axis = np.linspace(sweep["e_j_min_ghz"], sweep["e_j_max_ghz"],
                            sweep["n_e_j"])
     f_axis = np.linspace(sweep["f_min"], sweep["f_max"], sweep["n_f"])
-    cells = {}
-    pending = []
-    for e_j in e_j_axis:
-        for f in f_axis:
-            coords = (float(e_j), float(f))
-            if cache_dir is not None:
-                key = {"op": "cell", "e_j_ghz": coords[0], "f": coords[1],
-                       **_device_key(cfg)}
-                cached = cache_get(cache_dir, key)
-                if cached is not None:
-                    cells[coords] = {
-                        k: (math.nan if v is None else v, s)
-                        for k, (v, s) in cached.items()}
-                    continue
-            pending.append(coords)
-    if pending:
-        mapper, pool = _pool_map(cfg.workers)
-        try:
-            results = list(mapper(_cell_task,
-                                  [(cfg, e_j, f) for e_j, f in pending]))
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        for coords, cell in zip(pending, results):
-            cells[coords] = cell
-            if cache_dir is not None:
-                key = {"op": "cell", "e_j_ghz": coords[0], "f": coords[1],
-                       **_device_key(cfg)}
-                cache_put(cache_dir, key, {
-                    k: (None if not math.isfinite(v) else float(v), s)
-                    for k, (v, s) in cell.items()})
-
-    def cell_fn(e_j, f):
-        return cells[(float(e_j), float(f))]
-
-    grids = compute_landscapes(e_j_axis, f_axis, cfg.params.e_c, cfg.params.e_l,
-                               cfg.resonator, cfg.mode, cfg.dims,
-                               cell_fn=cell_fn)
     files = []
-    for kind, grid in grids.items():
+    for kind, grid in _landscape_grids(cfg, e_j_axis, f_axis, cache_dir).items():
         unit = "MHz" if kind == "chi" else "GHz"
         conv = units.to_mhz if kind == "chi" else units.to_ghz
         emitted = grid.emitted_values()
         rows = []
-        for a, e_j in enumerate(grid.e_j_axis):
-            for b, f in enumerate(grid.f_axis):
+        for a, e_j in enumerate(e_j_axis):
+            for b, f in enumerate(f_axis):
                 rows.append((float(e_j), float(f), conv(emitted[a, b]),
                              unit, grid.status[a, b]))
         path = write_csv(out_dir / f"landscape_{kind}.csv",
@@ -252,7 +204,7 @@ READOUT_HEADER = ["tau_ns", "snr", "error", "m_s_0", "m_s_1",
 
 
 def cmd_readout(cfg: RunConfig, out_dir, cache_dir):
-    profile = _profile_from_cache(cfg, cache_dir)
+    profile = _chi_profile(cfg, cache_dir)
     pulsed = run_ramped_readout(cfg.ramp, profile, cfg.readout)
     static = run_static_readout(profile.chi_at(cfg.ramp.f_start), cfg.readout)
     files = []
@@ -274,7 +226,7 @@ def _noise_rows(curve):
 
 
 def cmd_noise_readout(cfg: RunConfig, out_dir, cache_dir):
-    profile = _profile_from_cache(cfg, cache_dir)
+    profile = _chi_profile(cfg, cache_dir)
     result = noisy_readout_snr(cfg.ramp, profile, cfg.readout, cfg.noise)
     files = []
     for name, curve in (("noise_readout_snr.csv", result.snr),

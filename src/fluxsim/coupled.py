@@ -5,6 +5,10 @@ kept levels tensored with resonator Fock states), dressed-state labeling by
 bare-state overlap, dispersive shift, transition detunings, flux/E_J
 landscapes, anticrossing extraction, and chi-vs-flux profiles for the
 readout dynamics.
+
+Every flux-grid quantity (chi, detunings, landscape cells, chi profiles)
+comes from `sweep_dressed`, which solves blocks of flux points in stacked
+eigensolves; a single point is a one-point sweep.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from .qubit import (
     DEFAULT_DIM,
     EnergyParams,
     FluxBias,
-    build_ho_operators,
     fluxonium_spectrum,
+    lowering_operator,
+    spectrum_sweep,
 )
 from .readout import ChiProfile
 from .special import golden_section_minimize
@@ -91,63 +96,71 @@ class CoupledDims:
             )
 
 
-def _resonator_ops(m):
-    a = np.zeros((m, m), dtype=complex)
-    idx = np.arange(1, m)
-    a[idx - 1, idx] = np.sqrt(idx)
-    return a, a.conj().T
-
-
-def _ladder_op(k):
-    c = np.zeros((k, k), dtype=complex)
-    idx = np.arange(1, k)
-    c[idx - 1, idx] = np.sqrt(idx)
-    return c
-
-
 def assemble_coupled(qubit_energies, qubit_coupling_op, res: ResonatorParams,
                      mode: CouplingMode, n_res):
     """Coupled Hamiltonian on the product space, index = i_q * n_res + n_r.
 
     qubit_coupling_op is the charge operator projected into the kept
     eigenbasis (CHARGE) or the eigen-level lowering ladder (LADDER_RWA).
+    Leading axes of qubit_energies (..., k) and qubit_coupling_op
+    (..., k, k) are stacked. The result is exactly Hermitian, and real when
+    the coupling operator is real.
     """
     energies = np.asarray(qubit_energies, dtype=float)
-    k = energies.size
+    op = np.asarray(qubit_coupling_op)
+    k = energies.shape[-1]
     m = int(n_res)
     if k < 2 or m < 2:
         raise InvalidDimensionError(f"need k >= 2 and m >= 2, got k={k}, m={m}")
-    a, adag = _resonator_ops(m)
-    eye_q = np.eye(k, dtype=complex)
-    eye_r = np.eye(m, dtype=complex)
-    h = np.kron(np.diag(energies.astype(complex)), eye_r)
-    h += np.kron(eye_q, res.omega_r * (adag @ a + 0.5 * eye_r))
-    op = np.asarray(qubit_coupling_op, dtype=complex)
+    op_dag = np.swapaxes(op, -1, -2).conj()
     if mode is CouplingMode.CHARGE:
-        h += res.g * np.kron(op, a + adag)
+        # g op (x) (a + a^dag), with op made exactly Hermitian
+        op = 0.5 * (op + op_dag)
+        up = down = op
     elif mode is CouplingMode.LADDER_RWA:
-        h += res.g * (np.kron(op.conj().T, a) + np.kron(op, adag))
+        # g (op^dag (x) a + op (x) a^dag)
+        up, down = op_dag, op
     else:
         raise ValueError(f"unknown coupling mode {mode!r}")
-    return 0.5 * (h + h.conj().T)
+    batch = energies.shape[:-1]
+    h = np.zeros(batch + (k, m, k, m), dtype=np.result_type(op, float))
+    # a[n, n + 1] = sqrt(n + 1) links photon n + 1 to n
+    for n, root in enumerate(np.diag(lowering_operator(m), 1)):
+        h[..., :, n, :, n + 1] = res.g * (up * root)
+        h[..., :, n + 1, :, n] = res.g * (down * root)
+    levels = np.arange(k)
+    photons = np.arange(m)
+    h[..., levels[:, None], photons, levels[:, None], photons] = \
+        energies[..., :, None] + res.omega_r * (photons + 0.5)
+    return h.reshape(batch + (k * m, k * m))
+
+
+def _coupling_operator(vecs, params: EnergyParams, mode: CouplingMode, kept):
+    """Qubit coupling operator in the lowest kept eigenstates, for each
+    eigenvector matrix of the stack vecs (..., dim, dim): the charge
+    operator (CHARGE) or the oscillator lowering operator (LADDER_RWA)."""
+    w = vecs[..., :kept]
+    w_dag = np.swapaxes(w, -1, -2).conj()
+    a = lowering_operator(vecs.shape[-2])
+    if mode is CouplingMode.CHARGE:
+        # n = -i (a - a^dag) / (sqrt(2) phi0)
+        return (-1j / (math.sqrt(2.0) * params.phi0)) * (w_dag @ (a - a.T) @ w)
+    return w_dag @ a @ w
 
 
 def build_coupled_hamiltonian(params: EnergyParams, flux: FluxBias,
                               res: ResonatorParams,
                               mode: CouplingMode = DEFAULT_MODE,
-                              dims: CoupledDims = CoupledDims()):
+                              dims: CoupledDims = CoupledDims(),
+                              spec=None):
     """Fluxonium eigensolve at full dim, project the coupling operator onto
-    the lowest kept levels, tensor with the resonator."""
-    spec = fluxonium_spectrum(params, flux, dims.dim)
-    energies = spec.eigenvalues[:dims.kept]
-    w = spec.eigenvectors[:, :dims.kept]
-    if mode is CouplingMode.CHARGE:
-        _, _, n_op, _ = build_ho_operators(dims.dim, params.phi0)
-        q_op = w.conj().T @ n_op @ w
-    else:
-        a, _, _, _ = build_ho_operators(dims.dim, params.phi0)
-        q_op = w.conj().T @ a @ w
-    return assemble_coupled(energies, q_op, res, mode, dims.n_res)
+    the lowest kept levels, tensor with the resonator. spec is the bare
+    Spectrum at this bias when the caller already has it."""
+    if spec is None:
+        spec = fluxonium_spectrum(params, flux, dims.dim)
+    q_op = _coupling_operator(spec.eigenvectors, params, mode, dims.kept)
+    return assemble_coupled(spec.eigenvalues[:dims.kept], q_op, res, mode,
+                            dims.n_res)
 
 
 @dataclass(frozen=True)
@@ -173,8 +186,9 @@ class DressedLevels:
 
 
 def diagonalize(h):
-    """Hermitian eigensolve with the shared failure wrapper and counter."""
-    diagnostics.count_eigensolve()
+    """Hermitian eigensolve with the shared failure wrapper and counter; a
+    stack (..., n, n) is solved in one call and counted per matrix."""
+    diagnostics.count_eigensolve(int(np.prod(h.shape[:-2])))
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -210,29 +224,22 @@ def assign_dressed_levels(eigenvalues, eigenvectors, kept, n_res) -> DressedLeve
                          quality, kept, n_res, warn)
 
 
-def coupled_eigensystem(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
-                        mode: CouplingMode = DEFAULT_MODE,
-                        dims: CoupledDims = CoupledDims()) -> DressedLevels:
-    h = build_coupled_hamiltonian(params, flux, res, mode, dims)
-    vals, vecs = diagonalize(h)
-    return assign_dressed_levels(vals, vecs, dims.kept, dims.n_res)
-
-
 def two_level_eigensystem(omega_q, res: ResonatorParams,
                           mode: CouplingMode = CouplingMode.LADDER_RWA,
                           n_res=8) -> DressedLevels:
     """Surrogate with a bare two-level qubit (energies 0, omega_q); the
     coupling operator is the two-level ladder for either mode."""
-    h = assemble_coupled(np.array([0.0, omega_q]), _ladder_op(2), res, mode, n_res)
+    h = assemble_coupled(np.array([0.0, omega_q]), lowering_operator(2), res,
+                         mode, n_res)
     vals, vecs = diagonalize(h)
     return assign_dressed_levels(vals, vecs, 2, n_res)
 
 
 MIN_ASSIGNMENT_QUALITY = 0.25
+CHI_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _require_quality(dressed: DressedLevels, labels, flux_value):
-    worst = min(dressed.quality_of(*lbl) for lbl in labels)
+def _require_quality(worst, flux_value):
     if worst < MIN_ASSIGNMENT_QUALITY:
         raise ResonanceRegionError(
             f"dressed assignment quality {worst:.3f} below "
@@ -244,34 +251,144 @@ def _require_quality(dressed: DressedLevels, labels, flux_value):
 def dispersive_shift_from(dressed: DressedLevels, flux_value=None):
     """chi from dressed energies:
     2 chi = (w(1,1) - w(1,0)) - (w(0,1) - w(0,0))."""
-    labels = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    _require_quality(dressed, labels, flux_value)
+    _require_quality(min(dressed.quality_of(*lbl) for lbl in CHI_LABELS),
+                     flux_value)
     return 0.5 * ((dressed.energy(1, 1) - dressed.energy(1, 0))
                   - (dressed.energy(0, 1) - dressed.energy(0, 0)))
+
+
+# ---------------------------------------------------------------------------
+# Flux sweeps
+
+# flux points per stacked eigensolve: bounds a sweep's working set whatever
+# its length (peak about 2.6 MB at the default 40/8/8 truncation); larger
+# blocks add memory, not speed
+_SWEEP_BLOCK = 32
+
+
+@dataclass(frozen=True)
+class DressedSweep:
+    """Dressed levels along a flux grid, point by point.
+
+    bare holds the lowest kept bare eigenvalues (n, kept); energy and
+    quality the dressed energy and the squared bare overlap backing it
+    (n, len(labels)) for each (qubit level, photon number) label.
+    """
+
+    labels: tuple
+    bare: np.ndarray
+    energy: np.ndarray
+    quality: np.ndarray
+
+    def energy_of(self, i, n):
+        return self.energy[:, self.labels.index((i, n))]
+
+    def worst_quality(self, labels):
+        cols = [self.labels.index(lbl) for lbl in labels]
+        return np.min(self.quality[:, cols], axis=1)
+
+    def chi(self):
+        """2 chi = (w(1,1) - w(1,0)) - (w(0,1) - w(0,0)) at each point; NaN
+        where the assignment quality is below MIN_ASSIGNMENT_QUALITY."""
+        e = self.energy_of
+        chi = 0.5 * ((e(1, 1) - e(1, 0)) - (e(0, 1) - e(0, 0)))
+        return np.where(self.worst_quality(CHI_LABELS) < MIN_ASSIGNMENT_QUALITY,
+                        math.nan, chi)
+
+    def detuning(self, res: ResonatorParams, i, j):
+        """Delta_ij: dressed qubit transition (photon vacuum) minus the bare
+        resonator frequency at each point; NaN where resonant."""
+        if not i > j:
+            raise ValueError(f"transition requires i > j, got ({i}, {j})")
+        delta = (self.energy_of(i, 0) - self.energy_of(j, 0)) - res.omega_r
+        worst = self.worst_quality([(i, 0), (j, 0)])
+        return np.where(worst < MIN_ASSIGNMENT_QUALITY, math.nan, delta)
+
+
+def _label_levels(vals, vecs, rows, kept, n_res):
+    """Dressed index and squared overlap of each bare product state in rows,
+    at each point of the stacked eigensystem (vals, vecs).
+
+    |U|^2 of a complete eigenbasis is doubly stochastic, so an overlap above
+    1/2 is the strict maximum of its row and of its column, and the greedy
+    descending assignment of `assign_dressed_levels` makes that pair whatever
+    the order of the others: the row's argmax is its label. A point where a
+    requested row's best overlap is not above 1/2, or (through rounding) not
+    the strict maximum of its row and column, is assigned by
+    `assign_dressed_levels` itself.
+    """
+    picked = np.abs(vecs[:, rows, :]) ** 2      # [point, label, dressed]
+    index = np.argmax(picked, axis=2)
+    best = np.take_along_axis(picked, index[..., None], axis=2)[..., 0]
+    column = np.abs(np.take_along_axis(vecs, index[:, None, :], axis=2)) ** 2
+    strict = (((picked >= best[..., None]).sum(axis=2) == 1)
+              & ((column >= best[:, None, :]).sum(axis=1) == 1))
+    for p in np.flatnonzero(~np.all(strict & (best > 0.5), axis=1)):
+        dressed = assign_dressed_levels(vals[p], vecs[p], kept, n_res)
+        for col, row in enumerate(rows):
+            label = divmod(int(row), n_res)
+            index[p, col] = dressed.assignment[label]
+            best[p, col] = dressed.quality[label]
+    return index, best
+
+
+def _dressed_block(params, f_values, res, mode, dims, rows):
+    """Lowest kept bare levels (n, kept), and the dressed energy and
+    overlap quality (n, len(rows)) of the bare product states rows, from
+    one stacked bare and one stacked coupled eigensolve."""
+    vals, vecs = spectrum_sweep(params, f_values, dims.dim)
+    bare = vals[:, :dims.kept]
+    h = assemble_coupled(bare, _coupling_operator(vecs, params, mode, dims.kept),
+                         res, mode, dims.n_res)
+    del vecs  # not needed while the larger coupled stack is solved
+    dvals, dvecs = diagonalize(h)
+    index, quality = _label_levels(dvals, dvecs, rows, dims.kept, dims.n_res)
+    return bare, np.take_along_axis(dvals, index, axis=1), quality
+
+
+def sweep_dressed(params: EnergyParams, f_values, res: ResonatorParams,
+                  mode: CouplingMode = DEFAULT_MODE,
+                  dims: CoupledDims = CoupledDims(),
+                  labels=CHI_LABELS) -> DressedSweep:
+    """Dressed energies of the (qubit level, photon number) labels at each
+    reduced flux, labelled as `assign_dressed_levels` labels them.
+
+    Blocks of up to _SWEEP_BLOCK points share one stacked bare eigensolve
+    and one stacked coupled eigensolve (real in LADDER_RWA mode, complex in
+    CHARGE mode).
+    """
+    f = np.asarray(f_values, dtype=float).reshape(-1)
+    if f.size == 0:
+        raise ValueError("flux sweep needs at least one point")
+    labels = tuple((int(i), int(n)) for i, n in labels)
+    for i, n in labels:
+        if not (0 <= i < dims.kept and 0 <= n < dims.n_res):
+            raise ValueError(f"label ({i}, {n}) outside {dims.kept} kept "
+                             f"levels x {dims.n_res} photon states")
+    rows = np.array([i * dims.n_res + n for i, n in labels])
+    parts = [_dressed_block(params, f[start:start + _SWEEP_BLOCK], res, mode,
+                            dims, rows)
+             for start in range(0, f.size, _SWEEP_BLOCK)]
+    bare, energy, quality = (np.concatenate(p) for p in zip(*parts))
+    return DressedSweep(labels, bare, energy, quality)
 
 
 def dispersive_shift(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
                      mode: CouplingMode = DEFAULT_MODE,
                      dims: CoupledDims = CoupledDims()):
     """Signed dispersive shift chi (angular) at one flux point."""
-    dressed = coupled_eigensystem(params, flux, res, mode, dims)
-    return dispersive_shift_from(dressed, flux.f)
-
-
-def transition_detuning_from(dressed: DressedLevels, res: ResonatorParams,
-                             i, j, flux_value=None):
-    if not i > j:
-        raise ValueError(f"transition requires i > j, got ({i}, {j})")
-    _require_quality(dressed, [(i, 0), (j, 0)], flux_value)
-    return (dressed.energy(i, 0) - dressed.energy(j, 0)) - res.omega_r
+    sweep = sweep_dressed(params, [flux.f], res, mode, dims, CHI_LABELS)
+    _require_quality(sweep.worst_quality(CHI_LABELS)[0], flux.f)
+    return float(sweep.chi()[0])
 
 
 def transition_detuning(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
                         mode: CouplingMode, dims: CoupledDims, i, j):
     """Delta_ij: dressed qubit transition (photon vacuum) minus the bare
     resonator frequency (signed, angular)."""
-    dressed = coupled_eigensystem(params, flux, res, mode, dims)
-    return transition_detuning_from(dressed, res, i, j, flux.f)
+    sweep = sweep_dressed(params, [flux.f], res, mode, dims, ((i, 0), (j, 0)))
+    _require_quality(sweep.worst_quality(sweep.labels)[0], flux.f)
+    return float(sweep.detuning(res, i, j)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +402,33 @@ STATUS_OK = "ok"
 STATUS_RESONANT = "resonant"
 
 
+def fill_and_clamp(vals, clamp, resonant=None):
+    """Replace non-finite entries (and those marked resonant) by +-clamp
+    with the sign of the nearest preceding valid nonzero entry in row-major
+    order (the first one for a leading run, + when there is none), then clip
+    everything to [-clamp, clamp]. An exact +-0.0 never sets the sign.
+    Returns a new array; with clamp None, an unchanged copy."""
+    out = np.array(vals, dtype=float)
+    if clamp is None:
+        return out
+    flat = out.reshape(-1)
+    bad = ~np.isfinite(flat)
+    if resonant is not None:
+        bad |= np.asarray(resonant, dtype=bool).reshape(-1)
+    signed = ~bad & (flat != 0.0)
+    source = np.maximum.accumulate(np.where(signed, np.arange(flat.size), -1))
+    source[source < 0] = np.argmax(signed)
+    sign = np.copysign(1.0, flat[source]) if signed.any() else np.ones(flat.size)
+    flat[bad] = clamp * sign[bad]
+    return np.clip(out, -clamp, clamp)
+
+
 @dataclass(frozen=True)
 class LandscapeGrid:
     """One scalar landscape over (E_J, f) with per-cell status.
 
     values holds the raw computed numbers (NaN where resonant); emission
-    clamps to +-clamp and saturates resonant cells with the sign of the last
-    valid row-major neighbor.
+    clamps to +-clamp and saturates resonant cells as `fill_and_clamp` does.
     """
 
     e_j_axis: np.ndarray
@@ -311,73 +448,56 @@ class LandscapeGrid:
         if self.values.shape != (ej.size, f.size):
             raise ValueError("value matrix shape must match axis lengths")
 
+    @classmethod
+    def of(cls, e_j_axis, f_axis, values, kind):
+        """The grid of one landscape kind: NaN cells are resonant, and the
+        emission clamp is the kind's (none for omega_q)."""
+        status = np.where(np.isnan(values), STATUS_RESONANT, STATUS_OK)
+        clamp = {"omega_q": None, "chi": CHI_CLAMP}.get(kind, DELTA_CLAMP)
+        return cls(e_j_axis, f_axis, values, status.astype(object), kind, clamp)
+
     def emitted_values(self):
-        out = self.values.copy()
-        clamp = self.clamp
-        if clamp is None:
-            return out
-        flat = out.ravel()
-        bad = (self.status.ravel() == STATUS_RESONANT) | ~np.isfinite(flat)
-        good = np.flatnonzero(~bad)
-        last_sign = math.copysign(1.0, flat[good[0]]) if good.size else 1.0
-        for idx in range(flat.size):
-            if bad[idx]:
-                flat[idx] = last_sign * clamp
-            elif flat[idx] != 0.0:
-                last_sign = math.copysign(1.0, flat[idx])
-        np.clip(flat, -clamp, clamp, out=flat)
-        return flat.reshape(out.shape)
+        return fill_and_clamp(self.values, self.clamp,
+                              resonant=self.status == STATUS_RESONANT)
+
+
+def _landscape_row(params, f_values, res, mode, dims, transitions):
+    """{kind: values along f_values} at one E_J, all from one dressed sweep;
+    NaN marks resonant cells."""
+    levels = sorted({i for ij in transitions for i in ij})
+    labels = CHI_LABELS + tuple((i, 0) for i in levels if (i, 0) not in CHI_LABELS)
+    sweep = sweep_dressed(params, f_values, res, mode, dims, labels)
+    row = {"omega_q": sweep.bare[:, 1] - sweep.bare[:, 0], "chi": sweep.chi()}
+    for (i, j) in transitions:
+        row[f"delta_{i}{j}"] = sweep.detuning(res, i, j)
+    return row
 
 
 def _cell_values(params, flux, res, mode, dims, transitions):
-    """All landscape quantities from a single coupled eigensystem."""
-    spec = fluxonium_spectrum(params, flux, dims.dim)
-    dressed = coupled_eigensystem(params, flux, res, mode, dims)
-    cell = {"omega_q": (spec.transition(1, 0), STATUS_OK)}
-    try:
-        cell["chi"] = (dispersive_shift_from(dressed, flux.f), STATUS_OK)
-    except ResonanceRegionError:
-        cell["chi"] = (math.nan, STATUS_RESONANT)
-    for (i, j) in transitions:
-        try:
-            cell[f"delta_{i}{j}"] = (
-                transition_detuning_from(dressed, res, i, j, flux.f), STATUS_OK)
-        except ResonanceRegionError:
-            cell[f"delta_{i}{j}"] = (math.nan, STATUS_RESONANT)
-    return cell
+    """All landscape quantities at one cell: {kind: (value, status)}."""
+    row = _landscape_row(params, [flux.f], res, mode, dims, transitions)
+    return {k: (float(v[0]), STATUS_RESONANT if np.isnan(v[0]) else STATUS_OK)
+            for k, v in row.items()}
 
 
 def compute_landscapes(e_j_axis, f_axis, e_c, e_l, res: ResonatorParams,
                        mode: CouplingMode = DEFAULT_MODE,
                        dims: CoupledDims = CoupledDims(),
-                       transitions=DEFAULT_TRANSITIONS,
-                       cell_fn=None):
-    """Sweep (E_J, f); every grid cell equals the single-point operation with
-    identical inputs. Resonance errors become per-cell status, never aborts.
-
-    cell_fn allows the CLI scheduler to substitute a cached / parallel
-    evaluator with identical semantics. Returns {kind: LandscapeGrid}.
+                       transitions=DEFAULT_TRANSITIONS):
+    """Sweep (E_J, f), one flux sweep per E_J; every grid cell equals the
+    single-point operation with identical inputs. Resonance errors become
+    per-cell status, never aborts. Returns {kind: LandscapeGrid}.
     """
     e_j_axis = np.asarray(e_j_axis, dtype=float)
     f_axis = np.asarray(f_axis, dtype=float)
     kinds = ["omega_q", "chi"] + [f"delta_{i}{j}" for (i, j) in transitions]
-    clamps = {"omega_q": None, "chi": CHI_CLAMP}
-    clamps.update({f"delta_{i}{j}": DELTA_CLAMP for (i, j) in transitions})
     values = {k: np.empty((e_j_axis.size, f_axis.size)) for k in kinds}
-    status = {k: np.empty((e_j_axis.size, f_axis.size), dtype=object) for k in kinds}
-    if cell_fn is None:
-        def cell_fn(e_j, f):
-            return _cell_values(EnergyParams(e_j, e_c, e_l), FluxBias(f),
-                                res, mode, dims, transitions)
     for a, e_j in enumerate(e_j_axis):
-        for b, f in enumerate(f_axis):
-            cell = cell_fn(float(e_j), float(f))
-            for k in kinds:
-                values[k][a, b], status[k][a, b] = cell[k]
-    return {
-        k: LandscapeGrid(e_j_axis, f_axis, values[k], status[k], k, clamps[k])
-        for k in kinds
-    }
+        row = _landscape_row(EnergyParams(float(e_j), e_c, e_l), f_axis,
+                             res, mode, dims, transitions)
+        for k in kinds:
+            values[k][a] = row[k]
+    return {k: LandscapeGrid.of(e_j_axis, f_axis, values[k], k) for k in kinds}
 
 
 # ---------------------------------------------------------------------------
@@ -428,48 +548,19 @@ def find_anticrossing(params: EnergyParams, res: ResonatorParams,
 # ---------------------------------------------------------------------------
 # Chi-vs-flux profile for the readout dynamics
 
-def fill_and_clamp(vals, clamp):
-    """Replace non-finite entries with +-clamp carrying the sign of the
-    nearest preceding valid value (the first valid value for a leading run),
-    then clip everything to [-clamp, clamp]. Returns a new array."""
-    vals = np.asarray(vals, dtype=float).copy()
-    bad = ~np.isfinite(vals)
-    last = None
-    for idx in range(vals.size):
-        if bad[idx]:
-            if last is not None:
-                vals[idx] = math.copysign(clamp, last)
-        else:
-            last = vals[idx]
-    first_valid = int(np.argmin(bad))
-    for idx in range(first_valid):
-        vals[idx] = math.copysign(clamp, vals[first_valid])
-    return np.clip(vals, -clamp, clamp)
-
-
 def build_chi_profile(params: EnergyParams, res: ResonatorParams,
                       mode: CouplingMode = DEFAULT_MODE,
                       dims: CoupledDims = CoupledDims(),
                       f_min=0.40, f_max=0.70, step=1e-4,
-                      clamp=units.mhz(50.0),
-                      point_fn=None) -> ChiProfile:
-    """Tabulate chi on a uniform flux grid. Resonant points (assignment
-    breakdown) are filled with the clamp bound carrying the sign of the last
-    valid neighbor; all values are clipped to +-clamp.
-
-    point_fn allows a cached evaluator with identical semantics.
+                      clamp=units.mhz(50.0)) -> ChiProfile:
+    """Tabulate chi on a uniform flux grid in one dressed sweep. Resonant
+    points (assignment breakdown) are filled as `fill_and_clamp` fills
+    them; all values are clipped to +-clamp.
     """
     n = int(round((f_max - f_min) / step))
     grid = f_min + step * np.arange(n + 1)
-    if point_fn is None:
-        def point_fn(f):
-            try:
-                return dispersive_shift(params, FluxBias(f), res, mode, dims)
-            except ResonanceRegionError:
-                return math.nan
-    vals = np.array([point_fn(float(f)) for f in grid])
-    bad = ~np.isfinite(vals)
-    if np.all(bad):
+    vals = sweep_dressed(params, grid, res, mode, dims).chi()
+    if np.all(np.isnan(vals)):
         raise NumericalFailureError("chi profile entirely resonant",
                                     f_min=f_min, f_max=f_max)
     return ChiProfile(grid, fill_and_clamp(vals, clamp), clamp)

@@ -3,9 +3,10 @@
 _eigensolves = 0
 
 
-def count_eigensolve():
+def count_eigensolve(n=1):
+    """Count n eigensolves: one per matrix of a stacked call."""
     global _eigensolves
-    _eigensolves += 1
+    _eigensolves += n
 
 
 def eigensolve_count():

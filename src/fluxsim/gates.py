@@ -123,7 +123,7 @@ def build_gate_space(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
     _, _, n_full, _ = build_ho_operators(dims.dim, params.phi0)
     n_proj = w.conj().T @ n_full @ w
     charge_op = np.kron(n_proj, np.eye(dims.n_res, dtype=complex))
-    h0 = build_coupled_hamiltonian(params, flux, res, mode, dims)
+    h0 = build_coupled_hamiltonian(params, flux, res, mode, dims, spec=spec)
     vals, vecs = diagonalize(h0)
     dressed = assign_dressed_levels(vals, vecs, dims.kept, dims.n_res)
     comp = np.column_stack([vecs[:, dressed.assignment[(0, 0)]],

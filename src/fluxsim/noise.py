@@ -188,17 +188,19 @@ def noisy_readout_snr(ramp: FluxRamp, profile: ChiProfile, cfg: ReadoutConfig,
 def gate_draw(delta, params: EnergyParams, res: ResonatorParams,
               pulse: PulseParams, base_flux=0.5, mode: CouplingMode = DEFAULT_MODE,
               dims: CoupledDims = CoupledDims(kept=6, n_res=3),
-              dt=DEFAULT_GATE_DT) -> GateResult:
+              dt=DEFAULT_GATE_DT, anharm=None) -> GateResult:
     """Evaluate a fixed, pre-optimized pulse at the offset flux bias.
 
     The applied waveform (amplitude, DRAG weight, drive frequency) is frozen
     at its delta=0 optimum; only the static Hamiltonian moves with the
     offset. The DRAG quadrature keeps the anharmonicity of the unshifted
-    bias, since a quasi-static offset is unknown when the pulse is shaped.
+    bias, since a quasi-static offset is unknown when the pulse is shaped;
+    pass it as anharm to skip recomputing it.
     """
+    if anharm is None:
+        anharm = anharmonicity(params, FluxBias(base_flux), dims.dim)
     space = build_gate_space(params, FluxBias(base_flux + delta), res, mode, dims)
-    space = replace(space, anharm=anharmonicity(params, FluxBias(base_flux), dims.dim))
-    return evaluate_gate(space, pulse, dt)
+    return evaluate_gate(replace(space, anharm=anharm), pulse, dt)
 
 
 def noisy_gate_error(params: EnergyParams, res: ResonatorParams,
@@ -212,7 +214,8 @@ def noisy_gate_error(params: EnergyParams, res: ResonatorParams,
     gate time; the axis of the returned curve is their tau_g values.
     """
     deltas = sample_flux_offsets(spec)
-    tasks = [(d, params, res, tuple(pulses), base_flux, mode, dims, dt)
+    anharm = anharmonicity(params, FluxBias(base_flux), dims.dim)
+    tasks = [(d, params, res, tuple(pulses), base_flux, mode, dims, dt, anharm)
              for d in deltas]
     rows = list(map_fn(_gate_draw_task, tasks))
     draws = np.array(rows)
@@ -222,6 +225,7 @@ def noisy_gate_error(params: EnergyParams, res: ResonatorParams,
 
 
 def _gate_draw_task(args):
-    delta, params, res, pulses, base_flux, mode, dims, dt = args
-    return [gate_draw(delta, params, res, p, base_flux, mode, dims, dt).error
+    delta, params, res, pulses, base_flux, mode, dims, dt, anharm = args
+    return [gate_draw(delta, params, res, p, base_flux, mode, dims, dt,
+                      anharm).error
             for p in pulses]

@@ -1,12 +1,14 @@
 """Bare fluxonium in the harmonic-oscillator basis.
 
-Operators, Hamiltonian construction, spectrum with a deterministic
-eigenvector phase convention, and charge matrix elements. All frequencies
+Operators, the flux-affine real Hamiltonian, stacked spectra over flux
+grids with a deterministic eigenvector sign convention, and charge matrix
+elements. All frequencies
 are angular (rad/ns); see :mod:`fluxsim.units`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -83,45 +85,96 @@ class HoBasis:
 DEFAULT_DIM = 40
 
 
-def build_ho_operators(dim, phi0):
-    """Dense (annihilation, creation, charge, flux) matrices on a dim-level
-    oscillator with zero-point phase scale phi0."""
-    basis = HoBasis(dim, phi0)  # validates
-    a = np.zeros((dim, dim), dtype=complex)
+def lowering_operator(dim):
+    """Real dim x dim lowering operator, sqrt(n) on the first superdiagonal:
+    the fluxonium's oscillator basis, the resonator and the qubit eigen-level
+    ladder all use it."""
+    a = np.zeros((dim, dim))
     idx = np.arange(1, dim)
     a[idx - 1, idx] = np.sqrt(idx)
-    adag = a.conj().T
+    return a
+
+
+def build_ho_operators(dim, phi0):
+    """Dense (annihilation, creation, charge, flux) matrices on a dim-level
+    oscillator with zero-point phase scale phi0. The charge operator is
+    imaginary; the other three are real."""
+    basis = HoBasis(dim, phi0)  # validates
+    a = lowering_operator(dim)
+    adag = a.T
     n_op = (-1j / (math.sqrt(2.0) * basis.phi0)) * (a - adag)
     phi_op = (basis.phi0 / math.sqrt(2.0)) * (a + adag)
     return a, adag, n_op, phi_op
 
 
-def build_fluxonium_hamiltonian(params: EnergyParams, flux: FluxBias, dim=DEFAULT_DIM):
-    """H = 4 E_C n^2 + (1/2) E_L phi^2 - E_J cos(phi - phi_ext).
+@functools.lru_cache(maxsize=16)
+def _flux_affine_parts(e_c, e_l, dim):
+    """(H0, C, S) with H(f) = H0 - E_J (cos phi_ext C + sin phi_ext S).
 
-    The operator cosine is evaluated by spectral calculus on the Hermitian
-    flux operator, which is exact on the truncated space.
+    H0 = 4 E_C n^2 + (1/2) E_L phi^2, C = cos(phi) and S = sin(phi), by
+    spectral calculus on the flux operator (exact on the truncated space).
+    n^2 = -(a - a^dag)^2 / (2 phi0^2) is real, so all three are real
+    symmetric; they are symmetrized exactly and made read-only.
     """
-    _, _, n_op, phi_op = build_ho_operators(dim, params.phi0)
+    phi0 = EnergyParams(0.0, e_c, e_l).phi0
+    a, adag, _, phi_op = build_ho_operators(dim, phi0)
+    p = a - adag
+    n_sq = (p @ p) * (-0.5 / phi0 ** 2)
     lam, v = np.linalg.eigh(phi_op)
-    cos_op = (v * np.cos(lam - flux.phi_ext)) @ v.conj().T
-    h = 4.0 * params.e_c * (n_op @ n_op) + 0.5 * params.e_l * (phi_op @ phi_op) \
-        - params.e_j * cos_op
-    return 0.5 * (h + h.conj().T)
+    parts = tuple(0.5 * (m + m.T) for m in (
+        4.0 * e_c * n_sq + 0.5 * e_l * (phi_op @ phi_op),
+        (v * np.cos(lam)) @ v.T, (v * np.sin(lam)) @ v.T))
+    for m in parts:
+        m.flags.writeable = False
+    return parts
 
 
-def _fix_phases(vecs):
-    """Rotate each eigenvector so its largest-magnitude component is real
-    positive (ties broken by lowest index via argmax)."""
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        mag = abs(pivot)
-        if mag > 0.0:
-            out[:, k] = col * (pivot.conjugate() / mag)
-    return out
+def fluxonium_hamiltonians(params: EnergyParams, f_values, dim=DEFAULT_DIM):
+    """Stack (n, dim, dim) of H = 4 E_C n^2 + (1/2) E_L phi^2
+    - E_J cos(phi - phi_ext) at each reduced flux, real and exactly
+    symmetric. Flux enters only through
+    cos(phi - phi_ext) = cos(phi_ext) C + sin(phi_ext) S."""
+    HoBasis(dim, params.phi0)  # validates
+    h0, c_op, s_op = _flux_affine_parts(params.e_c, params.e_l, dim)
+    f = np.asarray(f_values, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(f)):
+        raise ValueError(f"flux must be finite, got {f_values}")
+    phi_ext = 2.0 * math.pi * f
+    h = np.cos(phi_ext)[:, None, None] * c_op
+    h += np.sin(phi_ext)[:, None, None] * s_op
+    h *= -params.e_j
+    h += h0
+    return h
+
+
+def build_fluxonium_hamiltonian(params: EnergyParams, flux: FluxBias, dim=DEFAULT_DIM):
+    """H = 4 E_C n^2 + (1/2) E_L phi^2 - E_J cos(phi - phi_ext), real
+    symmetric (dim, dim)."""
+    return fluxonium_hamiltonians(params, [flux.f], dim)[0]
+
+
+def _fix_signs(vecs):
+    """Flip, in place, each eigenvector (column) so its largest-magnitude
+    component is positive (ties broken by lowest index via argmax)."""
+    pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[..., None, :],
+                               axis=-2)
+    vecs *= np.where(pivot < 0.0, -1.0, 1.0)
+    return vecs
+
+
+def spectrum_sweep(params: EnergyParams, f_values, dim=DEFAULT_DIM):
+    """Bare eigensystems at each reduced flux in one stacked real eigensolve:
+    ascending eigenvalues (n, dim) and sign-fixed eigenvectors (n, dim, dim)."""
+    h = fluxonium_hamiltonians(params, f_values, dim)
+    diagnostics.count_eigensolve(len(h))
+    try:
+        vals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(
+            f"fluxonium eigensolve failed: {exc}",
+            params=params, flux=f_values, dim=dim,
+        ) from exc
+    return vals, _fix_signs(vecs)
 
 
 @dataclass(frozen=True)
@@ -129,7 +182,7 @@ class Spectrum:
     """Eigensystem of the bare fluxonium with provenance metadata.
 
     eigenvalues are ascending angular frequencies; eigenvectors are the
-    matching orthonormal columns in the HO basis with fixed phases.
+    matching real orthonormal columns in the HO basis with fixed signs.
     """
 
     eigenvalues: np.ndarray
@@ -171,21 +224,13 @@ class Spectrum:
 
 def fluxonium_spectrum(params: EnergyParams, flux: FluxBias, dim=DEFAULT_DIM) -> Spectrum:
     """Diagonalize the fluxonium Hamiltonian; ascending eigenvalues,
-    deterministic eigenvector phases."""
-    h = build_fluxonium_hamiltonian(params, flux, dim)
-    diagnostics.count_eigensolve()
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            f"fluxonium eigensolve failed: {exc}",
-            params=params, flux=flux, dim=dim,
-        ) from exc
-    return Spectrum(vals, _fix_phases(vecs), params, flux, dim)
+    deterministic eigenvector signs. A one-point `spectrum_sweep`."""
+    vals, vecs = spectrum_sweep(params, [flux.f], dim)
+    return Spectrum(vals[0], vecs[0], params, flux, dim)
 
 
 def charge_matrix_element(spec: Spectrum, i, j):
-    """<i| n |j> in the fixed-phase eigenbasis.
+    """<i| n |j> in the fixed-sign eigenbasis.
 
     Indices are restricted to the lower half of the truncated space, where
     eigenstates are trusted to be converged.

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fluxsim import diagnostics, units
+from fluxsim.cache import CACHE_SCHEMA_VERSION, entry_path
 from fluxsim.cli import main, run_subcommand
 from fluxsim.config import config_from_dict
 from fluxsim.coupled import (
@@ -17,7 +18,7 @@ from fluxsim.coupled import (
     dispersive_shift,
     find_anticrossing,
 )
-from fluxsim.qubit import EnergyParams, FluxBias
+from fluxsim.qubit import EnergyParams, FluxBias, fluxonium_spectrum
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
 RES = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
@@ -79,6 +80,52 @@ def test_warm_cache_skips_eigensolves(tmp_path):
     diagnostics.reset_eigensolve_count()
     run_subcommand("chi-curve", cfg)
     assert diagnostics.eigensolve_count() == 0
+
+
+def test_one_cache_entry_per_sweep(tmp_path):
+    raw = base_config(tmp_path / "out")
+    cfg = config_from_dict(raw)
+    run_subcommand("chi-curve", cfg)
+    run_subcommand("landscape", cfg)
+    assert len(list((tmp_path / "out" / ".cache").glob("*.json"))) == 2
+    # readout reads the chi-curve entry of the same (device, window), and
+    # the entry holds raw chi, whatever the emission clamp
+    raw["readout"] = {"t_max_ns": 200.0, "chi_clamp_mhz": 20.0}
+    diagnostics.reset_eigensolve_count()
+    run_subcommand("readout", config_from_dict(raw))
+    assert diagnostics.eigensolve_count() == 0
+
+
+def _bogus_spectrum(cfg, version, out):
+    """A cache entry under the current `spectrum` key holding energies of
+    100, 101, ... GHz, written as the given schema version."""
+    key = {"op": "spectrum", "f": cfg.flux, "device": cfg.raw["device"]}
+    dim = cfg.dims.dim
+    value = json.dumps({
+        "eigenvalues_ghz": [100.0 + k for k in range(dim)],
+        "eigenvectors": [[[float(i == j), 0.0] for j in range(dim)]
+                         for i in range(dim)],
+        "e_j_ghz": 4.75, "e_c_ghz": 1.25, "e_l_ghz": 1.5,
+        "f": cfg.flux, "dim": dim})
+    path = entry_path(out / ".cache", key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"schema_version": version, "key": key,
+                                "value": value}), encoding="utf-8")
+
+
+def test_cache_from_an_older_schema_is_recomputed(tmp_path):
+    cfg_path, out = write_config(tmp_path)
+    cfg = config_from_dict(base_config(out))
+    _bogus_spectrum(cfg, 1, out)
+    assert main(["spectrum", "--config", str(cfg_path)]) == 0
+    rows = read_csv(out / "spectrum.csv")
+    want = fluxonium_spectrum(PARAMS, FluxBias(cfg.flux)).eigenvalues
+    assert [float(r["energy_ghz"]) for r in rows] == \
+        [units.to_ghz(w) for w in want]
+    # the same entry under the current version is served as it stands
+    _bogus_spectrum(cfg, CACHE_SCHEMA_VERSION, out)
+    assert main(["spectrum", "--config", str(cfg_path)]) == 0
+    assert float(read_csv(out / "spectrum.csv")[0]["energy_ghz"]) == 100.0
 
 
 def test_no_cache_flag_bypasses_cache(tmp_path):
@@ -156,6 +203,18 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert main(["chi-curve", "--config", str(cfg2), "--workers", "3"]) == 0
     assert (out1 / "chi_curve.csv").read_bytes() == \
         (out2 / "chi_curve.csv").read_bytes()
+
+
+def test_landscape_worker_count_does_not_change_bytes(tmp_path):
+    outputs = []
+    for workers in (1, 3):
+        raw = base_config(tmp_path / f"o{workers}")
+        cfg, out = write_config(tmp_path, raw, name=f"l{workers}.json")
+        assert main(["landscape", "--config", str(cfg),
+                     "--workers", str(workers)]) == 0
+        outputs.append({p.name: p.read_bytes()
+                        for p in out.glob("landscape_*.csv")})
+    assert len(outputs[0]) == 8 and outputs[0] == outputs[1]
 
 
 def test_env_worker_override(tmp_path, monkeypatch):

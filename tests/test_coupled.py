@@ -5,21 +5,28 @@ import math
 import numpy as np
 import pytest
 
-from fluxsim import units
+from fluxsim import coupled, units
 from fluxsim.coupled import (
+    CHI_LABELS,
     DEFAULT_MODE,
+    DEFAULT_TRANSITIONS,
+    MIN_ASSIGNMENT_QUALITY,
     Anticrossing,
     CoupledDims,
     CouplingMode,
     DressedLevels,
+    LandscapeGrid,
     ResonatorParams,
+    STATUS_RESONANT,
     assemble_coupled,
+    assign_dressed_levels,
     build_chi_profile,
     compute_landscapes,
     dispersive_shift,
     dispersive_shift_from,
     fill_and_clamp,
     find_anticrossing,
+    sweep_dressed,
     transition_detuning,
     two_level_eigensystem,
 )
@@ -136,7 +143,6 @@ def test_landscape_emission_clamps_resonant_cells():
                               PARAMS.e_c, PARAMS.e_l, RES,
                               dims=CoupledDims(dim=30, kept=4, n_res=3))["chi"]
     # forge a resonant cell and check the emitted fill
-    from fluxsim.coupled import LandscapeGrid, STATUS_RESONANT
     forged = LandscapeGrid(
         np.array([1.0]), np.array([0.1, 0.2, 0.3, 0.4]),
         np.array([[-2.0, math.nan, 3.0, 100.0]]),
@@ -194,3 +200,151 @@ def test_chi_profile_builder_matches_point_values():
     assert profile.flux_grid[-1] == pytest.approx(0.51)
     direct = dispersive_shift(PARAMS, FluxBias(0.5), RES, DEFAULT_MODE, dims)
     assert profile.chi_at(0.5) == pytest.approx(direct, rel=1e-10)
+
+
+def test_zero_does_not_set_the_fill_sign():
+    # the chi-curve emission and the landscape emission share one rule: an
+    # exact +-0.0 just before a resonant run does not choose its sign
+    out = fill_and_clamp([-2.0, 0.0, math.nan, math.nan, 3.0, -0.0, math.nan],
+                         5.0)
+    assert list(out) == [-2.0, 0.0, -5.0, -5.0, 3.0, 0.0, 5.0]
+    assert list(fill_and_clamp([0.0, math.nan, -1.0], 5.0)) == [0.0, -5.0, -1.0]
+    assert list(fill_and_clamp([math.nan, 0.0], 5.0)) == [5.0, 0.0]
+    forged = LandscapeGrid(
+        np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3]),
+        np.array([[-2.0, 0.0, 7.0], [math.nan, 3.0, -0.0]]),
+        np.array([["ok", "ok", STATUS_RESONANT],
+                  ["ok", "ok", "ok"]], dtype=object),
+        "chi", clamp=5.0)
+    assert forged.emitted_values().tolist() == [[-2.0, 0.0, -5.0],
+                                                [-5.0, 3.0, 0.0]]
+
+
+def _reference_point(params, f, res, mode, dims=CoupledDims()):
+    """The per-point complex path that sweep_dressed replaced, kept as the
+    reference: complex HO operators, cos(phi - phi_ext) by spectral calculus
+    at each point, complex eigensolves with phase fixing, np.kron assembly
+    and the greedy labels. Returns (chi, omega_q, {(i, j): Delta_ij}) with
+    NaN where resonant."""
+    dim, k, m = dims.dim, dims.kept, dims.n_res
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    n_op = (-1j / (math.sqrt(2.0) * params.phi0)) * (a - a.conj().T)
+    phi_op = (params.phi0 / math.sqrt(2.0)) * (a + a.conj().T)
+    lam, v = np.linalg.eigh(phi_op)
+    cos_op = (v * np.cos(lam - 2.0 * math.pi * f)) @ v.conj().T
+    h = 4.0 * params.e_c * (n_op @ n_op) + 0.5 * params.e_l * (phi_op @ phi_op) \
+        - params.e_j * cos_op
+    vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+    for col in range(dim):
+        pivot = vecs[int(np.argmax(np.abs(vecs[:, col]))), col]
+        vecs[:, col] *= pivot.conjugate() / abs(pivot)
+    w = vecs[:, :k]
+    op = w.conj().T @ (n_op if mode is CouplingMode.CHARGE else a) @ w
+    b = np.diag(np.sqrt(np.arange(1.0, m)), 1).astype(complex)
+    eye_r = np.eye(m, dtype=complex)
+    hc = np.kron(np.diag(vals[:k].astype(complex)), eye_r)
+    hc += np.kron(np.eye(k), res.omega_r * (b.conj().T @ b + 0.5 * eye_r))
+    if mode is CouplingMode.CHARGE:
+        hc += res.g * np.kron(op, b + b.conj().T)
+    else:
+        hc += res.g * (np.kron(op.conj().T, b) + np.kron(op, b.conj().T))
+    dvals, dvecs = np.linalg.eigh(0.5 * (hc + hc.conj().T))
+    dressed = assign_dressed_levels(dvals, dvecs, k, m)
+    try:
+        chi = dispersive_shift_from(dressed)
+    except ResonanceRegionError:
+        chi = math.nan
+    deltas = {}
+    for (i, j) in DEFAULT_TRANSITIONS:
+        worst = min(dressed.quality_of(i, 0), dressed.quality_of(j, 0))
+        deltas[(i, j)] = (math.nan if worst < MIN_ASSIGNMENT_QUALITY else
+                          dressed.energy(i, 0) - dressed.energy(j, 0) - res.omega_r)
+    return chi, vals[1] - vals[0], deltas
+
+
+def _same_or_both_nan(got, want, tol):
+    return (math.isnan(got) and math.isnan(want)) or abs(got - want) <= tol
+
+
+@pytest.mark.parametrize("mode", list(CouplingMode))
+def test_sweep_matches_complex_per_point_reference(mode):
+    # [0.40, 0.70] as used by the chi profiles, plus two anticrossings where
+    # the labels come from the greedy fallback (best overlap 0.4975)
+    grid = np.concatenate([np.linspace(0.40, 0.70, 61), [0.2295, 0.7705]])
+    labels = CHI_LABELS + ((2, 0), (3, 0))
+    sweep = sweep_dressed(PARAMS, grid, RES, mode, CoupledDims(), labels)
+    chi = sweep.chi()
+    omega_q = sweep.bare[:, 1] - sweep.bare[:, 0]
+    for p, f in enumerate(grid):
+        ref_chi, ref_wq, ref_deltas = _reference_point(PARAMS, f, RES, mode)
+        assert _same_or_both_nan(chi[p], ref_chi, units.mhz(1e-9)), f
+        assert abs(omega_q[p] - ref_wq) <= units.ghz(1e-9), f
+        for (i, j), want in ref_deltas.items():
+            got = sweep.detuning(RES, i, j)[p]
+            assert _same_or_both_nan(got, want, units.ghz(1e-9)), (f, i, j)
+
+
+def test_single_point_equals_sweep_element_bit_for_bit():
+    grid = np.linspace(0.40, 0.70, 70)
+    labels = CHI_LABELS + ((2, 0), (3, 0))
+    sweep = sweep_dressed(PARAMS, grid, RES, DEFAULT_MODE, CoupledDims(), labels)
+    chi = sweep.chi()
+    delta_20 = sweep.detuning(RES, 2, 0)
+    for p in (0, 31, 32, 45, 69):
+        flux = FluxBias(float(grid[p]))
+        assert dispersive_shift(PARAMS, flux, RES) == chi[p]
+        assert transition_detuning(PARAMS, flux, RES, DEFAULT_MODE,
+                                   CoupledDims(), 2, 0) == delta_20[p]
+        assert (fluxonium_spectrum(PARAMS, flux).eigenvalues[:8]
+                == sweep.bare[p]).all()
+
+
+def _greedy_labels(vals, vecs, rows, kept, n_res):
+    dressed = assign_dressed_levels(vals, vecs, kept, n_res)
+    labels = [divmod(int(r), n_res) for r in rows]
+    return ([dressed.assignment[lbl] for lbl in labels],
+            [dressed.quality[lbl] for lbl in labels])
+
+
+def _label_checks(vecs, rows, kept, n_res, monkeypatch):
+    """coupled._label_levels against assign_dressed_levels at every point;
+    returns how many points took the greedy fallback."""
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(1)
+        return assign_dressed_levels(*args)
+
+    monkeypatch.setattr(coupled, "assign_dressed_levels", counted)
+    vals = np.sort(np.random.default_rng(3).normal(size=vecs.shape[:2]), axis=1)
+    index, quality = coupled._label_levels(vals, vecs, rows, kept, n_res)
+    monkeypatch.undo()
+    for p in range(len(vecs)):
+        want_index, want_quality = _greedy_labels(vals[p], vecs[p], rows,
+                                                  kept, n_res)
+        assert index[p].tolist() == want_index
+        assert quality[p].tolist() == want_quality
+    return len(fallbacks)
+
+
+def test_argmax_labels_equal_greedy_assignment(monkeypatch):
+    rng = np.random.default_rng(2024)
+    kept, n_res = 4, 4
+    rows = np.array([0, 1, 4, 5, 8, 12])
+    dim = kept * n_res
+    # near the identity, every requested overlap is above 1/2
+    near, _ = np.linalg.qr(np.eye(dim) + 0.05 * rng.normal(size=(40, dim, dim)))
+    assert _label_checks(near, rows, kept, n_res, monkeypatch) == 0
+    # Haar-like random bases: most points need the greedy fallback
+    haar, _ = np.linalg.qr(rng.normal(size=(40, dim, dim)))
+    assert _label_checks(haar, rows, kept, n_res, monkeypatch) > 0
+    # forged: bare state 1 splits evenly between dressed 1 and 2 (overlap
+    # exactly 1/2), which no point of the chi windows reaches
+    forged = np.tile(np.eye(dim), (3, 1, 1))
+    c = math.sqrt(0.5)
+    forged[:, 1:3, 1:3] = [[c, c], [-c, c]]
+    forged[2, 1:3, 1:3] = [[c, -c], [c, c]]
+    assert _label_checks(forged, rows, kept, n_res, monkeypatch) == 3
+    # complex eigenvectors (charge coupling) take the same path
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(40, 1, dim)))
+    assert _label_checks(near * phases, rows, kept, n_res, monkeypatch) == 0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fluxsim import noise, units
+from fluxsim import diagnostics, noise, units
 from fluxsim.coupled import ResonatorParams
 from fluxsim.errors import DomainError
 from fluxsim.gates import (
@@ -189,6 +189,17 @@ def test_gate_draw_applies_the_zero_offset_drive(monkeypatch):
     t = np.linspace(0.0, pulse.tau_g, 401)
     assert np.array_equal(drive_coefficient(pulse, offset.anharm, t),
                           drive_coefficient(pulse, at_zero.anharm, t))
+
+
+def test_gate_monte_carlo_solves_each_draw_once():
+    # one bare and one coupled eigensolve per draw, plus the delta=0
+    # anharmonicity once per call
+    space = build_gate_space(PARAMS, FluxBias(0.5), RES)
+    pulse = PulseParams(4.0, rabi_area_estimate(space, 4.0), 0.2,
+                        space.omega_01)
+    diagnostics.reset_eigensolve_count()
+    noisy_gate_error(PARAMS, RES, [pulse], NoiseSpec(1e-4, 4, 11))
+    assert diagnostics.eigensolve_count() == 4 * 2 + 1
 
 
 def test_noisy_gate_error_axis_and_monotone_in_scale():
