@@ -9,7 +9,8 @@ The key names the computation but not the code that produced the value, so
 any change to cached numerics or to the layout of a cached value must bump
 CACHE_SCHEMA_VERSION: entries written under another version are misses and
 are recomputed. Version 2: real flux-affine spectra and whole-sweep chi and
-landscape entries.
+landscape entries. Version 3: the spectrum entry holds only the energies in
+GHz.
 """
 
 from __future__ import annotations
@@ -17,20 +18,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
-CACHE_SCHEMA_VERSION = 2
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    """One cached computation: canonical key, JSON-compatible value, and the
-    schema version it was written under."""
-
-    key: dict
-    value: object
-    schema_version: int = CACHE_SCHEMA_VERSION
+CACHE_SCHEMA_VERSION = 3
 
 
 def canonical_key_text(key: dict) -> str:

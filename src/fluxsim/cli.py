@@ -1,22 +1,22 @@
 """Command-line driver.
 
     simulate <subcommand> --config cfg.json [--seed N] [--out DIR]
-                          [--workers N] [--no-cache]
+                          [--no-cache]
 
 Subcommands: spectrum, chi-curve, landscape, anticrossing, readout,
 noise-readout, gates, noise-gates. Every run emits CSV files plus a
 manifest.json into the output directory. Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 I/O error.
 
-Flux sweeps (chi-curve, landscape and the chi profile of the readout
-subcommands) run batched in-process, and readout draws run as one batch
-in-process; only gate Monte Carlo draws fan out to a process pool when
---workers > 1. All reductions are index-ordered, so outputs are
-byte-identical for any worker count. The FLUXSIM_WORKERS environment
-variable overrides the worker count (and nothing else).
+Every subcommand runs in one process: flux sweeps (chi-curve, landscape
+and the chi profile of the readout subcommands) and readout draws run
+batched, gate Monte Carlo draws one after another, and all reductions are
+index-ordered. --workers N is accepted and ignored, so outputs are the same
+for any value.
 
 The result cache holds one entry per (device, chi window) for chi-curve,
-readout and noise-readout, and one per (device, sweep) for landscape.
+readout and noise-readout, one per (device, sweep) for landscape, and one
+per (device, flux) for spectrum, holding only the energies in GHz.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -51,7 +49,7 @@ from .coupled import _cell_values, dispersive_shift  # noqa: F401
 from .errors import ConfigError, FluxsimError
 from .gates import build_gate_space, optimize_pulse
 from .noise import noisy_gate_error, noisy_readout_snr
-from .qubit import FluxBias, Spectrum, fluxonium_spectrum
+from .qubit import FluxBias, fluxonium_spectrum
 from .readout import ChiProfile, run_ramped_readout, run_static_readout
 from .output import write_csv, write_manifest
 
@@ -59,14 +57,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-
-def _pool_map(workers):
-    """An ordered mapper: the builtin for one worker, a process pool above."""
-    if workers <= 1:
-        return map, None
-    pool = ProcessPoolExecutor(max_workers=workers)
-    return pool.map, pool
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +121,13 @@ def _landscape_grids(cfg: RunConfig, e_j_axis_ghz, f_axis, cache_dir):
 
 def cmd_spectrum(cfg: RunConfig, out_dir, cache_dir):
     key = {"op": "spectrum", "f": cfg.flux, "device": cfg.raw["device"]}
-    cached = cache_get(cache_dir, key) if cache_dir is not None else None
-    if cached is not None:
-        spec = Spectrum.from_json(cached)
-    else:
+    energies = cache_get(cache_dir, key) if cache_dir is not None else None
+    if energies is None:
         spec = fluxonium_spectrum(cfg.params, FluxBias(cfg.flux), cfg.dims.dim)
+        energies = [units.to_ghz(w) for w in spec.eigenvalues]
         if cache_dir is not None:
-            cache_put(cache_dir, key, spec.to_json())
-    rows = [(k, units.to_ghz(w)) for k, w in enumerate(spec.eigenvalues)]
+            cache_put(cache_dir, key, energies)
+    rows = list(enumerate(energies))
     path = write_csv(out_dir / "spectrum.csv", ["level", "energy_ghz"], rows)
     return [(path, "spectrum")]
 
@@ -259,15 +248,9 @@ def cmd_gates(cfg: RunConfig, out_dir, cache_dir):
 
 def cmd_noise_gates(cfg: RunConfig, out_dir, cache_dir):
     pulses = [pulse for pulse, _ in _optimized_pulses(cfg)]
-    mapper, pool = _pool_map(cfg.workers)
-    try:
-        curve = noisy_gate_error(cfg.params, cfg.resonator, pulses, cfg.noise,
-                                 base_flux=cfg.flux, mode=cfg.mode,
-                                 dims=cfg.gate_dims, dt=cfg.gate_dt,
-                                 map_fn=mapper)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    curve = noisy_gate_error(cfg.params, cfg.resonator, pulses, cfg.noise,
+                             base_flux=cfg.flux, mode=cfg.mode,
+                             dims=cfg.gate_dims, dt=cfg.gate_dt)
     path = write_csv(out_dir / "noise_gates.csv", NOISE_HEADER,
                      _noise_rows(curve))
     return [(path, "noise-gates")]
@@ -307,7 +290,7 @@ def build_parser():
                        help="override config seed (also the noise seed)")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker process count")
+                       help="accepted and ignored: every run is in-process")
         p.add_argument("--no-cache", action="store_true",
                        help="bypass the result cache entirely")
     return parser
@@ -320,15 +303,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         raw["noise"]["seed"] = args.seed
     if args.out is not None:
         raw["out_dir"] = args.out
-    workers = os.environ.get("FLUXSIM_WORKERS")
-    if workers is not None:
-        try:
-            raw["workers"] = int(workers)
-        except ValueError as exc:
-            raise ConfigError("invariant-violation",
-                              f"FLUXSIM_WORKERS must be an integer: {exc}")
-    if args.workers is not None:
-        raw["workers"] = args.workers
     updated = config_from_dict(raw)
     # overrides are explicit, not defaults; keep the original provenance
     return replace(updated, defaults_used=cfg.defaults_used)

@@ -81,7 +81,7 @@ ANTICROSSING_DEFAULTS = {
 }
 
 TOP_LEVEL_KEYS = {"device", "readout", "gate", "noise", "sweep", "chi_curve",
-                  "anticrossing", "flux", "out_dir", "workers", "seed"}
+                  "anticrossing", "flux", "out_dir", "seed"}
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,6 @@ class RunConfig:
     noise: NoiseSpec
     flux: float
     out_dir: str
-    workers: int
     seed: int
     raw: dict
     defaults_used: tuple
@@ -264,7 +263,7 @@ def config_from_dict(raw: dict) -> RunConfig:
                           "'anticrossing.window_hi' must exceed window_lo")
 
     scalars = {}
-    for key, default in (("flux", 0.5), ("out_dir", "out"), ("workers", 1),
+    for key, default in (("flux", 0.5), ("out_dir", "out"),
                          ("seed", NOISE_DEFAULTS["seed"])):
         if key in raw:
             scalars[key] = raw[key]
@@ -274,7 +273,6 @@ def config_from_dict(raw: dict) -> RunConfig:
     _check_number("flux", scalars["flux"])
     if not isinstance(scalars["out_dir"], str) or not scalars["out_dir"]:
         raise ConfigError(CATEGORY_INVARIANT, "'out_dir' must be a nonempty string")
-    _check_number("workers", scalars["workers"], lo=1, integer=True)
     _check_number("seed", scalars["seed"], lo=0, hi=(1 << 64) - 1, integer=True)
 
     canonical = {
@@ -316,8 +314,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         chi_clamp=units.mhz(readout["chi_clamp_mhz"]),
         gate_taus=tuple(float(t) for t in taus), gate_dt=float(gate["dt_ns"]),
         noise=noise_spec, flux=float(scalars["flux"]),
-        out_dir=scalars["out_dir"], workers=int(scalars["workers"]),
-        seed=int(scalars["seed"]), raw=canonical,
+        out_dir=scalars["out_dir"], seed=int(scalars["seed"]), raw=canonical,
         defaults_used=tuple(defaults_used),
     )
 

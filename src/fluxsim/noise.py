@@ -7,7 +7,7 @@ averaged in draw-index order.
 
 The PRNG is pinned: a Philox counter-based generator keyed per draw index
 from the master seed, with an explicit Box-Muller transform, so the offset
-sequences are bitwise reproducible across platforms and worker counts.
+sequences are bitwise reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def sample_flux_offsets(spec: NoiseSpec) -> np.ndarray:
     """Reduced-flux offsets delta_k = scale * x_k, reproducible from the seed.
 
     Draw k depends only on (seed, k), so any subset of draws can be
-    regenerated independently (e.g. on different workers).
+    regenerated on its own.
     """
     return np.array([spec.scale * standard_normal_draw(spec.seed, k)
                      for k in range(spec.n_draws)])
@@ -207,25 +207,17 @@ def noisy_gate_error(params: EnergyParams, res: ResonatorParams,
                      pulses, spec: NoiseSpec, base_flux=0.5,
                      mode: CouplingMode = DEFAULT_MODE,
                      dims: CoupledDims = CoupledDims(kept=6, n_res=3),
-                     dt=DEFAULT_GATE_DT, map_fn=map) -> McCurve:
+                     dt=DEFAULT_GATE_DT) -> McCurve:
     """Mean gate error versus gate time under quasi-static flux offsets.
 
     pulses is a sequence of PulseParams pre-optimized at delta=0, one per
-    gate time; the axis of the returned curve is their tau_g values.
+    gate time; the axis of the returned curve is their tau_g values. Draws
+    run in draw-index order.
     """
-    deltas = sample_flux_offsets(spec)
     anharm = anharmonicity(params, FluxBias(base_flux), dims.dim)
-    tasks = [(d, params, res, tuple(pulses), base_flux, mode, dims, dt, anharm)
-             for d in deltas]
-    rows = list(map_fn(_gate_draw_task, tasks))
-    draws = np.array(rows)
-    included = np.ones(len(rows), dtype=bool)
+    draws = np.array([[gate_draw(delta, params, res, p, base_flux, mode, dims,
+                                 dt, anharm).error for p in pulses]
+                      for delta in sample_flux_offsets(spec)])
+    included = np.ones(len(draws), dtype=bool)
     axis = np.array([p.tau_g for p in pulses])
     return aggregate_curves(axis, draws, included, spec.scale, spec.seed)
-
-
-def _gate_draw_task(args):
-    delta, params, res, pulses, base_flux, mode, dims, dt, anharm = args
-    return [gate_draw(delta, params, res, p, base_flux, mode, dims, dt,
-                      anharm).error
-            for p in pulses]

@@ -9,7 +9,6 @@ are angular (rad/ns); see :mod:`fluxsim.units`.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -194,32 +193,6 @@ class Spectrum:
     def transition(self, i, j):
         """omega_i - omega_j (angular)."""
         return self.eigenvalues[i] - self.eigenvalues[j]
-
-    def to_json(self):
-        """Documented cache layout: eigenvalues as plain GHz (omega / 2pi),
-        eigenvectors row-major as [re, im] pairs."""
-        return json.dumps({
-            "eigenvalues_ghz": [units.to_ghz(w) for w in self.eigenvalues],
-            "eigenvectors": [[[z.real, z.imag] for z in row] for row in self.eigenvectors],
-            "e_j_ghz": units.to_ghz(self.params.e_j),
-            "e_c_ghz": units.to_ghz(self.params.e_c),
-            "e_l_ghz": units.to_ghz(self.params.e_l),
-            "f": self.flux.f,
-            "dim": self.dim,
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        vals = np.array([units.ghz(w) for w in d["eigenvalues_ghz"]])
-        vecs = np.array([[complex(re, im) for re, im in row] for row in d["eigenvectors"]])
-        return cls(
-            eigenvalues=vals,
-            eigenvectors=vecs,
-            params=EnergyParams.from_ghz(d["e_j_ghz"], d["e_c_ghz"], d["e_l_ghz"]),
-            flux=FluxBias(d["f"]),
-            dim=d["dim"],
-        )
 
 
 def fluxonium_spectrum(params: EnergyParams, flux: FluxBias, dim=DEFAULT_DIM) -> Spectrum:

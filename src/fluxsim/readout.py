@@ -62,13 +62,10 @@ class FluxRamp:
     f_start: float
     f_end: float
     t_rise: float
-    shape: str = "linear"
 
     def __post_init__(self):
         if self.t_rise < 0:
             raise ValueError(f"t_rise must be >= 0, got {self.t_rise}")
-        if self.shape != "linear":
-            raise ValueError(f"only the linear ramp shape is supported, got {self.shape!r}")
 
     def flux_at(self, t):
         """Reduced flux at time t (array-friendly)."""
@@ -80,7 +77,7 @@ class FluxRamp:
         return self.f_start + (self.f_end - self.f_start) * frac
 
     def shifted(self, delta):
-        return FluxRamp(self.f_start + delta, self.f_end + delta, self.t_rise, self.shape)
+        return FluxRamp(self.f_start + delta, self.f_end + delta, self.t_rise)
 
 
 @dataclass(frozen=True)
@@ -117,9 +114,6 @@ class ChiProfile:
         out = np.interp(f_arr, self.flux_grid, self.chi_values)
         out = np.clip(out, -self.clamp, self.clamp)
         return float(out) if np.isscalar(f) or f_arr.ndim == 0 else out
-
-    def with_clamp(self, clamp):
-        return ChiProfile(self.flux_grid, self.chi_values, clamp)
 
 
 def qubit_phase_shift(chi, kappa):

@@ -100,13 +100,7 @@ def _bogus_spectrum(cfg, version, out):
     """A cache entry under the current `spectrum` key holding energies of
     100, 101, ... GHz, written as the given schema version."""
     key = {"op": "spectrum", "f": cfg.flux, "device": cfg.raw["device"]}
-    dim = cfg.dims.dim
-    value = json.dumps({
-        "eigenvalues_ghz": [100.0 + k for k in range(dim)],
-        "eigenvectors": [[[float(i == j), 0.0] for j in range(dim)]
-                         for i in range(dim)],
-        "e_j_ghz": 4.75, "e_c_ghz": 1.25, "e_l_ghz": 1.5,
-        "f": cfg.flux, "dim": dim})
+    value = [100.0 + k for k in range(cfg.dims.dim)]
     path = entry_path(out / ".cache", key)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"schema_version": version, "key": key,
@@ -116,7 +110,7 @@ def _bogus_spectrum(cfg, version, out):
 def test_cache_from_an_older_schema_is_recomputed(tmp_path):
     cfg_path, out = write_config(tmp_path)
     cfg = config_from_dict(base_config(out))
-    _bogus_spectrum(cfg, 1, out)
+    _bogus_spectrum(cfg, CACHE_SCHEMA_VERSION - 1, out)
     assert main(["spectrum", "--config", str(cfg_path)]) == 0
     rows = read_csv(out / "spectrum.csv")
     want = fluxonium_spectrum(PARAMS, FluxBias(cfg.flux)).eigenvalues
@@ -126,6 +120,18 @@ def test_cache_from_an_older_schema_is_recomputed(tmp_path):
     _bogus_spectrum(cfg, CACHE_SCHEMA_VERSION, out)
     assert main(["spectrum", "--config", str(cfg_path)]) == 0
     assert float(read_csv(out / "spectrum.csv")[0]["energy_ghz"]) == 100.0
+
+
+def test_warm_spectrum_is_byte_identical_to_cold(tmp_path):
+    cfg_path, out = write_config(tmp_path)
+    assert main(["spectrum", "--config", str(cfg_path)]) == 0
+    cold = (out / "spectrum.csv").read_bytes()
+    assert len(list((out / ".cache").glob("*.json"))) == 1
+    (out / "spectrum.csv").unlink()
+    diagnostics.reset_eigensolve_count()
+    assert main(["spectrum", "--config", str(cfg_path)]) == 0
+    assert diagnostics.eigensolve_count() == 0
+    assert (out / "spectrum.csv").read_bytes() == cold
 
 
 def test_no_cache_flag_bypasses_cache(tmp_path):
@@ -215,16 +221,6 @@ def test_landscape_worker_count_does_not_change_bytes(tmp_path):
         outputs.append({p.name: p.read_bytes()
                         for p in out.glob("landscape_*.csv")})
     assert len(outputs[0]) == 8 and outputs[0] == outputs[1]
-
-
-def test_env_worker_override(tmp_path, monkeypatch):
-    raw = base_config(tmp_path / "out")
-    raw["chi_curve"] = {"f_min": 0.49, "f_max": 0.51, "step": 5e-3}
-    cfg_path, out = write_config(tmp_path, raw)
-    monkeypatch.setenv("FLUXSIM_WORKERS", "2")
-    assert main(["chi-curve", "--config", str(cfg_path)]) == 0
-    monkeypatch.setenv("FLUXSIM_WORKERS", "zebra")
-    assert main(["chi-curve", "--config", str(cfg_path)]) == 2
 
 
 def test_exit_code_config_errors(tmp_path, capsys):

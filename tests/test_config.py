@@ -31,7 +31,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.gate_taus == (10.0, 20.0, 30.0)
     assert cfg.gate_dt == 1e-3
     assert cfg.noise.n_draws == 50 and cfg.noise.seed == 1234
-    assert cfg.workers == 1 and cfg.out_dir == "out"
+    assert cfg.out_dir == "out"
     # every default applied is recorded
     assert any(d.startswith("readout.dt_ns=") for d in cfg.defaults_used)
     assert any(d.startswith("device.dim=") for d in cfg.defaults_used)
@@ -56,16 +56,18 @@ def test_explicit_values_are_not_recorded_as_defaults():
 
 
 def test_unknown_keys_rejected_at_all_depths():
-    for raw in (
-        {**MINIMAL, "bogus": 1},
-        {"device": {**MINIMAL["device"], "bogus": 1}},
-        {**MINIMAL, "readout": {"bogus": 1}},
-        {**MINIMAL, "readout": {"ramp": {"bogus": 1}}},
+    for raw, key in (
+        ({**MINIMAL, "bogus": 1}, "bogus"),
+        ({"device": {**MINIMAL["device"], "bogus": 1}}, "bogus"),
+        ({**MINIMAL, "readout": {"bogus": 1}}, "bogus"),
+        ({**MINIMAL, "readout": {"ramp": {"bogus": 1}}}, "bogus"),
+        # runs are in-process: there is no worker count to configure
+        ({**MINIMAL, "workers": 0}, "workers"),
     ):
         with pytest.raises(ConfigError) as exc:
             config_from_dict(raw)
         assert exc.value.category == CATEGORY_UNKNOWN_KEY
-        assert "bogus" in str(exc.value)
+        assert key in str(exc.value)
 
 
 def test_invariant_violations_name_the_key():
@@ -75,7 +77,6 @@ def test_invariant_violations_name_the_key():
         ({**MINIMAL, "gate": {"tau_g_ns_list": []}}, "tau_g_ns_list"),
         ({**MINIMAL, "noise": {"n_draws": 0}}, "noise.n_draws"),
         ({**MINIMAL, "noise": {"seed": -1}}, "noise.seed"),
-        ({**MINIMAL, "workers": 0}, "workers"),
         ({**MINIMAL, "device": {**MINIMAL["device"], "dim": 1}}, "device.dim"),
         ({**MINIMAL, "sweep": {"f_min": 0.6, "f_max": 0.5}}, "sweep.f_max"),
         ({**MINIMAL, "chi_curve": {"f_min": 0.5, "f_max": 0.5}}, "chi_curve.f_max"),
@@ -104,8 +105,10 @@ def test_bad_coupling_mode_rejected():
 
 
 def test_booleans_are_not_numbers():
-    with pytest.raises(ConfigError):
-        config_from_dict({**MINIMAL, "workers": True})
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({**MINIMAL, "noise": {"n_draws": True}})
+    assert exc.value.category == CATEGORY_INVARIANT
+    assert "noise.n_draws" in str(exc.value)
 
 
 def test_missing_file(tmp_path):

@@ -202,6 +202,28 @@ def test_gate_monte_carlo_solves_each_draw_once():
     assert diagnostics.eigensolve_count() == 4 * 2 + 1
 
 
+def test_gate_monte_carlo_is_gate_draw_in_draw_order(monkeypatch):
+    space = build_gate_space(PARAMS, FluxBias(0.5), RES)
+    pulses = [PulseParams(tau, rabi_area_estimate(space, tau), 0.2,
+                          space.omega_01) for tau in (3.0, 4.0)]
+    spec = NoiseSpec(1e-3, 3, 5)
+    calls = []
+
+    def recording_draw(delta, *args):
+        calls.append(delta)
+        return gate_draw(delta, *args)
+
+    # the Monte Carlo looks gate_draw up on the module, where tracers wrap it
+    monkeypatch.setattr(noise, "gate_draw", recording_draw)
+    curve = noisy_gate_error(PARAMS, RES, pulses, spec)
+    deltas = sample_flux_offsets(spec)
+    assert calls == [d for d in deltas for _ in pulses]
+    for k, delta in enumerate(deltas):
+        for j, pulse in enumerate(pulses):
+            assert curve.draws[k, j] == gate_draw(delta, PARAMS, RES,
+                                                  pulse).error
+
+
 def test_noisy_gate_error_axis_and_monotone_in_scale():
     space = build_gate_space(PARAMS, FluxBias(0.5), RES)
     tau = 4.0

@@ -11,7 +11,6 @@ from fluxsim.qubit import (
     DEFAULT_DIM,
     EnergyParams,
     FluxBias,
-    Spectrum,
     anharmonicity,
     build_fluxonium_hamiltonian,
     build_ho_operators,
@@ -93,16 +92,6 @@ def test_charge_matrix_element_index_bound():
     spec = fluxonium_spectrum(PARAMS, FluxBias(0.5), 20)
     with pytest.raises(IndexBoundError):
         charge_matrix_element(spec, 0, 10)
-
-
-def test_spectrum_json_round_trip():
-    spec = fluxonium_spectrum(PARAMS, FluxBias(0.55), 16)
-    back = Spectrum.from_json(spec.to_json())
-    assert np.allclose(back.eigenvalues, spec.eigenvalues, atol=1e-12)
-    assert np.allclose(back.eigenvectors, spec.eigenvectors, atol=1e-15)
-    assert back.dim == spec.dim
-    assert back.flux.f == spec.flux.f
-    assert back.params.e_j == pytest.approx(spec.params.e_j, rel=1e-15)
 
 
 def test_transition_ordering():

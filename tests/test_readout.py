@@ -154,8 +154,6 @@ def test_flux_ramp_shape():
     assert step.flux_at(0.0) == 0.5 and step.flux_at(1e-9) == 0.6
     with pytest.raises(ValueError):
         FluxRamp(0.5, 0.6, -1.0)
-    with pytest.raises(ValueError):
-        FluxRamp(0.5, 0.6, 10.0, shape="cosine")
 
 
 def test_chi_profile_interpolation_and_clamp():
