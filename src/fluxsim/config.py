@@ -17,7 +17,7 @@ from .coupled import CoupledDims, CouplingMode, ResonatorParams
 from .errors import ConfigError
 from .noise import NoiseSpec
 from .qubit import DEFAULT_DIM, EnergyParams
-from .readout import DemodPhase, FluxRamp, ReadoutConfig
+from .readout import FluxRamp, ReadoutConfig
 
 CATEGORY_MISSING_FILE = "missing-file"
 CATEGORY_MALFORMED_JSON = "malformed-json"
@@ -41,7 +41,6 @@ READOUT_DEFAULTS = {
     "dt_ns": 0.05,
     "chi_clamp_mhz": 50.0,
     "ramp": {"f_start": 0.5, "f_end": 0.641, "t_rise_ns": 50.0},
-    "demod_phase": {"mode": "auto", "angle_rad": 0.0},
 }
 
 GATE_DEFAULTS = {
@@ -49,7 +48,6 @@ GATE_DEFAULTS = {
     "levels_fluxonium": 6,
     "levels_resonator": 3,
     "dt_ns": 1e-3,
-    "drive_frame": "lab",
 }
 
 NOISE_DEFAULTS = {
@@ -214,11 +212,6 @@ def config_from_dict(raw: dict) -> RunConfig:
     _check_number("readout.ramp.f_start", ramp_raw["f_start"])
     _check_number("readout.ramp.f_end", ramp_raw["f_end"])
     _check_number("readout.ramp.t_rise_ns", ramp_raw["t_rise_ns"], lo=0.0)
-    demod_raw = readout["demod_phase"]
-    if demod_raw["mode"] not in ("auto", "fixed"):
-        raise ConfigError(CATEGORY_INVARIANT,
-                          "'readout.demod_phase.mode' must be 'auto' or 'fixed'")
-    _check_number("readout.demod_phase.angle_rad", demod_raw["angle_rad"])
 
     taus = gate["tau_g_ns_list"]
     if not isinstance(taus, list) or not taus:
@@ -229,9 +222,6 @@ def config_from_dict(raw: dict) -> RunConfig:
     _check_number("gate.levels_fluxonium", gate["levels_fluxonium"], lo=2, integer=True)
     _check_number("gate.levels_resonator", gate["levels_resonator"], lo=2, integer=True)
     _check_number("gate.dt_ns", gate["dt_ns"], lo=1e-12)
-    if gate["drive_frame"] != "lab":
-        raise ConfigError(CATEGORY_INVARIANT,
-                          "'gate.drive_frame' only supports 'lab'")
 
     _check_number("noise.scale", noise["scale"], lo=0.0)
     _check_number("noise.n_draws", noise["n_draws"], lo=1, integer=True)
@@ -254,8 +244,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     if chi_curve["f_max"] <= chi_curve["f_min"]:
         raise ConfigError(CATEGORY_INVARIANT, "'chi_curve.f_max' must exceed f_min")
 
-    _check_number("anticrossing.level_i", anticrossing["level_i"], lo=0, integer=True)
-    _check_number("anticrossing.level_j", anticrossing["level_j"], lo=0, integer=True)
+    for key in ("level_i", "level_j"):
+        _check_number(f"anticrossing.{key}", anticrossing[key], lo=0,
+                      hi=device["levels_kept"] - 1, integer=True)
     _check_number("anticrossing.window_lo", anticrossing["window_lo"])
     _check_number("anticrossing.window_hi", anticrossing["window_hi"])
     if anticrossing["window_hi"] <= anticrossing["window_lo"]:
@@ -298,7 +289,6 @@ def config_from_dict(raw: dict) -> RunConfig:
                                 gate["levels_resonator"])
         readout_cfg = ReadoutConfig(
             n_bar=readout["n_bar"], eta=readout["eta"], kappa=kappa,
-            demod_phase=DemodPhase(demod_raw["mode"], demod_raw["angle_rad"]),
             t_max=readout["t_max_ns"], dt=readout["dt_ns"])
         ramp = FluxRamp(ramp_raw["f_start"], ramp_raw["f_end"],
                         ramp_raw["t_rise_ns"])

@@ -3,8 +3,8 @@
 Two-stage truncation (full HO-basis fluxonium eigensolve, then the lowest
 kept levels tensored with resonator Fock states), dressed-state labeling by
 bare-state overlap, dispersive shift, transition detunings, flux/E_J
-landscapes, anticrossing extraction, and chi-vs-flux profiles for the
-readout dynamics.
+landscapes, anticrossing extraction by bounded scalar minimization of the
+dressed gap (scipy), and chi-vs-flux profiles for the readout dynamics.
 
 Every flux-grid quantity (chi, detunings, landscape cells, chi profiles)
 comes from `sweep_dressed`, which solves blocks of flux points in stacked
@@ -18,9 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from . import diagnostics, units
 from .errors import (
+    BracketingError,
     InvalidDimensionError,
     NumericalFailureError,
     ResonanceRegionError,
@@ -34,7 +36,6 @@ from .qubit import (
     spectrum_sweep,
 )
 from .readout import ChiProfile
-from .special import golden_section_minimize
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,10 @@ class ResonatorParams:
     g: float
 
     def __post_init__(self):
+        for name in ("omega_r", "kappa", "g"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.omega_r > 0:
             raise ValueError(f"omega_r must be positive, got {self.omega_r}")
         if not self.kappa > 0:
@@ -363,8 +368,9 @@ def sweep_dressed(params: EnergyParams, f_values, res: ResonatorParams,
     labels = tuple((int(i), int(n)) for i, n in labels)
     for i, n in labels:
         if not (0 <= i < dims.kept and 0 <= n < dims.n_res):
-            raise ValueError(f"label ({i}, {n}) outside {dims.kept} kept "
-                             f"levels x {dims.n_res} photon states")
+            raise InvalidDimensionError(
+                f"label ({i}, {n}) outside {dims.kept} kept levels x "
+                f"{dims.n_res} photon states")
     rows = np.array([i * dims.n_res + n for i, n in labels])
     parts = [_dressed_block(params, f[start:start + _SWEEP_BLOCK], res, mode,
                             dims, rows)
@@ -531,15 +537,26 @@ def find_anticrossing(params: EnergyParams, res: ResonatorParams,
                       dims: CoupledDims = CoupledDims(),
                       transition=(3, 1), window=(0.55, 0.60),
                       xtol=1e-6) -> Anticrossing:
-    """Golden-section minimization of the dressed-level gap over the flux
-    window; the window must bracket exactly one interior gap minimum."""
+    """Bounded scalar minimization (scipy) of the dressed-level gap over the
+    flux window, to xtol in flux; the window must bracket exactly one
+    interior gap minimum."""
     i, j = transition
+    if not (0 <= i < dims.kept and 0 <= j < dims.kept):
+        raise InvalidDimensionError(
+            f"transition ({i}, {j}) outside the {dims.kept} kept levels")
+    a, b = window
+    if not b > a:
+        raise BracketingError(f"empty search window [{a}, {b}]")
 
     def gap(f):
         return _hybridized_gap(params, FluxBias(f), res, mode, dims, i, j)
 
-    f_star, gap_min = golden_section_minimize(gap, window[0], window[1],
-                                              xtol=xtol, require_interior=True)
+    opt = minimize_scalar(gap, bounds=(a, b), method="bounded",
+                          options={"xatol": xtol})
+    f_star, gap_min = float(opt.x), float(opt.fun)
+    if f_star - a < 2 * xtol or b - f_star < 2 * xtol:
+        raise BracketingError(f"minimum at {f_star} sits on the edge of "
+                              f"[{a}, {b}]; no interior bracket")
     g_ij = 0.5 * gap_min
     t_swap = math.inf if g_ij == 0.0 else math.pi / (2.0 * g_ij)
     return Anticrossing(f_star, gap_min, g_ij, t_swap)

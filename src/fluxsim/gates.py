@@ -95,16 +95,14 @@ def drive_coefficient(pulse: PulseParams, anharm, t):
 class GateSpace:
     """Precomputed static structure for gate propagation at one flux point.
 
-    h0 is the coupled Hamiltonian in the product basis; charge_op the
-    projected qubit charge operator tensored with the resonator identity;
-    h0_evals / h0_evecs its eigensystem (used for the interaction-picture
-    propagation); comp_basis the dressed |0,0>, |1,0> eigenvectors
-    (columns); omega_01 the dressed qubit frequency; anharm the bare qubit
-    anharmonicity.
+    h0_evals / h0_evecs is the eigensystem of the coupled Hamiltonian in the
+    product basis (used for the interaction-picture propagation);
+    charge_eig the projected qubit charge operator, tensored with the
+    resonator identity, in that eigenbasis; comp_basis the dressed |0,0>,
+    |1,0> eigenvectors (columns); omega_01 the dressed qubit frequency;
+    anharm the bare qubit anharmonicity.
     """
 
-    h0: np.ndarray
-    charge_op: np.ndarray
     h0_evals: np.ndarray
     h0_evecs: np.ndarray
     charge_eig: np.ndarray
@@ -132,7 +130,7 @@ def build_gate_space(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
     anharm = spec.transition(2, 1) - spec.transition(1, 0)
     n01 = abs(n_proj[0, 1])
     charge_eig = vecs.conj().T @ charge_op @ vecs
-    return GateSpace(h0, charge_op, vals, vecs, charge_eig, comp,
+    return GateSpace(vals, vecs, charge_eig, comp,
                      omega_01, anharm, n01, dims)
 
 

@@ -54,18 +54,6 @@ class FluxBias:
         if not math.isfinite(self.f):
             raise ValueError(f"flux must be finite, got {self.f}")
 
-    @property
-    def phi_ext(self):
-        return 2.0 * math.pi * self.f
-
-    def reduced(self):
-        """Canonical representative in [0, 1). Not applied automatically:
-        noise offsets may legitimately leave the unit interval."""
-        return FluxBias(self.f % 1.0)
-
-    def shifted(self, delta):
-        return FluxBias(self.f + delta)
-
 
 @dataclass(frozen=True)
 class HoBasis:
@@ -146,12 +134,6 @@ def fluxonium_hamiltonians(params: EnergyParams, f_values, dim=DEFAULT_DIM):
     return h
 
 
-def build_fluxonium_hamiltonian(params: EnergyParams, flux: FluxBias, dim=DEFAULT_DIM):
-    """H = 4 E_C n^2 + (1/2) E_L phi^2 - E_J cos(phi - phi_ext), real
-    symmetric (dim, dim)."""
-    return fluxonium_hamiltonians(params, [flux.f], dim)[0]
-
-
 def _fix_signs(vecs):
     """Flip, in place, each eigenvector (column) so its largest-magnitude
     component is positive (ties broken by lowest index via argmax)."""
@@ -215,12 +197,6 @@ def charge_matrix_element(spec: Spectrum, i, j):
         )
     _, _, n_op, _ = build_ho_operators(spec.dim, spec.params.phi0)
     return complex(spec.eigenvectors[:, i].conj() @ n_op @ spec.eigenvectors[:, j])
-
-
-def qubit_frequency(params: EnergyParams, flux: FluxBias, dim=DEFAULT_DIM):
-    """omega_q = omega_1 - omega_0 (angular)."""
-    spec = fluxonium_spectrum(params, flux, dim)
-    return spec.transition(1, 0)
 
 
 def anharmonicity(params: EnergyParams, flux: FluxBias, dim=DEFAULT_DIM):

@@ -4,29 +4,23 @@ Single-mode cavity driven by a coherent tone, qubit-state-dependent
 dispersive shift chi (possibly time dependent through a flux ramp),
 input-output boundary condition, demodulated measurement signal, SNR,
 and assignment error.
+
+The demodulation quadrature is the closed-form maximiser of the pointer-state
+contrast, the angle of the integrated output-field separation. chi(t),
+kappa and epsilon are real, so the sigma_z = -1 output field is the exact
+conjugate of the sigma_z = +1 one, the separation is purely imaginary, and
+the quadrature is exactly -pi/2 for every trajectory simulated here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import special, units
 from .errors import DomainError, NumericalFailureError
-
-
-@dataclass(frozen=True)
-class DemodPhase:
-    """Local-oscillator quadrature policy: fixed angle or auto-maximized."""
-
-    mode: str = "auto"  # "auto" | "fixed"
-    angle_rad: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in ("auto", "fixed"):
-            raise ValueError(f"demod phase mode must be 'auto' or 'fixed', got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -36,7 +30,6 @@ class ReadoutConfig:
     n_bar: float = 10.0
     eta: float = 1.0
     kappa: float = units.mhz(5.0)
-    demod_phase: DemodPhase = field(default_factory=DemodPhase)
     t_max: float = 1000.0
     dt: float = 0.05
 
@@ -64,6 +57,10 @@ class FluxRamp:
     t_rise: float
 
     def __post_init__(self):
+        for name in ("f_start", "f_end", "t_rise"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.t_rise < 0:
             raise ValueError(f"t_rise must be >= 0, got {self.t_rise}")
 
@@ -258,24 +255,17 @@ def measurement_signal(alpha_out_0, alpha_out_1, eta, theta, times, kappa):
 
 
 def optimal_demod_phase(alpha_out_0, alpha_out_1, times):
-    """Quadrature angle maximizing the final-time signal contrast, found by
-    a coarse scan plus golden-section refinement."""
+    """Quadrature angle maximizing the final-time signal contrast
+    |Re(e^{-i theta} z)|, z = integral (alpha_out_0 - alpha_out_1) dt: the
+    angle of z, folded by pi into (-pi, 0]. Every angle is optimal when
+    z = 0; -pi/2 is returned there too."""
     d = np.asarray(alpha_out_0) - np.asarray(alpha_out_1)
     t = np.asarray(times, dtype=float)
-    # contrast(theta) = 2 |Re(e^{-i theta} z)| up to prefactors
     z = complex(np.sum(0.5 * np.diff(t) * (d[:-1] + d[1:])))
-
-    def neg_contrast(theta):
-        return -abs(np.real(np.exp(-1j * theta) * z))
-
-    thetas = np.linspace(-math.pi, math.pi, 64, endpoint=False)
-    vals = [neg_contrast(th) for th in thetas]
-    k = int(np.argmin(vals))
-    width = thetas[1] - thetas[0]
-    theta, _ = special.golden_section_minimize(
-        neg_contrast, thetas[k] - width, thetas[k] + width, xtol=1e-10
-    )
-    return float(theta)
+    if z == 0:
+        return -0.5 * math.pi
+    theta = math.atan2(z.imag, z.real)  # (-pi, pi], or -pi for z.imag = -0.0
+    return theta - math.pi * math.ceil(theta / math.pi)
 
 
 def snr_curve(m_s_0, m_s_1, kappa, times):
@@ -325,10 +315,7 @@ def _record(times, alpha_plus, epsilon, cfg: ReadoutConfig) -> ReadoutTrajectory
     alpha_minus = alpha_plus.conj()
     out_p = output_field(alpha_plus, cfg.kappa, epsilon)
     out_m = output_field(alpha_minus, cfg.kappa, epsilon)
-    if cfg.demod_phase.mode == "auto":
-        theta = optimal_demod_phase(out_p, out_m, times)
-    else:
-        theta = cfg.demod_phase.angle_rad
+    theta = optimal_demod_phase(out_p, out_m, times)
     m_p, m_m = measurement_signal(out_p, out_m, cfg.eta, theta, times, cfg.kappa)
     snr = snr_curve(m_p, m_m, cfg.kappa, times)
     return ReadoutTrajectory(times, alpha_plus, alpha_minus, out_p, out_m,

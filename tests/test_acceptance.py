@@ -49,7 +49,6 @@ from fluxsim.qubit import (
     fluxonium_spectrum,
 )
 from fluxsim.readout import (
-    DemodPhase,
     FluxRamp,
     ReadoutConfig,
     drive_amplitude,
@@ -223,10 +222,8 @@ def test_criterion_5_snr_improvement_ratio(profile, readout_cfg,
     snr_pulsed, _ = pulsed_traj.at_time(200.0)
     ratio = snr_pulsed / snr_static
     quarter_cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA,
-                                demod_phase=DemodPhase("fixed", pulsed_traj.theta),
                                 t_max=250.0, dt=0.05)
     full_cfg = ReadoutConfig(n_bar=10.0, eta=1.0, kappa=KAPPA,
-                             demod_phase=DemodPhase("fixed", pulsed_traj.theta),
                              t_max=250.0, dt=0.05)
     quarter = run_ramped_readout(RAMP, profile, quarter_cfg)
     full = run_ramped_readout(RAMP, profile, full_cfg)
@@ -398,7 +395,7 @@ def test_criterion_12_convergence_ladder():
 
 
 def test_criterion_13_gate_propagator_contracts(gate_space):
-    dim = gate_space.h0.shape[0]
+    dim = gate_space.h0_evals.size
     worst_defect = 0.0
     for tau, pulse in OPT_PULSE.items():
         u = propagate_gate(gate_space, pulse)

@@ -247,6 +247,35 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     assert record["error"]["type"] == "DomainError"
 
 
+def test_anticrossing_level_beyond_kept_levels_is_a_config_error(tmp_path,
+                                                                 capsys):
+    raw = base_config(tmp_path / "out")
+    raw["device"]["levels_kept"] = 4
+    raw["anticrossing"] = {"level_i": 4}
+    cfg_path, out = write_config(tmp_path, raw)
+    assert main(["anticrossing", "--config", str(cfg_path),
+                 "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["category"] == "config"
+    assert "anticrossing.level_i" in record["error"]["message"]
+    assert (out / "error.json").is_file()
+
+
+def test_landscape_with_too_few_kept_levels_is_a_numerical_error(tmp_path,
+                                                                 capsys):
+    # the landscape transitions reach qubit level 3
+    raw = base_config(tmp_path / "out")
+    raw["device"]["levels_kept"] = 3
+    raw["anticrossing"] = {"level_i": 2, "level_j": 1}
+    cfg_path, out = write_config(tmp_path, raw)
+    assert main(["landscape", "--config", str(cfg_path),
+                 "--out", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["type"] == "InvalidDimensionError"
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["category"] == "numerical"
+
+
 @pytest.mark.slow
 def test_gates_subcommand_optimizes_pulse(tmp_path):
     raw = base_config(tmp_path / "out")

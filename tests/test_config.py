@@ -63,6 +63,11 @@ def test_unknown_keys_rejected_at_all_depths():
         ({**MINIMAL, "readout": {"ramp": {"bogus": 1}}}, "bogus"),
         # runs are in-process: there is no worker count to configure
         ({**MINIMAL, "workers": 0}, "workers"),
+        # the demodulation quadrature is computed, and the drive frame is
+        # always the lab frame
+        ({**MINIMAL, "readout": {"demod_phase": {"mode": "auto"}}},
+         "readout.demod_phase"),
+        ({**MINIMAL, "gate": {"drive_frame": "lab"}}, "gate.drive_frame"),
     ):
         with pytest.raises(ConfigError) as exc:
             config_from_dict(raw)
@@ -82,6 +87,13 @@ def test_invariant_violations_name_the_key():
         ({**MINIMAL, "chi_curve": {"f_min": 0.5, "f_max": 0.5}}, "chi_curve.f_max"),
         ({**MINIMAL, "anticrossing": {"window_lo": 0.6, "window_hi": 0.5}},
          "anticrossing.window_hi"),
+        ({**MINIMAL, "anticrossing": {"level_i": 8}}, "anticrossing.level_i"),
+        # the default 3-1 transition needs 4 kept levels
+        ({"device": {**MINIMAL["device"], "levels_kept": 3}},
+         "anticrossing.level_i"),
+        ({"device": {**MINIMAL["device"], "levels_kept": 3},
+          "anticrossing": {"level_i": 2, "level_j": 3}},
+         "anticrossing.level_j"),
     ]
     for raw, key in cases:
         with pytest.raises(ConfigError) as exc:

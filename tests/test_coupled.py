@@ -30,7 +30,11 @@ from fluxsim.coupled import (
     transition_detuning,
     two_level_eigensystem,
 )
-from fluxsim.errors import InvalidDimensionError, ResonanceRegionError
+from fluxsim.errors import (
+    BracketingError,
+    InvalidDimensionError,
+    ResonanceRegionError,
+)
 from fluxsim.qubit import EnergyParams, FluxBias, fluxonium_spectrum
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
@@ -167,6 +171,34 @@ def test_anticrossing_reference():
     assert ac.t_swap == pytest.approx(math.pi / (2.0 * ac.g_ij), rel=1e-12)
 
 
+@pytest.mark.parametrize("mode, f_golden", [
+    (CouplingMode.CHARGE, 0.5726269782557742),
+    (CouplingMode.LADDER_RWA, 0.5725103969442604),
+])
+def test_anticrossing_within_xtol_of_golden_section(mode, f_golden):
+    # f* of the golden-section search that bounded minimization replaced
+    ac = find_anticrossing(PARAMS, RES, mode, xtol=1e-6)
+    assert abs(ac.f_star - f_golden) <= 1e-6
+
+
+def test_anticrossing_window_must_bracket_an_interior_minimum():
+    # the 3-1 gap minimum (f* ~ 0.5725) lies below this window, so the
+    # bounded search ends on its lower edge
+    with pytest.raises(BracketingError, match="edge"):
+        find_anticrossing(PARAMS, RES, window=(0.58, 0.60))
+    for window in ((0.60, 0.60), (0.60, 0.55)):
+        with pytest.raises(BracketingError, match="empty"):
+            find_anticrossing(PARAMS, RES, window=window)
+
+
+def test_anticrossing_levels_must_be_kept():
+    dims = CoupledDims(kept=4)
+    for transition in ((4, 1), (3, 4)):
+        with pytest.raises(InvalidDimensionError):
+            find_anticrossing(PARAMS, RES, DEFAULT_MODE, dims,
+                              transition=transition)
+
+
 def test_low_quality_assignment_raises_resonance_error():
     energies = np.arange(4.0)
     assignment = {(i, n): 2 * i + n for i in range(2) for n in range(2)}
@@ -183,6 +215,13 @@ def test_coupled_dims_validation():
         CoupledDims(dim=4, kept=8, n_res=8)
 
 
+def test_sweep_labels_must_be_kept():
+    dims = CoupledDims(dim=30, kept=3, n_res=4)
+    for labels in (((3, 0),), ((0, 4),), ((-1, 0),)):
+        with pytest.raises(InvalidDimensionError):
+            sweep_dressed(PARAMS, [0.5], RES, DEFAULT_MODE, dims, labels)
+
+
 def test_resonator_params_validation():
     with pytest.raises(ValueError):
         ResonatorParams(-1.0, 0.03, 0.3)
@@ -190,6 +229,11 @@ def test_resonator_params_validation():
         ResonatorParams(44.0, 0.0, 0.3)
     with pytest.raises(ValueError):
         ResonatorParams(44.0, 0.03, -0.3)
+    for bad in ((math.inf, 0.03, 0.3), (math.nan, 0.03, 0.3),
+                (44.0, math.inf, 0.3), (44.0, math.nan, 0.3),
+                (44.0, 0.03, math.nan), (44.0, 0.03, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ResonatorParams(*bad)
 
 
 def test_chi_profile_builder_matches_point_values():

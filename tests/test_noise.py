@@ -184,7 +184,7 @@ def test_gate_draw_applies_the_zero_offset_drive(monkeypatch):
     pulse = PulseParams(10.0, 1.5, 4.8, at_zero.omega_01)
     gate_draw(0.01, PARAMS, RES, pulse)
     (offset,) = spaces
-    assert not np.allclose(offset.h0, at_zero.h0)
+    assert not np.allclose(offset.h0_evals, at_zero.h0_evals)
     assert build_gate_space(PARAMS, FluxBias(0.51), RES).anharm != at_zero.anharm
     t = np.linspace(0.0, pulse.tau_g, 401)
     assert np.array_equal(drive_coefficient(pulse, offset.anharm, t),

@@ -1,12 +1,11 @@
-"""Tests for the special functions and the golden-section search."""
+"""Tests for the complementary error function."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fluxsim.errors import BracketingError
-from fluxsim.special import erfc, golden_section_minimize
+from fluxsim.special import erfc
 
 
 def test_erfc_matches_stdlib_reference():
@@ -33,14 +32,3 @@ def test_erfc_monotone_decreasing():
     vals = [erfc(float(x)) for x in xs]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
-
-def test_golden_section_finds_parabola_minimum():
-    x_min, f_min = golden_section_minimize(lambda x: (x - 0.3) ** 2 + 1.0,
-                                           -1.0, 2.0, xtol=1e-9)
-    assert x_min == pytest.approx(0.3, abs=1e-7)
-    assert f_min == pytest.approx(1.0, abs=1e-12)
-
-
-def test_golden_section_interior_requirement():
-    with pytest.raises(BracketingError):
-        golden_section_minimize(lambda x: x, 0.0, 1.0, require_interior=True)
