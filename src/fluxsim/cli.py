@@ -151,12 +151,9 @@ def cmd_landscape(cfg: RunConfig, out_dir, cache_dir):
     for kind, grid in _landscape_grids(cfg, e_j_axis, f_axis, cache_dir).items():
         unit = "MHz" if kind == "chi" else "GHz"
         conv = units.to_mhz if kind == "chi" else units.to_ghz
-        emitted = grid.emitted_values()
-        rows = []
-        for a, e_j in enumerate(e_j_axis):
-            for b, f in enumerate(f_axis):
-                rows.append((float(e_j), float(f), conv(emitted[a, b]),
-                             unit, grid.status[a, b]))
+        emitted, status = grid.emitted_values(), grid.status
+        rows = [(float(e_j), float(f), conv(emitted[a, b]), unit, status[a, b])
+                for a, e_j in enumerate(e_j_axis) for b, f in enumerate(f_axis)]
         path = write_csv(out_dir / f"landscape_{kind}.csv",
                          ["e_j_ghz", "f", "value", "unit", "status"], rows)
         files.append((path, f"landscape-{kind}"))

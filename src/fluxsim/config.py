@@ -233,10 +233,13 @@ def config_from_dict(raw: dict) -> RunConfig:
     _check_number("sweep.f_min", sweep["f_min"])
     _check_number("sweep.f_max", sweep["f_max"])
     _check_number("sweep.n_f", sweep["n_f"], lo=1, integer=True)
-    if sweep["e_j_max_ghz"] < sweep["e_j_min_ghz"]:
-        raise ConfigError(CATEGORY_INVARIANT, "'sweep.e_j_max_ghz' below min")
-    if sweep["f_max"] < sweep["f_min"]:
-        raise ConfigError(CATEGORY_INVARIANT, "'sweep.f_max' below min")
+    # landscape axes are strictly increasing: a degenerate range fits one point
+    for lo, hi, n in (("e_j_min_ghz", "e_j_max_ghz", "n_e_j"),
+                      ("f_min", "f_max", "n_f")):
+        if sweep[hi] < sweep[lo] or (sweep[hi] == sweep[lo] and sweep[n] > 1):
+            raise ConfigError(CATEGORY_INVARIANT,
+                              f"'sweep.{hi}' must exceed sweep.{lo} "
+                              f"(or equal it with sweep.{n} = 1)")
 
     _check_number("chi_curve.f_min", chi_curve["f_min"])
     _check_number("chi_curve.f_max", chi_curve["f_max"])

@@ -6,16 +6,18 @@ bare-state overlap, dispersive shift, transition detunings, flux/E_J
 landscapes, anticrossing extraction by bounded scalar minimization of the
 dressed gap (scipy), and chi-vs-flux profiles for the readout dynamics.
 
-Every flux-grid quantity (chi, detunings, landscape cells, chi profiles)
-comes from `sweep_dressed`, which solves blocks of flux points in stacked
-eigensolves; a single point is a one-point sweep.
+Labelled levels are one type, `DressedSweep`: chi, detunings, landscape
+cells and chi profiles come from `sweep_dressed` (blocks of flux points in
+stacked eigensolves), and a single point or the two-level surrogate is a
+one-point sweep. The greedy `assign_dressed_levels` returns (index, quality)
+arrays over bare product states for the sweep's fallback and the gate space.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -168,28 +170,6 @@ def build_coupled_hamiltonian(params: EnergyParams, flux: FluxBias,
                             dims.n_res)
 
 
-@dataclass(frozen=True)
-class DressedLevels:
-    """Greedy bare-label assignment of a coupled eigensystem.
-
-    assignment maps (qubit level, photon number) -> dressed eigenstate index;
-    quality holds the squared overlap backing each assignment.
-    """
-
-    energies: np.ndarray
-    assignment: dict
-    quality: dict
-    kept: int
-    n_res: int
-    warn: bool = field(default=False)
-
-    def energy(self, i, n):
-        return float(self.energies[self.assignment[(i, n)]])
-
-    def quality_of(self, i, n):
-        return float(self.quality[(i, n)])
-
-
 def diagonalize(h):
     """Hermitian eigensolve with the shared failure wrapper and counter; a
     stack (..., n, n) is solved in one call and counted per matrix."""
@@ -202,64 +182,29 @@ def diagonalize(h):
     return vals, vecs
 
 
-def assign_dressed_levels(eigenvalues, eigenvectors, kept, n_res) -> DressedLevels:
-    """Assign each bare product label to the dressed state with the largest
-    remaining overlap (greedy, descending, unique). Low-quality assignments
-    set the warn flag; they are never fatal here."""
+def assign_dressed_levels(eigenvalues, eigenvectors, kept, n_res):
+    """Assign each bare product state i * n_res + n the dressed state with
+    the largest remaining overlap (greedy, descending, unique). Returns the
+    (index, quality) arrays over bare states: the dressed index and the
+    squared overlap backing it. Low quality is never fatal here."""
     overlap = np.abs(eigenvectors) ** 2  # overlap[bare, dressed]
-    flat_order = np.argsort(-overlap, axis=None, kind="stable")
     dim = overlap.shape[0]
-    assignment = {}
-    quality = {}
-    used_bare = set()
-    used_dressed = set()
-    for flat in flat_order:
+    index = np.full(dim, -1)
+    quality = np.zeros(dim)
+    free = np.ones(dim, dtype=bool)
+    left = dim
+    for flat in np.argsort(-overlap, axis=None, kind="stable"):
         b, d = divmod(int(flat), dim)
-        if b in used_bare or d in used_dressed:
-            continue
-        used_bare.add(b)
-        used_dressed.add(d)
-        label = divmod(b, n_res)  # (qubit level, photon number)
-        assignment[label] = d
-        quality[label] = float(overlap[b, d])
-        if len(used_bare) == dim:
-            break
-    warn = any(q < 0.5 for q in quality.values())
-    return DressedLevels(np.asarray(eigenvalues, dtype=float), assignment,
-                         quality, kept, n_res, warn)
-
-
-def two_level_eigensystem(omega_q, res: ResonatorParams,
-                          mode: CouplingMode = CouplingMode.LADDER_RWA,
-                          n_res=8) -> DressedLevels:
-    """Surrogate with a bare two-level qubit (energies 0, omega_q); the
-    coupling operator is the two-level ladder for either mode."""
-    h = assemble_coupled(np.array([0.0, omega_q]), lowering_operator(2), res,
-                         mode, n_res)
-    vals, vecs = diagonalize(h)
-    return assign_dressed_levels(vals, vecs, 2, n_res)
+        if index[b] < 0 and free[d]:
+            index[b], quality[b], free[d] = d, overlap[b, d], False
+            left -= 1
+            if not left:
+                break
+    return index, quality
 
 
 MIN_ASSIGNMENT_QUALITY = 0.25
 CHI_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def _require_quality(worst, flux_value):
-    if worst < MIN_ASSIGNMENT_QUALITY:
-        raise ResonanceRegionError(
-            f"dressed assignment quality {worst:.3f} below "
-            f"{MIN_ASSIGNMENT_QUALITY} at f={flux_value}; dispersive model invalid",
-            flux=flux_value, worst_quality=worst,
-        )
-
-
-def dispersive_shift_from(dressed: DressedLevels, flux_value=None):
-    """chi from dressed energies:
-    2 chi = (w(1,1) - w(1,0)) - (w(0,1) - w(0,0))."""
-    _require_quality(min(dressed.quality_of(*lbl) for lbl in CHI_LABELS),
-                     flux_value)
-    return 0.5 * ((dressed.energy(1, 1) - dressed.energy(1, 0))
-                  - (dressed.energy(0, 1) - dressed.energy(0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +274,16 @@ def _label_levels(vals, vecs, rows, kept, n_res):
     strict = (((picked >= best[..., None]).sum(axis=2) == 1)
               & ((column >= best[:, None, :]).sum(axis=1) == 1))
     for p in np.flatnonzero(~np.all(strict & (best > 0.5), axis=1)):
-        dressed = assign_dressed_levels(vals[p], vecs[p], kept, n_res)
-        for col, row in enumerate(rows):
-            label = divmod(int(row), n_res)
-            index[p, col] = dressed.assignment[label]
-            best[p, col] = dressed.quality[label]
+        greedy = assign_dressed_levels(vals[p], vecs[p], kept, n_res)
+        index[p], best[p] = (labels[rows] for labels in greedy)
     return index, best
+
+
+def _dressed_levels(h, rows, kept, n_res):
+    """Dressed energy and quality (n, len(rows)) of the bare states rows."""
+    vals, vecs = diagonalize(h)
+    index, quality = _label_levels(vals, vecs, rows, kept, n_res)
+    return np.take_along_axis(vals, index, axis=1), quality
 
 
 def _dressed_block(params, f_values, res, mode, dims, rows):
@@ -346,9 +295,7 @@ def _dressed_block(params, f_values, res, mode, dims, rows):
     h = assemble_coupled(bare, _coupling_operator(vecs, params, mode, dims.kept),
                          res, mode, dims.n_res)
     del vecs  # not needed while the larger coupled stack is solved
-    dvals, dvecs = diagonalize(h)
-    index, quality = _label_levels(dvals, dvecs, rows, dims.kept, dims.n_res)
-    return bare, np.take_along_axis(dvals, index, axis=1), quality
+    return (bare, *_dressed_levels(h, rows, dims.kept, dims.n_res))
 
 
 def sweep_dressed(params: EnergyParams, f_values, res: ResonatorParams,
@@ -379,22 +326,32 @@ def sweep_dressed(params: EnergyParams, f_values, res: ResonatorParams,
     return DressedSweep(labels, bare, energy, quality)
 
 
+def two_level_eigensystem(omega_q, res: ResonatorParams,
+                          mode: CouplingMode = CouplingMode.LADDER_RWA,
+                          n_res=8) -> DressedSweep:
+    """Surrogate with a bare two-level qubit (energies 0, omega_q) as a
+    one-point sweep over all 2 n_res labels; the coupling operator is the
+    two-level ladder for either mode."""
+    bare = np.array([[0.0, omega_q]])
+    h = assemble_coupled(bare, lowering_operator(2), res, mode, n_res)
+    rows = np.arange(2 * n_res)
+    return DressedSweep(tuple(divmod(int(row), n_res) for row in rows), bare,
+                        *_dressed_levels(h, rows, 2, n_res))
+
+
 def dispersive_shift(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
                      mode: CouplingMode = DEFAULT_MODE,
                      dims: CoupledDims = CoupledDims()):
-    """Signed dispersive shift chi (angular) at one flux point."""
+    """Signed dispersive shift chi (angular) at one flux point; raises
+    ResonanceRegionError where the chi labels are resonant."""
     sweep = sweep_dressed(params, [flux.f], res, mode, dims, CHI_LABELS)
-    _require_quality(sweep.worst_quality(CHI_LABELS)[0], flux.f)
+    worst = float(sweep.worst_quality(CHI_LABELS)[0])
+    if worst < MIN_ASSIGNMENT_QUALITY:
+        raise ResonanceRegionError(
+            f"dressed assignment quality {worst:.3f} below "
+            f"{MIN_ASSIGNMENT_QUALITY} at f={flux.f}; dispersive model invalid",
+            flux=flux.f, worst_quality=worst)
     return float(sweep.chi()[0])
-
-
-def transition_detuning(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
-                        mode: CouplingMode, dims: CoupledDims, i, j):
-    """Delta_ij: dressed qubit transition (photon vacuum) minus the bare
-    resonator frequency (signed, angular)."""
-    sweep = sweep_dressed(params, [flux.f], res, mode, dims, ((i, 0), (j, 0)))
-    _require_quality(sweep.worst_quality(sweep.labels)[0], flux.f)
-    return float(sweep.detuning(res, i, j)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +365,17 @@ STATUS_OK = "ok"
 STATUS_RESONANT = "resonant"
 
 
-def fill_and_clamp(vals, clamp, resonant=None):
-    """Replace non-finite entries (and those marked resonant) by +-clamp
-    with the sign of the nearest preceding valid nonzero entry in row-major
-    order (the first one for a leading run, + when there is none), then clip
-    everything to [-clamp, clamp]. An exact +-0.0 never sets the sign.
-    Returns a new array; with clamp None, an unchanged copy."""
+def fill_and_clamp(vals, clamp):
+    """Replace non-finite entries by +-clamp with the sign of the nearest
+    preceding finite nonzero entry in row-major order (the first one for a
+    leading run, + when there is none), then clip everything to
+    [-clamp, clamp]. An exact +-0.0 never sets the sign. Returns a new
+    array; with clamp None, an unchanged copy."""
     out = np.array(vals, dtype=float)
     if clamp is None:
         return out
     flat = out.reshape(-1)
     bad = ~np.isfinite(flat)
-    if resonant is not None:
-        bad |= np.asarray(resonant, dtype=bool).reshape(-1)
     signed = ~bad & (flat != 0.0)
     source = np.maximum.accumulate(np.where(signed, np.arange(flat.size), -1))
     source[source < 0] = np.argmax(signed)
@@ -431,16 +386,15 @@ def fill_and_clamp(vals, clamp, resonant=None):
 
 @dataclass(frozen=True)
 class LandscapeGrid:
-    """One scalar landscape over (E_J, f) with per-cell status.
+    """One scalar landscape over (E_J, f).
 
-    values holds the raw computed numbers (NaN where resonant); emission
+    values holds the raw computed numbers, NaN where resonant; emission
     clamps to +-clamp and saturates resonant cells as `fill_and_clamp` does.
     """
 
     e_j_axis: np.ndarray
     f_axis: np.ndarray
     values: np.ndarray
-    status: np.ndarray
     kind: str
     clamp: float | None
 
@@ -456,15 +410,18 @@ class LandscapeGrid:
 
     @classmethod
     def of(cls, e_j_axis, f_axis, values, kind):
-        """The grid of one landscape kind: NaN cells are resonant, and the
-        emission clamp is the kind's (none for omega_q)."""
-        status = np.where(np.isnan(values), STATUS_RESONANT, STATUS_OK)
+        """The grid of one landscape kind, with the kind's emission clamp
+        (none for omega_q)."""
         clamp = {"omega_q": None, "chi": CHI_CLAMP}.get(kind, DELTA_CLAMP)
-        return cls(e_j_axis, f_axis, values, status.astype(object), kind, clamp)
+        return cls(e_j_axis, f_axis, values, kind, clamp)
+
+    @property
+    def status(self):
+        """Per-cell status: resonant exactly where the value is NaN."""
+        return np.where(np.isnan(self.values), STATUS_RESONANT, STATUS_OK)
 
     def emitted_values(self):
-        return fill_and_clamp(self.values, self.clamp,
-                              resonant=self.status == STATUS_RESONANT)
+        return fill_and_clamp(self.values, self.clamp)
 
 
 def _landscape_row(params, f_values, res, mode, dims, transitions):

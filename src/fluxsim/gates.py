@@ -123,10 +123,10 @@ def build_gate_space(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
     charge_op = np.kron(n_proj, np.eye(dims.n_res, dtype=complex))
     h0 = build_coupled_hamiltonian(params, flux, res, mode, dims, spec=spec)
     vals, vecs = diagonalize(h0)
-    dressed = assign_dressed_levels(vals, vecs, dims.kept, dims.n_res)
-    comp = np.column_stack([vecs[:, dressed.assignment[(0, 0)]],
-                            vecs[:, dressed.assignment[(1, 0)]]])
-    omega_01 = dressed.energy(1, 0) - dressed.energy(0, 0)
+    index, _ = assign_dressed_levels(vals, vecs, dims.kept, dims.n_res)
+    ground, excited = index[0], index[dims.n_res]  # |0, 0> and |1, 0>
+    comp = np.column_stack([vecs[:, ground], vecs[:, excited]])
+    omega_01 = float(vals[excited] - vals[ground])
     anharm = spec.transition(2, 1) - spec.transition(1, 0)
     n01 = abs(n_proj[0, 1])
     charge_eig = vecs.conj().T @ charge_op @ vecs

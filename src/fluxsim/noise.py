@@ -92,12 +92,14 @@ class McCurve:
         return float(self.mean[i]), float(self.stderr[i])
 
 
-def aggregate_curves(axis, draws, included, scale, seed) -> McCurve:
-    """Index-ordered reduction of per-draw curves into an McCurve.
+def _sum_in_draw_order(rows):
+    """Sum over axis 0 in draw-index order from +0.0, as a loop adding one
+    draw at a time does; np.sum pairs terms up over a single column."""
+    return np.add.accumulate(rows, axis=0)[-1] + 0.0
 
-    The mean is accumulated in a fixed loop over draw indices so the result
-    is bitwise independent of how the draws were scheduled.
-    """
+
+def aggregate_curves(axis, draws, included, scale, seed) -> McCurve:
+    """Draw-index-ordered reduction of per-draw curves into an McCurve."""
     axis = np.asarray(axis, dtype=float)
     draws = np.asarray(draws, dtype=float)
     included = np.asarray(included, dtype=bool)
@@ -105,16 +107,10 @@ def aggregate_curves(axis, draws, included, scale, seed) -> McCurve:
     if n_eff == 0:
         raise DomainError("every Monte Carlo draw was excluded; "
                           "widen the chi profile or reduce the noise scale")
-    total = np.zeros_like(axis)
-    for k in range(draws.shape[0]):
-        if included[k]:
-            total = total + draws[k]
-    mean = total / n_eff
+    rows = draws[included]
+    mean = _sum_in_draw_order(rows) / n_eff
     if n_eff > 1:
-        sq = np.zeros_like(axis)
-        for k in range(draws.shape[0]):
-            if included[k]:
-                sq = sq + (draws[k] - mean) ** 2
+        sq = _sum_in_draw_order((rows - mean) ** 2)
         stderr = np.sqrt(sq / (n_eff - 1)) / math.sqrt(n_eff)
     else:
         stderr = np.zeros_like(axis)

@@ -22,7 +22,7 @@ from fluxsim.coupled import (
     build_chi_profile,
     dispersive_shift,
     find_anticrossing,
-    transition_detuning,
+    sweep_dressed,
     two_level_eigensystem,
 )
 from fluxsim.gates import (
@@ -186,11 +186,10 @@ def test_criterion_2_readout_point_spectrum():
     spec = fluxonium_spectrum(PARAMS, flux)
     wq = units.to_ghz(spec.transition(1, 0))
     chi = units.to_mhz(dispersive_shift(PARAMS, flux, RES))
-    dims = CoupledDims()
-    d10 = units.to_ghz(transition_detuning(PARAMS, flux, RES,
-                                           CouplingMode.LADDER_RWA, dims, 1, 0))
-    d20 = units.to_mhz(transition_detuning(PARAMS, flux, RES,
-                                           CouplingMode.LADDER_RWA, dims, 2, 0))
+    sweep = sweep_dressed(PARAMS, [flux.f], RES, CouplingMode.LADDER_RWA,
+                          CoupledDims(), ((0, 0), (1, 0), (2, 0)))
+    d10 = units.to_ghz(sweep.detuning(RES, 1, 0)[0])
+    d20 = units.to_mhz(sweep.detuning(RES, 2, 0)[0])
     ok = (abs(wq / 4.6 - 1.0) < 0.02 and abs(chi / -7.95 - 1.0) < 0.10
           and abs(d10 / -2.4 - 1.0) < 0.05 and abs(d20 / -67.0 - 1.0) < 0.15)
     _report(2, "readout-point spectrum", ok,
@@ -344,7 +343,7 @@ def test_criterion_9_jaynes_cummings_oracle():
                 + branch * 0.5 * math.sqrt((omega_q - omega_r) ** 2
                                            + 4.0 * g * g * n_exc))
 
-    worst = max(abs(dressed.energy(i, n) - exact(i, n))
+    worst = max(abs(dressed.energy_of(i, n)[0] - exact(i, n))
                 for i in range(2) for n in range(4))
     ok = worst < 1e-10
     _report(9, "Jaynes-Cummings oracle", ok,

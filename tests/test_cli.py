@@ -261,6 +261,18 @@ def test_anticrossing_level_beyond_kept_levels_is_a_config_error(tmp_path,
     assert (out / "error.json").is_file()
 
 
+def test_degenerate_landscape_axis_is_a_config_error(tmp_path, capsys):
+    raw = base_config(tmp_path / "out")
+    raw["sweep"]["f_max"] = raw["sweep"]["f_min"]
+    cfg_path, out = write_config(tmp_path, raw)
+    assert main(["landscape", "--config", str(cfg_path),
+                 "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["category"] == "config"
+    assert "sweep.f_max" in record["error"]["message"]
+    assert not (out / "landscape_chi.csv").exists()
+
+
 def test_landscape_with_too_few_kept_levels_is_a_numerical_error(tmp_path,
                                                                  capsys):
     # the landscape transitions reach qubit level 3

@@ -84,6 +84,13 @@ def test_invariant_violations_name_the_key():
         ({**MINIMAL, "noise": {"seed": -1}}, "noise.seed"),
         ({**MINIMAL, "device": {**MINIMAL["device"], "dim": 1}}, "device.dim"),
         ({**MINIMAL, "sweep": {"f_min": 0.6, "f_max": 0.5}}, "sweep.f_max"),
+        # a degenerate landscape axis holds a single point only
+        ({**MINIMAL, "sweep": {"f_min": 0.5, "f_max": 0.5, "n_f": 3}},
+         "sweep.f_max"),
+        ({**MINIMAL, "sweep": {"e_j_min_ghz": 4.75, "e_j_max_ghz": 4.75,
+                               "n_e_j": 2}}, "sweep.e_j_max_ghz"),
+        ({**MINIMAL, "sweep": {"e_j_min_ghz": 5.0, "e_j_max_ghz": 4.5,
+                               "n_e_j": 1}}, "sweep.e_j_max_ghz"),
         ({**MINIMAL, "chi_curve": {"f_min": 0.5, "f_max": 0.5}}, "chi_curve.f_max"),
         ({**MINIMAL, "anticrossing": {"window_lo": 0.6, "window_hi": 0.5}},
          "anticrossing.window_hi"),
@@ -100,6 +107,13 @@ def test_invariant_violations_name_the_key():
             config_from_dict(raw)
         assert exc.value.category == CATEGORY_INVARIANT
         assert key in str(exc.value)
+
+
+def test_degenerate_landscape_axis_with_one_point_is_accepted():
+    cfg = config_from_dict({**MINIMAL, "sweep": {
+        "e_j_min_ghz": 4.75, "e_j_max_ghz": 4.75, "n_e_j": 1,
+        "f_min": 0.5, "f_max": 0.5, "n_f": 1}})
+    assert cfg.raw["sweep"]["n_f"] == 1
 
 
 def test_missing_device_energies_rejected():

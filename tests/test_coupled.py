@@ -14,20 +14,17 @@ from fluxsim.coupled import (
     Anticrossing,
     CoupledDims,
     CouplingMode,
-    DressedLevels,
+    DressedSweep,
     LandscapeGrid,
     ResonatorParams,
-    STATUS_RESONANT,
     assemble_coupled,
     assign_dressed_levels,
     build_chi_profile,
     compute_landscapes,
     dispersive_shift,
-    dispersive_shift_from,
     fill_and_clamp,
     find_anticrossing,
     sweep_dressed,
-    transition_detuning,
     two_level_eigensystem,
 )
 from fluxsim.errors import (
@@ -69,13 +66,14 @@ def test_two_level_ladder_matches_jaynes_cummings():
     for i in range(2):
         for n in range(4):
             want = _jc_label_energy(i, n, omega_q, RES.omega_r, RES.g)
-            assert abs(dressed.energy(i, n) - want) < 1e-10
+            assert abs(dressed.energy_of(i, n)[0] - want) < 1e-10
 
 
 def test_two_level_dispersive_shift_matches_analytic():
     omega_q = units.ghz(5.2)
     dressed = two_level_eigensystem(omega_q, RES, CouplingMode.LADDER_RWA, n_res=8)
-    chi = dispersive_shift_from(dressed)
+    assert dressed.labels == tuple((i, n) for i in range(2) for n in range(8))
+    chi = dressed.chi()[0]
     e = lambda i, n: _jc_label_energy(i, n, omega_q, RES.omega_r, RES.g)
     want = 0.5 * ((e(1, 1) - e(1, 0)) - (e(0, 1) - e(0, 0)))
     assert abs(chi - want) < 1e-12
@@ -115,13 +113,14 @@ def test_dispersive_shift_flux_symmetry():
 
 
 def test_transition_detuning_reference_points():
-    dims = CoupledDims()
-    d10 = transition_detuning(PARAMS, FluxBias(0.641), RES, DEFAULT_MODE, dims, 1, 0)
+    sweep = sweep_dressed(PARAMS, [0.641], RES, DEFAULT_MODE, CoupledDims(),
+                          ((0, 0), (1, 0), (2, 0)))
+    d10 = sweep.detuning(RES, 1, 0)[0]
     assert units.to_ghz(d10) == pytest.approx(-2.39, abs=0.06)
-    d20 = transition_detuning(PARAMS, FluxBias(0.641), RES, DEFAULT_MODE, dims, 2, 0)
+    d20 = sweep.detuning(RES, 2, 0)[0]
     assert units.to_mhz(d20) == pytest.approx(-67.0, abs=5.0)
     with pytest.raises(ValueError):
-        transition_detuning(PARAMS, FluxBias(0.641), RES, DEFAULT_MODE, dims, 0, 1)
+        sweep.detuning(RES, 0, 1)
 
 
 def test_landscape_matches_single_point_calls():
@@ -146,13 +145,12 @@ def test_landscape_emission_clamps_resonant_cells():
     grid = compute_landscapes(units.ghz(np.array([4.75])), np.array([0.5]),
                               PARAMS.e_c, PARAMS.e_l, RES,
                               dims=CoupledDims(dim=30, kept=4, n_res=3))["chi"]
-    # forge a resonant cell and check the emitted fill
+    # forge a resonant (NaN) cell and check the emitted fill and status
     forged = LandscapeGrid(
         np.array([1.0]), np.array([0.1, 0.2, 0.3, 0.4]),
-        np.array([[-2.0, math.nan, 3.0, 100.0]]),
-        np.array([["ok", STATUS_RESONANT, "ok", "ok"]], dtype=object),
-        "chi", clamp=5.0)
+        np.array([[-2.0, math.nan, 3.0, 100.0]]), "chi", clamp=5.0)
     assert list(forged.emitted_values()[0]) == [-2.0, -5.0, 3.0, 5.0]
+    assert forged.status.tolist() == [["ok", "resonant", "ok", "ok"]]
     assert grid.emitted_values()[0, 0] == pytest.approx(grid.values[0, 0])
 
 
@@ -199,13 +197,15 @@ def test_anticrossing_levels_must_be_kept():
                               transition=transition)
 
 
-def test_low_quality_assignment_raises_resonance_error():
-    energies = np.arange(4.0)
-    assignment = {(i, n): 2 * i + n for i in range(2) for n in range(2)}
-    quality = {k: 0.2 for k in assignment}
-    dressed = DressedLevels(energies, assignment, quality, 2, 2, warn=True)
-    with pytest.raises(ResonanceRegionError):
-        dispersive_shift_from(dressed, 0.5)
+def test_low_quality_assignment_raises_resonance_error(monkeypatch):
+    # a one-point sweep whose chi labels are backed by overlaps of only 0.2
+    forged = DressedSweep(CHI_LABELS, np.array([[0.0, 1.0]]),
+                          np.arange(4.0)[None, :], np.full((1, 4), 0.2))
+    assert math.isnan(forged.chi()[0])
+    monkeypatch.setattr(coupled, "sweep_dressed", lambda *args: forged)
+    with pytest.raises(ResonanceRegionError) as exc:
+        dispersive_shift(PARAMS, FluxBias(0.5), RES)
+    assert exc.value.worst_quality == 0.2
 
 
 def test_coupled_dims_validation():
@@ -256,9 +256,7 @@ def test_zero_does_not_set_the_fill_sign():
     assert list(fill_and_clamp([math.nan, 0.0], 5.0)) == [5.0, 0.0]
     forged = LandscapeGrid(
         np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3]),
-        np.array([[-2.0, 0.0, 7.0], [math.nan, 3.0, -0.0]]),
-        np.array([["ok", "ok", STATUS_RESONANT],
-                  ["ok", "ok", "ok"]], dtype=object),
+        np.array([[-2.0, 0.0, math.nan], [math.nan, 3.0, -0.0]]),
         "chi", clamp=5.0)
     assert forged.emitted_values().tolist() == [[-2.0, 0.0, -5.0],
                                                 [-5.0, 3.0, 0.0]]
@@ -293,16 +291,20 @@ def _reference_point(params, f, res, mode, dims=CoupledDims()):
     else:
         hc += res.g * (np.kron(op.conj().T, b) + np.kron(op, b.conj().T))
     dvals, dvecs = np.linalg.eigh(0.5 * (hc + hc.conj().T))
-    dressed = assign_dressed_levels(dvals, dvecs, k, m)
-    try:
-        chi = dispersive_shift_from(dressed)
-    except ResonanceRegionError:
-        chi = math.nan
+    index, quality = assign_dressed_levels(dvals, dvecs, k, m)
+
+    def energy(i, n):
+        return float(dvals[index[i * m + n]])
+
+    def resonant(*labels):
+        return min(quality[i * m + n] for i, n in labels) < MIN_ASSIGNMENT_QUALITY
+
+    chi = (math.nan if resonant(*CHI_LABELS) else
+           0.5 * ((energy(1, 1) - energy(1, 0)) - (energy(0, 1) - energy(0, 0))))
     deltas = {}
     for (i, j) in DEFAULT_TRANSITIONS:
-        worst = min(dressed.quality_of(i, 0), dressed.quality_of(j, 0))
-        deltas[(i, j)] = (math.nan if worst < MIN_ASSIGNMENT_QUALITY else
-                          dressed.energy(i, 0) - dressed.energy(j, 0) - res.omega_r)
+        deltas[(i, j)] = (math.nan if resonant((i, 0), (j, 0)) else
+                          energy(i, 0) - energy(j, 0) - res.omega_r)
     return chi, vals[1] - vals[0], deltas
 
 
@@ -337,17 +339,31 @@ def test_single_point_equals_sweep_element_bit_for_bit():
     for p in (0, 31, 32, 45, 69):
         flux = FluxBias(float(grid[p]))
         assert dispersive_shift(PARAMS, flux, RES) == chi[p]
-        assert transition_detuning(PARAMS, flux, RES, DEFAULT_MODE,
-                                   CoupledDims(), 2, 0) == delta_20[p]
+        point = sweep_dressed(PARAMS, [flux.f], RES, DEFAULT_MODE,
+                              CoupledDims(), ((2, 0), (0, 0)))
+        assert point.detuning(RES, 2, 0)[0] == delta_20[p]
         assert (fluxonium_spectrum(PARAMS, flux).eigenvalues[:8]
                 == sweep.bare[p]).all()
 
 
 def _greedy_labels(vals, vecs, rows, kept, n_res):
-    dressed = assign_dressed_levels(vals, vecs, kept, n_res)
-    labels = [divmod(int(r), n_res) for r in rows]
-    return ([dressed.assignment[lbl] for lbl in labels],
-            [dressed.quality[lbl] for lbl in labels])
+    index, quality = assign_dressed_levels(vals, vecs, kept, n_res)
+    return index[rows].tolist(), quality[rows].tolist()
+
+
+def test_greedy_labels_are_arrays_over_bare_states():
+    # bare state b lies wholly in dressed state perm[b]
+    perm = np.array([2, 0, 3, 1])
+    index, quality = assign_dressed_levels(np.arange(4.0), np.eye(4)[perm], 2, 2)
+    assert index.tolist() == perm.tolist()
+    assert quality.tolist() == [1.0] * 4
+    # bare 1 and 2 split evenly over dressed 1 and 2: ties go in (bare,
+    # dressed) order, and dressed 1, once taken, is not given to bare 2
+    split = np.eye(4)
+    split[1:3, 1:3] = [[math.sqrt(0.5)] * 2, [-math.sqrt(0.5), math.sqrt(0.5)]]
+    index, quality = assign_dressed_levels(np.arange(4.0), split, 2, 2)
+    assert index.tolist() == [0, 1, 2, 3]
+    assert quality[1:3] == pytest.approx([0.5, 0.5], rel=1e-15)
 
 
 def _label_checks(vecs, rows, kept, n_res, monkeypatch):

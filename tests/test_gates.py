@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fluxsim.coupled import ResonatorParams
+from fluxsim.coupled import CoupledDims, CouplingMode, ResonatorParams, sweep_dressed
 from fluxsim.errors import DomainError, StepSizeError
 from fluxsim.gates import (
     UNITARITY_BUDGET,
@@ -217,3 +217,16 @@ def test_gate_space_structure(space):
     assert space.omega_01 > 0
     assert space.anharm > 0
     assert space.h0_evals.shape == (space.dims.kept * space.dims.n_res,)
+
+
+@pytest.mark.parametrize("mode", list(CouplingMode))
+def test_gate_frame_matches_sweep_labels(mode):
+    # the gate space labels its eigensystem with the greedy assignment, the
+    # sweep with argmax labels; both must find the same dressed |0,0>, |1,0>
+    dims = CoupledDims(kept=6, n_res=3)
+    grid = [0.47, 0.5, 0.641]
+    sweep = sweep_dressed(PARAMS, grid, RES, mode, dims, ((0, 0), (1, 0)))
+    want = sweep.energy_of(1, 0) - sweep.energy_of(0, 0)
+    for f, omega_01 in zip(grid, want):
+        space = build_gate_space(PARAMS, FluxBias(f), RES, mode, dims)
+        assert space.omega_01 == pytest.approx(omega_01, rel=1e-12), f

@@ -157,6 +157,42 @@ def test_aggregate_curves_mean_and_stderr():
     assert mean == 4.0
 
 
+def _looped_aggregate(draws, included):
+    """The draw-index-ordered loops aggregate_curves replaced, as reference."""
+    n_eff = int(np.count_nonzero(included))
+    total = np.zeros(draws.shape[1])
+    for k in range(draws.shape[0]):
+        if included[k]:
+            total = total + draws[k]
+    mean = total / n_eff
+    if n_eff == 1:
+        return mean, np.zeros_like(mean)
+    sq = np.zeros_like(mean)
+    for k in range(draws.shape[0]):
+        if included[k]:
+            sq = sq + (draws[k] - mean) ** 2
+    return mean, np.sqrt(sq / (n_eff - 1)) / math.sqrt(n_eff)
+
+
+def test_aggregate_curves_equals_draw_ordered_loops():
+    # one column (a single gate time) is where np.sum would pair terms up;
+    # all -0.0 columns check the sign of zero the loop produces
+    rng = np.random.default_rng(11)
+    for case in range(300):
+        n, m = int(rng.integers(1, 60)), int(rng.integers(1, 5))
+        draws = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4)
+        if case % 4 == 0:
+            draws[:, 0] = -0.0
+        included = rng.random(n) < 0.8
+        included[rng.integers(n)] = True
+        curve = aggregate_curves(np.arange(float(m)), draws, included, 0.0, 0)
+        mean, stderr = _looped_aggregate(draws, included)
+        assert np.array_equal(curve.mean, mean)
+        assert np.array_equal(curve.stderr, stderr)
+        assert curve.mean.tobytes() == mean.tobytes()
+        assert curve.stderr.tobytes() == stderr.tobytes()
+
+
 def test_single_draw_has_zero_stderr():
     curve = aggregate_curves(np.array([0.0]), np.array([[5.0]]),
                              np.array([True]), 0.0, 0)
