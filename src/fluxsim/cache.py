@@ -5,12 +5,15 @@ requires a deep key comparison (a hash collision is treated as a miss), the
 schema version must match, and corrupt files are quarantined rather than
 trusted or deleted. Publication is atomic (write to a temp file, rename).
 
-The key names the computation but not the code that produced the value, so
-any change to cached numerics or to the layout of a cached value must bump
-CACHE_SCHEMA_VERSION: entries written under another version are misses and
-are recomputed. Version 2: real flux-affine spectra and whole-sweep chi and
-landscape entries. Version 3: the spectrum entry holds only the energies in
-GHz.
+The key names the computation but not the code that produced the value.
+A change to the layout of a cached value must bump CACHE_SCHEMA_VERSION,
+and each entry also records NUMERICS_TAG, the SHA-256 of the source of the
+modules whose output is cached: an entry written under another version or
+by other numerics code is a miss and is recomputed, so an edit that forgets
+the bump cannot be served stale values. Version 2: real flux-affine spectra
+and whole-sweep chi and landscape entries. Version 3: the spectrum entry
+holds only the energies in GHz. Version 4: spectra solved at the canonical
+flux in [0, 1/2] (values change in their last bits).
 """
 
 from __future__ import annotations
@@ -20,7 +23,18 @@ import json
 import os
 from pathlib import Path
 
-CACHE_SCHEMA_VERSION = 3
+CACHE_SCHEMA_VERSION = 4
+
+
+def _source_digest(names):
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode("utf-8"))
+        digest.update(Path(__file__).with_name(name).read_bytes())
+    return digest.hexdigest()
+
+
+NUMERICS_TAG = _source_digest(("qubit.py", "coupled.py", "readout.py"))
 
 
 def canonical_key_text(key: dict) -> str:
@@ -42,6 +56,7 @@ def cache_put(cache_dir, key: dict, value) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = json.dumps({
         "schema_version": CACHE_SCHEMA_VERSION,
+        "numerics": NUMERICS_TAG,
         "key": key,
         "value": value,
     }, sort_keys=True)
@@ -54,9 +69,9 @@ def cache_put(cache_dir, key: dict, value) -> Path:
 def cache_get(cache_dir, key: dict):
     """Return the cached value or None on any kind of miss.
 
-    Misses: absent file, schema-version mismatch, deep-compare key mismatch
-    (hash collision). A file that fails to parse is renamed to *.corrupt so
-    it is inspectable but never consulted again.
+    Misses: absent file, schema-version or numerics-tag mismatch,
+    deep-compare key mismatch (hash collision). A file that fails to parse
+    is renamed to *.corrupt so it is inspectable but never consulted again.
     """
     path = entry_path(cache_dir, key)
     if not path.is_file():
@@ -66,13 +81,14 @@ def cache_get(cache_dir, key: dict):
         if not isinstance(entry, dict):
             raise ValueError("cache entry is not an object")
         version = entry["schema_version"]
+        numerics = entry.get("numerics")
         stored_key = entry["key"]
         value = entry["value"]
     except (ValueError, KeyError):
         quarantine = path.with_suffix(".corrupt")
         os.replace(path, quarantine)
         return None
-    if version != CACHE_SCHEMA_VERSION:
+    if version != CACHE_SCHEMA_VERSION or numerics != NUMERICS_TAG:
         return None
     if canonical_key_text(stored_key) != canonical_key_text(key):
         return None

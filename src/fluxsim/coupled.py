@@ -9,8 +9,11 @@ dressed gap (scipy), and chi-vs-flux profiles for the readout dynamics.
 Labelled levels are one type, `DressedSweep`: chi, detunings, landscape
 cells and chi profiles come from `sweep_dressed` (blocks of flux points in
 stacked eigensolves), and a single point or the two-level surrogate is a
-one-point sweep. The greedy `assign_dressed_levels` returns (index, quality)
-arrays over bare product states for the sweep's fallback and the gate space.
+one-point sweep. A sweep folds every flux to its canonical flux in [0, 1/2]
+(`qubit.canonical_flux`) and solves each distinct canonical flux once, so
+f, 1 - f and f + 1 give bit-identical levels. The greedy
+`assign_dressed_levels` returns (index, quality) arrays over bare product
+states for the sweep's fallback and the gate space.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .qubit import (
     DEFAULT_DIM,
     EnergyParams,
     FluxBias,
+    canonical_flux,
     fluxonium_spectrum,
     lowering_operator,
     spectrum_sweep,
@@ -182,7 +186,7 @@ def diagonalize(h):
     return vals, vecs
 
 
-def assign_dressed_levels(eigenvalues, eigenvectors, kept, n_res):
+def assign_dressed_levels(eigenvectors):
     """Assign each bare product state i * n_res + n the dressed state with
     the largest remaining overlap (greedy, descending, unique). Returns the
     (index, quality) arrays over bare states: the dressed index and the
@@ -255,9 +259,9 @@ class DressedSweep:
         return np.where(worst < MIN_ASSIGNMENT_QUALITY, math.nan, delta)
 
 
-def _label_levels(vals, vecs, rows, kept, n_res):
+def _label_levels(vecs, rows):
     """Dressed index and squared overlap of each bare product state in rows,
-    at each point of the stacked eigensystem (vals, vecs).
+    at each point of the stacked eigenvectors vecs.
 
     |U|^2 of a complete eigenbasis is doubly stochastic, so an overlap above
     1/2 is the strict maximum of its row and of its column, and the greedy
@@ -274,15 +278,15 @@ def _label_levels(vals, vecs, rows, kept, n_res):
     strict = (((picked >= best[..., None]).sum(axis=2) == 1)
               & ((column >= best[:, None, :]).sum(axis=1) == 1))
     for p in np.flatnonzero(~np.all(strict & (best > 0.5), axis=1)):
-        greedy = assign_dressed_levels(vals[p], vecs[p], kept, n_res)
+        greedy = assign_dressed_levels(vecs[p])
         index[p], best[p] = (labels[rows] for labels in greedy)
     return index, best
 
 
-def _dressed_levels(h, rows, kept, n_res):
+def _dressed_levels(h, rows):
     """Dressed energy and quality (n, len(rows)) of the bare states rows."""
     vals, vecs = diagonalize(h)
-    index, quality = _label_levels(vals, vecs, rows, kept, n_res)
+    index, quality = _label_levels(vecs, rows)
     return np.take_along_axis(vals, index, axis=1), quality
 
 
@@ -295,7 +299,7 @@ def _dressed_block(params, f_values, res, mode, dims, rows):
     h = assemble_coupled(bare, _coupling_operator(vecs, params, mode, dims.kept),
                          res, mode, dims.n_res)
     del vecs  # not needed while the larger coupled stack is solved
-    return (bare, *_dressed_levels(h, rows, dims.kept, dims.n_res))
+    return (bare, *_dressed_levels(h, rows))
 
 
 def sweep_dressed(params: EnergyParams, f_values, res: ResonatorParams,
@@ -305,9 +309,10 @@ def sweep_dressed(params: EnergyParams, f_values, res: ResonatorParams,
     """Dressed energies of the (qubit level, photon number) labels at each
     reduced flux, labelled as `assign_dressed_levels` labels them.
 
-    Blocks of up to _SWEEP_BLOCK points share one stacked bare eigensolve
-    and one stacked coupled eigensolve (real in LADDER_RWA mode, complex in
-    CHARGE mode).
+    Each distinct canonical flux is solved once: blocks of up to
+    _SWEEP_BLOCK of them share one stacked bare eigensolve and one stacked
+    coupled eigensolve (real in LADDER_RWA mode, complex in CHARGE mode),
+    and every point reads the levels of its canonical flux.
     """
     f = np.asarray(f_values, dtype=float).reshape(-1)
     if f.size == 0:
@@ -319,24 +324,25 @@ def sweep_dressed(params: EnergyParams, f_values, res: ResonatorParams,
                 f"label ({i}, {n}) outside {dims.kept} kept levels x "
                 f"{dims.n_res} photon states")
     rows = np.array([i * dims.n_res + n for i, n in labels])
-    parts = [_dressed_block(params, f[start:start + _SWEEP_BLOCK], res, mode,
+    g, inverse = np.unique(canonical_flux(f)[0], return_inverse=True)
+    parts = [_dressed_block(params, g[start:start + _SWEEP_BLOCK], res, mode,
                             dims, rows)
-             for start in range(0, f.size, _SWEEP_BLOCK)]
-    bare, energy, quality = (np.concatenate(p) for p in zip(*parts))
+             for start in range(0, g.size, _SWEEP_BLOCK)]
+    bare, energy, quality = (np.concatenate(p)[inverse] for p in zip(*parts))
     return DressedSweep(labels, bare, energy, quality)
 
 
 def two_level_eigensystem(omega_q, res: ResonatorParams,
-                          mode: CouplingMode = CouplingMode.LADDER_RWA,
                           n_res=8) -> DressedSweep:
-    """Surrogate with a bare two-level qubit (energies 0, omega_q) as a
-    one-point sweep over all 2 n_res labels; the coupling operator is the
-    two-level ladder for either mode."""
+    """Jaynes-Cummings surrogate: a bare two-level qubit (energies 0,
+    omega_q) coupled by g (sigma^- a^dag + sigma^+ a), the two-level
+    ladder-RWA coupling, as a one-point sweep over all 2 n_res labels."""
     bare = np.array([[0.0, omega_q]])
-    h = assemble_coupled(bare, lowering_operator(2), res, mode, n_res)
+    h = assemble_coupled(bare, lowering_operator(2), res,
+                         CouplingMode.LADDER_RWA, n_res)
     rows = np.arange(2 * n_res)
     return DressedSweep(tuple(divmod(int(row), n_res) for row in rows), bare,
-                        *_dressed_levels(h, rows, 2, n_res))
+                        *_dressed_levels(h, rows))
 
 
 def dispersive_shift(params: EnergyParams, flux: FluxBias, res: ResonatorParams,

@@ -123,7 +123,7 @@ def build_gate_space(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
     charge_op = np.kron(n_proj, np.eye(dims.n_res, dtype=complex))
     h0 = build_coupled_hamiltonian(params, flux, res, mode, dims, spec=spec)
     vals, vecs = diagonalize(h0)
-    index, _ = assign_dressed_levels(vals, vecs, dims.kept, dims.n_res)
+    index, _ = assign_dressed_levels(vecs)
     ground, excited = index[0], index[dims.n_res]  # |0, 0> and |1, 0>
     comp = np.column_stack([vecs[:, ground], vecs[:, excited]])
     omega_01 = float(vals[excited] - vals[ground])

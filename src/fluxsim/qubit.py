@@ -4,6 +4,11 @@ Operators, the flux-affine real Hamiltonian, stacked spectra over flux
 grids with a deterministic eigenvector sign convention, and charge matrix
 elements. All frequencies
 are angular (rad/ns); see :mod:`fluxsim.units`.
+
+The Hamiltonian is periodic in f and H(1 - f) = P H(f) P under the parity
+phi -> -phi, P = diag((-1)^k) in the HO basis, so every spectrum is solved
+at the canonical flux `canonical_flux(f)` in [0, 1/2] and mirrored
+eigenvectors are mapped back by P: f, 1 - f and f + 1 share one eigensolve.
 """
 
 from __future__ import annotations
@@ -134,6 +139,25 @@ def fluxonium_hamiltonians(params: EnergyParams, f_values, dim=DEFAULT_DIM):
     return h
 
 
+# canonical fluxes are snapped to multiples of 1 / _FLUX_LATTICE = 1e-12,
+# 1000x finer than the configured minimum grid step of 1e-9, so that
+# 1 - f of a grid point and its grid partner fold to the same double
+_FLUX_LATTICE = 1e12
+
+
+def canonical_flux(f_values):
+    """(g, mirrored) elementwise: g in [0, 1/2] with H(f) = H(g) when not
+    mirrored and H(f) = P H(g) P when mirrored, from r = f mod 1 (mirrored
+    where r > 1/2, g = 1 - r) snapped to a 1e-12 lattice."""
+    f = np.asarray(f_values, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ValueError(f"flux must be finite, got {f_values}")
+    r = np.mod(f, 1.0)
+    mirrored = r > 0.5
+    g = np.where(mirrored, 1.0 - r, r)
+    return np.round(g * _FLUX_LATTICE) / _FLUX_LATTICE, mirrored
+
+
 def _fix_signs(vecs):
     """Flip, in place, each eigenvector (column) so its largest-magnitude
     component is positive (ties broken by lowest index via argmax)."""
@@ -145,8 +169,11 @@ def _fix_signs(vecs):
 
 def spectrum_sweep(params: EnergyParams, f_values, dim=DEFAULT_DIM):
     """Bare eigensystems at each reduced flux in one stacked real eigensolve:
-    ascending eigenvalues (n, dim) and sign-fixed eigenvectors (n, dim, dim)."""
-    h = fluxonium_hamiltonians(params, f_values, dim)
+    ascending eigenvalues (n, dim) and sign-fixed eigenvectors (n, dim, dim)
+    of H(f). Each point is solved at its canonical flux; at mirrored points
+    the parity P maps the vectors back to eigenvectors of H(f)."""
+    g, mirrored = canonical_flux(np.reshape(f_values, -1))
+    h = fluxonium_hamiltonians(params, g, dim)
     diagnostics.count_eigensolve(len(h))
     try:
         vals, vecs = np.linalg.eigh(h)
@@ -155,6 +182,7 @@ def spectrum_sweep(params: EnergyParams, f_values, dim=DEFAULT_DIM):
             f"fluxonium eigensolve failed: {exc}",
             params=params, flux=f_values, dim=dim,
         ) from exc
+    vecs[mirrored] *= np.where(np.arange(dim) % 2, -1.0, 1.0)[:, None]
     return vals, _fix_signs(vecs)
 
 

@@ -4,6 +4,7 @@ import json
 
 from fluxsim.cache import (
     CACHE_SCHEMA_VERSION,
+    NUMERICS_TAG,
     cache_get,
     cache_put,
     canonical_key_text,
@@ -38,6 +39,7 @@ def test_key_collision_treated_as_miss(tmp_path):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({
         "schema_version": CACHE_SCHEMA_VERSION,
+        "numerics": NUMERICS_TAG,
         "key": {"op": "chi", "f": 0.6},
         "value": 123,
     }), encoding="utf-8")
@@ -49,11 +51,29 @@ def test_schema_version_mismatch_is_a_miss(tmp_path):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({
         "schema_version": CACHE_SCHEMA_VERSION + 1,
+        "numerics": NUMERICS_TAG,
         "key": KEY,
         "value": 123,
     }), encoding="utf-8")
     assert cache_get(tmp_path, KEY) is None
     assert path.is_file()  # not quarantined, just ignored
+
+
+def test_numerics_tag_mismatch_is_a_miss(tmp_path):
+    # same schema version and key, written by other numerics code
+    path = entry_path(tmp_path, KEY)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    for numerics in ("0" * 64, None):
+        entry = {"schema_version": CACHE_SCHEMA_VERSION, "key": KEY,
+                 "value": 123}
+        if numerics is not None:
+            entry["numerics"] = numerics
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        assert cache_get(tmp_path, KEY) is None
+        assert path.is_file()  # not quarantined, just ignored
+    cache_put(tmp_path, KEY, 7)
+    assert json.loads(path.read_text(encoding="utf-8"))["numerics"] == NUMERICS_TAG
+    assert cache_get(tmp_path, KEY) == 7
 
 
 def test_corrupt_entry_quarantined(tmp_path):

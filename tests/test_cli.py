@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from fluxsim import diagnostics, units
-from fluxsim.cache import CACHE_SCHEMA_VERSION, entry_path
+from fluxsim.cache import CACHE_SCHEMA_VERSION, NUMERICS_TAG, entry_path
 from fluxsim.cli import main, run_subcommand
 from fluxsim.config import config_from_dict
 from fluxsim.coupled import (
@@ -96,14 +96,16 @@ def test_one_cache_entry_per_sweep(tmp_path):
     assert diagnostics.eigensolve_count() == 0
 
 
-def _bogus_spectrum(cfg, version, out):
+def _bogus_spectrum(cfg, version, out, numerics=NUMERICS_TAG):
     """A cache entry under the current `spectrum` key holding energies of
-    100, 101, ... GHz, written as the given schema version."""
+    100, 101, ... GHz, written as the given schema version and numerics
+    tag."""
     key = {"op": "spectrum", "f": cfg.flux, "device": cfg.raw["device"]}
     value = [100.0 + k for k in range(cfg.dims.dim)]
     path = entry_path(out / ".cache", key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"schema_version": version, "key": key,
+    path.write_text(json.dumps({"schema_version": version,
+                                "numerics": numerics, "key": key,
                                 "value": value}), encoding="utf-8")
 
 
@@ -120,6 +122,21 @@ def test_cache_from_an_older_schema_is_recomputed(tmp_path):
     _bogus_spectrum(cfg, CACHE_SCHEMA_VERSION, out)
     assert main(["spectrum", "--config", str(cfg_path)]) == 0
     assert float(read_csv(out / "spectrum.csv")[0]["energy_ghz"]) == 100.0
+
+
+def test_cache_from_other_numerics_code_is_recomputed(tmp_path):
+    # an entry under the current schema version, written by numerics code
+    # whose source differs from this one's (a forgotten version bump)
+    cfg_path, out = write_config(tmp_path)
+    cfg = config_from_dict(base_config(out))
+    _bogus_spectrum(cfg, CACHE_SCHEMA_VERSION, out, numerics="0" * 64)
+    diagnostics.reset_eigensolve_count()
+    assert main(["spectrum", "--config", str(cfg_path)]) == 0
+    assert diagnostics.eigensolve_count() == 1
+    rows = read_csv(out / "spectrum.csv")
+    want = fluxonium_spectrum(PARAMS, FluxBias(cfg.flux)).eigenvalues
+    assert [float(r["energy_ghz"]) for r in rows] == \
+        [units.to_ghz(w) for w in want]
 
 
 def test_warm_spectrum_is_byte_identical_to_cold(tmp_path):

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fluxsim import coupled, units
+from fluxsim import coupled, diagnostics, qubit, units
 from fluxsim.coupled import (
     CHI_LABELS,
     DEFAULT_MODE,
@@ -32,7 +34,12 @@ from fluxsim.errors import (
     InvalidDimensionError,
     ResonanceRegionError,
 )
-from fluxsim.qubit import EnergyParams, FluxBias, fluxonium_spectrum
+from fluxsim.qubit import (
+    EnergyParams,
+    FluxBias,
+    fluxonium_hamiltonians,
+    fluxonium_spectrum,
+)
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
 RES = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
@@ -62,7 +69,7 @@ def _jc_label_energy(i, n, omega_q, omega_r, g):
 
 def test_two_level_ladder_matches_jaynes_cummings():
     omega_q = units.ghz(5.2)
-    dressed = two_level_eigensystem(omega_q, RES, CouplingMode.LADDER_RWA, n_res=8)
+    dressed = two_level_eigensystem(omega_q, RES, n_res=8)
     for i in range(2):
         for n in range(4):
             want = _jc_label_energy(i, n, omega_q, RES.omega_r, RES.g)
@@ -71,7 +78,7 @@ def test_two_level_ladder_matches_jaynes_cummings():
 
 def test_two_level_dispersive_shift_matches_analytic():
     omega_q = units.ghz(5.2)
-    dressed = two_level_eigensystem(omega_q, RES, CouplingMode.LADDER_RWA, n_res=8)
+    dressed = two_level_eigensystem(omega_q, RES, n_res=8)
     assert dressed.labels == tuple((i, n) for i in range(2) for n in range(8))
     chi = dressed.chi()[0]
     e = lambda i, n: _jc_label_energy(i, n, omega_q, RES.omega_r, RES.g)
@@ -291,7 +298,7 @@ def _reference_point(params, f, res, mode, dims=CoupledDims()):
     else:
         hc += res.g * (np.kron(op.conj().T, b) + np.kron(op, b.conj().T))
     dvals, dvecs = np.linalg.eigh(0.5 * (hc + hc.conj().T))
-    index, quality = assign_dressed_levels(dvals, dvecs, k, m)
+    index, quality = assign_dressed_levels(dvecs)
 
     def energy(i, n):
         return float(dvals[index[i * m + n]])
@@ -346,27 +353,27 @@ def test_single_point_equals_sweep_element_bit_for_bit():
                 == sweep.bare[p]).all()
 
 
-def _greedy_labels(vals, vecs, rows, kept, n_res):
-    index, quality = assign_dressed_levels(vals, vecs, kept, n_res)
+def _greedy_labels(vecs, rows):
+    index, quality = assign_dressed_levels(vecs)
     return index[rows].tolist(), quality[rows].tolist()
 
 
 def test_greedy_labels_are_arrays_over_bare_states():
     # bare state b lies wholly in dressed state perm[b]
     perm = np.array([2, 0, 3, 1])
-    index, quality = assign_dressed_levels(np.arange(4.0), np.eye(4)[perm], 2, 2)
+    index, quality = assign_dressed_levels(np.eye(4)[perm])
     assert index.tolist() == perm.tolist()
     assert quality.tolist() == [1.0] * 4
     # bare 1 and 2 split evenly over dressed 1 and 2: ties go in (bare,
     # dressed) order, and dressed 1, once taken, is not given to bare 2
     split = np.eye(4)
     split[1:3, 1:3] = [[math.sqrt(0.5)] * 2, [-math.sqrt(0.5), math.sqrt(0.5)]]
-    index, quality = assign_dressed_levels(np.arange(4.0), split, 2, 2)
+    index, quality = assign_dressed_levels(split)
     assert index.tolist() == [0, 1, 2, 3]
     assert quality[1:3] == pytest.approx([0.5, 0.5], rel=1e-15)
 
 
-def _label_checks(vecs, rows, kept, n_res, monkeypatch):
+def _label_checks(vecs, rows, monkeypatch):
     """coupled._label_levels against assign_dressed_levels at every point;
     returns how many points took the greedy fallback."""
     fallbacks = []
@@ -376,12 +383,10 @@ def _label_checks(vecs, rows, kept, n_res, monkeypatch):
         return assign_dressed_levels(*args)
 
     monkeypatch.setattr(coupled, "assign_dressed_levels", counted)
-    vals = np.sort(np.random.default_rng(3).normal(size=vecs.shape[:2]), axis=1)
-    index, quality = coupled._label_levels(vals, vecs, rows, kept, n_res)
+    index, quality = coupled._label_levels(vecs, rows)
     monkeypatch.undo()
     for p in range(len(vecs)):
-        want_index, want_quality = _greedy_labels(vals[p], vecs[p], rows,
-                                                  kept, n_res)
+        want_index, want_quality = _greedy_labels(vecs[p], rows)
         assert index[p].tolist() == want_index
         assert quality[p].tolist() == want_quality
     return len(fallbacks)
@@ -394,17 +399,99 @@ def test_argmax_labels_equal_greedy_assignment(monkeypatch):
     dim = kept * n_res
     # near the identity, every requested overlap is above 1/2
     near, _ = np.linalg.qr(np.eye(dim) + 0.05 * rng.normal(size=(40, dim, dim)))
-    assert _label_checks(near, rows, kept, n_res, monkeypatch) == 0
+    assert _label_checks(near, rows, monkeypatch) == 0
     # Haar-like random bases: most points need the greedy fallback
     haar, _ = np.linalg.qr(rng.normal(size=(40, dim, dim)))
-    assert _label_checks(haar, rows, kept, n_res, monkeypatch) > 0
+    assert _label_checks(haar, rows, monkeypatch) > 0
     # forged: bare state 1 splits evenly between dressed 1 and 2 (overlap
     # exactly 1/2), which no point of the chi windows reaches
     forged = np.tile(np.eye(dim), (3, 1, 1))
     c = math.sqrt(0.5)
     forged[:, 1:3, 1:3] = [[c, c], [-c, c]]
     forged[2, 1:3, 1:3] = [[c, -c], [c, c]]
-    assert _label_checks(forged, rows, kept, n_res, monkeypatch) == 3
+    assert _label_checks(forged, rows, monkeypatch) == 3
     # complex eigenvectors (charge coupling) take the same path
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(40, 1, dim)))
-    assert _label_checks(near * phases, rows, kept, n_res, monkeypatch) == 0
+    assert _label_checks(near * phases, rows, monkeypatch) == 0
+
+
+# ---------------------------------------------------------------------------
+# The parity fold: H(1 - f) = P H(f) P and H(f + 1) = H(f)
+
+def _unfolded_spectrum_sweep(params, f_values, dim=qubit.DEFAULT_DIM):
+    """The bare solve without the fold: H(f) itself at every point."""
+    vals, vecs = np.linalg.eigh(fluxonium_hamiltonians(params, f_values, dim))
+    return vals, qubit._fix_signs(vecs)
+
+
+def _unfolded_sweep(params, f_values, res, mode, dims, labels):
+    """sweep_dressed without the fold: every point solved directly, in
+    blocks of 32 in grid order."""
+    rows = np.array([i * dims.n_res + n for i, n in labels])
+    parts = []
+    for start in range(0, len(f_values), 32):
+        vals, vecs = _unfolded_spectrum_sweep(params, f_values[start:start + 32],
+                                              dims.dim)
+        bare = vals[:, :dims.kept]
+        op = coupled._coupling_operator(vecs, params, mode, dims.kept)
+        h = assemble_coupled(bare, op, res, mode, dims.n_res)
+        parts.append((bare, *coupled._dressed_levels(h, rows)))
+    return DressedSweep(labels, *(np.concatenate(p) for p in zip(*parts)))
+
+
+FOLD_LABELS = CHI_LABELS + ((2, 0), (3, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-2_000_000_000, 2_000_000_000),
+       mode=st.sampled_from(list(CouplingMode)))
+def test_fold_is_bit_identical_at_mirror_and_period_images(k, mode):
+    # f on the 1e-9 lattice of configured flux grids, in [-2, 2]
+    f = k / 1e9
+    images = [f, 1.0 - f, f + 1.0]
+    sweep = sweep_dressed(PARAMS, images, RES, mode, CoupledDims(), FOLD_LABELS)
+    points = [sweep_dressed(PARAMS, [x], RES, mode, CoupledDims(), FOLD_LABELS)
+              for x in images]
+    spectra = [fluxonium_spectrum(PARAMS, FluxBias(x)).eigenvalues.tobytes()
+               for x in images]
+    assert spectra[0] == spectra[1] == spectra[2]
+    for name in ("bare", "energy", "quality"):
+        got = [getattr(sweep, name)[p].tobytes() for p in range(3)]
+        got += [getattr(point, name)[0].tobytes() for point in points]
+        assert len(set(got)) == 1, name
+
+
+def test_symmetric_grid_solves_each_canonical_flux_once():
+    grid = 0.40 + 5e-4 * np.arange(401)  # symmetric about 1/2
+    diagnostics.reset_eigensolve_count()
+    sweep = sweep_dressed(PARAMS, grid, RES)
+    assert diagnostics.eigensolve_count() == 201 + 201
+    assert np.array_equal(sweep.energy[:201], sweep.energy[200:][::-1])
+
+
+def _max_abs_where_finite(got, want):
+    return np.max(np.abs(got - want), initial=0.0, where=~np.isnan(want))
+
+
+@pytest.mark.parametrize("mode", list(CouplingMode))
+@pytest.mark.parametrize("f_min, f_max, step", [
+    (0.40, 0.60, 5e-4), (0.41, 0.73, 1e-3), (0.40, 0.70, 1e-4)])
+def test_fold_within_stated_bounds_of_unfolded_sweep(mode, f_min, f_max, step):
+    grid = f_min + step * np.arange(int(round((f_max - f_min) / step)) + 1)
+    got = sweep_dressed(PARAMS, grid, RES, mode, CoupledDims(), FOLD_LABELS)
+    want = _unfolded_sweep(PARAMS, grid, RES, mode, CoupledDims(), FOLD_LABELS)
+    assert np.array_equal(np.isnan(got.chi()), np.isnan(want.chi()))
+    assert _max_abs_where_finite(got.chi(), want.chi()) <= units.mhz(1e-9)
+    assert np.max(np.abs(got.bare - want.bare)) <= units.ghz(1e-12)
+    for i, j in DEFAULT_TRANSITIONS:
+        d, ref = got.detuning(RES, i, j), want.detuning(RES, i, j)
+        assert np.array_equal(np.isnan(d), np.isnan(ref)), (i, j)
+        assert _max_abs_where_finite(d, ref) <= units.ghz(1e-12), (i, j)
+
+
+@pytest.mark.parametrize("mode", list(CouplingMode))
+def test_anticrossing_within_stated_bound_of_unfolded_solve(mode, monkeypatch):
+    folded = find_anticrossing(PARAMS, RES, mode)
+    monkeypatch.setattr(qubit, "spectrum_sweep", _unfolded_spectrum_sweep)
+    unfolded = find_anticrossing(PARAMS, RES, mode)
+    assert abs(folded.f_star - unfolded.f_star) <= 1e-11

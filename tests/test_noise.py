@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fluxsim import diagnostics, noise, units
+from fluxsim import diagnostics, noise, qubit, units
 from fluxsim.coupled import ResonatorParams
 from fluxsim.errors import DomainError
 from fluxsim.gates import (
@@ -26,7 +26,7 @@ from fluxsim.noise import (
     sample_flux_offsets,
     standard_normal_draw,
 )
-from fluxsim.qubit import EnergyParams, FluxBias
+from fluxsim.qubit import EnergyParams, FluxBias, fluxonium_hamiltonians
 from fluxsim.readout import ChiProfile, FluxRamp, ReadoutConfig, run_ramped_readout
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
@@ -272,3 +272,22 @@ def test_noisy_gate_error_axis_and_monotone_in_scale():
     # (the unoptimized pulse leaves a small floor, so only well-separated
     # scales are compared)
     assert large.mean[0] > 2.0 * small.mean[0]
+
+
+def _unfolded_spectrum_sweep(params, f_values, dim=qubit.DEFAULT_DIM):
+    """The bare solve without the parity fold: H(f) itself at every point."""
+    vals, vecs = np.linalg.eigh(fluxonium_hamiltonians(params, f_values, dim))
+    return vals, qubit._fix_signs(vecs)
+
+
+def test_gate_draws_within_stated_bound_of_unfolded_solve(monkeypatch):
+    # offsets about the sweet spot: the positive ones are solved at the
+    # mirrored canonical flux 1/2 - delta
+    space = build_gate_space(PARAMS, FluxBias(0.5), RES)
+    pulse = PulseParams(10.0, 1.557152, 4.7745, space.omega_01)
+    deltas = sample_flux_offsets(NoiseSpec(1e-2, 16, 0))
+    assert (deltas > 0).any() and (deltas < 0).any()
+    folded = [gate_draw(d, PARAMS, RES, pulse).error for d in deltas]
+    monkeypatch.setattr(qubit, "spectrum_sweep", _unfolded_spectrum_sweep)
+    unfolded = [gate_draw(d, PARAMS, RES, pulse).error for d in deltas]
+    assert np.max(np.abs(np.subtract(folded, unfolded))) <= 1e-10

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxsim import units
 from fluxsim.errors import IndexBoundError, InvalidDimensionError
@@ -13,9 +15,11 @@ from fluxsim.qubit import (
     FluxBias,
     anharmonicity,
     build_ho_operators,
+    canonical_flux,
     charge_matrix_element,
     fluxonium_hamiltonians,
     fluxonium_spectrum,
+    spectrum_sweep,
 )
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
@@ -98,3 +102,30 @@ def test_transition_ordering():
     assert spec.transition(1, 0) > 0
     assert spec.transition(2, 0) == pytest.approx(
         spec.transition(2, 1) + spec.transition(1, 0), abs=1e-12)
+
+
+def test_canonical_flux_folds_into_half_period():
+    f = np.array([0.0, 0.3, 0.5, 0.7, 1.0, 1.3, -0.3, -1.7, 0.5 + 1e-9])
+    g, mirrored = canonical_flux(f)
+    assert g.tolist() == [0.0, 0.3, 0.5, 0.3, 0.0, 0.3, 0.3, 0.3, 0.5 - 1e-9]
+    assert mirrored.tolist() == [False, False, False, True, False, False,
+                                 True, False, True]
+    # grid partners about 1/2 fold to the same double
+    grid = 0.40 + 1e-4 * np.arange(3001)
+    g, _ = canonical_flux(grid)
+    assert np.array_equal(g[:1001], g[1000:2001][::-1])
+    assert np.unique(g).size == 2001
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            canonical_flux([0.5, bad])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-2.0, 2.0))
+def test_mirrored_eigenvectors_solve_the_unfolded_hamiltonian(f):
+    # vectors at f come from the canonical flux, mapped back by the parity
+    # where f is mirrored: they must still be eigenvectors of H(f) itself
+    vals, vecs = spectrum_sweep(PARAMS, [f])
+    h = fluxonium_hamiltonians(PARAMS, [f])[0]
+    residual = h @ vecs[0] - vecs[0] * vals[0]
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(h).sum(axis=1))
