@@ -35,7 +35,8 @@ class BracketingError(FluxsimError):
 
 
 class DomainError(FluxsimError):
-    """An evaluation point lies outside a tabulated profile's domain."""
+    """An evaluation point or step lies outside the domain it is defined on:
+    a tabulated profile's range, the pulse window, a positive finite step."""
 
 
 class StepSizeError(FluxsimError):

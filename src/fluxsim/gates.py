@@ -143,10 +143,13 @@ _STEP_BLOCK = 128
 
 def _chain(mats):
     """Ordered product mats[-1] @ ... @ mats[0] of a (k, d, d) stack, by
-    pairwise products of stacked matrices."""
+    pairwise products of stacked matrices. An even level is one stacked
+    product; only an odd level is copied, to carry its last matrix up."""
     while len(mats) > 1:
-        odd = mats[-1:] if len(mats) % 2 else mats[:0]
-        mats = np.concatenate([mats[1::2] @ mats[0:-1:2], odd])
+        if len(mats) % 2:
+            mats = np.concatenate([mats[1::2] @ mats[0:-1:2], mats[-1:]])
+        else:
+            mats = mats[1::2] @ mats[0::2]
     return mats[0]
 
 
@@ -172,7 +175,15 @@ def propagate_gate(space: GateSpace, pulse: PulseParams,
     and powers of h. The phases between steps telescope,
     D(t_n)^dag D(t_{n-1}) = F = D(-h), and the final e^{-i H0 tau_g}
     absorbs D(t_{N-1}), so U = V [F B_{N-1} ... F B_0] V^dag.
+
+    The step matrices F B_n of up to _STEP_BLOCK steps come from one GEMM of
+    the drive coefficients against the nine F G_k; F itself is diagonal, so
+    it is added in place on the diagonals of that output. Each block is then
+    chained (see _chain) onto the propagator. dt must be finite and positive
+    (DomainError otherwise).
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"gate step dt must be finite and positive, got {dt}")
     n_steps = max(1, int(round(pulse.tau_g / dt)))
     dt = pulse.tau_g / n_steps
     t_half = np.linspace(0.0, pulse.tau_g, 2 * n_steps + 1)
@@ -192,7 +203,7 @@ def propagate_gate(space: GateSpace, pulse: PulseParams,
     gens = ((-1j) ** order[:, None, None] * full.conj()[None, :, None]
             * np.stack([a, m, f, ma, mm, fm, mma, fmm, fmm @ a]))
     gens = gens.reshape(9, -1).view(float)
-    free = np.diag(full.conj()).reshape(-1)
+    free = full.conj()
     h = dt
     u1, um, uf = u[0:-1:2], u[1::2], u[2::2]
     coef = np.column_stack([
@@ -203,7 +214,8 @@ def propagate_gate(space: GateSpace, pulse: PulseParams,
     ])
     w_prop = np.eye(dim, dtype=complex)
     for start in range(0, n_steps, _STEP_BLOCK):
-        steps = (coef[start:start + _STEP_BLOCK] @ gens).view(complex) + free
+        steps = (coef[start:start + _STEP_BLOCK] @ gens).view(complex)
+        steps[:, ::dim + 1] += free
         w_prop = _chain(steps.reshape(-1, dim, dim)) @ w_prop
     # w_prop = D(tau_g)^dag W for the interaction-picture propagator W, so
     # both have the same unitarity defect

@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxsim.coupled import CoupledDims, CouplingMode, ResonatorParams, sweep_dressed
 from fluxsim.errors import DomainError, StepSizeError
 from fluxsim.gates import (
+    DEFAULT_GATE_DT,
     UNITARITY_BUDGET,
     GateResult,
     PulseParams,
@@ -18,6 +21,7 @@ from fluxsim.gates import (
     envelope,
     evaluate_gate,
     gate_fidelity,
+    optimize_pulse,
     propagate_gate,
     rabi_area_estimate,
 )
@@ -163,6 +167,57 @@ def test_propagator_matches_stage_loop_reference(space):
             propagate(space, pulse, dt=0.05)
         defects.append(info.value.defect)
     assert defects[0] == pytest.approx(defects[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 127, 128, 129, 257])
+def test_propagator_matches_reference_at_block_edges(space, n_steps):
+    # a one-matrix block, odd chain levels and exact block boundaries
+    tau_g = n_steps * DEFAULT_GATE_DT
+    assert round(tau_g / DEFAULT_GATE_DT) == n_steps
+    # no DRAG term: its amplitude grows as 1 / tau_g
+    pulse = PulseParams(tau_g, 10.0, 0.0, space.omega_01)
+    u = propagate_gate(space, pulse)
+    assert np.max(np.abs(u - _reference_rk4(space, pulse, DEFAULT_GATE_DT))) <= 1e-11
+
+
+@settings(max_examples=25, deadline=None)
+@given(ratio=st.floats(0.0, 2.5), lam=st.floats(-6.0, 6.0),
+       tau_g=st.floats(0.2, 0.4),
+       dt=st.sampled_from([DEFAULT_GATE_DT, DEFAULT_GATE_DT / 4]))
+def test_propagator_is_unitary_or_raises_like_reference(space, ratio, lam,
+                                                        tau_g, dt):
+    # the stacked kernel never returns a propagator outside the unitarity
+    # budget, and agrees with the stage loop on whether it raises
+    pulse = PulseParams(tau_g, ratio * rabi_area_estimate(space, tau_g), lam,
+                        space.omega_01)
+    try:
+        u = propagate_gate(space, pulse, dt)
+    except StepSizeError as err:
+        with pytest.raises(StepSizeError) as ref:
+            _reference_rk4(space, pulse, dt)
+        assert err.defect == pytest.approx(ref.value.defect, rel=1e-9)
+        return
+    # the budget bounds the defect in the H0 eigenbasis, where the kernel
+    # checks it; the elementwise maximum is not basis-invariant
+    v = space.h0_evecs
+    w_prop = v.conj().T @ u @ v
+    dim = u.shape[0]
+    assert np.max(np.abs(w_prop.conj().T @ w_prop - np.eye(dim))) <= UNITARITY_BUDGET
+    assert np.max(np.abs(u - _reference_rk4(space, pulse, dt))) <= 1e-11
+    result = gate_fidelity(u, space, pulse)
+    assert 0.0 <= result.fidelity <= 1.0
+    assert 0.0 <= result.leakage <= 1.0
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+def test_non_finite_or_non_positive_dt_raises(space, dt):
+    pulse = PulseParams(3.0, rabi_area_estimate(space, 3.0), 0.0, space.omega_01)
+    with pytest.raises(DomainError, match="finite and positive"):
+        propagate_gate(space, pulse, dt=dt)
+    with pytest.raises(DomainError, match="finite and positive"):
+        evaluate_gate(space, pulse, dt=dt)
+    with pytest.raises(DomainError, match="finite and positive"):
+        optimize_pulse(space, 3.0, dt=dt, n_eps=3, n_lam=3)
 
 
 def test_fidelity_of_perfect_x(space):
