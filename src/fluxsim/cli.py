@@ -127,18 +127,16 @@ def cmd_spectrum(cfg: RunConfig, out_dir, cache_dir):
         energies = [units.to_ghz(w) for w in spec.eigenvalues]
         if cache_dir is not None:
             cache_put(cache_dir, key, energies)
-    rows = list(enumerate(energies))
-    path = write_csv(out_dir / "spectrum.csv", ["level", "energy_ghz"], rows)
+    path = write_csv(out_dir / "spectrum.csv", ["level", "energy_ghz"],
+                     [range(len(energies)), energies])
     return [(path, "spectrum")]
 
 
 def cmd_chi_curve(cfg: RunConfig, out_dir, cache_dir):
     grid, values = _chi_values(cfg, cache_dir)
-    status = [STATUS_OK if math.isfinite(v) else STATUS_RESONANT for v in values]
-    emitted = fill_and_clamp(values, cfg.chi_clamp)
-    rows = [(float(f), units.to_mhz(v), s)
-            for f, v, s in zip(grid, emitted, status)]
-    path = write_csv(out_dir / "chi_curve.csv", ["f", "chi_mhz", "status"], rows)
+    path = write_csv(out_dir / "chi_curve.csv", ["f", "chi_mhz", "status"], [
+        grid, units.to_mhz(fill_and_clamp(values, cfg.chi_clamp)),
+        np.where(np.isfinite(values), STATUS_OK, STATUS_RESONANT)])
     return [(path, "chi-curve")]
 
 
@@ -151,11 +149,12 @@ def cmd_landscape(cfg: RunConfig, out_dir, cache_dir):
     for kind, grid in _landscape_grids(cfg, e_j_axis, f_axis, cache_dir).items():
         unit = "MHz" if kind == "chi" else "GHz"
         conv = units.to_mhz if kind == "chi" else units.to_ghz
-        emitted, status = grid.emitted_values(), grid.status
-        rows = [(float(e_j), float(f), conv(emitted[a, b]), unit, status[a, b])
-                for a, e_j in enumerate(e_j_axis) for b, f in enumerate(f_axis)]
         path = write_csv(out_dir / f"landscape_{kind}.csv",
-                         ["e_j_ghz", "f", "value", "unit", "status"], rows)
+                         ["e_j_ghz", "f", "value", "unit", "status"],
+                         [np.repeat(e_j_axis, f_axis.size),
+                          np.tile(f_axis, e_j_axis.size),
+                          conv(grid.emitted_values()).ravel(), unit,
+                          grid.status.ravel()])
         files.append((path, f"landscape-{kind}"))
     return files
 
@@ -165,23 +164,11 @@ def cmd_anticrossing(cfg: RunConfig, out_dir, cache_dir):
     result = find_anticrossing(cfg.params, cfg.resonator, cfg.mode, cfg.dims,
                                transition=(ac["level_i"], ac["level_j"]),
                                window=(ac["window_lo"], ac["window_hi"]))
-    rows = [(result.f_star, units.to_mhz(result.gap),
-             units.to_mhz(result.g_ij), result.t_swap)]
     path = write_csv(out_dir / "anticrossing.csv",
-                     ["f_star", "gap_mhz", "g_ij_mhz", "t_swap_ns"], rows)
+                     ["f_star", "gap_mhz", "g_ij_mhz", "t_swap_ns"],
+                     [result.f_star, units.to_mhz(result.gap),
+                      units.to_mhz(result.g_ij), result.t_swap])
     return [(path, "anticrossing")]
-
-
-def _readout_rows(traj):
-    rows = []
-    for i, tau in enumerate(traj.times):
-        rows.append((float(tau), float(traj.snr[i]), float(traj.error[i]),
-                     float(traj.m_s_plus[i]), float(traj.m_s_minus[i]),
-                     float(traj.alpha_out_plus[i].real),
-                     float(traj.alpha_out_plus[i].imag),
-                     float(traj.alpha_out_minus[i].real),
-                     float(traj.alpha_out_minus[i].imag)))
-    return rows
 
 
 READOUT_HEADER = ["tau_ns", "snr", "error", "m_s_0", "m_s_1",
@@ -196,7 +183,10 @@ def cmd_readout(cfg: RunConfig, out_dir, cache_dir):
     files = []
     for name, traj in (("readout_pulsed.csv", pulsed),
                        ("readout_static.csv", static)):
-        path = write_csv(out_dir / name, READOUT_HEADER, _readout_rows(traj))
+        path = write_csv(out_dir / name, READOUT_HEADER, [
+            traj.times, traj.snr, traj.error, traj.m_s_plus, traj.m_s_minus,
+            traj.alpha_out_plus.real, traj.alpha_out_plus.imag,
+            traj.alpha_out_minus.real, traj.alpha_out_minus.imag])
         files.append((path, "readout"))
     return files
 
@@ -205,10 +195,9 @@ NOISE_HEADER = ["axis_value", "mean", "stderr", "n_effective", "n_excluded",
                 "scale", "seed"]
 
 
-def _noise_rows(curve):
-    return [(float(a), float(m), float(s), curve.n_effective,
-             curve.n_excluded, curve.scale, curve.seed)
-            for a, m, s in zip(curve.axis, curve.mean, curve.stderr)]
+def _noise_columns(curve):
+    return [curve.axis, curve.mean, curve.stderr, curve.n_effective,
+            curve.n_excluded, curve.scale, curve.seed]
 
 
 def cmd_noise_readout(cfg: RunConfig, out_dir, cache_dir):
@@ -217,7 +206,7 @@ def cmd_noise_readout(cfg: RunConfig, out_dir, cache_dir):
     files = []
     for name, curve in (("noise_readout_snr.csv", result.snr),
                         ("noise_readout_error.csv", result.error)):
-        path = write_csv(out_dir / name, NOISE_HEADER, _noise_rows(curve))
+        path = write_csv(out_dir / name, NOISE_HEADER, _noise_columns(curve))
         files.append((path, "noise-readout"))
     return files
 
@@ -233,13 +222,12 @@ def _optimized_pulses(cfg: RunConfig):
 
 
 def cmd_gates(cfg: RunConfig, out_dir, cache_dir):
-    rows = []
-    for pulse, result in _optimized_pulses(cfg):
-        rows.append((pulse.tau_g, pulse.eps_d, pulse.lam, result.fidelity,
-                     result.error, result.leakage))
+    rows = [(pulse.tau_g, pulse.eps_d, pulse.lam, result.fidelity,
+             result.error, result.leakage)
+            for pulse, result in _optimized_pulses(cfg)]
     path = write_csv(out_dir / "gates.csv",
                      ["tau_g_ns", "eps_d", "lambda", "fidelity", "error",
-                      "leakage"], rows)
+                      "leakage"], list(zip(*rows)))
     return [(path, "gates")]
 
 
@@ -249,7 +237,7 @@ def cmd_noise_gates(cfg: RunConfig, out_dir, cache_dir):
                              base_flux=cfg.flux, mode=cfg.mode,
                              dims=cfg.gate_dims, dt=cfg.gate_dt)
     path = write_csv(out_dir / "noise_gates.csv", NOISE_HEADER,
-                     _noise_rows(curve))
+                     _noise_columns(curve))
     return [(path, "noise-gates")]
 
 

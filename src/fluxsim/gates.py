@@ -265,8 +265,10 @@ def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
     """
     omega_d = space.omega_01
     eps_est = rabi_area_estimate(space, tau_g)
-    eps_grid = np.geomspace(eps_est / eps_span, eps_est * eps_span, n_eps)
-    lam_grid = np.linspace(lam_range[0], lam_range[1], n_lam)
+    # a one-point axis sits at its centre
+    eps_grid = (np.geomspace(eps_est / eps_span, eps_est * eps_span, n_eps)
+                if n_eps > 1 else [eps_est])
+    lam_grid = np.linspace(*lam_range, n_lam) if n_lam > 1 else [sum(lam_range) / 2]
 
     def gate_error(eps_d, lam):
         pulse = PulseParams(tau_g, float(eps_d), float(lam), omega_d)

@@ -19,27 +19,41 @@ from .cache import canonical_key_text
 
 
 def format_value(value) -> str:
-    """Shortest round-trip decimal for floats; str() for everything else.
-
-    Floats are first coerced to the builtin type so numpy scalars emit the
-    bare number rather than their own repr.
-    """
-    if isinstance(value, bool):
-        return str(value)
+    """Shortest round-trip decimal for floats, coerced to the builtin type
+    so numpy scalars emit the bare number; str() for everything else."""
     if isinstance(value, float):
         return repr(float(value))
-    if isinstance(value, int):
-        return str(int(value))
     return str(value)
 
 
-def write_csv(path, header, rows) -> Path:
-    """Write a CSV with deterministic formatting and a trailing newline."""
+def _is_scalar(column) -> bool:
+    return isinstance(column, str) or not hasattr(column, "__len__")
+
+
+def _column_text(column, n_rows):
+    """One column's cells: a float64 array through float.__repr__ on its
+    Python floats, another sequence through format_value per element, a
+    scalar formatted once and repeated."""
+    if _is_scalar(column):
+        return [format_value(column)] * n_rows
+    if getattr(column, "dtype", None) == float:
+        return map(float.__repr__, column.tolist())
+    return map(format_value, column)
+
+
+def write_csv(path, header, columns) -> Path:
+    """Write a CSV column by column, with deterministic formatting and a
+    trailing newline. A column is a sequence or a scalar repeated on every
+    row; sequences share one length, and scalars alone make one row."""
+    lengths = {len(c) for c in columns if not _is_scalar(c)}
+    if len(lengths) > 1 or len(columns) != len(header):
+        raise ValueError(f"ragged table: {len(header)} header names, "
+                         f"column lengths {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 1
+    text = [_column_text(c, n_rows) for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*text))]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
     tmp = path.with_suffix(f".tmp.{os.getpid()}")
     tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
     os.replace(tmp, path)

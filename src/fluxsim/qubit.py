@@ -60,18 +60,13 @@ class FluxBias:
             raise ValueError(f"flux must be finite, got {self.f}")
 
 
-@dataclass(frozen=True)
-class HoBasis:
-    """Harmonic-oscillator basis truncation and zero-point scale."""
-
-    dim: int
-    phi0: float
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise InvalidDimensionError(f"HO basis needs dim >= 2, got {self.dim}")
-        if not self.phi0 > 0.0:
-            raise ValueError(f"phi0 must be positive, got {self.phi0}")
+def check_ho_basis(dim, phi0):
+    """Reject an oscillator basis of fewer than 2 levels or a zero-point
+    phase scale that is not positive."""
+    if dim < 2:
+        raise InvalidDimensionError(f"HO basis needs dim >= 2, got {dim}")
+    if not phi0 > 0.0:
+        raise ValueError(f"phi0 must be positive, got {phi0}")
 
 
 DEFAULT_DIM = 40
@@ -91,11 +86,11 @@ def build_ho_operators(dim, phi0):
     """Dense (annihilation, creation, charge, flux) matrices on a dim-level
     oscillator with zero-point phase scale phi0. The charge operator is
     imaginary; the other three are real."""
-    basis = HoBasis(dim, phi0)  # validates
+    check_ho_basis(dim, phi0)
     a = lowering_operator(dim)
     adag = a.T
-    n_op = (-1j / (math.sqrt(2.0) * basis.phi0)) * (a - adag)
-    phi_op = (basis.phi0 / math.sqrt(2.0)) * (a + adag)
+    n_op = (-1j / (math.sqrt(2.0) * phi0)) * (a - adag)
+    phi_op = (phi0 / math.sqrt(2.0)) * (a + adag)
     return a, adag, n_op, phi_op
 
 
@@ -126,7 +121,7 @@ def fluxonium_hamiltonians(params: EnergyParams, f_values, dim=DEFAULT_DIM):
     - E_J cos(phi - phi_ext) at each reduced flux, real and exactly
     symmetric. Flux enters only through
     cos(phi - phi_ext) = cos(phi_ext) C + sin(phi_ext) S."""
-    HoBasis(dim, params.phi0)  # validates
+    check_ho_basis(dim, params.phi0)
     h0, c_op, s_op = _flux_affine_parts(params.e_c, params.e_l, dim)
     f = np.asarray(f_values, dtype=float).reshape(-1)
     if not np.all(np.isfinite(f)):

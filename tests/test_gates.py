@@ -2,12 +2,14 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxsim import gates
 from fluxsim.coupled import CoupledDims, CouplingMode, ResonatorParams, sweep_dressed
 from fluxsim.errors import DomainError, StepSizeError
 from fluxsim.gates import (
@@ -263,6 +265,48 @@ def test_rabi_area_estimate_formula(space):
     for tau in (10.0, 20.0, 30.0):
         assert rabi_area_estimate(space, tau) == pytest.approx(
             math.pi / (space.n01 * tau), rel=1e-14)
+
+
+def _no_refinement(monkeypatch):
+    """Stand-in for Nelder-Mead that returns its seed point unrefined."""
+    monkeypatch.setattr(gates, "minimize", lambda fun, x0, **kwargs:
+                        SimpleNamespace(fun=fun(x0), x=np.asarray(x0)))
+
+
+def test_one_point_grid_seeds_at_the_estimate(space, monkeypatch):
+    calls = []
+
+    def recording_evaluate(space_, pulse, dt):
+        calls.append(pulse)
+        return evaluate_gate(space_, pulse, dt)
+
+    monkeypatch.setattr(gates, "evaluate_gate", recording_evaluate)
+    _no_refinement(monkeypatch)
+    optimize_pulse(space, 3.0, n_eps=1, n_lam=1)
+    est = rabi_area_estimate(space, 3.0)
+    assert (calls[0].eps_d, calls[0].lam) == (est, 0.0)
+    # a seed at the low ends of both axes is far worse
+    low_end = PulseParams(3.0, est / 2.5, -2.0, space.omega_01)
+    assert (evaluate_gate(space, calls[0], DEFAULT_GATE_DT).error
+            < evaluate_gate(space, low_end, DEFAULT_GATE_DT).error)
+
+
+@pytest.mark.parametrize("n_eps, n_lam", [(3, 3), (25, 17), (1, 3), (3, 1)])
+def test_pulse_grid_points(space, monkeypatch, n_eps, n_lam):
+    calls = []
+
+    def fake_evaluate(space_, pulse, dt):
+        calls.append((pulse.eps_d, pulse.lam))
+        return SimpleNamespace(error=(pulse.eps_d - 1.0) ** 2 + pulse.lam ** 2)
+
+    monkeypatch.setattr(gates, "evaluate_gate", fake_evaluate)
+    _no_refinement(monkeypatch)
+    optimize_pulse(space, 3.0, n_eps=n_eps, n_lam=n_lam)
+    est = rabi_area_estimate(space, 3.0)
+    eps = np.geomspace(est / 2.5, est * 2.5, n_eps) if n_eps > 1 else [est]
+    lam = np.linspace(-2.0, 2.0, n_lam) if n_lam > 1 else [0.0]
+    assert calls[:n_eps * n_lam] == [(float(e), float(x))
+                                     for e in eps for x in lam]
 
 
 def test_gate_space_structure(space):

@@ -1,8 +1,12 @@
 """Tests for CSV formatting and manifest emission."""
 
 import json
+import math
 
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fluxsim.config import config_from_dict
 from fluxsim.output import (
@@ -31,13 +35,98 @@ def test_format_value_coerces_numpy_scalars():
 
 
 def test_write_csv_deterministic(tmp_path):
-    rows = [(0.1, "ok"), (2.0, "resonant")]
-    p1 = write_csv(tmp_path / "a.csv", ["x", "status"], rows)
-    p2 = write_csv(tmp_path / "b.csv", ["x", "status"], rows)
+    columns = [[0.1, 2.0], ["ok", "resonant"]]
+    p1 = write_csv(tmp_path / "a.csv", ["x", "status"], columns)
+    p2 = write_csv(tmp_path / "b.csv", ["x", "status"], columns)
     b1, b2 = p1.read_bytes(), p2.read_bytes()
     assert b1 == b2
     assert b1.endswith(b"\n")
     assert b1.decode().splitlines()[0] == "x,status"
+
+
+def _old_format_value(value):
+    """format_value as the row-at-a-time writer had it."""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, int):
+        return str(int(value))
+    return str(value)
+
+
+def _row_formatter_bytes(header, columns):
+    """The CSV the row-at-a-time writer produced: every cell of a row
+    through the old format_value, scalars repeated on every row."""
+    n = max((len(c) for c in columns if not isinstance(c, (str, int, float))),
+            default=1)
+    cells = [c if not isinstance(c, (str, int, float)) else [c] * n
+             for c in columns]
+    lines = [",".join(header)]
+    for row in zip(*cells):
+        lines.append(",".join(_old_format_value(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+               2.225073858507201e-308, 1e300, -1e300, 1e-300, -1e-300]
+FLOATS = st.floats(width=64) | st.sampled_from(EDGE_FLOATS)
+TEXT = st.text(alphabet="abcxyz_ 0123456789.-", max_size=8)
+
+
+def _columns(n):
+    """One column of each kind, n rows: float64 array, float list, int
+    array and list, bool array, str array and list, and scalars."""
+    return st.one_of(
+        st.lists(FLOATS, min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=float)),
+        st.lists(FLOATS, min_size=n, max_size=n),
+        st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.integers(), min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+        st.lists(TEXT, min_size=n, max_size=n).map(np.array),
+        st.lists(TEXT, min_size=n, max_size=n),
+        FLOATS, st.integers(), st.booleans(), TEXT)
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 12))
+    columns = draw(st.lists(_columns(n), min_size=1, max_size=6))
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tables())
+def test_write_csv_matches_row_formatter(tmp_path, table):
+    header, columns = table
+    path = write_csv(tmp_path / "t.csv", header, columns)
+    assert path.read_bytes() == _row_formatter_bytes(header, columns)
+
+
+def test_write_csv_empty_table_is_header_only(tmp_path):
+    path = write_csv(tmp_path / "e.csv", ["x", "status"],
+                     [np.array([], dtype=float), []])
+    assert path.read_bytes() == b"x,status\n"
+
+
+def test_write_csv_scalar_column_repeats(tmp_path):
+    path = write_csv(tmp_path / "s.csv", ["x", "seed"],
+                     [np.array([0.5, -0.0]), 7])
+    assert path.read_text() == "x,seed\n0.5,7\n-0.0,7\n"
+    one = write_csv(tmp_path / "one.csv", ["a", "b"], [0.25, "ok"])
+    assert one.read_text() == "a,b\n0.25,ok\n"
+
+
+def test_write_csv_rejects_ragged_tables(tmp_path):
+    with pytest.raises(ValueError, match=r"column lengths \[2, 3\]"):
+        write_csv(tmp_path / "r.csv", ["x", "y"],
+                  [np.array([1.0, 2.0]), [1, 2, 3]])
+    with pytest.raises(ValueError, match="1 header names"):
+        write_csv(tmp_path / "r.csv", ["x"], [[1.0], [2.0]])
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_config_hash_stable_under_key_order():
@@ -50,7 +139,7 @@ def test_config_hash_stable_under_key_order():
 
 def test_manifest_lists_files_with_hashes(tmp_path):
     cfg = config_from_dict({**MINIMAL, "out_dir": str(tmp_path)})
-    f1 = write_csv(tmp_path / "one.csv", ["x"], [(1.0,)])
+    f1 = write_csv(tmp_path / "one.csv", ["x"], [[1.0]])
     mpath = write_manifest(tmp_path, [(f1, "one")], cfg, seed=1234)
     manifest = json.loads(mpath.read_text())
     assert manifest["seed"] == 1234
@@ -64,9 +153,9 @@ def test_manifest_lists_files_with_hashes(tmp_path):
 
 def test_manifest_merges_across_subcommands(tmp_path):
     cfg = config_from_dict({**MINIMAL, "out_dir": str(tmp_path)})
-    f1 = write_csv(tmp_path / "one.csv", ["x"], [(1.0,)])
+    f1 = write_csv(tmp_path / "one.csv", ["x"], [[1.0]])
     write_manifest(tmp_path, [(f1, "one")], cfg, seed=1)
-    f2 = write_csv(tmp_path / "two.csv", ["x"], [(2.0,)])
+    f2 = write_csv(tmp_path / "two.csv", ["x"], [[2.0]])
     mpath = write_manifest(tmp_path, [(f2, "two")], cfg, seed=1)
     names = [r["name"] for r in json.loads(mpath.read_text())["files"]]
     assert names == ["one.csv", "two.csv"]
@@ -74,10 +163,10 @@ def test_manifest_merges_across_subcommands(tmp_path):
 
 def test_manifest_reset_when_config_changes(tmp_path):
     cfg1 = config_from_dict({**MINIMAL, "out_dir": str(tmp_path)})
-    f1 = write_csv(tmp_path / "one.csv", ["x"], [(1.0,)])
+    f1 = write_csv(tmp_path / "one.csv", ["x"], [[1.0]])
     write_manifest(tmp_path, [(f1, "one")], cfg1, seed=1)
     cfg2 = config_from_dict({**MINIMAL, "out_dir": str(tmp_path), "flux": 0.6})
-    f2 = write_csv(tmp_path / "two.csv", ["x"], [(2.0,)])
+    f2 = write_csv(tmp_path / "two.csv", ["x"], [[2.0]])
     mpath = write_manifest(tmp_path, [(f2, "two")], cfg2, seed=1)
     names = [r["name"] for r in json.loads(mpath.read_text())["files"]]
     assert names == ["two.csv"]  # stale listing from the old config dropped
