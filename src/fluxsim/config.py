@@ -50,6 +50,11 @@ GATE_DEFAULTS = {
     "dt_ns": 1e-3,
 }
 
+# propagate_gate allocates its drive samples for every RK4 step up front:
+# at most 100 times the defaults' step count (30 000 at 30 ns)
+MAX_GATE_STEPS = 100 * round(max(GATE_DEFAULTS["tau_g_ns_list"])
+                             / GATE_DEFAULTS["dt_ns"])
+
 NOISE_DEFAULTS = {
     "scale": 1e-2,
     "n_draws": 50,
@@ -222,6 +227,12 @@ def config_from_dict(raw: dict) -> RunConfig:
     _check_number("gate.levels_fluxonium", gate["levels_fluxonium"], lo=2, integer=True)
     _check_number("gate.levels_resonator", gate["levels_resonator"], lo=2, integer=True)
     _check_number("gate.dt_ns", gate["dt_ns"], lo=1e-12)
+    n_steps = max(taus) / gate["dt_ns"]
+    if n_steps > MAX_GATE_STEPS:
+        raise ConfigError(
+            CATEGORY_INVARIANT,
+            f"'gate.dt_ns' = {gate['dt_ns']} gives {n_steps:.3g} RK4 steps at "
+            f"tau_g = {max(taus)} ns; at most {MAX_GATE_STEPS} are allowed")
 
     _check_number("noise.scale", noise["scale"], lo=0.0)
     _check_number("noise.n_draws", noise["n_draws"], lo=1, integer=True)

@@ -3,7 +3,9 @@
 Sinusoidal in-phase envelope with a derivative out-of-phase correction,
 charge-operator drive, interaction-picture RK4 propagation, leakage-aware
 average gate fidelity with a single virtual-Z phase removed, and
-(eps_d, lambda) pulse optimization at fixed drive frequency.
+(eps_d, lambda) pulse optimization at fixed drive frequency: the best point
+of a 3 x 3 seed grid, refined by quadratic models on a shrinking stencil
+(quadratic_refinement).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .coupled import (
     DEFAULT_MODE,
@@ -257,11 +259,79 @@ def rabi_area_estimate(space: GateSpace, tau_g):
     return math.pi / (space.n01 * tau_g)
 
 
+# the refinement stencil: +-r along each axis and one diagonal
+_STENCIL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                     [1.0, 1.0]])
+# a bound on the refinement's iterations; a pulse needs about ten
+_MAX_REFINE_ITER = 100
+
+
+def quadratic_refinement(fun, x0, args=(), *, scale, xatol, **_):
+    """Minimise a smooth function of two variables from x0 by quadratic
+    models on a shrinking stencil (in the spirit of Powell's NEWUOA); a
+    callable `method` for scipy.optimize.minimize, returning an
+    OptimizeResult.
+
+    In units of `scale`, each iteration evaluates fun at the current best
+    point c and at c + r (+-e1, +-e2, e1 + e2). Those six values fix the
+    gradient and Hessian of a quadratic model exactly. The model's Newton
+    step, or the steepest-descent (Cauchy) step when the Hessian is not
+    positive definite, is clipped to length 4r and evaluated too, and the
+    best of the stencil and that point becomes c. The radius then shrinks
+    to the length of the accepted step, but never below r/8: a flat
+    objective (zero gradient) or an iteration that finds nothing better
+    divides r by 8. It stops once every component of r * scale is below
+    xatol, or after _MAX_REFINE_ITER iterations.
+    """
+    scale = np.asarray(scale, dtype=float)
+    best_x = np.asarray(x0, dtype=float)
+    best_f = fun(best_x, *args)
+    nfev, nit, r = 1, 0, 1.0
+    while nit < _MAX_REFINE_ITER and not np.all(r * scale < xatol):
+        nit += 1
+        offsets = r * _STENCIL
+        f = [fun(best_x + d * scale, *args) for d in offsets]
+        grad = np.array([f[0] - f[1], f[2] - f[3]]) / (2.0 * r)
+        cross = f[4] - f[0] - f[2] + best_f
+        hess = np.array([[f[0] + f[1] - 2.0 * best_f, cross],
+                         [cross, f[2] + f[3] - 2.0 * best_f]]) / r ** 2
+        if hess[0, 0] > 0 and np.linalg.det(hess) > 0:
+            step = -np.linalg.solve(hess, grad)
+        elif grad.any():
+            curv = grad @ hess @ grad
+            step = -grad * (grad @ grad / curv if curv > 0
+                            else 4.0 * r / np.linalg.norm(grad))
+        else:
+            step = np.zeros(2)
+        length = np.linalg.norm(step)
+        if length > 0:
+            step *= min(1.0, 4.0 * r / length)
+            offsets = np.vstack([offsets, step])
+            f.append(fun(best_x + step * scale, *args))
+        nfev += len(f)
+        i = int(np.argmin(f))
+        moved = 0.0
+        if f[i] < best_f:
+            best_x, best_f = best_x + offsets[i] * scale, float(f[i])
+            moved = np.linalg.norm(offsets[i])
+        r = min(r, max(moved, r / 8.0))
+    return OptimizeResult(x=best_x, fun=best_f, nfev=nfev, nit=nit,
+                          success=bool(np.all(r * scale < xatol)))
+
+
 def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
-                   n_eps=25, n_lam=17, eps_span=2.5, lam_range=(-2.0, 2.0),
+                   n_eps=3, n_lam=3, eps_span=2.5, lam_range=(-2.0, 2.0),
                    xatol=1e-6):
-    """Coarse (eps_d, lambda) grid around the Rabi-area estimate followed by
-    Nelder-Mead refinement. Deterministic; returns (PulseParams, GateResult).
+    """Optimise the DRAG pulse's (eps_d, lambda) at gate time tau_g.
+
+    The best point of an n_eps x n_lam seed grid (3 x 3 by default;
+    geometric in eps_d over a factor eps_span around the Rabi-area
+    estimate, linear in lambda over lam_range) seeds quadratic_refinement,
+    whose stencil axes are 1 % of the seed's eps_d and 0.5 in lambda and
+    which stops once the stencil is below xatol * max(1, eps_d) on both
+    axes. Deterministic; returns (PulseParams, GateResult), the result
+    evaluated again at dt. Raises OptimizerConsistencyError if the refined
+    error is worse than the best seed's.
     """
     omega_d = space.omega_01
     eps_est = rabi_area_estimate(space, tau_g)
@@ -288,9 +358,9 @@ def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
             return 1.0
         return gate_error(eps_d, lam)
 
-    sol = minimize(objective, x0=[eps0, lam0], method="Nelder-Mead",
-                   options={"xatol": xatol * max(1.0, eps0), "fatol": 1e-12,
-                            "maxiter": 400})
+    sol = minimize(objective, x0=[eps0, lam0], method=quadratic_refinement,
+                   options={"scale": (0.01 * eps0, 0.5),
+                            "xatol": xatol * max(1.0, eps0)})
     if sol.fun > grid_err + 1e-15:
         raise OptimizerConsistencyError(
             f"refined error {sol.fun:.3e} worse than grid error {grid_err:.3e}"

@@ -253,6 +253,28 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert "bogus" in err["error"]["message"]
 
 
+def test_gate_step_count_over_the_cap_exits_before_any_work(tmp_path, capsys,
+                                                           monkeypatch):
+    import fluxsim.cli as cli
+
+    def no_gate_work(*args, **kwargs):
+        raise AssertionError("gate work started on a rejected config")
+
+    # a regression must fail here, not allocate 3e8 steps of drive samples
+    monkeypatch.setattr(cli, "build_gate_space", no_gate_work)
+    monkeypatch.setattr(cli, "optimize_pulse", no_gate_work)
+    raw = base_config(tmp_path / "out")
+    raw["gate"] = {"dt_ns": 1e-7}
+    cfg_path, out = write_config(tmp_path, raw)
+    for sub in ("gates", "noise-gates"):
+        assert main([sub, "--config", str(cfg_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["category"] == "config"
+        assert "gate.dt_ns" in record["error"]["message"]
+    assert not (out / "gates.csv").exists()
+    assert not (out / "noise_gates.csv").exists()
+
+
 def test_exit_code_numerical_error(tmp_path, capsys):
     raw = base_config(tmp_path / "out")
     # chi profile window too narrow for the readout ramp

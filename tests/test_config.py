@@ -9,6 +9,7 @@ from fluxsim.config import (
     CATEGORY_MALFORMED_JSON,
     CATEGORY_MISSING_FILE,
     CATEGORY_UNKNOWN_KEY,
+    MAX_GATE_STEPS,
     config_from_dict,
     parse_config,
 )
@@ -81,6 +82,8 @@ def test_invariant_violations_name_the_key():
         ({**MINIMAL, "readout": {"dt_ns": 0}}, "readout.dt_ns"),
         ({**MINIMAL, "gate": {"tau_g_ns_list": []}}, "tau_g_ns_list"),
         ({**MINIMAL, "noise": {"n_draws": 0}}, "noise.n_draws"),
+        # 3e8 RK4 steps at the default 30 ns: over 26 GB of drive samples
+        ({**MINIMAL, "gate": {"dt_ns": 1e-7}}, "gate.dt_ns"),
         ({**MINIMAL, "noise": {"seed": -1}}, "noise.seed"),
         ({**MINIMAL, "device": {**MINIMAL["device"], "dim": 1}}, "device.dim"),
         ({**MINIMAL, "sweep": {"f_min": 0.6, "f_max": 0.5}}, "sweep.f_max"),
@@ -107,6 +110,21 @@ def test_invariant_violations_name_the_key():
             config_from_dict(raw)
         assert exc.value.category == CATEGORY_INVARIANT
         assert key in str(exc.value)
+
+
+def test_gate_step_count_is_capped_at_the_longest_gate():
+    # the cap is 100 times the defaults' 30 000 steps at 30 ns
+    assert MAX_GATE_STEPS == 3_000_000
+    cfg = config_from_dict({**MINIMAL, "gate": {"dt_ns": 1e-5}})
+    assert cfg.gate_dt == 1e-5
+    config_from_dict({**MINIMAL, "gate": {"tau_g_ns_list": [3.0, 3000.0]}})
+    for gate in ({"tau_g_ns_list": [3.0, 3001.0]},
+                 {"dt_ns": 9.99e-6},
+                 {"tau_g_ns_list": [1e300], "dt_ns": 1e-12}):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({**MINIMAL, "gate": gate})
+        assert exc.value.category == CATEGORY_INVARIANT
+        assert "gate.dt_ns" in str(exc.value)
 
 
 def test_degenerate_landscape_axis_with_one_point_is_accepted():

@@ -27,6 +27,7 @@ from fluxsim.gates import (
     propagate_gate,
     rabi_area_estimate,
 )
+from fluxsim.noise import NoiseSpec, noisy_gate_error
 from fluxsim.qubit import EnergyParams, FluxBias
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
@@ -268,12 +269,28 @@ def test_rabi_area_estimate_formula(space):
 
 
 def _no_refinement(monkeypatch):
-    """Stand-in for Nelder-Mead that returns its seed point unrefined."""
+    """Stand-in for the quadratic refinement that returns its seed point
+    unrefined."""
     monkeypatch.setattr(gates, "minimize", lambda fun, x0, **kwargs:
                         SimpleNamespace(fun=fun(x0), x=np.asarray(x0)))
 
 
-def test_one_point_grid_seeds_at_the_estimate(space, monkeypatch):
+def _fake_gate(monkeypatch, error_of):
+    """Replace evaluate_gate by an analytic error of (eps_d, lambda); returns
+    the list of points evaluated."""
+    calls = []
+
+    def fake_evaluate(space_, pulse, dt):
+        calls.append((pulse.eps_d, pulse.lam))
+        return SimpleNamespace(error=error_of(pulse.eps_d, pulse.lam))
+
+    monkeypatch.setattr(gates, "evaluate_gate", fake_evaluate)
+    return calls
+
+
+def _recording_gate(monkeypatch):
+    """Record every pulse passed to the real evaluate_gate; returns the
+    list."""
     calls = []
 
     def recording_evaluate(space_, pulse, dt):
@@ -281,6 +298,11 @@ def test_one_point_grid_seeds_at_the_estimate(space, monkeypatch):
         return evaluate_gate(space_, pulse, dt)
 
     monkeypatch.setattr(gates, "evaluate_gate", recording_evaluate)
+    return calls
+
+
+def test_one_point_grid_seeds_at_the_estimate(space, monkeypatch):
+    calls = _recording_gate(monkeypatch)
     _no_refinement(monkeypatch)
     optimize_pulse(space, 3.0, n_eps=1, n_lam=1)
     est = rabi_area_estimate(space, 3.0)
@@ -293,13 +315,8 @@ def test_one_point_grid_seeds_at_the_estimate(space, monkeypatch):
 
 @pytest.mark.parametrize("n_eps, n_lam", [(3, 3), (25, 17), (1, 3), (3, 1)])
 def test_pulse_grid_points(space, monkeypatch, n_eps, n_lam):
-    calls = []
-
-    def fake_evaluate(space_, pulse, dt):
-        calls.append((pulse.eps_d, pulse.lam))
-        return SimpleNamespace(error=(pulse.eps_d - 1.0) ** 2 + pulse.lam ** 2)
-
-    monkeypatch.setattr(gates, "evaluate_gate", fake_evaluate)
+    calls = _fake_gate(monkeypatch,
+                       lambda eps_d, lam: (eps_d - 1.0) ** 2 + lam ** 2)
     _no_refinement(monkeypatch)
     optimize_pulse(space, 3.0, n_eps=n_eps, n_lam=n_lam)
     est = rabi_area_estimate(space, 3.0)
@@ -307,6 +324,92 @@ def test_pulse_grid_points(space, monkeypatch, n_eps, n_lam):
     lam = np.linspace(-2.0, 2.0, n_lam) if n_lam > 1 else [0.0]
     assert calls[:n_eps * n_lam] == [(float(e), float(x))
                                      for e in eps for x in lam]
+
+
+def test_refinement_lands_on_the_minimum_of_a_quadratic(space, monkeypatch):
+    # the minimum lies outside the seed grid's lambda range, as the DRAG
+    # optimum does, and the axes are coupled
+    est = rabi_area_estimate(space, 3.0)
+    eps_min, lam_min = 1.03 * est, 4.7
+
+    def error(eps_d, lam):
+        de, dl = (eps_d - eps_min) / est, lam - lam_min
+        return 1e-6 + 50.0 * de ** 2 + 0.3 * de * dl + 2e-3 * dl ** 2
+
+    calls = _fake_gate(monkeypatch, error)
+    pulse, _ = optimize_pulse(space, 3.0)
+    tol = 1e-6 * max(1.0, est)
+    assert abs(pulse.eps_d - eps_min) <= tol
+    assert abs(pulse.lam - lam_min) <= tol
+    # Newton steps on an exact model: a stencil-only search needs far more
+    assert len(calls) <= 60
+
+
+def test_refinement_of_a_flat_objective_returns_the_seed(space, monkeypatch):
+    # a clamped gate error reads 0.0 around a long gate's optimum: a zero
+    # gradient and Hessian must shrink the stencil, not divide by zero
+    calls = _fake_gate(monkeypatch, lambda eps_d, lam: 0.0)
+    with np.errstate(all="raise"):
+        pulse, result = optimize_pulse(space, 3.0)
+    # every seed ties, so the first grid point is the seed
+    assert (pulse.eps_d, pulse.lam) == calls[0]
+    assert result.error == 0.0
+    assert np.all(np.isfinite(calls))
+
+
+def test_refinement_on_a_singular_hessian_stays_finite():
+    # f = (x - y)^2 has a singular Hessian everywhere: steepest descent
+    with np.errstate(all="raise"):
+        sol = gates.minimize(lambda x: (x[0] - x[1]) ** 2, [1.0, 0.0],
+                             method=gates.quadratic_refinement,
+                             options={"scale": (0.1, 0.1), "xatol": 1e-8})
+    assert np.all(np.isfinite(sol.x))
+    assert sol.fun < 1e-12
+    assert sol.success
+
+
+def test_pulse_optimisation_evaluation_count(space, monkeypatch):
+    calls = _recording_gate(monkeypatch)
+    optimize_pulse(space, 3.0, n_eps=3, n_lam=3)
+    # 9 seeds, the refinement, and the final evaluation; Nelder-Mead
+    # needed 120 in all
+    assert len(calls) <= 60
+
+
+def _nelder_mead_optimum(space, tau_g):
+    """The pulse optimiser as it was before the quadratic refinement: the
+    3 x 3 seed grid, then scipy's Nelder-Mead with its former options."""
+    est = rabi_area_estimate(space, tau_g)
+
+    def error(x):
+        if x[0] <= 0:
+            return 1.0
+        pulse = PulseParams(tau_g, float(x[0]), float(x[1]), space.omega_01)
+        return evaluate_gate(space, pulse).error
+
+    seeds = [(error((e, x)), float(e), float(x))
+             for e in np.geomspace(est / 2.5, est * 2.5, 3)
+             for x in np.linspace(-2.0, 2.0, 3)]
+    _, eps0, lam0 = min(seeds, key=lambda seed: seed[0])
+    return gates.minimize(error, x0=[eps0, lam0], method="Nelder-Mead",
+                          options={"xatol": 1e-6 * max(1.0, eps0),
+                                   "fatol": 1e-12, "maxiter": 400})
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("tau_g", [3.0, 10.0])
+def test_refinement_agrees_with_nelder_mead(space, tau_g):
+    pulse, result = optimize_pulse(space, tau_g)
+    ref = _nelder_mead_optimum(space, tau_g)
+    assert result.error <= ref.fun + 1e-12
+    assert abs(pulse.eps_d - ref.x[0]) <= 1e-5 * ref.x[0]
+    assert abs(pulse.lam - ref.x[1]) <= 1e-3
+    # the noisy gate errors that noise-gates reports from these pulses
+    ref_pulse = PulseParams(tau_g, *map(float, ref.x), space.omega_01)
+    spec = NoiseSpec(1e-2, 4, 1234)
+    draws = [noisy_gate_error(PARAMS, RES, [p], spec).draws[:, 0]
+             for p in (pulse, ref_pulse)]
+    assert np.max(np.abs(draws[0] - draws[1])) <= 1e-6
 
 
 def test_gate_space_structure(space):
