@@ -50,11 +50,6 @@ GATE_DEFAULTS = {
     "dt_ns": 1e-3,
 }
 
-# propagate_gate allocates its drive samples for every RK4 step up front:
-# at most 100 times the defaults' step count (30 000 at 30 ns)
-MAX_GATE_STEPS = 100 * round(max(GATE_DEFAULTS["tau_g_ns_list"])
-                             / GATE_DEFAULTS["dt_ns"])
-
 NOISE_DEFAULTS = {
     "scale": 1e-2,
     "n_draws": 50,
@@ -75,6 +70,23 @@ CHI_CURVE_DEFAULTS = {
     "f_max": 0.70,
     "step": 1e-4,
 }
+
+# Work caps, checked before any work starts: each is 100 times what the
+# defaults ask for.
+# propagate_gate allocates its drive samples for every RK4 step up front
+# (30 000 steps at 30 ns)
+MAX_GATE_STEPS = 100 * round(max(GATE_DEFAULTS["tau_g_ns_list"])
+                             / GATE_DEFAULTS["dt_ns"])
+# the Langevin traces hold every point of the readout time grid
+# (20 001 points over 1000 ns)
+MAX_READOUT_POINTS = 100 * (round(READOUT_DEFAULTS["t_max_ns"]
+                                  / READOUT_DEFAULTS["dt_ns"]) + 1)
+# each chi-curve point is a dressed eigensolve (3 001 points)
+MAX_CHI_POINTS = 100 * (round((CHI_CURVE_DEFAULTS["f_max"]
+                               - CHI_CURVE_DEFAULTS["f_min"])
+                              / CHI_CURVE_DEFAULTS["step"]) + 1)
+# each landscape cell is a dressed eigensolve (1 x 61 cells)
+MAX_LANDSCAPE_CELLS = 100 * SWEEP_DEFAULTS["n_e_j"] * SWEEP_DEFAULTS["n_f"]
 
 ANTICROSSING_DEFAULTS = {
     "level_i": 3,
@@ -165,6 +177,14 @@ def _check_number(name, value, lo=None, hi=None, integer=False):
     return value
 
 
+def _check_work(keys, size, what, cap):
+    """Reject a config whose work, computed from its keys, exceeds the cap."""
+    if not size <= cap:
+        raise ConfigError(CATEGORY_INVARIANT,
+                          f"'{keys}' gives {size:.6g} {what}; at most {cap} "
+                          f"are allowed")
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     """Validate a JSON-compatible dict into a RunConfig."""
     if not isinstance(raw, dict):
@@ -217,6 +237,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     _check_number("readout.ramp.f_start", ramp_raw["f_start"])
     _check_number("readout.ramp.f_end", ramp_raw["f_end"])
     _check_number("readout.ramp.t_rise_ns", ramp_raw["t_rise_ns"], lo=0.0)
+    _check_work("readout.t_max_ns / readout.dt_ns",
+                readout["t_max_ns"] / readout["dt_ns"] + 1,
+                "readout points", MAX_READOUT_POINTS)
 
     taus = gate["tau_g_ns_list"]
     if not isinstance(taus, list) or not taus:
@@ -227,12 +250,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     _check_number("gate.levels_fluxonium", gate["levels_fluxonium"], lo=2, integer=True)
     _check_number("gate.levels_resonator", gate["levels_resonator"], lo=2, integer=True)
     _check_number("gate.dt_ns", gate["dt_ns"], lo=1e-12)
-    n_steps = max(taus) / gate["dt_ns"]
-    if n_steps > MAX_GATE_STEPS:
-        raise ConfigError(
-            CATEGORY_INVARIANT,
-            f"'gate.dt_ns' = {gate['dt_ns']} gives {n_steps:.3g} RK4 steps at "
-            f"tau_g = {max(taus)} ns; at most {MAX_GATE_STEPS} are allowed")
+    _check_work("max(gate.tau_g_ns_list) / gate.dt_ns", max(taus) / gate["dt_ns"],
+                "RK4 steps", MAX_GATE_STEPS)
 
     _check_number("noise.scale", noise["scale"], lo=0.0)
     _check_number("noise.n_draws", noise["n_draws"], lo=1, integer=True)
@@ -251,12 +270,17 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigError(CATEGORY_INVARIANT,
                               f"'sweep.{hi}' must exceed sweep.{lo} "
                               f"(or equal it with sweep.{n} = 1)")
+    _check_work("sweep.n_e_j x sweep.n_f", sweep["n_e_j"] * sweep["n_f"],
+                "landscape cells", MAX_LANDSCAPE_CELLS)
 
     _check_number("chi_curve.f_min", chi_curve["f_min"])
     _check_number("chi_curve.f_max", chi_curve["f_max"])
     _check_number("chi_curve.step", chi_curve["step"], lo=1e-9)
     if chi_curve["f_max"] <= chi_curve["f_min"]:
         raise ConfigError(CATEGORY_INVARIANT, "'chi_curve.f_max' must exceed f_min")
+    _check_work("(chi_curve.f_max - chi_curve.f_min) / chi_curve.step",
+                (chi_curve["f_max"] - chi_curve["f_min"]) / chi_curve["step"] + 1,
+                "chi points", MAX_CHI_POINTS)
 
     for key in ("level_i", "level_j"):
         _check_number(f"anticrossing.{key}", anticrossing[key], lo=0,

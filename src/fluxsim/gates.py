@@ -138,6 +138,10 @@ def build_gate_space(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
 
 DEFAULT_GATE_DT = 1e-3
 UNITARITY_BUDGET = 1e-8
+# the resolution of a gate error: below the propagator's unitarity defect,
+# round-off and the fidelity clamp decide the last digits, so the pulse
+# refinement stops once its decreases fall under this floor
+ERROR_FLOOR = 1e-2 * UNITARITY_BUDGET
 # RK4 steps whose step matrices are formed and multiplied together at once;
 # bounds the working set (128 step matrices, 0.7 MB) whatever the gate time
 _STEP_BLOCK = 128
@@ -262,32 +266,41 @@ def rabi_area_estimate(space: GateSpace, tau_g):
 # the refinement stencil: +-r along each axis and one diagonal
 _STENCIL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
                      [1.0, 1.0]])
-# a bound on the refinement's iterations; a pulse needs about ten
+# a bound on the refinement's iterations; a pulse needs three to five
 _MAX_REFINE_ITER = 100
 
 
-def quadratic_refinement(fun, x0, args=(), *, scale, xatol, **_):
+def quadratic_refinement(fun, x0, args=(), *, scale, xatol, fatol=0.0,
+                         f0=None, **_):
     """Minimise a smooth function of two variables from x0 by quadratic
     models on a shrinking stencil (in the spirit of Powell's NEWUOA); a
     callable `method` for scipy.optimize.minimize, returning an
     OptimizeResult.
 
-    In units of `scale`, each iteration evaluates fun at the current best
-    point c and at c + r (+-e1, +-e2, e1 + e2). Those six values fix the
-    gradient and Hessian of a quadratic model exactly. The model's Newton
-    step, or the steepest-descent (Cauchy) step when the Hessian is not
-    positive definite, is clipped to length 4r and evaluated too, and the
-    best of the stencil and that point becomes c. The radius then shrinks
-    to the length of the accepted step, but never below r/8: a flat
+    In units of `scale`, each iteration evaluates fun at c + r (+-e1, +-e2,
+    e1 + e2) around the current best point c, whose value is known (f0 is
+    fun(x0) when the caller has it, so x0 is not evaluated again). Those
+    five values and c's fix the gradient g and Hessian H of a quadratic
+    model exactly.
+    The model's Newton step, or the steepest-descent (Cauchy) step when H
+    is not positive definite, is clipped to length 4r and evaluated too,
+    and the best of the stencil and that point becomes c. The radius then
+    shrinks to the length of the accepted step, but never below r/8: a flat
     objective (zero gradient) or an iteration that finds nothing better
-    divides r by 8. It stops once every component of r * scale is below
-    xatol, or after _MAX_REFINE_ITER iterations.
+    divides r by 8.
+
+    It stops after an iteration in which both the achieved decrease of the
+    best value and the model's predicted decrease for its clipped step s,
+    -(g.s + s.H.s / 2), are below fatol (the objective has converged to its
+    resolution), once every component of r * scale is below xatol, or after
+    _MAX_REFINE_ITER iterations; success is true for the first two.
     """
     scale = np.asarray(scale, dtype=float)
     best_x = np.asarray(x0, dtype=float)
-    best_f = fun(best_x, *args)
-    nfev, nit, r = 1, 0, 1.0
-    while nit < _MAX_REFINE_ITER and not np.all(r * scale < xatol):
+    best_f = fun(best_x, *args) if f0 is None else f0
+    nfev, nit, r = int(f0 is None), 0, 1.0
+    at_floor = False
+    while nit < _MAX_REFINE_ITER and not (at_floor or np.all(r * scale < xatol)):
         nit += 1
         offsets = r * _STENCIL
         f = [fun(best_x + d * scale, *args) for d in offsets]
@@ -308,15 +321,18 @@ def quadratic_refinement(fun, x0, args=(), *, scale, xatol, **_):
             step *= min(1.0, 4.0 * r / length)
             offsets = np.vstack([offsets, step])
             f.append(fun(best_x + step * scale, *args))
+        predicted = -(grad @ step + 0.5 * step @ hess @ step)
         nfev += len(f)
         i = int(np.argmin(f))
-        moved = 0.0
+        moved, achieved = 0.0, 0.0
         if f[i] < best_f:
+            achieved = best_f - f[i]
             best_x, best_f = best_x + offsets[i] * scale, float(f[i])
             moved = np.linalg.norm(offsets[i])
         r = min(r, max(moved, r / 8.0))
+        at_floor = achieved < fatol and predicted < fatol
     return OptimizeResult(x=best_x, fun=best_f, nfev=nfev, nit=nit,
-                          success=bool(np.all(r * scale < xatol)))
+                          success=bool(at_floor or np.all(r * scale < xatol)))
 
 
 def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
@@ -327,11 +343,14 @@ def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
     The best point of an n_eps x n_lam seed grid (3 x 3 by default;
     geometric in eps_d over a factor eps_span around the Rabi-area
     estimate, linear in lambda over lam_range) seeds quadratic_refinement,
-    whose stencil axes are 1 % of the seed's eps_d and 0.5 in lambda and
-    which stops once the stencil is below xatol * max(1, eps_d) on both
-    axes. Deterministic; returns (PulseParams, GateResult), the result
-    evaluated again at dt. Raises OptimizerConsistencyError if the refined
-    error is worse than the best seed's.
+    whose stencil axes are 1 % of the seed's eps_d and 0.5 in lambda. It
+    stops once an iteration decreases the error, and its model predicts a
+    decrease, by less than ERROR_FLOOR, or once the stencil is below
+    xatol * max(1, eps_d) on both axes. Every (eps_d, lambda) is evaluated
+    at most once. Deterministic; returns (PulseParams, GateResult), the
+    result being the evaluation at dt of that pulse made during the search.
+    Raises OptimizerConsistencyError if the refined error is worse than the
+    best seed's.
     """
     omega_d = space.omega_01
     eps_est = rabi_area_estimate(space, tau_g)
@@ -339,10 +358,14 @@ def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
     eps_grid = (np.geomspace(eps_est / eps_span, eps_est * eps_span, n_eps)
                 if n_eps > 1 else [eps_est])
     lam_grid = np.linspace(*lam_range, n_lam) if n_lam > 1 else [sum(lam_range) / 2]
+    results = {}
 
     def gate_error(eps_d, lam):
-        pulse = PulseParams(tau_g, float(eps_d), float(lam), omega_d)
-        return evaluate_gate(space, pulse, dt).error
+        key = (float(eps_d), float(lam))
+        if key not in results:
+            results[key] = evaluate_gate(
+                space, PulseParams(tau_g, *key, omega_d), dt)
+        return results[key].error
 
     best = None
     for eps_d in eps_grid:
@@ -360,10 +383,11 @@ def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
 
     sol = minimize(objective, x0=[eps0, lam0], method=quadratic_refinement,
                    options={"scale": (0.01 * eps0, 0.5),
-                            "xatol": xatol * max(1.0, eps0)})
+                            "xatol": xatol * max(1.0, eps0),
+                            "fatol": ERROR_FLOOR, "f0": grid_err})
     if sol.fun > grid_err + 1e-15:
         raise OptimizerConsistencyError(
             f"refined error {sol.fun:.3e} worse than grid error {grid_err:.3e}"
         )
-    pulse = PulseParams(tau_g, float(sol.x[0]), float(sol.x[1]), omega_d)
-    return pulse, evaluate_gate(space, pulse, dt)
+    result = results[float(sol.x[0]), float(sol.x[1])]
+    return result.params, result

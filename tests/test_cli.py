@@ -275,6 +275,36 @@ def test_gate_step_count_over_the_cap_exits_before_any_work(tmp_path, capsys,
     assert not (out / "noise_gates.csv").exists()
 
 
+def test_work_over_the_caps_exits_before_any_work(tmp_path, capsys,
+                                                  monkeypatch):
+    import fluxsim.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a rejected config")
+
+    # a regression must fail here, not start 1e12 readout steps, 3e8 chi
+    # points or 1e6 landscape cells
+    for name in ("sweep_dressed", "compute_landscapes", "run_ramped_readout",
+                 "run_static_readout", "noisy_readout_snr"):
+        monkeypatch.setattr(cli, name, no_work)
+    cases = [("readout", {"dt_ns": 1e-9}, "readout.t_max_ns / readout.dt_ns",
+              ("readout", "noise-readout")),
+             ("chi_curve", {"step": 1e-9}, "chi_curve.step",
+              ("chi-curve", "readout")),
+             ("sweep", {"n_f": 1_000_000}, "sweep.n_e_j x sweep.n_f",
+              ("landscape",))]
+    for section, value, keys, subs in cases:
+        raw = base_config(tmp_path / "out")
+        raw[section] = {**raw.get(section, {}), **value}
+        cfg_path, out = write_config(tmp_path, raw)
+        for sub in subs:
+            assert main([sub, "--config", str(cfg_path)]) == 2
+            record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert record["error"]["category"] == "config"
+            assert keys in record["error"]["message"]
+        assert not out.exists()
+
+
 def test_exit_code_numerical_error(tmp_path, capsys):
     raw = base_config(tmp_path / "out")
     # chi profile window too narrow for the readout ramp

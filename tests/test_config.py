@@ -9,7 +9,10 @@ from fluxsim.config import (
     CATEGORY_MALFORMED_JSON,
     CATEGORY_MISSING_FILE,
     CATEGORY_UNKNOWN_KEY,
+    MAX_CHI_POINTS,
     MAX_GATE_STEPS,
+    MAX_LANDSCAPE_CELLS,
+    MAX_READOUT_POINTS,
     config_from_dict,
     parse_config,
 )
@@ -125,6 +128,32 @@ def test_gate_step_count_is_capped_at_the_longest_gate():
             config_from_dict({**MINIMAL, "gate": gate})
         assert exc.value.category == CATEGORY_INVARIANT
         assert "gate.dt_ns" in str(exc.value)
+
+
+@pytest.mark.parametrize("section, within, over_cap, keys", [
+    # 100 x the defaults' 20 001 points: 1000 ns at 0.05 ns
+    ("readout", {"t_max_ns": 100_000.0}, {"t_max_ns": 100_010.0},
+     "readout.t_max_ns / readout.dt_ns"),
+    ("readout", {"dt_ns": 5e-4}, {"dt_ns": 4.99e-4},
+     "readout.t_max_ns / readout.dt_ns"),
+    # 100 x the defaults' 3 001 points: 0.40 to 0.70 by 1e-4
+    ("chi_curve", {"f_min": 0.0, "f_max": 30.0}, {"f_min": 0.0, "f_max": 30.1},
+     "chi_curve.step"),
+    ("chi_curve", {"step": 1e-6}, {"step": 9.99e-7}, "chi_curve.step"),
+    # 100 x the defaults' 1 x 61 cells
+    ("sweep", {"e_j_max_ghz": 5.0, "n_e_j": 100}, {"e_j_max_ghz": 5.0,
+                                                   "n_e_j": 101},
+     "sweep.n_e_j x sweep.n_f"),
+    ("sweep", {"n_f": 6100}, {"n_f": 6101}, "sweep.n_e_j x sweep.n_f"),
+])
+def test_work_caps_name_the_keys(section, within, over_cap, keys):
+    assert (MAX_READOUT_POINTS, MAX_CHI_POINTS, MAX_LANDSCAPE_CELLS) == (
+        2_000_100, 300_100, 6_100)
+    config_from_dict({**MINIMAL, section: within})
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({**MINIMAL, section: over_cap})
+    assert exc.value.category == CATEGORY_INVARIANT
+    assert keys in str(exc.value)
 
 
 def test_degenerate_landscape_axis_with_one_point_is_accepted():

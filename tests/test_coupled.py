@@ -439,6 +439,46 @@ def _unfolded_sweep(params, f_values, res, mode, dims, labels):
     return DressedSweep(labels, *(np.concatenate(p) for p in zip(*parts)))
 
 
+FLUXES = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fluxes=FLUXES, e_j=st.floats(2.0, 10.0),
+       mode=st.sampled_from(list(CouplingMode)))
+def test_coupled_stacks_are_hermitian(fluxes, e_j, mode):
+    params = EnergyParams.from_ghz(e_j, 1.25, 1.5)
+    dims = CoupledDims()
+    vals, vecs = qubit.spectrum_sweep(params, fluxes, dims.dim)
+    op = coupled._coupling_operator(vecs, params, mode, dims.kept)
+    h = assemble_coupled(vals[:, :dims.kept], op, RES, mode, dims.n_res)
+    assert h.shape == (len(fluxes), dims.kept * dims.n_res,
+                       dims.kept * dims.n_res)
+    assert np.array_equal(h, np.swapaxes(h, -1, -2).conj())
+
+
+QUALITY = st.floats(0.0, 1.0) | st.sampled_from(
+    [MIN_ASSIGNMENT_QUALITY, np.nextafter(MIN_ASSIGNMENT_QUALITY, 0.0)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(fluxes=FLUXES, e_j=st.floats(2.0, 10.0),
+       mode=st.sampled_from(list(CouplingMode)),
+       quality=st.lists(QUALITY, min_size=16, max_size=16))
+def test_chi_is_finite_exactly_where_the_labels_hold(fluxes, e_j, mode,
+                                                     quality):
+    params = EnergyParams.from_ghz(e_j, 1.25, 1.5)
+    sweep = sweep_dressed(params, fluxes, RES, mode)
+    # the real labels hold here; drawn qualities also reach below the bar
+    forged = DressedSweep(sweep.labels, sweep.bare, sweep.energy,
+                          np.reshape(quality[:sweep.quality.size],
+                                     sweep.quality.shape))
+    for dressed in (sweep, forged):
+        labelled = dressed.worst_quality(CHI_LABELS) >= MIN_ASSIGNMENT_QUALITY
+        chi = dressed.chi()
+        assert np.array_equal(np.isfinite(chi), labelled)
+        assert np.all(np.isnan(chi[~labelled]))
+
+
 FOLD_LABELS = CHI_LABELS + ((2, 0), (3, 0))
 
 

@@ -282,7 +282,8 @@ def _fake_gate(monkeypatch, error_of):
 
     def fake_evaluate(space_, pulse, dt):
         calls.append((pulse.eps_d, pulse.lam))
-        return SimpleNamespace(error=error_of(pulse.eps_d, pulse.lam))
+        return SimpleNamespace(error=error_of(pulse.eps_d, pulse.lam),
+                               params=pulse)
 
     monkeypatch.setattr(gates, "evaluate_gate", fake_evaluate)
     return calls
@@ -371,9 +372,105 @@ def test_refinement_on_a_singular_hessian_stays_finite():
 def test_pulse_optimisation_evaluation_count(space, monkeypatch):
     calls = _recording_gate(monkeypatch)
     optimize_pulse(space, 3.0, n_eps=3, n_lam=3)
-    # 9 seeds, the refinement, and the final evaluation; Nelder-Mead
-    # needed 120 in all
-    assert len(calls) <= 60
+    # 9 seeds and the refinement, which stops at the error floor;
+    # Nelder-Mead needed 120 in all
+    assert len(calls) <= 40
+
+
+def _refinement_values(monkeypatch):
+    """Record the value of every call the refinement makes of its
+    objective, repeated points included; returns the list."""
+    values = []
+    minimize = gates.minimize
+
+    def recording_minimize(fun, x0, **kwargs):
+        def recorded(x, *args):
+            values.append(fun(x, *args))
+            return values[-1]
+        return minimize(recorded, x0, **kwargs)
+
+    monkeypatch.setattr(gates, "minimize", recording_minimize)
+    return values
+
+
+def _clamped_error(ratio, lam):
+    """A gate error of (eps_d / Rabi-area estimate, lambda), clamped at 0.0
+    on a patch around its minimum, as the fidelity clamp makes it around a
+    long gate's optimum."""
+    de, dl = ratio - 1.03, lam - 4.7
+    return max(0.0, 50.0 * de ** 2 + 0.3 * de * dl + 2e-3 * dl ** 2 - 1e-3)
+
+
+def test_no_pulse_is_evaluated_twice(space, monkeypatch):
+    # neither the best seed nor the winner is evaluated again, and a
+    # stencil that comes back to an evaluated point reuses its result
+    calls = _recording_gate(monkeypatch)
+    optimize_pulse(space, 3.0)
+    points = [(pulse.eps_d, pulse.lam) for pulse in calls]
+    assert len(set(points)) == len(points)
+    monkeypatch.undo()
+    est = rabi_area_estimate(space, 3.0)
+    values = _refinement_values(monkeypatch)
+    calls = _fake_gate(monkeypatch,
+                       lambda eps_d, lam: _clamped_error(eps_d / est, lam))
+    optimize_pulse(space, 3.0)
+    assert len(set(calls)) == len(calls)
+    # the refinement asked for some point more than once
+    assert len(values) > len(calls) - 9
+
+
+def test_returned_result_is_the_evaluation_of_the_returned_pulse(space):
+    # the result comes from the search, bit for bit the fresh evaluation
+    for dt in (DEFAULT_GATE_DT, DEFAULT_GATE_DT / 2):
+        pulse, result = optimize_pulse(space, 3.0, dt=dt)
+        fresh = evaluate_gate(space, pulse, dt)
+        assert result.params == pulse
+        assert (result.fidelity, result.leakage) == (fresh.fidelity,
+                                                     fresh.leakage)
+        assert result.propagator.tobytes() == fresh.propagator.tobytes()
+
+
+def test_refinement_stops_once_a_clamped_error_ties_at_zero(space,
+                                                            monkeypatch):
+    # the stencil lands on the patch where the error reads 0.0; once all
+    # its values tie there, the next iteration is not made: the error has
+    # no more digits to resolve, whatever the stencil size
+    est = rabi_area_estimate(space, 3.0)
+    values = _refinement_values(monkeypatch)
+    _fake_gate(monkeypatch, lambda eps_d, lam: _clamped_error(eps_d / est, lam))
+    _, result = optimize_pulse(space, 3.0)
+    assert result.error == 0.0
+    # the trailing zeros: at most the tail of the iteration that reached
+    # the patch (4 stencil values and its step) and one all-zero stencil
+    zeros = len(values) - max(i for i, v in enumerate(values) if v > 0) - 1
+    assert 5 <= zeros <= 10
+
+
+def test_refinement_from_inside_a_flat_patch_makes_one_iteration():
+    # every stencil value ties with the known seed value: one iteration,
+    # five evaluations, and success, although the stencil is far above xatol
+    calls = []
+
+    def clamped(x):
+        calls.append(tuple(x))
+        return max(0.0, x[0] ** 2 + x[1] ** 2 - 1.0)
+
+    sol = gates.minimize(clamped, [0.1, 0.0], method=gates.quadratic_refinement,
+                         options={"scale": (0.1, 0.1), "xatol": 1e-8,
+                                  "fatol": gates.ERROR_FLOOR, "f0": 0.0})
+    assert (sol.nit, sol.nfev, len(calls)) == (1, 5, 5)
+    assert sol.success and sol.fun == 0.0
+    assert tuple(sol.x) == (0.1, 0.0)
+
+
+@pytest.mark.slow
+def test_pulse_optimisation_at_30ns(space, monkeypatch):
+    # the longest default gate: its error reaches the clamp at 0.0, and the
+    # refinement stops there instead of shrinking its stencil to xatol
+    calls = _recording_gate(monkeypatch)
+    _, result = optimize_pulse(space, 30.0)
+    assert len(calls) <= 30
+    assert result.error <= 1e-10
 
 
 def _nelder_mead_optimum(space, tau_g):
@@ -410,6 +507,26 @@ def test_refinement_agrees_with_nelder_mead(space, tau_g):
     draws = [noisy_gate_error(PARAMS, RES, [p], spec).draws[:, 0]
              for p in (pulse, ref_pulse)]
     assert np.max(np.abs(draws[0] - draws[1])) <= 1e-6
+
+
+@pytest.mark.slow
+def test_error_floor_moves_the_pulse_within_stated_bounds(space,
+                                                          monkeypatch):
+    # against the refinement without the floor (which shrinks its stencil
+    # to xatol, as before the floor), at 20 ns, where the floor moves the
+    # default config's pulses most
+    pulse, result = optimize_pulse(space, 20.0)
+    monkeypatch.setattr(gates, "ERROR_FLOOR", 0.0)
+    ref_pulse, ref = optimize_pulse(space, 20.0)
+    assert result.error <= ref.error + 1e-13
+    assert abs(pulse.eps_d - ref_pulse.eps_d) <= 1e-7 * ref_pulse.eps_d
+    assert abs(pulse.lam - ref_pulse.lam) <= 1e-4
+    # the noise_gates.csv mean and standard error of these pulses
+    spec = NoiseSpec(1e-2, 4, 1234)
+    curves = [noisy_gate_error(PARAMS, RES, [p], spec)
+              for p in (pulse, ref_pulse)]
+    assert abs(curves[0].mean[0] - curves[1].mean[0]) <= 1e-7
+    assert abs(curves[0].stderr[0] - curves[1].stderr[0]) <= 1e-8
 
 
 def test_gate_space_structure(space):

@@ -129,3 +129,15 @@ def test_mirrored_eigenvectors_solve_the_unfolded_hamiltonian(f):
     h = fluxonium_hamiltonians(PARAMS, [f])[0]
     residual = h @ vecs[0] - vecs[0] * vals[0]
     assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(h).sum(axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fluxes=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+       e_j=st.floats(2.0, 10.0))
+def test_bare_stacks_are_symmetric_with_ascending_eigenvalues(fluxes, e_j):
+    params = EnergyParams.from_ghz(e_j, 1.25, 1.5)
+    h = fluxonium_hamiltonians(params, fluxes)
+    assert h.dtype == np.float64
+    assert np.array_equal(h, np.swapaxes(h, -1, -2))
+    vals, _ = spectrum_sweep(params, fluxes)
+    assert np.all(np.diff(vals, axis=1) >= 0.0)
