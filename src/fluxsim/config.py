@@ -177,11 +177,13 @@ def _check_number(name, value, lo=None, hi=None, integer=False):
     return value
 
 
-def _check_work(keys, size, what, cap):
-    """Reject a config whose work, computed from its keys, exceeds the cap."""
+def _check_work(values, size, what, cap):
+    """Reject a config whose work, computed from the values of its keys (a
+    dict of key -> value), exceeds the cap; the message quotes the values."""
     if not size <= cap:
+        given = ", ".join(f"'{key}' = {value}" for key, value in values.items())
         raise ConfigError(CATEGORY_INVARIANT,
-                          f"'{keys}' gives {size:.6g} {what}; at most {cap} "
+                          f"{given} give {size:.6g} {what}; at most {cap} "
                           f"are allowed")
 
 
@@ -237,7 +239,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     _check_number("readout.ramp.f_start", ramp_raw["f_start"])
     _check_number("readout.ramp.f_end", ramp_raw["f_end"])
     _check_number("readout.ramp.t_rise_ns", ramp_raw["t_rise_ns"], lo=0.0)
-    _check_work("readout.t_max_ns / readout.dt_ns",
+    _check_work({"readout.t_max_ns": readout["t_max_ns"],
+                 "readout.dt_ns": readout["dt_ns"]},
                 readout["t_max_ns"] / readout["dt_ns"] + 1,
                 "readout points", MAX_READOUT_POINTS)
 
@@ -250,8 +253,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     _check_number("gate.levels_fluxonium", gate["levels_fluxonium"], lo=2, integer=True)
     _check_number("gate.levels_resonator", gate["levels_resonator"], lo=2, integer=True)
     _check_number("gate.dt_ns", gate["dt_ns"], lo=1e-12)
-    _check_work("max(gate.tau_g_ns_list) / gate.dt_ns", max(taus) / gate["dt_ns"],
-                "RK4 steps", MAX_GATE_STEPS)
+    _check_work({"gate.dt_ns": gate["dt_ns"], "max(gate.tau_g_ns_list)": max(taus)},
+                max(taus) / gate["dt_ns"], "RK4 steps", MAX_GATE_STEPS)
 
     _check_number("noise.scale", noise["scale"], lo=0.0)
     _check_number("noise.n_draws", noise["n_draws"], lo=1, integer=True)
@@ -270,7 +273,8 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigError(CATEGORY_INVARIANT,
                               f"'sweep.{hi}' must exceed sweep.{lo} "
                               f"(or equal it with sweep.{n} = 1)")
-    _check_work("sweep.n_e_j x sweep.n_f", sweep["n_e_j"] * sweep["n_f"],
+    _check_work({"sweep.n_e_j": sweep["n_e_j"], "sweep.n_f": sweep["n_f"]},
+                sweep["n_e_j"] * sweep["n_f"],
                 "landscape cells", MAX_LANDSCAPE_CELLS)
 
     _check_number("chi_curve.f_min", chi_curve["f_min"])
@@ -278,7 +282,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     _check_number("chi_curve.step", chi_curve["step"], lo=1e-9)
     if chi_curve["f_max"] <= chi_curve["f_min"]:
         raise ConfigError(CATEGORY_INVARIANT, "'chi_curve.f_max' must exceed f_min")
-    _check_work("(chi_curve.f_max - chi_curve.f_min) / chi_curve.step",
+    _check_work({f"chi_curve.{key}": chi_curve[key]
+                 for key in ("f_min", "f_max", "step")},
                 (chi_curve["f_max"] - chi_curve["f_min"]) / chi_curve["step"] + 1,
                 "chi points", MAX_CHI_POINTS)
 

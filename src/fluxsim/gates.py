@@ -270,16 +270,14 @@ _STENCIL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
 _MAX_REFINE_ITER = 100
 
 
-def quadratic_refinement(fun, x0, args=(), *, scale, xatol, fatol=0.0,
-                         f0=None, **_):
+def quadratic_refinement(fun, x0, args=(), *, scale, xatol, fatol=0.0, **_):
     """Minimise a smooth function of two variables from x0 by quadratic
     models on a shrinking stencil (in the spirit of Powell's NEWUOA); a
     callable `method` for scipy.optimize.minimize, returning an
     OptimizeResult.
 
     In units of `scale`, each iteration evaluates fun at c + r (+-e1, +-e2,
-    e1 + e2) around the current best point c, whose value is known (f0 is
-    fun(x0) when the caller has it, so x0 is not evaluated again). Those
+    e1 + e2) around the current best point c, whose value is known. Those
     five values and c's fix the gradient g and Hessian H of a quadratic
     model exactly.
     The model's Newton step, or the steepest-descent (Cauchy) step when H
@@ -290,15 +288,17 @@ def quadratic_refinement(fun, x0, args=(), *, scale, xatol, fatol=0.0,
     divides r by 8.
 
     It stops after an iteration in which both the achieved decrease of the
-    best value and the model's predicted decrease for its clipped step s,
-    -(g.s + s.H.s / 2), are below fatol (the objective has converged to its
-    resolution), once every component of r * scale is below xatol, or after
-    _MAX_REFINE_ITER iterations; success is true for the first two.
+    best value and the model's predicted decrease for its step s before
+    clipping, -(g.s + s.H.s / 2), are below fatol (the objective has
+    converged to its resolution; a clipped step alone would predict too
+    little while the minimum lies several radii away), once every component
+    of r * scale is below xatol, or after _MAX_REFINE_ITER iterations;
+    success is true for the first two.
     """
     scale = np.asarray(scale, dtype=float)
     best_x = np.asarray(x0, dtype=float)
-    best_f = fun(best_x, *args) if f0 is None else f0
-    nfev, nit, r = int(f0 is None), 0, 1.0
+    best_f = fun(best_x, *args)
+    nfev, nit, r = 1, 0, 1.0
     at_floor = False
     while nit < _MAX_REFINE_ITER and not (at_floor or np.all(r * scale < xatol)):
         nit += 1
@@ -316,12 +316,12 @@ def quadratic_refinement(fun, x0, args=(), *, scale, xatol, fatol=0.0,
                             else 4.0 * r / np.linalg.norm(grad))
         else:
             step = np.zeros(2)
+        predicted = -(grad @ step + 0.5 * step @ hess @ step)
         length = np.linalg.norm(step)
         if length > 0:
             step *= min(1.0, 4.0 * r / length)
             offsets = np.vstack([offsets, step])
             f.append(fun(best_x + step * scale, *args))
-        predicted = -(grad @ step + 0.5 * step @ hess @ step)
         nfev += len(f)
         i = int(np.argmin(f))
         moved, achieved = 0.0, 0.0
@@ -384,7 +384,7 @@ def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
     sol = minimize(objective, x0=[eps0, lam0], method=quadratic_refinement,
                    options={"scale": (0.01 * eps0, 0.5),
                             "xatol": xatol * max(1.0, eps0),
-                            "fatol": ERROR_FLOOR, "f0": grid_err})
+                            "fatol": ERROR_FLOOR})
     if sol.fun > grid_err + 1e-15:
         raise OptimizerConsistencyError(
             f"refined error {sol.fun:.3e} worse than grid error {grid_err:.3e}"

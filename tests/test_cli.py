@@ -270,7 +270,7 @@ def test_gate_step_count_over_the_cap_exits_before_any_work(tmp_path, capsys,
         assert main([sub, "--config", str(cfg_path)]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"]["category"] == "config"
-        assert "gate.dt_ns" in record["error"]["message"]
+        assert "'gate.dt_ns' = 1e-07" in record["error"]["message"]
     assert not (out / "gates.csv").exists()
     assert not (out / "noise_gates.csv").exists()
 
@@ -287,13 +287,13 @@ def test_work_over_the_caps_exits_before_any_work(tmp_path, capsys,
     for name in ("sweep_dressed", "compute_landscapes", "run_ramped_readout",
                  "run_static_readout", "noisy_readout_snr"):
         monkeypatch.setattr(cli, name, no_work)
-    cases = [("readout", {"dt_ns": 1e-9}, "readout.t_max_ns / readout.dt_ns",
+    cases = [("readout", {"dt_ns": 1e-9}, "'readout.dt_ns' = 1e-09",
               ("readout", "noise-readout")),
-             ("chi_curve", {"step": 1e-9}, "chi_curve.step",
+             ("chi_curve", {"step": 1e-9}, "'chi_curve.step' = 1e-09",
               ("chi-curve", "readout")),
-             ("sweep", {"n_f": 1_000_000}, "sweep.n_e_j x sweep.n_f",
+             ("sweep", {"n_f": 1_000_000}, "'sweep.n_f' = 1000000",
               ("landscape",))]
-    for section, value, keys, subs in cases:
+    for section, value, quoted, subs in cases:
         raw = base_config(tmp_path / "out")
         raw[section] = {**raw.get(section, {}), **value}
         cfg_path, out = write_config(tmp_path, raw)
@@ -301,7 +301,7 @@ def test_work_over_the_caps_exits_before_any_work(tmp_path, capsys,
             assert main([sub, "--config", str(cfg_path)]) == 2
             record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             assert record["error"]["category"] == "config"
-            assert keys in record["error"]["message"]
+            assert quoted in record["error"]["message"]
         assert not out.exists()
 
 

@@ -128,32 +128,42 @@ def test_gate_step_count_is_capped_at_the_longest_gate():
             config_from_dict({**MINIMAL, "gate": gate})
         assert exc.value.category == CATEGORY_INVARIANT
         assert "gate.dt_ns" in str(exc.value)
+    # the message quotes the step and the gate time that give the count
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({**MINIMAL, "gate": {"dt_ns": 1e-7}})
+    assert ("'gate.dt_ns' = 1e-07, 'max(gate.tau_g_ns_list)' = 30.0 give "
+            "3e+08 RK4 steps" in str(exc.value))
 
 
-@pytest.mark.parametrize("section, within, over_cap, keys", [
+@pytest.mark.parametrize("section, within, over_cap, quoted", [
     # 100 x the defaults' 20 001 points: 1000 ns at 0.05 ns
     ("readout", {"t_max_ns": 100_000.0}, {"t_max_ns": 100_010.0},
-     "readout.t_max_ns / readout.dt_ns"),
+     ["'readout.t_max_ns' = 100010.0", "'readout.dt_ns' = 0.05"]),
     ("readout", {"dt_ns": 5e-4}, {"dt_ns": 4.99e-4},
-     "readout.t_max_ns / readout.dt_ns"),
+     ["'readout.t_max_ns' = 1000.0", "'readout.dt_ns' = 0.000499"]),
     # 100 x the defaults' 3 001 points: 0.40 to 0.70 by 1e-4
     ("chi_curve", {"f_min": 0.0, "f_max": 30.0}, {"f_min": 0.0, "f_max": 30.1},
-     "chi_curve.step"),
-    ("chi_curve", {"step": 1e-6}, {"step": 9.99e-7}, "chi_curve.step"),
+     ["'chi_curve.f_min' = 0.0", "'chi_curve.f_max' = 30.1",
+      "'chi_curve.step' = 0.0001"]),
+    ("chi_curve", {"step": 1e-6}, {"step": 9.99e-7},
+     ["'chi_curve.step' = 9.99e-07"]),
     # 100 x the defaults' 1 x 61 cells
     ("sweep", {"e_j_max_ghz": 5.0, "n_e_j": 100}, {"e_j_max_ghz": 5.0,
                                                    "n_e_j": 101},
-     "sweep.n_e_j x sweep.n_f"),
-    ("sweep", {"n_f": 6100}, {"n_f": 6101}, "sweep.n_e_j x sweep.n_f"),
+     ["'sweep.n_e_j' = 101", "'sweep.n_f' = 61"]),
+    ("sweep", {"n_f": 6100}, {"n_f": 6101},
+     ["'sweep.n_e_j' = 1", "'sweep.n_f' = 6101"]),
 ])
-def test_work_caps_name_the_keys(section, within, over_cap, keys):
+def test_work_caps_quote_the_keys_and_values(section, within, over_cap,
+                                             quoted):
     assert (MAX_READOUT_POINTS, MAX_CHI_POINTS, MAX_LANDSCAPE_CELLS) == (
         2_000_100, 300_100, 6_100)
     config_from_dict({**MINIMAL, section: within})
     with pytest.raises(ConfigError) as exc:
         config_from_dict({**MINIMAL, section: over_cap})
     assert exc.value.category == CATEGORY_INVARIANT
-    assert keys in str(exc.value)
+    for fragment in quoted:
+        assert fragment in str(exc.value)
 
 
 def test_degenerate_landscape_axis_with_one_point_is_accepted():

@@ -447,8 +447,9 @@ def test_refinement_stops_once_a_clamped_error_ties_at_zero(space,
 
 
 def test_refinement_from_inside_a_flat_patch_makes_one_iteration():
-    # every stencil value ties with the known seed value: one iteration,
-    # five evaluations, and success, although the stencil is far above xatol
+    # every stencil value ties with the seed value: one iteration, the seed
+    # and five stencil evaluations, and success, although the stencil is
+    # far above xatol
     calls = []
 
     def clamped(x):
@@ -457,10 +458,29 @@ def test_refinement_from_inside_a_flat_patch_makes_one_iteration():
 
     sol = gates.minimize(clamped, [0.1, 0.0], method=gates.quadratic_refinement,
                          options={"scale": (0.1, 0.1), "xatol": 1e-8,
-                                  "fatol": gates.ERROR_FLOOR, "f0": 0.0})
-    assert (sol.nit, sol.nfev, len(calls)) == (1, 5, 5)
+                                  "fatol": gates.ERROR_FLOOR})
+    assert (sol.nit, sol.nfev, len(calls)) == (1, 6, 6)
     assert sol.success and sol.fun == 0.0
     assert tuple(sol.x) == (0.1, 0.0)
+
+
+def test_floor_does_not_stop_a_clipped_step_short(space, monkeypatch):
+    # the minimum lies 19 clip radii (4 stencil units of 0.5) beyond the
+    # seed along a flat lambda axis, 1e-9 below the seed's error: a clipped
+    # step predicts and achieves less than the floor, the step to the
+    # model's minimum more, so the refinement goes on until the error left
+    # is below the floor
+    est = rabi_area_estimate(space, 3.0)
+    lam_min = 40.0
+    curv = 1e-9 / (lam_min - 2.0) ** 2
+
+    def error(eps_d, lam):
+        return 1e-6 + 50.0 * (eps_d / est - 1.0) ** 2 + curv * (lam - lam_min) ** 2
+
+    _fake_gate(monkeypatch, error)
+    pulse, result = optimize_pulse(space, 3.0)
+    assert result.error - 1e-6 <= gates.ERROR_FLOOR
+    assert pulse.lam > 20.0
 
 
 @pytest.mark.slow
