@@ -259,7 +259,7 @@ def run_subcommand(name, cfg: RunConfig, use_cache=True):
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / ".cache" if use_cache else None
     files = SUBCOMMANDS[name](cfg, out_dir, cache_dir)
-    manifest = write_manifest(out_dir, files, cfg, cfg.seed)
+    manifest = write_manifest(out_dir, files, cfg, cfg.noise.seed)
     return manifest
 
 

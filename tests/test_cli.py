@@ -216,6 +216,16 @@ def test_noise_readout_and_seed_override(tmp_path):
     assert rows99[1]["mean"] != rows[1]["mean"]  # different draws
 
 
+def test_manifest_records_the_seed_of_the_draws(tmp_path):
+    raw = base_config(tmp_path / "out")
+    raw["noise"]["seed"] = 5
+    cfg_path, out = write_config(tmp_path, raw)
+    assert main(["noise-readout", "--config", str(cfg_path)]) == 0
+    assert {row["seed"] for row in read_csv(out / "noise_readout_snr.csv")} \
+        == {"5"}
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 5
+
+
 def test_worker_count_does_not_change_bytes(tmp_path):
     raw1 = base_config(tmp_path / "o1")
     raw1["chi_curve"] = {"f_min": 0.48, "f_max": 0.52, "step": 1e-3}
@@ -314,6 +324,23 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"]["category"] == "numerical"
     assert record["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("section, values, key", [
+    ("readout", {"ramp": 5}, "readout.ramp"),
+    ("device", {"levels_kept": 50}, "device.levels_kept"),
+    ("noise", {"n_draws": 10**6}, "noise.n_draws"),
+])
+def test_bad_config_exits_2_before_any_work(tmp_path, capsys, section, values,
+                                            key):
+    raw = base_config(tmp_path / "out")
+    raw[section] = {**raw.get(section, {}), **values}
+    cfg_path, out = write_config(tmp_path, raw)
+    assert main(["spectrum", "--config", str(cfg_path)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["category"] == "config"
+    assert key in record["error"]["message"]
+    assert not (out / "spectrum.csv").exists()
 
 
 def test_anticrossing_level_beyond_kept_levels_is_a_config_error(tmp_path,

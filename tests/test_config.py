@@ -1,6 +1,8 @@
 """Tests for config parsing, validation, and defaults recording."""
 
+import copy
 import json
+import math
 
 import pytest
 
@@ -12,7 +14,10 @@ from fluxsim.config import (
     MAX_CHI_POINTS,
     MAX_GATE_STEPS,
     MAX_LANDSCAPE_CELLS,
+    MAX_READOUT_DRAW_POINTS,
     MAX_READOUT_POINTS,
+    REQUIRED,
+    SCHEMA,
     config_from_dict,
     parse_config,
 )
@@ -20,6 +25,57 @@ from fluxsim.coupled import CouplingMode
 from fluxsim.errors import ConfigError
 
 MINIMAL = {"device": {"e_j_ghz": 4.75, "e_c_ghz": 1.25, "e_l_ghz": 1.5}}
+
+# every default the minimal config takes, in the order the manifest lists them
+MINIMAL_DEFAULTS_USED = (
+    "device.omega_r_ghz=7.0",
+    "device.g_mhz_over_2pi=50.0",
+    'device.coupling_mode="ladder-rwa"',
+    "device.dim=40",
+    "device.levels_kept=8",
+    "device.levels_resonator=8",
+    "readout.n_bar=10.0",
+    "readout.eta=1.0",
+    "readout.kappa_mhz_over_2pi=5.0",
+    "readout.t_max_ns=1000.0",
+    "readout.dt_ns=0.05",
+    "readout.chi_clamp_mhz=50.0",
+    'readout.ramp={"f_start": 0.5, "f_end": 0.641, "t_rise_ns": 50.0}',
+    "gate.tau_g_ns_list=[10.0, 20.0, 30.0]",
+    "gate.levels_fluxonium=6",
+    "gate.levels_resonator=3",
+    "gate.dt_ns=0.001",
+    "noise.scale=0.01",
+    "noise.n_draws=50",
+    "noise.seed=1234",
+    "sweep.e_j_min_ghz=4.75",
+    "sweep.e_j_max_ghz=4.75",
+    "sweep.n_e_j=1",
+    "sweep.f_min=0.4",
+    "sweep.f_max=0.7",
+    "sweep.n_f=61",
+    "chi_curve.f_min=0.4",
+    "chi_curve.f_max=0.7",
+    "chi_curve.step=0.0001",
+    "anticrossing.level_i=3",
+    "anticrossing.level_j=1",
+    "anticrossing.window_lo=0.55",
+    "anticrossing.window_hi=0.6",
+    "flux=0.5",
+    'out_dir="out"',
+    "seed=1234",
+)
+
+
+def with_key(key, value):
+    """MINIMAL with one dotted key set to value."""
+    raw = copy.deepcopy(MINIMAL)
+    *groups, leaf = key.split(".")
+    node = raw
+    for group in groups:
+        node = node.setdefault(group, {})
+    node[leaf] = value
+    return raw
 
 
 def test_minimal_config_fills_defaults():
@@ -40,6 +96,19 @@ def test_minimal_config_fills_defaults():
     assert any(d.startswith("readout.dt_ns=") for d in cfg.defaults_used)
     assert any(d.startswith("device.dim=") for d in cfg.defaults_used)
     assert "flux=0.5" in cfg.defaults_used
+
+
+def test_defaults_used_lists_every_default_in_order():
+    assert config_from_dict(MINIMAL).defaults_used == MINIMAL_DEFAULTS_USED
+    # a partial ramp records each missing ramp key, not the whole group
+    cfg = config_from_dict(with_key("readout.ramp", {"f_end": 0.6}))
+    expected = list(MINIMAL_DEFAULTS_USED)
+    i = expected.index(
+        'readout.ramp={"f_start": 0.5, "f_end": 0.641, "t_rise_ns": 50.0}')
+    expected[i:i + 1] = ["readout.ramp.f_start=0.5",
+                         "readout.ramp.t_rise_ns=50.0"]
+    assert cfg.defaults_used == tuple(expected)
+    assert cfg.ramp.f_end == 0.6
 
 
 def test_canonical_raw_round_trips():
@@ -107,6 +176,11 @@ def test_invariant_violations_name_the_key():
         ({"device": {**MINIMAL["device"], "levels_kept": 3},
           "anticrossing": {"level_i": 2, "level_j": 3}},
          "anticrossing.level_j"),
+        # no more levels can be kept than the bare eigensolve has
+        ({"device": {**MINIMAL["device"], "dim": 5}},
+         "'device.levels_kept' must be <= 5, got 8"),
+        ({**MINIMAL, "gate": {"levels_fluxonium": 41}},
+         "'gate.levels_fluxonium' must be <= 40, got 41"),
     ]
     for raw, key in cases:
         with pytest.raises(ConfigError) as exc:
@@ -153,17 +227,58 @@ def test_gate_step_count_is_capped_at_the_longest_gate():
      ["'sweep.n_e_j' = 101", "'sweep.n_f' = 61"]),
     ("sweep", {"n_f": 6100}, {"n_f": 6101},
      ["'sweep.n_e_j' = 1", "'sweep.n_f' = 6101"]),
+    # 100 x the defaults' 50 draws of 20 001 points
+    ("noise", {"n_draws": 5000}, {"n_draws": 5001},
+     ["'noise.n_draws' = 5001", "'readout.t_max_ns' = 1000.0",
+      "'readout.dt_ns' = 0.05", "readout draw points"]),
 ])
 def test_work_caps_quote_the_keys_and_values(section, within, over_cap,
                                              quoted):
-    assert (MAX_READOUT_POINTS, MAX_CHI_POINTS, MAX_LANDSCAPE_CELLS) == (
-        2_000_100, 300_100, 6_100)
+    assert (MAX_READOUT_POINTS, MAX_CHI_POINTS, MAX_LANDSCAPE_CELLS,
+            MAX_READOUT_DRAW_POINTS) == (2_000_100, 300_100, 6_100,
+                                         100_005_000)
     config_from_dict({**MINIMAL, section: within})
     with pytest.raises(ConfigError) as exc:
         config_from_dict({**MINIMAL, section: over_cap})
     assert exc.value.category == CATEGORY_INVARIANT
     for fragment in quoted:
         assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("ramp", [5, [0.5, 0.641, 50.0], "ab", None])
+def test_non_object_ramp_is_an_invariant_violation(ramp):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(with_key("readout.ramp", ramp))
+    assert exc.value.category == CATEGORY_INVARIANT
+    assert str(exc.value) == "'readout.ramp' must be an object"
+
+
+def _past(bound, direction, kind):
+    """The nearest value of the row's kind beyond bound, in direction +1 or -1."""
+    if kind is int:
+        return bound + direction
+    return math.nextafter(bound, direction * math.inf)
+
+
+NUMERIC_ROWS = [row for row in SCHEMA if row[4] in (float, int, list)]
+
+
+@pytest.mark.parametrize("key, default, lo, hi, kind", NUMERIC_ROWS,
+                         ids=[row[0] for row in NUMERIC_ROWS])
+def test_each_numeric_row_rejects_what_its_bounds_exclude(key, default, lo, hi,
+                                                          kind):
+    bad = [True, math.nan]
+    bad += [] if lo is None else [_past(lo, -1, kind)]
+    bad += [] if hi is None else [_past(hi, +1, kind)]
+    for value in bad:
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(with_key(key, [value] if kind is list else value))
+        assert exc.value.category == CATEGORY_INVARIANT, value
+        assert f"'{key}" in str(exc.value), value
+    if default is not REQUIRED:
+        # the default, given explicitly, passes its own row
+        cfg = config_from_dict(with_key(key, default))
+        assert not any(d.startswith(f"{key}=") for d in cfg.defaults_used)
 
 
 def test_degenerate_landscape_axis_with_one_point_is_accepted():
