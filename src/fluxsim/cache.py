@@ -13,7 +13,9 @@ by other numerics code is a miss and is recomputed, so an edit that forgets
 the bump cannot be served stale values. Version 2: real flux-affine spectra
 and whole-sweep chi and landscape entries. Version 3: the spectrum entry
 holds only the energies in GHz. Version 4: spectra solved at the canonical
-flux in [0, 1/2] (values change in their last bits).
+flux in [0, 1/2] (values change in their last bits). Version 5: every entry
+holds an object of named flat arrays (NaN as null), and spectra are no
+longer cached.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import os
 from pathlib import Path
 
-CACHE_SCHEMA_VERSION = 4
+CACHE_SCHEMA_VERSION = 5
 
 
 def _source_digest(names):

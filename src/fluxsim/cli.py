@@ -14,9 +14,11 @@ batched, gate Monte Carlo draws one after another, and all reductions are
 index-ordered. --workers N is accepted and ignored, so outputs are the same
 for any value.
 
-The result cache holds one entry per (device, chi window) for chi-curve,
-readout and noise-readout, one per (device, sweep) for landscape, and one
-per (device, flux) for spectrum, holding only the energies in GHz.
+The result cache holds two kinds of entry, each written and read by
+`_cached`: one per (device, chi window), shared by chi-curve, readout and
+noise-readout, and one per (device, sweep) for landscape. Entries hold raw
+values (NaN where resonant); clamps and unit conversions apply only on
+emission. spectrum is one bare eigensolve and is not cached.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .coupled import (
     DEFAULT_TRANSITIONS,
     STATUS_OK,
     STATUS_RESONANT,
-    LandscapeGrid,
+    chi_grid,
+    chi_profile,
     compute_landscapes,
     fill_and_clamp,
     find_anticrossing,
@@ -50,7 +53,7 @@ from .errors import ConfigError, FluxsimError
 from .gates import build_gate_space, optimize_pulse
 from .noise import noisy_gate_error, noisy_readout_snr
 from .qubit import FluxBias, fluxonium_spectrum
-from .readout import ChiProfile, run_ramped_readout, run_static_readout
+from .readout import run_ramped_readout, run_static_readout
 from .output import write_csv, write_manifest
 
 EXIT_OK = 0
@@ -62,73 +65,48 @@ EXIT_IO = 4
 # ---------------------------------------------------------------------------
 # Cached sweeps
 
-def _to_json(values):
-    return [None if math.isnan(v) else float(v) for v in values]
-
-
-def _from_json(values):
-    return np.array([math.nan if v is None else v for v in values], dtype=float)
+def _cached(cache_dir, key, compute):
+    """{name: flat float array} of the cache entry under key; on a miss,
+    compute()'s arrays, flattened and stored under key. The entry holds
+    them as lists with NaN as JSON null. cache_dir None bypasses the
+    cache."""
+    cached = cache_get(cache_dir, key) if cache_dir is not None else None
+    if cached is not None:
+        # numpy reads null as NaN
+        return {name: np.array(values, dtype=float)
+                for name, values in cached.items()}
+    arrays = {name: np.ravel(values) for name, values in compute().items()}
+    if cache_dir is not None:
+        cache_put(cache_dir, key, {
+            name: [None if math.isnan(v) else v for v in values.tolist()]
+            for name, values in arrays.items()})
+    return arrays
 
 
 def _chi_values(cfg: RunConfig, cache_dir):
-    """The configured chi_curve grid and chi on it (NaN where resonant),
-    cached as one entry per (device, chi window)."""
+    """The configured chi_curve grid and raw chi on it (NaN where
+    resonant), cached as one entry per (device, chi window)."""
     cc = cfg.raw["chi_curve"]
-    n = int(round((cc["f_max"] - cc["f_min"]) / cc["step"]))
-    grid = cc["f_min"] + cc["step"] * np.arange(n + 1)
+    grid = chi_grid(**cc)
     # raw chi, clamped only when emitted: the clamp is not part of the key
-    key = {"op": "chi-curve", "f_min": cc["f_min"], "f_max": cc["f_max"],
-           "step": cc["step"], "device": cfg.raw["device"]}
-    cached = cache_get(cache_dir, key) if cache_dir is not None else None
-    if cached is not None:
-        return grid, _from_json(cached)
-    values = sweep_dressed(cfg.params, grid, cfg.resonator, cfg.mode,
-                           cfg.dims).chi()
-    if cache_dir is not None:
-        cache_put(cache_dir, key, _to_json(values))
-    return grid, values
+    key = {"op": "chi-curve", **cc, "device": cfg.raw["device"]}
+    return grid, _cached(cache_dir, key, lambda: {"chi": sweep_dressed(
+        cfg.params, grid, cfg.resonator, cfg.mode, cfg.dims).chi()})["chi"]
 
 
-def _chi_profile(cfg: RunConfig, cache_dir) -> ChiProfile:
-    """Chi-vs-flux profile over the configured chi_curve window."""
-    grid, values = _chi_values(cfg, cache_dir)
-    return ChiProfile(grid, fill_and_clamp(values, cfg.chi_clamp), cfg.chi_clamp)
-
-
-def _landscape_grids(cfg: RunConfig, e_j_axis_ghz, f_axis, cache_dir):
-    """{kind: LandscapeGrid} of the configured sweep, cached as one entry
-    per (device, sweep)."""
-    e_j_axis = units.ghz(e_j_axis_ghz)
-    key = {"op": "landscape", "sweep": cfg.raw["sweep"],
-           "device": cfg.raw["device"]}
-    cached = cache_get(cache_dir, key) if cache_dir is not None else None
-    if cached is not None:
-        shape = (e_j_axis.size, f_axis.size)
-        return {kind: LandscapeGrid.of(e_j_axis, f_axis,
-                                       _from_json(values).reshape(shape), kind)
-                for kind, values in cached.items()}
-    grids = compute_landscapes(e_j_axis, f_axis, cfg.params.e_c,
-                               cfg.params.e_l, cfg.resonator, cfg.mode,
-                               cfg.dims, DEFAULT_TRANSITIONS)
-    if cache_dir is not None:
-        cache_put(cache_dir, key, {kind: _to_json(grid.values.ravel())
-                                   for kind, grid in grids.items()})
-    return grids
+def _status(values):
+    """Per-point status: resonant exactly where the raw value is NaN."""
+    return np.where(np.isnan(values), STATUS_RESONANT, STATUS_OK)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_spectrum(cfg: RunConfig, out_dir, cache_dir):
-    key = {"op": "spectrum", "f": cfg.flux, "device": cfg.raw["device"]}
-    energies = cache_get(cache_dir, key) if cache_dir is not None else None
-    if energies is None:
-        spec = fluxonium_spectrum(cfg.params, FluxBias(cfg.flux), cfg.dims.dim)
-        energies = [units.to_ghz(w) for w in spec.eigenvalues]
-        if cache_dir is not None:
-            cache_put(cache_dir, key, energies)
+    energies = fluxonium_spectrum(cfg.params, FluxBias(cfg.flux),
+                                  cfg.dims.dim).eigenvalues
     path = write_csv(out_dir / "spectrum.csv", ["level", "energy_ghz"],
-                     [range(len(energies)), energies])
+                     [range(energies.size), units.to_ghz(energies)])
     return [(path, "spectrum")]
 
 
@@ -136,8 +114,30 @@ def cmd_chi_curve(cfg: RunConfig, out_dir, cache_dir):
     grid, values = _chi_values(cfg, cache_dir)
     path = write_csv(out_dir / "chi_curve.csv", ["f", "chi_mhz", "status"], [
         grid, units.to_mhz(fill_and_clamp(values, cfg.chi_clamp)),
-        np.where(np.isfinite(values), STATUS_OK, STATUS_RESONANT)])
+        _status(values)])
     return [(path, "chi-curve")]
+
+
+# unit, conversion from angular frequency and emission clamp (None: no
+# clamp) of each landscape kind
+LANDSCAPE_EMISSION = {
+    "omega_q": ("GHz", units.to_ghz, None),
+    "chi": ("MHz", units.to_mhz, units.mhz(5.0)),
+    **{f"delta_{i}{j}": ("GHz", units.to_ghz, units.ghz(5.0))
+       for i, j in DEFAULT_TRANSITIONS},
+}
+
+
+def landscape_columns(kind, e_j_axis_ghz, f_axis, values):
+    """CSV columns (e_j_ghz, f, value, unit, status) of one landscape kind
+    from its raw values over (E_J, f), row-major: resonant cells are
+    filled and every value clamped as `fill_and_clamp` does, then
+    converted, all per LANDSCAPE_EMISSION."""
+    unit, conv, clamp = LANDSCAPE_EMISSION[kind]
+    values = np.ravel(values)
+    return [np.repeat(e_j_axis_ghz, f_axis.size),
+            np.tile(f_axis, e_j_axis_ghz.size),
+            conv(fill_and_clamp(values, clamp)), unit, _status(values)]
 
 
 def cmd_landscape(cfg: RunConfig, out_dir, cache_dir):
@@ -145,16 +145,15 @@ def cmd_landscape(cfg: RunConfig, out_dir, cache_dir):
     e_j_axis = np.linspace(sweep["e_j_min_ghz"], sweep["e_j_max_ghz"],
                            sweep["n_e_j"])
     f_axis = np.linspace(sweep["f_min"], sweep["f_max"], sweep["n_f"])
+    key = {"op": "landscape", "sweep": sweep, "device": cfg.raw["device"]}
+    landscapes = _cached(cache_dir, key, lambda: compute_landscapes(
+        units.ghz(e_j_axis), f_axis, cfg.params.e_c, cfg.params.e_l,
+        cfg.resonator, cfg.mode, cfg.dims, DEFAULT_TRANSITIONS))
     files = []
-    for kind, grid in _landscape_grids(cfg, e_j_axis, f_axis, cache_dir).items():
-        unit = "MHz" if kind == "chi" else "GHz"
-        conv = units.to_mhz if kind == "chi" else units.to_ghz
+    for kind, values in landscapes.items():
         path = write_csv(out_dir / f"landscape_{kind}.csv",
                          ["e_j_ghz", "f", "value", "unit", "status"],
-                         [np.repeat(e_j_axis, f_axis.size),
-                          np.tile(f_axis, e_j_axis.size),
-                          conv(grid.emitted_values()).ravel(), unit,
-                          grid.status.ravel()])
+                         landscape_columns(kind, e_j_axis, f_axis, values))
         files.append((path, f"landscape-{kind}"))
     return files
 
@@ -177,7 +176,7 @@ READOUT_HEADER = ["tau_ns", "snr", "error", "m_s_0", "m_s_1",
 
 
 def cmd_readout(cfg: RunConfig, out_dir, cache_dir):
-    profile = _chi_profile(cfg, cache_dir)
+    profile = chi_profile(*_chi_values(cfg, cache_dir), cfg.chi_clamp)
     pulsed = run_ramped_readout(cfg.ramp, profile, cfg.readout)
     static = run_static_readout(profile.chi_at(cfg.ramp.f_start), cfg.readout)
     files = []
@@ -201,7 +200,7 @@ def _noise_columns(curve):
 
 
 def cmd_noise_readout(cfg: RunConfig, out_dir, cache_dir):
-    profile = _chi_profile(cfg, cache_dir)
+    profile = chi_profile(*_chi_values(cfg, cache_dir), cfg.chi_clamp)
     result = noisy_readout_snr(cfg.ramp, profile, cfg.readout, cfg.noise)
     files = []
     for name, curve in (("noise_readout_snr.csv", result.snr),

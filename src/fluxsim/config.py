@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,16 @@ CATEGORY_INVARIANT = "invariant-violation"
 
 REQUIRED = object()
 SEED_MAX = (1 << 64) - 1
+# Each truncation is at most 100^(1/3) times its default: the eigensolves
+# it sizes grow as its cube, so they do at most 100 times the default work,
+# like the work caps below.
+_TRUNCATION_FACTOR = 100 ** (1 / 3)
+
+
+def _truncation(key, default):
+    """The schema row of a truncation, bounded by its default."""
+    return (key, default, 2, int(_TRUNCATION_FACTOR * default), int)
+
 
 # (dotted key, default or REQUIRED, lo, hi, kind), in the order the manifest
 # lists applied defaults. kind float is a finite number, int an integer, list
@@ -43,9 +54,9 @@ SCHEMA = (
     ("device.omega_r_ghz", 7.0, 1e-9, None, float),
     ("device.g_mhz_over_2pi", 50.0, 0.0, None, float),
     ("device.coupling_mode", "ladder-rwa", None, None, CouplingMode),
-    ("device.dim", DEFAULT_DIM, 2, None, int),
+    _truncation("device.dim", DEFAULT_DIM),
     ("device.levels_kept", 8, 2, None, int),
-    ("device.levels_resonator", 8, 2, None, int),
+    _truncation("device.levels_resonator", 8),
     ("readout.n_bar", 10.0, 0.0, None, float),
     ("readout.eta", 1.0, 0.0, 1.0, float),
     ("readout.kappa_mhz_over_2pi", 5.0, 1e-12, None, float),
@@ -57,7 +68,7 @@ SCHEMA = (
     ("readout.ramp.t_rise_ns", 50.0, 0.0, None, float),
     ("gate.tau_g_ns_list", [10.0, 20.0, 30.0], 1e-9, None, list),
     ("gate.levels_fluxonium", 6, 2, None, int),
-    ("gate.levels_resonator", 3, 2, None, int),
+    _truncation("gate.levels_resonator", 3),
     ("gate.dt_ns", 1e-3, 1e-12, None, float),
     ("noise.scale", 1e-2, 0.0, None, float),
     ("noise.n_draws", 50, 1, None, int),
@@ -115,6 +126,12 @@ MAX_CHI_POINTS = 100 * (round((_DEFAULTS["chi_curve"]["f_max"]
                               / _DEFAULTS["chi_curve"]["step"]) + 1)
 # each landscape cell is a dressed eigensolve (1 x 61 cells)
 MAX_LANDSCAPE_CELLS = 100 * _DEFAULTS["sweep"]["n_e_j"] * _DEFAULTS["sweep"]["n_f"]
+# the coupled eigensolves of the sweeps (8 x 8 levels) and of the gate
+# space (6 x 3 levels), bounded as each truncation is
+MAX_COUPLED_LEVELS = int(_TRUNCATION_FACTOR * _DEFAULTS["device"]["levels_kept"]
+                         * _DEFAULTS["device"]["levels_resonator"])
+MAX_GATE_LEVELS = int(_TRUNCATION_FACTOR * _DEFAULTS["gate"]["levels_fluxonium"]
+                      * _DEFAULTS["gate"]["levels_resonator"])
 
 
 @dataclass(frozen=True)
@@ -189,8 +206,11 @@ def _check_value(name, value, lo=None, hi=None, kind=float):
                               f"'{name}' must be one of {modes}, got {value!r}")
     if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
         raise ConfigError(CATEGORY_INVARIANT, f"'{name}' must be an integer")
-    if kind is float and (not isinstance(value, (int, float))
-                          or isinstance(value, bool) or not math.isfinite(value)):
+    # a JSON integer can lie beyond the largest double (an int compares
+    # exactly with a float), and NaN compares false
+    if kind in (int, float) and (not isinstance(value, (int, float))
+                                 or isinstance(value, bool)
+                                 or not abs(value) <= sys.float_info.max):
         raise ConfigError(CATEGORY_INVARIANT, f"'{name}' must be a finite number")
     if lo is not None and value < lo:
         raise ConfigError(CATEGORY_INVARIANT, f"'{name}' must be >= {lo}, got {value}")
@@ -256,6 +276,12 @@ def config_from_dict(raw: dict) -> RunConfig:
     _check_work({"sweep.n_e_j": sweep["n_e_j"], "sweep.n_f": sweep["n_f"]},
                 sweep["n_e_j"] * sweep["n_f"],
                 "landscape cells", MAX_LANDSCAPE_CELLS)
+    for section, kept, levels, cap in (
+            ("device", "levels_kept", "coupled levels", MAX_COUPLED_LEVELS),
+            ("gate", "levels_fluxonium", "gate levels", MAX_GATE_LEVELS)):
+        values = {f"{section}.{key}": canonical[section][key]
+                  for key in (kept, "levels_resonator")}
+        _check_work(values, math.prod(values.values()), levels, cap)
     _check_work({f"chi_curve.{key}": chi_curve[key]
                  for key in ("f_min", "f_max", "step")},
                 (chi_curve["f_max"] - chi_curve["f_min"]) / chi_curve["step"] + 1,
@@ -304,4 +330,6 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(
             CATEGORY_MALFORMED_JSON,
             f"{p}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer of more digits than Python reads
+        raise ConfigError(CATEGORY_MALFORMED_JSON, f"{p}: {exc}") from exc
     return config_from_dict(raw)

@@ -36,6 +36,7 @@ from .qubit import (
     DEFAULT_DIM,
     EnergyParams,
     FluxBias,
+    build_ho_operators,
     canonical_flux,
     fluxonium_spectrum,
     lowering_operator,
@@ -152,11 +153,10 @@ def _coupling_operator(vecs, params: EnergyParams, mode: CouplingMode, kept):
     operator (CHARGE) or the oscillator lowering operator (LADDER_RWA)."""
     w = vecs[..., :kept]
     w_dag = np.swapaxes(w, -1, -2).conj()
-    a = lowering_operator(vecs.shape[-2])
     if mode is CouplingMode.CHARGE:
-        # n = -i (a - a^dag) / (sqrt(2) phi0)
-        return (-1j / (math.sqrt(2.0) * params.phi0)) * (w_dag @ (a - a.T) @ w)
-    return w_dag @ a @ w
+        _, _, n_op, _ = build_ho_operators(vecs.shape[-2], params.phi0)
+        return w_dag @ n_op @ w
+    return w_dag @ lowering_operator(vecs.shape[-2]) @ w
 
 
 def build_coupled_hamiltonian(params: EnergyParams, flux: FluxBias,
@@ -364,8 +364,6 @@ def dispersive_shift(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
 # Landscapes
 
 DEFAULT_TRANSITIONS = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
-CHI_CLAMP = units.mhz(5.0)
-DELTA_CLAMP = units.ghz(5.0)
 
 STATUS_OK = "ok"
 STATUS_RESONANT = "resonant"
@@ -388,46 +386,6 @@ def fill_and_clamp(vals, clamp):
     sign = np.copysign(1.0, flat[source]) if signed.any() else np.ones(flat.size)
     flat[bad] = clamp * sign[bad]
     return np.clip(out, -clamp, clamp)
-
-
-@dataclass(frozen=True)
-class LandscapeGrid:
-    """One scalar landscape over (E_J, f).
-
-    values holds the raw computed numbers, NaN where resonant; emission
-    clamps to +-clamp and saturates resonant cells as `fill_and_clamp` does.
-    """
-
-    e_j_axis: np.ndarray
-    f_axis: np.ndarray
-    values: np.ndarray
-    kind: str
-    clamp: float | None
-
-    def __post_init__(self):
-        ej = np.asarray(self.e_j_axis, dtype=float)
-        f = np.asarray(self.f_axis, dtype=float)
-        if ej.size == 0 or f.size == 0:
-            raise ValueError("landscape axes must be nonempty")
-        if np.any(np.diff(ej) <= 0) or np.any(np.diff(f) <= 0):
-            raise ValueError("landscape axes must be strictly increasing")
-        if self.values.shape != (ej.size, f.size):
-            raise ValueError("value matrix shape must match axis lengths")
-
-    @classmethod
-    def of(cls, e_j_axis, f_axis, values, kind):
-        """The grid of one landscape kind, with the kind's emission clamp
-        (none for omega_q)."""
-        clamp = {"omega_q": None, "chi": CHI_CLAMP}.get(kind, DELTA_CLAMP)
-        return cls(e_j_axis, f_axis, values, kind, clamp)
-
-    @property
-    def status(self):
-        """Per-cell status: resonant exactly where the value is NaN."""
-        return np.where(np.isnan(self.values), STATUS_RESONANT, STATUS_OK)
-
-    def emitted_values(self):
-        return fill_and_clamp(self.values, self.clamp)
 
 
 def _landscape_row(params, f_values, res, mode, dims, transitions):
@@ -454,8 +412,9 @@ def compute_landscapes(e_j_axis, f_axis, e_c, e_l, res: ResonatorParams,
                        dims: CoupledDims = CoupledDims(),
                        transitions=DEFAULT_TRANSITIONS):
     """Sweep (E_J, f), one flux sweep per E_J; every grid cell equals the
-    single-point operation with identical inputs. Resonance errors become
-    per-cell status, never aborts. Returns {kind: LandscapeGrid}.
+    single-point operation with identical inputs. Returns {kind: raw values
+    (len(e_j_axis), len(f_axis))} for omega_q, chi and each delta_ij, NaN
+    where resonant: resonance marks a cell, never aborts.
     """
     e_j_axis = np.asarray(e_j_axis, dtype=float)
     f_axis = np.asarray(f_axis, dtype=float)
@@ -466,7 +425,7 @@ def compute_landscapes(e_j_axis, f_axis, e_c, e_l, res: ResonatorParams,
                              res, mode, dims, transitions)
         for k in kinds:
             values[k][a] = row[k]
-    return {k: LandscapeGrid.of(e_j_axis, f_axis, values[k], k) for k in kinds}
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -528,19 +487,30 @@ def find_anticrossing(params: EnergyParams, res: ResonatorParams,
 # ---------------------------------------------------------------------------
 # Chi-vs-flux profile for the readout dynamics
 
+def chi_grid(f_min, f_max, step):
+    """The uniform flux grid f_min + k step, k = 0 .. round((f_max - f_min)
+    / step), on which chi profiles and chi curves are tabulated."""
+    n = int(round((f_max - f_min) / step))
+    return f_min + step * np.arange(n + 1)
+
+
+def chi_profile(grid, chi, clamp) -> ChiProfile:
+    """Profile of the raw chi on grid (NaN where resonant): resonant points
+    are filled as `fill_and_clamp` fills them and all values are clipped to
+    +-clamp. A grid that is resonant everywhere raises."""
+    if np.all(np.isnan(chi)):
+        raise NumericalFailureError("chi profile entirely resonant",
+                                    f_min=grid[0], f_max=grid[-1])
+    return ChiProfile(grid, fill_and_clamp(chi, clamp), clamp)
+
+
 def build_chi_profile(params: EnergyParams, res: ResonatorParams,
                       mode: CouplingMode = DEFAULT_MODE,
                       dims: CoupledDims = CoupledDims(),
                       f_min=0.40, f_max=0.70, step=1e-4,
                       clamp=units.mhz(50.0)) -> ChiProfile:
-    """Tabulate chi on a uniform flux grid in one dressed sweep. Resonant
-    points (assignment breakdown) are filled as `fill_and_clamp` fills
-    them; all values are clipped to +-clamp.
-    """
-    n = int(round((f_max - f_min) / step))
-    grid = f_min + step * np.arange(n + 1)
-    vals = sweep_dressed(params, grid, res, mode, dims).chi()
-    if np.all(np.isnan(vals)):
-        raise NumericalFailureError("chi profile entirely resonant",
-                                    f_min=f_min, f_max=f_max)
-    return ChiProfile(grid, fill_and_clamp(vals, clamp), clamp)
+    """Tabulate chi on `chi_grid(f_min, f_max, step)` in one dressed sweep
+    and make it a `chi_profile`."""
+    grid = chi_grid(f_min, f_max, step)
+    return chi_profile(grid, sweep_dressed(params, grid, res, mode, dims).chi(),
+                       clamp)

@@ -21,12 +21,13 @@ from .coupled import (
     CoupledDims,
     CouplingMode,
     ResonatorParams,
+    _coupling_operator,
     assign_dressed_levels,
     build_coupled_hamiltonian,
     diagonalize,
 )
 from .errors import DomainError, OptimizerConsistencyError, StepSizeError
-from .qubit import EnergyParams, FluxBias, build_ho_operators, fluxonium_spectrum
+from .qubit import EnergyParams, FluxBias, fluxonium_spectrum
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,8 @@ def build_gate_space(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
                      mode: CouplingMode = DEFAULT_MODE,
                      dims: CoupledDims = CoupledDims(kept=6, n_res=3)) -> GateSpace:
     spec = fluxonium_spectrum(params, flux, dims.dim)
-    w = spec.eigenvectors[:, :dims.kept]
-    _, _, n_full, _ = build_ho_operators(dims.dim, params.phi0)
-    n_proj = w.conj().T @ n_full @ w
+    n_proj = _coupling_operator(spec.eigenvectors, params, CouplingMode.CHARGE,
+                                dims.kept)
     charge_op = np.kron(n_proj, np.eye(dims.n_res, dtype=complex))
     h0 = build_coupled_hamiltonian(params, flux, res, mode, dims, spec=spec)
     vals, vecs = diagonalize(h0)

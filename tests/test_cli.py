@@ -4,7 +4,9 @@ import csv
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from fluxsim import diagnostics, units
@@ -15,9 +17,14 @@ from fluxsim.coupled import (
     CoupledDims,
     CouplingMode,
     ResonatorParams,
+    build_chi_profile,
+    chi_grid,
     dispersive_shift,
+    fill_and_clamp,
     find_anticrossing,
+    sweep_dressed,
 )
+from fluxsim.errors import NumericalFailureError
 from fluxsim.qubit import EnergyParams, FluxBias, fluxonium_spectrum
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
@@ -96,12 +103,13 @@ def test_one_cache_entry_per_sweep(tmp_path):
     assert diagnostics.eigensolve_count() == 0
 
 
-def _bogus_spectrum(cfg, version, out, numerics=NUMERICS_TAG):
-    """A cache entry under the current `spectrum` key holding energies of
-    100, 101, ... GHz, written as the given schema version and numerics
+def _forged_chi_curve(cfg, version, out, numerics=NUMERICS_TAG):
+    """A cache entry under the current `chi-curve` key holding chi = 1 MHz
+    at every grid point, written as the given schema version and numerics
     tag."""
-    key = {"op": "spectrum", "f": cfg.flux, "device": cfg.raw["device"]}
-    value = [100.0 + k for k in range(cfg.dims.dim)]
+    cc = cfg.raw["chi_curve"]
+    key = {"op": "chi-curve", **cc, "device": cfg.raw["device"]}
+    value = {"chi": [units.mhz(1.0)] * len(chi_grid(**cc))}
     path = entry_path(out / ".cache", key)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"schema_version": version,
@@ -109,46 +117,113 @@ def _bogus_spectrum(cfg, version, out, numerics=NUMERICS_TAG):
                                 "value": value}), encoding="utf-8")
 
 
+def _small_chi_window(tmp_path):
+    raw = base_config(tmp_path / "out")
+    raw["chi_curve"] = {"f_min": 0.49, "f_max": 0.51, "step": 1e-3}
+    cfg_path, out = write_config(tmp_path, raw)
+    return cfg_path, out, config_from_dict(raw)
+
+
+def _chi_mhz(out):
+    return [float(r["chi_mhz"]) for r in read_csv(out / "chi_curve.csv")]
+
+
+def _library_chi_mhz(cfg):
+    cc = cfg.raw["chi_curve"]
+    chi = sweep_dressed(PARAMS, chi_grid(**cc), RES).chi()
+    return units.to_mhz(fill_and_clamp(chi, cfg.chi_clamp)).tolist()
+
+
 def test_cache_from_an_older_schema_is_recomputed(tmp_path):
-    cfg_path, out = write_config(tmp_path)
-    cfg = config_from_dict(base_config(out))
-    _bogus_spectrum(cfg, CACHE_SCHEMA_VERSION - 1, out)
-    assert main(["spectrum", "--config", str(cfg_path)]) == 0
-    rows = read_csv(out / "spectrum.csv")
-    want = fluxonium_spectrum(PARAMS, FluxBias(cfg.flux)).eigenvalues
-    assert [float(r["energy_ghz"]) for r in rows] == \
-        [units.to_ghz(w) for w in want]
+    cfg_path, out, cfg = _small_chi_window(tmp_path)
+    _forged_chi_curve(cfg, CACHE_SCHEMA_VERSION - 1, out)
+    assert main(["chi-curve", "--config", str(cfg_path)]) == 0
+    assert _chi_mhz(out) == _library_chi_mhz(cfg)
     # the same entry under the current version is served as it stands
-    _bogus_spectrum(cfg, CACHE_SCHEMA_VERSION, out)
-    assert main(["spectrum", "--config", str(cfg_path)]) == 0
-    assert float(read_csv(out / "spectrum.csv")[0]["energy_ghz"]) == 100.0
+    _forged_chi_curve(cfg, CACHE_SCHEMA_VERSION, out)
+    assert main(["chi-curve", "--config", str(cfg_path)]) == 0
+    assert set(_chi_mhz(out)) == {units.to_mhz(units.mhz(1.0))}
 
 
 def test_cache_from_other_numerics_code_is_recomputed(tmp_path):
     # an entry under the current schema version, written by numerics code
     # whose source differs from this one's (a forgotten version bump)
-    cfg_path, out = write_config(tmp_path)
-    cfg = config_from_dict(base_config(out))
-    _bogus_spectrum(cfg, CACHE_SCHEMA_VERSION, out, numerics="0" * 64)
+    cfg_path, out, cfg = _small_chi_window(tmp_path)
+    _forged_chi_curve(cfg, CACHE_SCHEMA_VERSION, out, numerics="0" * 64)
     diagnostics.reset_eigensolve_count()
-    assert main(["spectrum", "--config", str(cfg_path)]) == 0
-    assert diagnostics.eigensolve_count() == 1
-    rows = read_csv(out / "spectrum.csv")
-    want = fluxonium_spectrum(PARAMS, FluxBias(cfg.flux)).eigenvalues
-    assert [float(r["energy_ghz"]) for r in rows] == \
-        [units.to_ghz(w) for w in want]
+    assert main(["chi-curve", "--config", str(cfg_path)]) == 0
+    assert diagnostics.eigensolve_count() > 0
+    assert _chi_mhz(out) == _library_chi_mhz(cfg)
 
 
-def test_warm_spectrum_is_byte_identical_to_cold(tmp_path):
-    cfg_path, out = write_config(tmp_path)
-    assert main(["spectrum", "--config", str(cfg_path)]) == 0
-    cold = (out / "spectrum.csv").read_bytes()
+def test_warm_chi_curve_is_byte_identical_to_cold(tmp_path):
+    cfg_path, out, _ = _small_chi_window(tmp_path)
+    assert main(["chi-curve", "--config", str(cfg_path)]) == 0
+    cold = (out / "chi_curve.csv").read_bytes()
     assert len(list((out / ".cache").glob("*.json"))) == 1
-    (out / "spectrum.csv").unlink()
+    (out / "chi_curve.csv").unlink()
     diagnostics.reset_eigensolve_count()
-    assert main(["spectrum", "--config", str(cfg_path)]) == 0
+    assert main(["chi-curve", "--config", str(cfg_path)]) == 0
     assert diagnostics.eigensolve_count() == 0
-    assert (out / "spectrum.csv").read_bytes() == cold
+    assert (out / "chi_curve.csv").read_bytes() == cold
+
+
+def test_spectrum_writes_no_cache_entry(tmp_path):
+    cfg_path, out = write_config(tmp_path)
+    assert main(["spectrum", "--config", str(cfg_path)]) == 0
+    assert not (out / ".cache").exists()
+    rows = read_csv(out / "spectrum.csv")
+    want = fluxonium_spectrum(PARAMS, FluxBias(0.5)).eigenvalues
+    assert [float(r["energy_ghz"]) for r in rows] == units.to_ghz(want).tolist()
+
+
+def test_readout_chi_profile_is_the_library_profile(tmp_path, monkeypatch):
+    import fluxsim.cli as cli
+
+    profiles = []
+    ramped = cli.run_ramped_readout
+
+    def record(ramp, profile, readout):
+        profiles.append(profile)
+        return ramped(ramp, profile, readout)
+
+    monkeypatch.setattr(cli, "run_ramped_readout", record)
+    raw = base_config(tmp_path / "out")
+    raw["readout"]["chi_clamp_mhz"] = 1.0  # some points are clamped
+    cfg = config_from_dict(raw)
+    for _ in ("cold", "warm"):
+        run_subcommand("readout", cfg)
+    want = build_chi_profile(PARAMS, RES, **raw["chi_curve"],
+                             clamp=units.mhz(1.0))
+    assert len(profiles) == 2
+    for profile in profiles:
+        assert profile.flux_grid.tobytes() == want.flux_grid.tobytes()
+        assert profile.chi_values.tobytes() == want.chi_values.tobytes()
+        assert profile.clamp == want.clamp
+
+
+def test_entirely_resonant_chi_window_is_a_numerical_error(tmp_path, capsys,
+                                                           monkeypatch):
+    import fluxsim.cli as cli
+    import fluxsim.coupled as coupled
+
+    def resonant_sweep(params, f_values, *args):
+        return SimpleNamespace(chi=lambda: np.full(len(f_values), math.nan))
+
+    monkeypatch.setattr(cli, "sweep_dressed", resonant_sweep)
+    monkeypatch.setattr(coupled, "sweep_dressed", resonant_sweep)
+    with pytest.raises(NumericalFailureError, match="entirely resonant"):
+        build_chi_profile(PARAMS, RES, f_min=0.45, f_max=0.66, step=1e-3)
+    cfg_path, out = write_config(tmp_path)
+    # the cold run fills the cache with the resonant window, the warm run
+    # reads it back
+    for sub in ("readout", "noise-readout"):
+        assert main([sub, "--config", str(cfg_path)]) == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["type"] == "NumericalFailureError"
+        assert "entirely resonant" in record["error"]["message"]
+    assert len(list((out / ".cache").glob("*.json"))) == 1
+    assert not (out / "readout_pulsed.csv").exists()
 
 
 def test_no_cache_flag_bypasses_cache(tmp_path):

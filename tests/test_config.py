@@ -12,6 +12,8 @@ from fluxsim.config import (
     CATEGORY_MISSING_FILE,
     CATEGORY_UNKNOWN_KEY,
     MAX_CHI_POINTS,
+    MAX_COUPLED_LEVELS,
+    MAX_GATE_LEVELS,
     MAX_GATE_STEPS,
     MAX_LANDSCAPE_CELLS,
     MAX_READOUT_DRAW_POINTS,
@@ -243,6 +245,56 @@ def test_work_caps_quote_the_keys_and_values(section, within, over_cap,
     assert exc.value.category == CATEGORY_INVARIANT
     for fragment in quoted:
         assert fragment in str(exc.value)
+
+
+def test_truncations_are_bounded_by_their_defaults():
+    # each truncation and each coupled product is at most 100^(1/3) times
+    # its default: at most 100 times the default eigensolve work
+    bounds = {row[0]: row[3] for row in SCHEMA}
+    assert (bounds["device.dim"], bounds["device.levels_resonator"],
+            bounds["gate.levels_resonator"]) == (185, 37, 13)
+    assert (MAX_COUPLED_LEVELS, MAX_GATE_LEVELS) == (297, 83)
+    # rejected at config time only: no dimension this large is built here
+    for section, within, over_cap, quoted in (
+            ("device", {"dim": 185, "levels_kept": 37, "levels_resonator": 8},
+             {"dim": 185, "levels_kept": 38, "levels_resonator": 8},
+             "'device.levels_kept' = 38, 'device.levels_resonator' = 8 "
+             "give 304 coupled levels; at most 297"),
+            ("gate", {"levels_fluxonium": 27, "levels_resonator": 3},
+             {"levels_fluxonium": 14, "levels_resonator": 6},
+             "'gate.levels_fluxonium' = 14, 'gate.levels_resonator' = 6 "
+             "give 84 gate levels; at most 83")):
+        base = copy.deepcopy(MINIMAL)
+        config_from_dict({**base, section: {**base.get(section, {}), **within}})
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({**base,
+                              section: {**base.get(section, {}), **over_cap}})
+        assert exc.value.category == CATEGORY_INVARIANT
+        assert quoted in str(exc.value)
+
+
+@pytest.mark.parametrize("key", ["flux", "readout.t_max_ns", "device.e_j_ghz",
+                                 "noise.n_draws", "sweep.n_f", "device.dim",
+                                 "gate.tau_g_ns_list"])
+def test_integers_beyond_the_largest_double_are_invariant_violations(tmp_path,
+                                                                     key):
+    value = 10**400
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        with_key(key, [value] if key.endswith("_list") else value)),
+        encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path)
+    assert exc.value.category == CATEGORY_INVARIANT
+    assert f"'{key}" in str(exc.value) and "finite number" in str(exc.value)
+
+
+def test_integer_of_more_digits_than_python_reads_is_malformed(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"flux": 1' + "0" * 5000 + "}", encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path)
+    assert exc.value.category == CATEGORY_MALFORMED_JSON
 
 
 @pytest.mark.parametrize("ramp", [5, [0.5, 0.641, 50.0], "ab", None])

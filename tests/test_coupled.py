@@ -17,7 +17,6 @@ from fluxsim.coupled import (
     CoupledDims,
     CouplingMode,
     DressedSweep,
-    LandscapeGrid,
     ResonatorParams,
     assemble_coupled,
     assign_dressed_levels,
@@ -29,6 +28,7 @@ from fluxsim.coupled import (
     sweep_dressed,
     two_level_eigensystem,
 )
+from fluxsim.cli import LANDSCAPE_EMISSION, landscape_columns
 from fluxsim.errors import (
     BracketingError,
     InvalidDimensionError,
@@ -141,24 +141,47 @@ def test_landscape_matches_single_point_calls():
         for b, f in enumerate(f_axis):
             chi = dispersive_shift(params, FluxBias(float(f)), RES,
                                    DEFAULT_MODE, dims)
-            assert grids["chi"].values[a, b] == pytest.approx(chi, rel=1e-12)
+            assert grids["chi"][a, b] == pytest.approx(chi, rel=1e-12)
             spec = fluxonium_spectrum(params, FluxBias(float(f)), dims.dim)
-            assert grids["omega_q"].values[a, b] == pytest.approx(
+            assert grids["omega_q"][a, b] == pytest.approx(
                 spec.transition(1, 0), rel=1e-12)
-            assert grids["chi"].status[a, b] == "ok"
+    assert sorted(grids) == sorted(LANDSCAPE_EMISSION)
+    assert all(g.shape == (2, 3) and np.all(np.isfinite(g))
+               for g in grids.values())
+
+
+def _emitted(kind, values):
+    """(value, unit, status) columns of one landscape kind's emission of
+    raw values over an (E_J, f) grid of their shape."""
+    values = np.array(values, dtype=float)
+    e_j = np.linspace(4.5, 5.0, values.shape[0])
+    f = np.linspace(0.4, 0.6, values.shape[1])
+    return landscape_columns(kind, e_j, f, values)[2:]
 
 
 def test_landscape_emission_clamps_resonant_cells():
-    grid = compute_landscapes(units.ghz(np.array([4.75])), np.array([0.5]),
-                              PARAMS.e_c, PARAMS.e_l, RES,
-                              dims=CoupledDims(dim=30, kept=4, n_res=3))["chi"]
+    dims = CoupledDims(dim=30, kept=4, n_res=3)
+    grids = compute_landscapes(units.ghz(np.array([4.75])), np.array([0.5]),
+                               PARAMS.e_c, PARAMS.e_l, RES, dims=dims)
+    # chi is clamped to +-5 MHz and delta_ij to +-5 GHz; omega_q never
+    chi_clamp, delta_clamp = units.mhz(5.0), units.ghz(5.0)
+    assert [LANDSCAPE_EMISSION[k] for k in ("omega_q", "chi", "delta_31")] == [
+        ("GHz", units.to_ghz, None), ("MHz", units.to_mhz, chi_clamp),
+        ("GHz", units.to_ghz, delta_clamp)]
     # forge a resonant (NaN) cell and check the emitted fill and status
-    forged = LandscapeGrid(
-        np.array([1.0]), np.array([0.1, 0.2, 0.3, 0.4]),
-        np.array([[-2.0, math.nan, 3.0, 100.0]]), "chi", clamp=5.0)
-    assert list(forged.emitted_values()[0]) == [-2.0, -5.0, 3.0, 5.0]
-    assert forged.status.tolist() == [["ok", "resonant", "ok", "ok"]]
-    assert grid.emitted_values()[0, 0] == pytest.approx(grid.values[0, 0])
+    c = chi_clamp
+    value, unit, status = _emitted("chi",
+                                   [[-0.4 * c, math.nan, 0.6 * c, 20 * c]])
+    assert value.tolist() == units.to_mhz(
+        np.array([-0.4 * c, -c, 0.6 * c, c])).tolist()
+    assert unit == "MHz" and status.tolist() == ["ok", "resonant", "ok", "ok"]
+    value, unit, status = _emitted("omega_q", [[100.0]])
+    assert value.tolist() == [units.to_ghz(100.0)] and unit == "GHz"
+    for kind, raw in grids.items():
+        _, conv, clamp = LANDSCAPE_EMISSION[kind]
+        value, unit, status = _emitted(kind, raw)
+        want = raw[0, 0] if clamp is None else np.clip(raw[0, 0], -clamp, clamp)
+        assert value.tolist() == [conv(want)] and status.tolist() == ["ok"]
 
 
 def test_fill_and_clamp_leading_and_interior_runs():
@@ -261,12 +284,11 @@ def test_zero_does_not_set_the_fill_sign():
     assert list(out) == [-2.0, 0.0, -5.0, -5.0, 3.0, 0.0, 5.0]
     assert list(fill_and_clamp([0.0, math.nan, -1.0], 5.0)) == [0.0, -5.0, -1.0]
     assert list(fill_and_clamp([math.nan, 0.0], 5.0)) == [5.0, 0.0]
-    forged = LandscapeGrid(
-        np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3]),
-        np.array([[-2.0, 0.0, math.nan], [math.nan, 3.0, -0.0]]),
-        "chi", clamp=5.0)
-    assert forged.emitted_values().tolist() == [[-2.0, 0.0, -5.0],
-                                                [-5.0, 3.0, 0.0]]
+    c = units.mhz(5.0)
+    value, _, _ = _emitted("chi", [[-0.4 * c, 0.0, math.nan],
+                                   [math.nan, 0.6 * c, -0.0]])
+    assert value.tolist() == units.to_mhz(
+        np.array([-0.4 * c, 0.0, -c, -c, 0.6 * c, 0.0])).tolist()
 
 
 def _reference_point(params, f, res, mode, dims=CoupledDims()):
@@ -335,6 +357,31 @@ def test_sweep_matches_complex_per_point_reference(mode):
         for (i, j), want in ref_deltas.items():
             got = sweep.detuning(RES, i, j)[p]
             assert _same_or_both_nan(got, want, units.ghz(1e-9)), (f, i, j)
+
+
+def test_charge_mode_within_stated_bound_of_the_explicit_charge_formula():
+    # the CHARGE coupling operator projects qubit.build_ho_operators' charge
+    # matrix; projecting (-i / (sqrt 2 phi0)) (a - a^T) instead, as a real
+    # product scaled afterwards, moves it by at most 9e-16 and chi on
+    # [0.40, 0.70] by at most 2.4e-13 rad/ns (4e-11 MHz); bounds 2e-15, 1e-12
+    dims = CoupledDims()
+    grid = np.linspace(0.40, 0.70, 61)
+    vals, vecs = qubit.spectrum_sweep(PARAMS, grid, dims.dim)
+    w = vecs[..., :dims.kept]
+    a = qubit.lowering_operator(dims.dim)
+    explicit = (-1j / (math.sqrt(2.0) * PARAMS.phi0)) * (
+        np.swapaxes(w, -1, -2) @ (a - a.T) @ w)
+    op = coupled._coupling_operator(vecs, PARAMS, CouplingMode.CHARGE,
+                                    dims.kept)
+    assert np.max(np.abs(op - explicit)) <= 2e-15
+    h = assemble_coupled(vals[:, :dims.kept], explicit, RES,
+                         CouplingMode.CHARGE, dims.n_res)
+    rows = np.array([i * dims.n_res + n for i, n in CHI_LABELS])
+    want = DressedSweep(CHI_LABELS, vals[:, :dims.kept],
+                        *coupled._dressed_levels(h, rows)).chi()
+    chi = sweep_dressed(PARAMS, grid, RES, CouplingMode.CHARGE, dims).chi()
+    assert np.all(np.isfinite(want)) and np.all(np.isfinite(chi))
+    assert np.max(np.abs(chi - want)) <= 1e-12
 
 
 def test_single_point_equals_sweep_element_bit_for_bit():
