@@ -8,14 +8,15 @@ trusted or deleted. Publication is atomic (write to a temp file, rename).
 The key names the computation but not the code that produced the value.
 A change to the layout of a cached value must bump CACHE_SCHEMA_VERSION,
 and each entry also records NUMERICS_TAG, the SHA-256 of the source of the
-modules whose output is cached: an entry written under another version or
-by other numerics code is a miss and is recomputed, so an edit that forgets
-the bump cannot be served stale values. Version 2: real flux-affine spectra
-and whole-sweep chi and landscape entries. Version 3: the spectrum entry
-holds only the energies in GHz. Version 4: spectra solved at the canonical
-flux in [0, 1/2] (values change in their last bits). Version 5: every entry
-holds an object of named flat arrays (NaN as null), and spectra are no
-longer cached.
+modules whose output is cached and of the unit conversions (`units`, and
+`config`, which maps the GHz values in the key through them): an entry
+written under another version or by other numerics code is a miss and is
+recomputed, so an edit that forgets the bump cannot be served stale
+values. Version 2: real flux-affine spectra and whole-sweep chi and
+landscape entries. Version 3: the spectrum entry holds only the energies
+in GHz. Version 4: spectra solved at the canonical flux in [0, 1/2]
+(values change in their last bits). Version 5: every entry holds an object
+of named flat arrays (NaN as null), and spectra are no longer cached.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ def _source_digest(names):
     return digest.hexdigest()
 
 
-NUMERICS_TAG = _source_digest(("qubit.py", "coupled.py", "readout.py"))
+NUMERICS_TAG = _source_digest(("qubit.py", "coupled.py", "readout.py",
+                               "units.py", "config.py"))
 
 
 def canonical_key_text(key: dict) -> str:

@@ -1,15 +1,17 @@
 """End-to-end tests for the simulate command-line driver."""
 
 import csv
+import importlib.util
 import json
 import math
+import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fluxsim import diagnostics, units
+from fluxsim import cache, diagnostics, units
 from fluxsim.cache import CACHE_SCHEMA_VERSION, NUMERICS_TAG, entry_path
 from fluxsim.cli import main, run_subcommand
 from fluxsim.config import config_from_dict
@@ -145,15 +147,37 @@ def test_cache_from_an_older_schema_is_recomputed(tmp_path):
     assert set(_chi_mhz(out)) == {units.to_mhz(units.mhz(1.0))}
 
 
+def _numerics_tag_after_edit(tmp_path, name):
+    """NUMERICS_TAG of a copy of the package whose `name` has one more line."""
+    copy = tmp_path / f"edited_{name}"
+    shutil.copytree(Path(cache.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / name, "a", encoding="utf-8") as handle:
+        handle.write("# edited\n")
+    spec = importlib.util.spec_from_file_location(f"edited_cache_{name}",
+                                                  copy / "cache.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.NUMERICS_TAG
+
+
 def test_cache_from_other_numerics_code_is_recomputed(tmp_path):
     # an entry under the current schema version, written by numerics code
-    # whose source differs from this one's (a forgotten version bump)
+    # whose source differs from this one's (a forgotten version bump): any
+    # tag, or the tag of an edit to a module the cached chi passes through,
+    # including the unit conversions that config applies to the key's GHz
     cfg_path, out, cfg = _small_chi_window(tmp_path)
-    _forged_chi_curve(cfg, CACHE_SCHEMA_VERSION, out, numerics="0" * 64)
-    diagnostics.reset_eigensolve_count()
-    assert main(["chi-curve", "--config", str(cfg_path)]) == 0
-    assert diagnostics.eigensolve_count() > 0
-    assert _chi_mhz(out) == _library_chi_mhz(cfg)
+    tags = {"other": "0" * 64}
+    for name in ("qubit.py", "coupled.py", "readout.py", "units.py",
+                 "config.py"):
+        tags[name] = _numerics_tag_after_edit(tmp_path, name)
+    assert NUMERICS_TAG not in tags.values()
+    for edited, tag in tags.items():
+        _forged_chi_curve(cfg, CACHE_SCHEMA_VERSION, out, numerics=tag)
+        diagnostics.reset_eigensolve_count()
+        assert main(["chi-curve", "--config", str(cfg_path)]) == 0, edited
+        assert diagnostics.eigensolve_count() > 0, edited
+        assert _chi_mhz(out) == _library_chi_mhz(cfg), edited
 
 
 def test_warm_chi_curve_is_byte_identical_to_cold(tmp_path):

@@ -70,16 +70,30 @@ def _row_formatter_bytes(header, columns):
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
                2.225073858507201e-308, 1e300, -1e300, 1e-300, -1e-300]
-FLOATS = st.floats(width=64) | st.sampled_from(EDGE_FLOATS)
+# where repr's notation changes (1e-4, 1e16) or orjson's differs from it
+# (1e-5, 1e-9), the lower edge of the re-formatted band (1e-11), and the
+# neighbouring doubles of each
+NOTATION_EDGES = [sign * y for x in (1e-11, 1e-9, 1e-5, 1e-4, 1e16)
+                  for y in (math.nextafter(x, 0.0), x,
+                            math.nextafter(x, math.inf))
+                  for sign in (1.0, -1.0)]
+SUBNORMALS = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+FLOATS = (st.floats(width=64) | st.sampled_from(EDGE_FLOATS + NOTATION_EDGES)
+          | SUBNORMALS)
 TEXT = st.text(alphabet="abcxyz_ 0123456789.-", max_size=8)
 
 
 def _columns(n):
-    """One column of each kind, n rows: float64 array, float list, int
-    array and list, bool array, str array and list, and scalars."""
+    """One column of each kind, n rows: float64 array (contiguous, the real
+    part of a complex array, every third element), float list, int array
+    and list, bool array, str array and list, and scalars."""
     return st.one_of(
         st.lists(FLOATS, min_size=n, max_size=n).map(
             lambda v: np.array(v, dtype=float)),
+        st.lists(FLOATS, min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=complex).real),
+        st.lists(FLOATS, min_size=3 * n, max_size=3 * n).map(
+            lambda v: np.array(v, dtype=float)[::3]),
         st.lists(FLOATS, min_size=n, max_size=n),
         st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n).map(
             lambda v: np.array(v, dtype=np.int64)),
@@ -104,6 +118,20 @@ def test_write_csv_matches_row_formatter(tmp_path, table):
     header, columns = table
     path = write_csv(tmp_path / "t.csv", header, columns)
     assert path.read_bytes() == _row_formatter_bytes(header, columns)
+
+
+def test_write_csv_float_column_matches_repr_on_random_bits(tmp_path):
+    # a seeded sweep of random 64-bit patterns: every exponent, sign and
+    # non-finite value, with float.__repr__ as the reference
+    bits = np.random.default_rng(20181).integers(0, 2**64, 500_000,
+                                                 dtype=np.uint64)
+    values = bits.view(np.float64)
+    path = write_csv(tmp_path / "bits.csv", ["x"], [values])
+    header, *cells = path.read_text().splitlines()
+    expected = list(map(float.__repr__, values.tolist()))
+    wrong = [(e, c) for e, c in zip(expected, cells) if e != c]
+    assert (header, len(cells)) == ("x", len(expected))
+    assert not wrong, f"{len(wrong)} cells differ from repr, e.g. {wrong[:5]}"
 
 
 def test_write_csv_empty_table_is_header_only(tmp_path):
