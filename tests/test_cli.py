@@ -425,6 +425,23 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     assert record["error"]["type"] == "DomainError"
 
 
+def test_readout_step_beyond_the_rk4_bound_is_a_numerical_error(tmp_path,
+                                                               capsys):
+    # dt kappa/2 = 1.26 > 1 whatever chi is
+    raw = base_config(tmp_path / "out")
+    raw["chi_curve"] = {"f_min": 0.49, "f_max": 0.65, "step": 1e-2}
+    raw["readout"] = {**raw["readout"], "kappa_mhz_over_2pi": 400.0,
+                      "dt_ns": 1.0}
+    cfg_path, out = write_config(tmp_path, raw)
+    for sub in ("readout", "noise-readout"):
+        assert main([sub, "--config", str(cfg_path)]) == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["category"] == "numerical"
+        assert record["error"]["type"] == "StepSizeError"
+        assert "step" in record["error"]["message"]
+    assert not list(out.glob("*readout*.csv"))
+
+
 @pytest.mark.parametrize("section, values, key", [
     ("readout", {"ramp": 5}, "readout.ramp"),
     ("device", {"levels_kept": 50}, "device.levels_kept"),

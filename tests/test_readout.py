@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fluxsim import units
 from fluxsim.coupled import ResonatorParams, dispersive_shift
-from fluxsim.errors import DomainError
+from fluxsim.errors import DomainError, StepSizeError
 from fluxsim.qubit import EnergyParams, FluxBias
 from fluxsim.readout import (
     ChiProfile,
@@ -23,6 +23,7 @@ from fluxsim.readout import (
     output_field,
     qubit_phase_shift,
     readout_error,
+    readout_snr_rows,
     run_ramped_readout,
     run_readout,
     run_static_readout,
@@ -275,26 +276,111 @@ def _readout_case(name):
     return flux_ramp_profile(shifted, profile), profile.chi_at(shifted.f_end)
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_readout_matches_scalar_rk4_reference(name):
-    # same RK4 map, rounded differently: fields to 1e-12, error to 1e-13
-    chi_of_t, chi_target = _readout_case(name)
-    cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=1000.0,
-                        dt=0.05)
-    traj = run_readout(chi_of_t, chi_target, cfg)
+def _reference_readout(chi_of_t, chi_target, cfg):
+    """(alpha_plus, alpha_minus, snr, error) of the scalar RK4 reference,
+    with the error from math.erfc."""
     times = time_grid(cfg.t_max, cfg.dt)
     eps = drive_amplitude(cfg.n_bar, cfg.kappa, chi_target)
     ref_p = _reference_langevin(chi_of_t, cfg.kappa, eps, +1, times)
     ref_m = _reference_langevin(chi_of_t, cfg.kappa, eps, -1, times)
-    assert np.max(np.abs(traj.alpha_plus - ref_p)) <= 1e-12
-    assert np.max(np.abs(traj.alpha_minus - ref_m)) <= 1e-12
     out_p = output_field(ref_p, cfg.kappa, eps)
     out_m = output_field(ref_m, cfg.kappa, eps)
     theta = optimal_demod_phase(out_p, out_m, times)
     m_p, m_m = measurement_signal(out_p, out_m, cfg.eta, theta, times, cfg.kappa)
-    ref_error = [0.5 * math.erfc(0.5 * x)
-                 for x in snr_curve(m_p, m_m, cfg.kappa, times)]
-    assert np.max(np.abs(traj.error - ref_error)) <= 1e-13
+    snr = snr_curve(m_p, m_m, cfg.kappa, times)
+    return ref_p, ref_m, snr, np.array([0.5 * math.erfc(0.5 * x) for x in snr])
+
+
+def _assert_matches_reference(snr, error, ref_snr, ref_error):
+    # SNR relative to the curve's peak: near tau = 0 the SNR is ~1e-6 and
+    # its rounding is relative to the fields, not to itself
+    assert np.max(np.abs(snr - ref_snr)) <= 1e-13 * np.max(ref_snr)
+    assert np.max(np.abs(error - ref_error)) <= 1e-13
+
+
+# 5 us at dt = 0.05 ns is 100 000 steps: the last scan block is partial
+@pytest.mark.parametrize("name, t_max", [
+    *(pytest.param(name, 1000.0, id=name) for name in CASES),
+    pytest.param("static", 5000.0, id="static-5us"),
+    pytest.param("ramp", 5000.0, id="ramp-5us"),
+])
+def test_readout_matches_scalar_rk4_reference(name, t_max):
+    # same RK4 map, rounded differently: fields to 1e-12, SNR to 1e-13 of
+    # its peak, error to 1e-13
+    chi_of_t, chi_target = _readout_case(name)
+    cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=t_max,
+                        dt=0.05)
+    traj = run_readout(chi_of_t, chi_target, cfg)
+    ref_p, ref_m, ref_snr, ref_error = _reference_readout(chi_of_t, chi_target,
+                                                          cfg)
+    assert np.max(np.abs(traj.alpha_plus - ref_p)) <= 1e-12
+    assert np.max(np.abs(traj.alpha_minus - ref_m)) <= 1e-12
+    _assert_matches_reference(traj.snr, traj.error, ref_snr, ref_error)
+
+
+def _shifted_ramps(n):
+    """n (chi_of_t, chi_target) pairs: the flux ramp under n offsets."""
+    profile = _synthetic_profile()
+    ramps = [FluxRamp(0.5, 0.641, 50.0).shifted(d)
+             for d in np.linspace(-0.03, 0.03, n)]
+    return ([flux_ramp_profile(r, profile) for r in ramps],
+            [profile.chi_at(r.f_end) for r in ramps])
+
+
+def test_readout_batch_matches_scalar_rk4_reference():
+    chi_fns, chi_targets = _shifted_ramps(16)
+    cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=1000.0,
+                        dt=0.05)
+    snr, error = readout_snr_rows(chi_fns, chi_targets, cfg)
+    assert snr.shape == error.shape == (16, time_grid(cfg.t_max, cfg.dt).size)
+    for k, (fn, chi) in enumerate(zip(chi_fns, chi_targets)):
+        *_, ref_snr, ref_error = _reference_readout(fn, chi, cfg)
+        _assert_matches_reference(snr[k], error[k], ref_snr, ref_error)
+
+
+def test_readout_batch_rows_equal_single_runs_bit_for_bit():
+    chi_fns, chi_targets = _shifted_ramps(16)
+    cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=250.0,
+                        dt=0.05)
+    snr, error = readout_snr_rows(chi_fns, chi_targets, cfg)
+    for k, (fn, chi) in enumerate(zip(chi_fns, chi_targets)):
+        traj = run_readout(fn, chi, cfg)
+        assert np.array_equal(snr[k], traj.snr)
+        assert np.array_equal(error[k], traj.error)
+
+
+def test_langevin_step_at_an_rk4_amplification_zero_is_refused():
+    # z = dt (-kappa/2 - i chi) lies next to a root of the RK4 stability
+    # polynomial: one step maps alpha to nearly 0, which the scan divides by
+    kappa, chi, dt = units.mhz(86.1), units.mhz(-398.6), 1.0
+    z = dt * complex(-0.5 * kappa, -chi)
+    assert abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) < 1e-3
+    cfg = ReadoutConfig(n_bar=10.0, kappa=kappa, t_max=20.0, dt=dt)
+    with pytest.raises(StepSizeError, match="step") as info:
+        run_static_readout(chi, cfg)
+    assert info.value.dt == dt
+
+
+@pytest.mark.parametrize("half_kappa_dt, chi_dt", [(0.999, 0.0),
+                                                   (0.2, 0.978)])
+def test_langevin_step_just_inside_the_bound_matches_reference(half_kappa_dt,
+                                                               chi_dt):
+    # dt |kappa/2 + i chi| = 0.998-0.999: strong decay (|P| near 0.375, a
+    # 256-step prefix product near 1e-109), or fast rotation
+    dt = 1.0
+    chi = chi_dt / dt
+    cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=2.0 * half_kappa_dt / dt,
+                        t_max=1000.0, dt=dt)
+    assert dt * abs(complex(0.5 * cfg.kappa, chi)) <= 1.0
+
+    def chi_of_t(t):
+        return np.full_like(np.asarray(t, float), chi)
+
+    traj = run_readout(chi_of_t, chi, cfg)
+    ref_p, ref_m, ref_snr, ref_error = _reference_readout(chi_of_t, chi, cfg)
+    assert np.max(np.abs(traj.alpha_plus - ref_p)) <= 1e-12
+    assert np.max(np.abs(traj.alpha_minus - ref_m)) <= 1e-12
+    _assert_matches_reference(traj.snr, traj.error, ref_snr, ref_error)
 
 
 @pytest.mark.parametrize("name", CASES)
