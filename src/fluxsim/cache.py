@@ -3,7 +3,8 @@
 Entries are JSON files named by the SHA-256 of their canonical key. A hit
 requires a deep key comparison (a hash collision is treated as a miss), the
 schema version must match, and corrupt files are quarantined rather than
-trusted or deleted. Publication is atomic (write to a temp file, rename).
+trusted or deleted. Entries are published with `publish`, which every
+file the program writes goes through.
 
 The key names the computation but not the code that produced the value.
 A change to the layout of a cached value must bump CACHE_SCHEMA_VERSION,
@@ -54,20 +55,37 @@ def entry_path(cache_dir, key: dict) -> Path:
     return Path(cache_dir) / f"{key_hash(key)}.json"
 
 
-def cache_put(cache_dir, key: dict, value) -> Path:
-    """Publish an entry atomically; last writer wins on races."""
-    path = entry_path(cache_dir, key)
+def publish(path, data: bytes) -> Path:
+    """Make the file at path hold exactly data, creating its directory if
+    needed. A file that already holds data is left as it is, inode and
+    mtime included; otherwise data goes to a temp file that replaces path
+    in one rename, so a reader sees the old bytes or the new ones, never a
+    mix. A failed write or rename removes the temp file and re-raises."""
+    path = Path(path)
+    try:
+        if path.stat().st_size == len(data) and path.read_bytes() == data:
+            return path
+    except OSError:  # absent, a directory or unreadable: write it anyway
+        pass
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps({
+    tmp = path.with_suffix(f".tmp.{os.getpid()}")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def cache_put(cache_dir, key: dict, value) -> Path:
+    """Publish an entry; last writer wins on races."""
+    return publish(entry_path(cache_dir, key), json.dumps({
         "schema_version": CACHE_SCHEMA_VERSION,
         "numerics": NUMERICS_TAG,
         "key": key,
         "value": value,
-    }, sort_keys=True)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(payload, encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    }, sort_keys=True).encode("utf-8"))
 
 
 def cache_get(cache_dir, key: dict):

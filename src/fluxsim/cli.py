@@ -5,7 +5,8 @@
 
 Subcommands: spectrum, chi-curve, landscape, anticrossing, readout,
 noise-readout, gates, noise-gates. Every run emits CSV files plus a
-manifest.json into the output directory. Exit codes: 0 success, 2 config
+manifest.json into the output directory, each replaced atomically and left
+untouched when its bytes would not change. Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 I/O error.
 
 Every subcommand runs in one process: flux sweeps (chi-curve, landscape
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import units
-from .cache import cache_get, cache_put
+from .cache import cache_get, cache_put, publish
 from .config import RunConfig, config_from_dict, parse_config
 from .coupled import (
     DEFAULT_TRANSITIONS,
@@ -263,20 +264,21 @@ def run_subcommand(name, cfg: RunConfig, use_cache=True):
 
 
 def build_parser():
+    """One flat parser: the subcommand is a positional choice, and every
+    subcommand takes the same options."""
     parser = argparse.ArgumentParser(
         prog="simulate",
         description="Fluxonium flux-pulse-assisted readout simulator.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override config seed (also the noise seed)")
-        p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted and ignored: every run is in-process")
-        p.add_argument("--no-cache", action="store_true",
-                       help="bypass the result cache entirely")
+    parser.add_argument("subcommand", choices=list(SUBCOMMANDS))
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override config seed (also the noise seed)")
+    parser.add_argument("--out", default=None,
+                        help="override output directory")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="accepted and ignored: every run is in-process")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="bypass the result cache entirely")
     return parser
 
 
@@ -315,12 +317,10 @@ def _emit_error(args, category, kind, message):
     """Machine-readable error record on stderr, best-effort error.json."""
     record = {"error": {"category": category, "type": kind, "message": message}}
     print(json.dumps(record), file=sys.stderr)
-    out = args.out
-    if out:
+    if args.out:
         try:
-            Path(out).mkdir(parents=True, exist_ok=True)
-            (Path(out) / "error.json").write_text(
-                json.dumps(record, indent=2) + "\n", encoding="utf-8")
+            publish(Path(args.out) / "error.json",
+                    (json.dumps(record, indent=2) + "\n").encode("utf-8"))
         except OSError:
             pass
 

@@ -10,21 +10,21 @@ a tenth of repr's cost per double; only the cells whose notation differs
 from repr's (non-finite, |x| >= 1e16, small exponents) are re-formatted by
 repr. Every emitted file is listed in manifest.json with its content hash;
 the manifest also records the config hash, seed, tool version, and every
-default the run relied on.
+default the run relied on. Files are written through `cache.publish`, so a
+rerun that produces the same bytes leaves each file untouched.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 import orjson
 
 from . import __version__
-from .cache import canonical_key_text
+from .cache import canonical_key_text, publish
 
 
 def format_value(value) -> str:
@@ -84,12 +84,7 @@ def write_csv(path, header, columns) -> Path:
     n_rows = lengths.pop() if lengths else 1
     text = [_column_text(c, n_rows) for c in columns]
     lines = [",".join(header), *map(",".join, zip(*text))]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    return publish(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def sha256_file(path) -> str:
@@ -105,29 +100,41 @@ def config_hash(run_config) -> str:
         canonical_key_text(run_config.raw).encode("utf-8")).hexdigest()
 
 
+def _previous_records(path, chash, seed) -> dict:
+    """{name: record} of the manifest at path when it is from the same
+    (config, seed, version); empty when it is absent, is not JSON, is from
+    another run, or its files are not a list of records with string
+    name, schema and sha256."""
+    try:
+        previous = json.loads(path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, IsADirectoryError, ValueError):
+        return {}
+    if not (isinstance(previous, dict)
+            and previous.get("config_hash") == chash
+            and previous.get("seed") == seed
+            and previous.get("tool_version") == __version__):
+        return {}
+    files = previous.get("files", [])
+    if not (isinstance(files, list) and all(
+            isinstance(rec, dict)
+            and all(isinstance(rec.get(k), str)
+                    for k in ("name", "schema", "sha256"))
+            for rec in files)):
+        return {}
+    return {rec["name"]: rec for rec in files}
+
+
 def write_manifest(out_dir, files, run_config, seed) -> Path:
     """Emit manifest.json covering every file written by the run.
 
     files is a sequence of (path, schema) pairs; paths must live inside
     out_dir and exist already so their hashes can be recorded.
     """
-    out_dir = Path(out_dir)
-    records = {}
-    path = out_dir / "manifest.json"
+    path = Path(out_dir) / "manifest.json"
     chash = config_hash(run_config)
     # merge with a previous manifest from the same (config, seed, version) so
     # successive subcommands sharing an output directory stay fully listed
-    if path.is_file():
-        try:
-            previous = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError:
-            previous = None
-        if (isinstance(previous, dict)
-                and previous.get("config_hash") == chash
-                and previous.get("seed") == seed
-                and previous.get("tool_version") == __version__):
-            for rec in previous.get("files", []):
-                records[rec["name"]] = rec
+    records = _previous_records(path, chash, seed)
     for file_path, schema in files:
         file_path = Path(file_path)
         records[file_path.name] = {
@@ -142,8 +149,5 @@ def write_manifest(out_dir, files, run_config, seed) -> Path:
         "defaults_used": list(run_config.defaults_used),
         "files": [records[k] for k in sorted(records)],
     }
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    return publish(path, (json.dumps(manifest, indent=2, sort_keys=True)
+                          + "\n").encode("utf-8"))

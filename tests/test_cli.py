@@ -1,6 +1,7 @@
 """End-to-end tests for the simulate command-line driver."""
 
 import csv
+import hashlib
 import importlib.util
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 
 from fluxsim import cache, diagnostics, units
 from fluxsim.cache import CACHE_SCHEMA_VERSION, NUMERICS_TAG, entry_path
-from fluxsim.cli import main, run_subcommand
+from fluxsim.cli import SUBCOMMANDS, build_parser, main, run_subcommand
 from fluxsim.config import config_from_dict
 from fluxsim.coupled import (
     CoupledDims,
@@ -79,6 +80,87 @@ def test_chi_curve_values_and_rerun_determinism(tmp_path):
     assert at_half["status"] == "ok"
     assert main(["chi-curve", "--config", str(cfg_path)]) == 0
     assert (out / "chi_curve.csv").read_bytes() == first
+
+
+def _stats(out):
+    """(inode, mtime in ns, bytes) of every CSV and of manifest.json."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+            for p in [*out.glob("*.csv"), out / "manifest.json"]}
+
+
+def test_identical_rerun_leaves_every_output_untouched(tmp_path):
+    cfg_path, out = write_config(tmp_path)
+    subs = ("spectrum", "chi-curve", "landscape", "readout")
+    for sub in subs:
+        assert main([sub, "--config", str(cfg_path)]) == 0
+    before = _stats(out)
+    # spectrum, chi_curve, 8 landscapes, 2 readouts and the manifest
+    assert len(before) == 13
+    for sub in subs:
+        assert main([sub, "--config", str(cfg_path), "--workers", "1"]) == 0
+    assert _stats(out) == before
+    assert not list(out.glob("*.tmp.*"))
+
+
+def _edit_last_digit(path):
+    data = bytearray(path.read_bytes())
+    data[-2] = ord("1") if data[-2] != ord("1") else ord("2")
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("change", ["config", "edited", "truncated"])
+def test_changed_output_is_rewritten_and_the_manifest_follows(tmp_path,
+                                                              change):
+    raw = base_config(tmp_path / "out")
+    cfg_path, out = write_config(tmp_path, raw)
+    assert main(["spectrum", "--config", str(cfg_path)]) == 0
+    csv_path = out / "spectrum.csv"
+    old = csv_path.read_bytes()
+    if change == "config":
+        raw["flux"] = 0.6
+        write_config(tmp_path, raw)
+    elif change == "edited":
+        _edit_last_digit(csv_path)
+        assert len(csv_path.read_bytes()) == len(old)
+    else:
+        csv_path.write_bytes(old[:len(old) // 2])
+    inode = csv_path.stat().st_ino
+    assert main(["spectrum", "--config", str(cfg_path)]) == 0
+    data = csv_path.read_bytes()
+    assert csv_path.stat().st_ino != inode
+    assert (data == old) == (change != "config")
+    (rec,) = json.loads((out / "manifest.json").read_text())["files"]
+    assert rec["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("files", [[{"schema": "x"}], "oops",
+                                   [{"name": "a.csv", "schema": "x",
+                                     "sha256": 5}], None])
+def test_malformed_previous_manifest_is_treated_as_absent(tmp_path, files):
+    cfg_path, out = write_config(tmp_path)
+    assert main(["spectrum", "--config", str(cfg_path)]) == 0
+    manifest = out / "manifest.json"
+    if files is None:
+        manifest.write_text("{not json", encoding="utf-8")
+    else:
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "files": files}))
+    assert main(["spectrum", "--config", str(cfg_path)]) == 0
+    (rec,) = json.loads(manifest.read_text())["files"]
+    assert rec == {"name": "spectrum.csv", "schema": "spectrum",
+                   "sha256": hashlib.sha256(
+                       (out / "spectrum.csv").read_bytes()).hexdigest()}
+
+
+def test_failed_write_exits_4_and_leaves_no_temp_file(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path)
+    (out / "spectrum.csv").mkdir(parents=True)  # a directory in the way
+    assert main(["spectrum", "--config", str(cfg_path),
+                 "--out", str(out)]) == 4
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["category"] == "io"
+    assert json.loads((out / "error.json").read_text()) == record
+    assert not list(out.glob("*.tmp.*"))
 
 
 def test_warm_cache_skips_eigensolves(tmp_path):
@@ -347,6 +429,31 @@ def test_landscape_worker_count_does_not_change_bytes(tmp_path):
         outputs.append({p.name: p.read_bytes()
                         for p in out.glob("landscape_*.csv")})
     assert len(outputs[0]) == 8 and outputs[0] == outputs[1]
+
+
+def test_parser_takes_every_subcommand_with_the_same_options():
+    for name in SUBCOMMANDS:
+        args = build_parser().parse_args([name, "--config", "c.json"])
+        assert (args.subcommand, args.config, args.seed, args.out,
+                args.no_cache) == (name, "c.json", None, None, False)
+        args = build_parser().parse_args([
+            name, "--config", "c.json", "--seed", "3", "--out", "o",
+            "--workers", "1", "--no-cache"])
+        assert (args.subcommand, args.seed, args.out, args.no_cache) == \
+            (name, 3, "o", True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus", "--config", "c.json"],
+    ["spectrum"],
+    [],
+    ["spectrum", "--config", "c.json", "--workers", "two"],
+])
+def test_bad_command_line_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: simulate" in capsys.readouterr().err
 
 
 def test_exit_code_config_errors(tmp_path, capsys):
