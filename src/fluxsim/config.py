@@ -256,6 +256,14 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigError(CATEGORY_INVARIANT,
                               f"'sweep.{hi}' must exceed sweep.{lo} "
                               f"(or equal it with sweep.{n} = 1)")
+    # the ReadoutConfig checks that the table's bounds leave open
+    if not readout["eta"] > 0.0:
+        raise ConfigError(CATEGORY_INVARIANT,
+                          f"'readout.eta' must be > 0, got {readout['eta']}")
+    if readout["t_max_ns"] < readout["dt_ns"]:
+        raise ConfigError(CATEGORY_INVARIANT,
+                          f"'readout.t_max_ns' must be >= readout.dt_ns = "
+                          f"{readout['dt_ns']}, got {readout['t_max_ns']}")
     if chi_curve["f_max"] <= chi_curve["f_min"]:
         raise ConfigError(CATEGORY_INVARIANT, "'chi_curve.f_max' must exceed f_min")
     if anticrossing["window_hi"] <= anticrossing["window_lo"]:

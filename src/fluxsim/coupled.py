@@ -7,13 +7,15 @@ landscapes, anticrossing extraction by bounded scalar minimization of the
 dressed gap (scipy), and chi-vs-flux profiles for the readout dynamics.
 
 Labelled levels are one type, `DressedSweep`: chi, detunings, landscape
-cells and chi profiles come from `sweep_dressed` (blocks of flux points in
-stacked eigensolves), and a single point or the two-level surrogate is a
-one-point sweep. A sweep folds every flux to its canonical flux in [0, 1/2]
+cells, chi profiles and the anticrossing gap come from `sweep_dressed`
+(blocks of flux points in stacked eigensolves), and a single point, each
+gap evaluation and the two-level surrogate are one-point sweeps. A sweep
+folds every flux to its canonical flux in [0, 1/2]
 (`qubit.canonical_flux`) and solves each distinct canonical flux once, so
 f, 1 - f and f + 1 give bit-identical levels. The greedy
 `assign_dressed_levels` returns (index, quality) arrays over bare product
-states for the sweep's fallback and the gate space.
+states for the sweep's fallback and the gate space. Every eigensolve, bare
+or coupled, is `qubit.diagonalize`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import diagnostics, units
+from . import units
 from .errors import (
     BracketingError,
     InvalidDimensionError,
@@ -38,6 +40,7 @@ from .qubit import (
     FluxBias,
     build_ho_operators,
     canonical_flux,
+    diagonalize,
     fluxonium_spectrum,
     lowering_operator,
     spectrum_sweep,
@@ -172,18 +175,6 @@ def build_coupled_hamiltonian(params: EnergyParams, flux: FluxBias,
     q_op = _coupling_operator(spec.eigenvectors, params, mode, dims.kept)
     return assemble_coupled(spec.eigenvalues[:dims.kept], q_op, res, mode,
                             dims.n_res)
-
-
-def diagonalize(h):
-    """Hermitian eigensolve with the shared failure wrapper and counter; a
-    stack (..., n, n) is solved in one call and counted per matrix."""
-    diagnostics.count_eigensolve(int(np.prod(h.shape[:-2])))
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"coupled eigensolve failed: {exc}",
-                                    shape=h.shape) from exc
-    return vals, vecs
 
 
 def assign_dressed_levels(eigenvectors):
@@ -442,36 +433,24 @@ class Anticrossing:
     t_swap: float
 
 
-def _hybridized_gap(params, flux, res, mode, dims, i, j):
-    """Energy gap between the two dressed levels hybridizing from the bare
-    pair |i, 0> and |j, 1> (the two with the largest overlap on that span)."""
-    h = build_coupled_hamiltonian(params, flux, res, mode, dims)
-    vals, vecs = diagonalize(h)
-    b_i0 = i * dims.n_res + 0
-    b_j1 = j * dims.n_res + 1
-    span = np.abs(vecs[b_i0, :]) ** 2 + np.abs(vecs[b_j1, :]) ** 2
-    top = np.argsort(-span, kind="stable")[:2]
-    return abs(float(vals[top[0]] - vals[top[1]]))
-
-
 def find_anticrossing(params: EnergyParams, res: ResonatorParams,
                       mode: CouplingMode = DEFAULT_MODE,
                       dims: CoupledDims = CoupledDims(),
                       transition=(3, 1), window=(0.55, 0.60),
                       xtol=1e-6) -> Anticrossing:
-    """Bounded scalar minimization (scipy) of the dressed-level gap over the
-    flux window, to xtol in flux; the window must bracket exactly one
-    interior gap minimum."""
+    """Bounded scalar minimization (scipy), to xtol in flux, of the gap
+    |E(i, 0) - E(j, 1)| between the dressed levels labelled |i, 0> and
+    |j, 1>, each read from a one-point `sweep_dressed`; the window must
+    bracket exactly one interior gap minimum."""
     i, j = transition
-    if not (0 <= i < dims.kept and 0 <= j < dims.kept):
-        raise InvalidDimensionError(
-            f"transition ({i}, {j}) outside the {dims.kept} kept levels")
     a, b = window
     if not b > a:
         raise BracketingError(f"empty search window [{a}, {b}]")
 
     def gap(f):
-        return _hybridized_gap(params, FluxBias(f), res, mode, dims, i, j)
+        energy = sweep_dressed(params, [f], res, mode, dims,
+                               ((i, 0), (j, 1))).energy[0]
+        return abs(float(energy[0] - energy[1]))
 
     opt = minimize_scalar(gap, bounds=(a, b), method="bounded",
                           options={"xatol": xtol})

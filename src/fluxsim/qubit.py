@@ -2,8 +2,11 @@
 
 Operators, the flux-affine real Hamiltonian, stacked spectra over flux
 grids with a deterministic eigenvector sign convention, and charge matrix
-elements. All frequencies
-are angular (rad/ns); see :mod:`fluxsim.units`.
+elements. All frequencies are angular (rad/ns); see :mod:`fluxsim.units`.
+
+`diagonalize` is the package's one Hamiltonian eigensolve: the bare
+spectra here and the coupled ones of :mod:`fluxsim.coupled` and
+:mod:`fluxsim.gates` share its counter and its NumericalFailureError.
 
 The Hamiltonian is periodic in f and H(1 - f) = P H(f) P under the parity
 phi -> -phi, P = diag((-1)^k) in the HO basis, so every spectrum is solved
@@ -60,15 +63,6 @@ class FluxBias:
             raise ValueError(f"flux must be finite, got {self.f}")
 
 
-def check_ho_basis(dim, phi0):
-    """Reject an oscillator basis of fewer than 2 levels or a zero-point
-    phase scale that is not positive."""
-    if dim < 2:
-        raise InvalidDimensionError(f"HO basis needs dim >= 2, got {dim}")
-    if not phi0 > 0.0:
-        raise ValueError(f"phi0 must be positive, got {phi0}")
-
-
 DEFAULT_DIM = 40
 
 
@@ -85,8 +79,12 @@ def lowering_operator(dim):
 def build_ho_operators(dim, phi0):
     """Dense (annihilation, creation, charge, flux) matrices on a dim-level
     oscillator with zero-point phase scale phi0. The charge operator is
-    imaginary; the other three are real."""
-    check_ho_basis(dim, phi0)
+    imaginary; the other three are real. Rejects a basis of fewer than 2
+    levels and a zero-point phase scale that is not positive."""
+    if dim < 2:
+        raise InvalidDimensionError(f"HO basis needs dim >= 2, got {dim}")
+    if not phi0 > 0.0:
+        raise ValueError(f"phi0 must be positive, got {phi0}")
     a = lowering_operator(dim)
     adag = a.T
     n_op = (-1j / (math.sqrt(2.0) * phi0)) * (a - adag)
@@ -121,7 +119,6 @@ def fluxonium_hamiltonians(params: EnergyParams, f_values, dim=DEFAULT_DIM):
     - E_J cos(phi - phi_ext) at each reduced flux, real and exactly
     symmetric. Flux enters only through
     cos(phi - phi_ext) = cos(phi_ext) C + sin(phi_ext) S."""
-    check_ho_basis(dim, params.phi0)
     h0, c_op, s_op = _flux_affine_parts(params.e_c, params.e_l, dim)
     f = np.asarray(f_values, dtype=float).reshape(-1)
     if not np.all(np.isfinite(f)):
@@ -162,21 +159,26 @@ def _fix_signs(vecs):
     return vecs
 
 
+def diagonalize(h):
+    """Hermitian eigensolve, the one of every bare and coupled spectrum: a
+    stack (..., n, n) is solved in one call and counted per matrix, and a
+    LAPACK failure raises NumericalFailureError."""
+    diagnostics.count_eigensolve(int(np.prod(h.shape[:-2])))
+    try:
+        vals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigensolve failed: {exc}",
+                                    shape=h.shape) from exc
+    return vals, vecs
+
+
 def spectrum_sweep(params: EnergyParams, f_values, dim=DEFAULT_DIM):
     """Bare eigensystems at each reduced flux in one stacked real eigensolve:
     ascending eigenvalues (n, dim) and sign-fixed eigenvectors (n, dim, dim)
     of H(f). Each point is solved at its canonical flux; at mirrored points
     the parity P maps the vectors back to eigenvectors of H(f)."""
     g, mirrored = canonical_flux(np.reshape(f_values, -1))
-    h = fluxonium_hamiltonians(params, g, dim)
-    diagnostics.count_eigensolve(len(h))
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            f"fluxonium eigensolve failed: {exc}",
-            params=params, flux=f_values, dim=dim,
-        ) from exc
+    vals, vecs = diagonalize(fluxonium_hamiltonians(params, g, dim))
     vecs[mirrored] *= np.where(np.arange(dim) % 2, -1.0, 1.0)[:, None]
     return vals, _fix_signs(vecs)
 

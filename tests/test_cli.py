@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fluxsim import cache, diagnostics, units
+from fluxsim import cache, diagnostics, qubit, units
 from fluxsim.cache import CACHE_SCHEMA_VERSION, NUMERICS_TAG, entry_path
 from fluxsim.cli import SUBCOMMANDS, build_parser, main, run_subcommand
 from fluxsim.config import config_from_dict
@@ -330,6 +330,24 @@ def test_entirely_resonant_chi_window_is_a_numerical_error(tmp_path, capsys,
         assert "entirely resonant" in record["error"]["message"]
     assert len(list((out / ".cache").glob("*.json"))) == 1
     assert not (out / "readout_pulsed.csv").exists()
+
+
+def test_failed_eigensolve_exits_3_with_a_numerical_record(tmp_path, capsys,
+                                                          monkeypatch):
+    def failing_eigh(h, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    cfg_path, out = write_config(tmp_path)
+    qubit._flux_affine_parts(PARAMS.e_c, PARAMS.e_l, qubit.DEFAULT_DIM)
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    for sub in ("spectrum", "chi-curve"):
+        assert main([sub, "--config", str(cfg_path)]) == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["category"] == "numerical"
+        assert record["error"]["type"] == "NumericalFailureError"
+        assert "eigensolve failed" in record["error"]["message"]
+    assert not list(out.glob("*.csv"))
+    assert not list(out.glob(".cache/*.json"))
 
 
 def test_no_cache_flag_bypasses_cache(tmp_path):

@@ -154,6 +154,10 @@ def test_invariant_violations_name_the_key():
     cases = [
         ({**MINIMAL, "readout": {"eta": 1.5}}, "readout.eta"),
         ({**MINIMAL, "readout": {"dt_ns": 0}}, "readout.dt_ns"),
+        # within the table's [0, 1] but rejected by ReadoutConfig
+        ({**MINIMAL, "readout": {"eta": 0}}, "readout.eta"),
+        ({**MINIMAL, "readout": {"t_max_ns": 0.01, "dt_ns": 0.05}},
+         "readout.t_max_ns"),
         ({**MINIMAL, "gate": {"tau_g_ns_list": []}}, "tau_g_ns_list"),
         ({**MINIMAL, "noise": {"n_draws": 0}}, "noise.n_draws"),
         # 3e8 RK4 steps at the default 30 ns: over 26 GB of drive samples

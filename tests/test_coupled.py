@@ -32,6 +32,7 @@ from fluxsim.cli import LANDSCAPE_EMISSION, landscape_columns
 from fluxsim.errors import (
     BracketingError,
     InvalidDimensionError,
+    NumericalFailureError,
     ResonanceRegionError,
 )
 from fluxsim.qubit import (
@@ -203,10 +204,38 @@ def test_anticrossing_reference():
     (CouplingMode.CHARGE, 0.5726269782557742),
     (CouplingMode.LADDER_RWA, 0.5725103969442604),
 ])
-def test_anticrossing_within_xtol_of_golden_section(mode, f_golden):
+def test_anticrossing_within_xtol_of_golden_section(mode, f_golden,
+                                                    monkeypatch):
     # f* of the golden-section search that bounded minimization replaced
+    gaps = []
+    minimize = coupled.minimize_scalar
+
+    def spy(fun, *args, **kwargs):
+        gaps.append(fun)
+        return minimize(fun, *args, **kwargs)
+
+    monkeypatch.setattr(coupled, "minimize_scalar", spy)
     ac = find_anticrossing(PARAMS, RES, mode, xtol=1e-6)
     assert abs(ac.f_star - f_golden) <= 1e-6
+    # the gap read from one-point sweeps' labels is, bit for bit, the gap of
+    # the two dressed levels with the largest overlap on the bare span
+    (gap,) = gaps
+    assert ac.gap == _top_two_span_gap(ac.f_star, mode)
+    for f in np.linspace(0.55, 0.60, 51):
+        assert gap(f) == _top_two_span_gap(f, mode), f
+
+
+def _top_two_span_gap(f, mode, transition=(3, 1), dims=CoupledDims()):
+    """Reference anticrossing gap: the two dressed levels with the largest
+    summed overlap on the bare pair |i, 0>, |j, 1>, from a direct coupled
+    eigensolve at f."""
+    i, j = transition
+    h = coupled.build_coupled_hamiltonian(PARAMS, FluxBias(f), RES, mode, dims)
+    vals, vecs = np.linalg.eigh(h)
+    span = (np.abs(vecs[i * dims.n_res]) ** 2
+            + np.abs(vecs[j * dims.n_res + 1]) ** 2)
+    top = np.argsort(-span, kind="stable")[:2]
+    return abs(float(vals[top[0]] - vals[top[1]]))
 
 
 def test_anticrossing_window_must_bracket_an_interior_minimum():
@@ -236,6 +265,24 @@ def test_low_quality_assignment_raises_resonance_error(monkeypatch):
     with pytest.raises(ResonanceRegionError) as exc:
         dispersive_shift(PARAMS, FluxBias(0.5), RES)
     assert exc.value.worst_quality == 0.2
+
+
+def _failing_eigh(h, *args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_failed_eigensolve_is_a_numerical_failure(monkeypatch):
+    qubit._flux_affine_parts(PARAMS.e_c, PARAMS.e_l, qubit.DEFAULT_DIM)
+    monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
+    solves = [
+        lambda: qubit.spectrum_sweep(PARAMS, [0.5, 0.6]),
+        lambda: fluxonium_spectrum(PARAMS, FluxBias(0.5)),
+        lambda: two_level_eigensystem(units.ghz(5.0), RES),
+        lambda: sweep_dressed(PARAMS, [0.5], RES),
+    ]
+    for solve in solves:
+        with pytest.raises(NumericalFailureError, match="eigensolve failed"):
+            solve()
 
 
 def test_coupled_dims_validation():
@@ -579,6 +626,6 @@ def test_fold_within_stated_bounds_of_unfolded_sweep(mode, f_min, f_max, step):
 @pytest.mark.parametrize("mode", list(CouplingMode))
 def test_anticrossing_within_stated_bound_of_unfolded_solve(mode, monkeypatch):
     folded = find_anticrossing(PARAMS, RES, mode)
-    monkeypatch.setattr(qubit, "spectrum_sweep", _unfolded_spectrum_sweep)
+    monkeypatch.setattr(coupled, "sweep_dressed", _unfolded_sweep)
     unfolded = find_anticrossing(PARAMS, RES, mode)
     assert abs(folded.f_star - unfolded.f_star) <= 1e-11
