@@ -28,14 +28,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import units
 from .cache import cache_get, cache_put, publish
-from .config import RunConfig, config_from_dict, parse_config
+from .config import RunConfig, config_from_dict, read_config
 from .coupled import (
     DEFAULT_TRANSITIONS,
     STATUS_OK,
@@ -259,8 +258,7 @@ def run_subcommand(name, cfg: RunConfig, use_cache=True):
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / ".cache" if use_cache else None
     files = SUBCOMMANDS[name](cfg, out_dir, cache_dir)
-    manifest = write_manifest(out_dir, files, cfg, cfg.noise.seed)
-    return manifest
+    return write_manifest(out_dir, files, cfg, cfg.noise.seed)
 
 
 def build_parser():
@@ -282,44 +280,48 @@ def build_parser():
     return parser
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    raw = json.loads(json.dumps(cfg.raw))
-    if args.seed is not None:
-        raw["seed"] = args.seed
-        raw["noise"]["seed"] = args.seed
-    if args.out is not None:
-        raw["out_dir"] = args.out
-    updated = config_from_dict(raw)
-    # overrides are explicit, not defaults; keep the original provenance
-    return replace(updated, defaults_used=cfg.defaults_used)
+def _with_overrides(raw, args):
+    """raw with --seed and --out set as given keys, not defaults; a
+    malformed raw is left for config_from_dict to reject."""
+    if isinstance(raw, dict):
+        raw = dict(raw)
+        if args.seed is not None:
+            raw["seed"] = args.seed
+            if isinstance(raw.setdefault("noise", {}), dict):
+                raw["noise"] = {**raw["noise"], "seed": args.seed}
+        if args.out is not None:
+            raw["out_dir"] = args.out
+    return raw
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    out_dir = args.out  # where error.json goes until the config has parsed
     try:
-        cfg = parse_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = config_from_dict(_with_overrides(read_config(args.config), args))
+        out_dir = cfg.out_dir
         run_subcommand(args.subcommand, cfg, use_cache=not args.no_cache)
         return EXIT_OK
     except ConfigError as exc:
-        _emit_error(args, "config", type(exc).__name__,
+        _emit_error(out_dir, "config", type(exc).__name__,
                     f"[{exc.category}] {exc}")
         return EXIT_CONFIG
     except FluxsimError as exc:
-        _emit_error(args, "numerical", type(exc).__name__, str(exc))
+        _emit_error(out_dir, "numerical", type(exc).__name__, str(exc))
         return EXIT_NUMERICAL
     except OSError as exc:
-        _emit_error(args, "io", type(exc).__name__, str(exc))
+        _emit_error(out_dir, "io", type(exc).__name__, str(exc))
         return EXIT_IO
 
 
-def _emit_error(args, category, kind, message):
-    """Machine-readable error record on stderr, best-effort error.json."""
+def _emit_error(out_dir, category, kind, message):
+    """Machine-readable error record on stderr, best-effort error.json in
+    out_dir (None: no file)."""
     record = {"error": {"category": category, "type": kind, "message": message}}
     print(json.dumps(record), file=sys.stderr)
-    if args.out:
+    if out_dir:
         try:
-            publish(Path(args.out) / "error.json",
+            publish(Path(out_dir) / "error.json",
                     (json.dumps(record, indent=2) + "\n").encode("utf-8"))
         except OSError:
             pass

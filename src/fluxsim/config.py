@@ -326,18 +326,22 @@ def config_from_dict(raw: dict) -> RunConfig:
     )
 
 
-def parse_config(path) -> RunConfig:
-    """Read and validate a JSON config file."""
+def read_config(path) -> dict:
+    """The parsed JSON of a config file, not yet validated."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(CATEGORY_MISSING_FILE, f"config file not found: {p}")
     text = p.read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             CATEGORY_MALFORMED_JSON,
             f"{p}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer of more digits than Python reads
         raise ConfigError(CATEGORY_MALFORMED_JSON, f"{p}: {exc}") from exc
-    return config_from_dict(raw)
+
+
+def parse_config(path) -> RunConfig:
+    """Read and validate a JSON config file."""
+    return config_from_dict(read_config(path))

@@ -23,7 +23,7 @@ from .gates import GateResult, PulseParams, build_gate_space, evaluate_gate
 from .gates import DEFAULT_GATE_DT
 from .qubit import EnergyParams, FluxBias, anharmonicity
 from .readout import (ChiProfile, FluxRamp, ReadoutConfig, flux_ramp_profile,
-                      readout_snr_rows, time_grid)
+                      readout_records, time_grid)
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,9 @@ def _readout_draws(deltas, ramp: FluxRamp, profile: ChiProfile,
         chi_targets.append(profile.chi_at(shifted.f_end))
         included[k] = True
     if chi_fns:
-        snr[included], error[included] = readout_snr_rows(chi_fns, chi_targets,
-                                                          cfg)
+        records = readout_records(chi_fns, chi_targets, cfg)
+        for k, traj in zip(np.flatnonzero(included), records):
+            snr[k], error[k] = traj.snr, traj.error
     return snr, error, included
 
 

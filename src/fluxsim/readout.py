@@ -344,35 +344,26 @@ def _record(times, alpha_plus, epsilon, cfg: ReadoutConfig) -> ReadoutTrajectory
                              m_p, m_m, snr, readout_error(snr), theta, epsilon)
 
 
-def run_readout(chi_of_t, chi_target, cfg: ReadoutConfig) -> ReadoutTrajectory:
-    """Simulate both qubit states for one drive configuration.
+def readout_records(chi_fns, chi_targets, cfg: ReadoutConfig):
+    """Readout record of each (chi_of_t, chi_target) pair, yielded in order.
 
-    chi_target is the dispersive shift used to calibrate the drive amplitude
-    (the plateau value for ramped readout, the static value otherwise).
-    """
-    times = time_grid(cfg.t_max, cfg.dt)
-    epsilon = drive_amplitude(cfg.n_bar, cfg.kappa, chi_target)
-    alpha_p = integrate_langevin(chi_of_t, cfg.kappa, epsilon, +1, times)
-    return _record(times, alpha_p, epsilon, cfg)
-
-
-def readout_snr_rows(chi_fns, chi_targets, cfg: ReadoutConfig):
-    """(snr, error) curves, one row per (chi_of_t, chi_target) pair.
-
-    Every trajectory is integrated in one call and only its SNR and error
-    are kept; each row equals run_readout's on the same pair bit for bit.
+    chi_target calibrates the drive amplitude (the plateau chi for ramped
+    readout, the static chi otherwise). All trajectories are integrated in
+    one call, and a row's bits do not depend on the other rows.
     """
     times = time_grid(cfg.t_max, cfg.dt)
     epsilon = np.array([drive_amplitude(cfg.n_bar, cfg.kappa, chi)
                         for chi in chi_targets])
     chi_half = np.array([_chi_half(fn, times) for fn in chi_fns])
     alpha = _langevin_rows(chi_half, cfg.kappa, epsilon, times[1] - times[0])
-    snr = np.empty(alpha.shape)
-    error = np.empty(alpha.shape)
-    for k, (alpha_p, eps) in enumerate(zip(alpha, epsilon)):
-        traj = _record(times, alpha_p, eps, cfg)
-        snr[k], error[k] = traj.snr, traj.error
-    return snr, error
+    for alpha_p, eps in zip(alpha, epsilon):
+        yield _record(times, alpha_p, float(eps), cfg)
+
+
+def run_readout(chi_of_t, chi_target, cfg: ReadoutConfig) -> ReadoutTrajectory:
+    """Simulate both qubit states for one drive configuration."""
+    (traj,) = readout_records([chi_of_t], [chi_target], cfg)
+    return traj
 
 
 def run_static_readout(chi, cfg: ReadoutConfig) -> ReadoutTrajectory:

@@ -415,6 +415,57 @@ def test_noise_readout_and_seed_override(tmp_path):
     assert rows99[1]["mean"] != rows[1]["mean"]  # different draws
 
 
+def test_command_line_overrides_are_not_listed_as_defaults(tmp_path):
+    # a config that sets none of seed, noise.seed and out_dir
+    raw = base_config(tmp_path / "unused")
+    del raw["out_dir"], raw["noise"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out7"
+    assert main(["spectrum", "--config", str(cfg_path), "--seed", "7",
+                 "--out", str(out)]) == 0
+    overridden = json.loads((out / "manifest.json").read_text())
+    listed = {entry.split("=")[0] for entry in overridden["defaults_used"]}
+    assert listed.isdisjoint({"seed", "noise.seed", "out_dir"}), listed
+    assert "noise.scale" in listed and overridden["seed"] == 7
+    # the same run from a config that sets all three
+    explicit = dict(raw, seed=7, noise={"seed": 7}, out_dir=str(out))
+    cfg_path, _ = write_config(tmp_path, explicit, name="explicit.json")
+    assert main(["spectrum", "--config", str(cfg_path)]) == 0
+    assert json.loads((out / "manifest.json").read_text()) == overridden
+
+
+@pytest.mark.parametrize("noise, seed, key", [({}, "-1", "seed"),
+                                               (5, "3", "noise")])
+def test_bad_override_or_section_exits_2(tmp_path, capsys, noise, seed, key):
+    raw = dict(base_config(tmp_path / "out"), noise=noise)
+    cfg_path, out = write_config(tmp_path, raw)
+    assert main(["spectrum", "--config", str(cfg_path), "--seed", seed]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["category"] == "config"
+    assert key in record["error"]["message"]
+    assert not out.exists()
+
+
+def test_each_run_validates_its_config_once(tmp_path, monkeypatch):
+    import fluxsim.cli as cli
+    import fluxsim.config as config
+
+    calls = []
+
+    def counted(raw):
+        calls.append(raw)
+        return config_from_dict(raw)
+
+    for module in (cli, config):
+        monkeypatch.setattr(module, "config_from_dict", counted)
+    cfg_path, _ = write_config(tmp_path)
+    for flags in ([], ["--seed", "7"], ["--out", str(tmp_path / "o")]):
+        calls.clear()
+        assert main(["spectrum", "--config", str(cfg_path), *flags]) == 0
+        assert len(calls) == 1, flags
+
+
 def test_manifest_records_the_seed_of_the_draws(tmp_path):
     raw = base_config(tmp_path / "out")
     raw["noise"]["seed"] = 5
@@ -565,6 +616,19 @@ def test_readout_step_beyond_the_rk4_bound_is_a_numerical_error(tmp_path,
         assert record["error"]["type"] == "StepSizeError"
         assert "step" in record["error"]["message"]
     assert not list(out.glob("*readout*.csv"))
+
+
+def test_numerical_failure_writes_error_json_to_the_config_out_dir(tmp_path,
+                                                                   capsys):
+    raw = base_config(tmp_path / "out")
+    raw["chi_curve"] = {"f_min": 0.49, "f_max": 0.65, "step": 1e-2}
+    raw["readout"] = {**raw["readout"], "kappa_mhz_over_2pi": 400.0,
+                      "dt_ns": 1.0}
+    cfg_path, out = write_config(tmp_path, raw)
+    assert main(["readout", "--config", str(cfg_path)]) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["type"] == "StepSizeError"
+    assert json.loads((out / "error.json").read_text()) == record
 
 
 @pytest.mark.parametrize("section, values, key", [

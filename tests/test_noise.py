@@ -122,7 +122,11 @@ def test_batched_draws_equal_single_draws():
         assert included == result.snr.included[k] == result.error.included[k]
         assert np.array_equal(result.snr.draws[k], snr)
         assert np.array_equal(result.error.draws[k], err)
-        if not included:
+        if included:
+            traj = run_ramped_readout(RAMP.shifted(delta), profile, CFG)
+            assert np.array_equal(snr, traj.snr)
+            assert np.array_equal(err, traj.error)
+        else:
             assert np.all(snr == 0.0) and np.all(err == 0.0)
     assert result.error.n_excluded == result.snr.n_excluded == \
         int(np.count_nonzero(~result.snr.included))

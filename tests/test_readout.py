@@ -23,7 +23,7 @@ from fluxsim.readout import (
     output_field,
     qubit_phase_shift,
     readout_error,
-    readout_snr_rows,
+    readout_records,
     run_ramped_readout,
     run_readout,
     run_static_readout,
@@ -331,22 +331,34 @@ def test_readout_batch_matches_scalar_rk4_reference():
     chi_fns, chi_targets = _shifted_ramps(16)
     cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=1000.0,
                         dt=0.05)
-    snr, error = readout_snr_rows(chi_fns, chi_targets, cfg)
-    assert snr.shape == error.shape == (16, time_grid(cfg.t_max, cfg.dt).size)
-    for k, (fn, chi) in enumerate(zip(chi_fns, chi_targets)):
+    n_t = time_grid(cfg.t_max, cfg.dt).size
+    records = readout_records(chi_fns, chi_targets, cfg)
+    for k, (fn, chi, traj) in enumerate(zip(chi_fns, chi_targets, records)):
+        assert traj.snr.shape == traj.error.shape == (n_t,)
         *_, ref_snr, ref_error = _reference_readout(fn, chi, cfg)
-        _assert_matches_reference(snr[k], error[k], ref_snr, ref_error)
+        _assert_matches_reference(traj.snr, traj.error, ref_snr, ref_error)
+    assert k == 15
+
+
+def _assert_same_record(got, want):
+    for name, value in vars(want).items():
+        assert np.array_equal(getattr(got, name), value), name
 
 
 def test_readout_batch_rows_equal_single_runs_bit_for_bit():
+    # a row's bits do not depend on the rest of the batch: the rows in
+    # reverse order, and each row alone (run_readout), give the same records
     chi_fns, chi_targets = _shifted_ramps(16)
     cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=250.0,
                         dt=0.05)
-    snr, error = readout_snr_rows(chi_fns, chi_targets, cfg)
-    for k, (fn, chi) in enumerate(zip(chi_fns, chi_targets)):
-        traj = run_readout(fn, chi, cfg)
-        assert np.array_equal(snr[k], traj.snr)
-        assert np.array_equal(error[k], traj.error)
+    records = list(readout_records(chi_fns, chi_targets, cfg))
+    reversed_records = list(readout_records(chi_fns[::-1], chi_targets[::-1],
+                                            cfg))
+    assert len(records) == len(reversed_records) == 16
+    for traj, rev, fn, chi in zip(records, reversed_records[::-1], chi_fns,
+                                  chi_targets):
+        _assert_same_record(rev, traj)
+        _assert_same_record(run_readout(fn, chi, cfg), traj)
 
 
 def test_langevin_step_at_an_rk4_amplification_zero_is_refused():
