@@ -9,7 +9,8 @@ file the program writes goes through.
 The key names the computation but not the code that produced the value.
 A change to the layout of a cached value must bump CACHE_SCHEMA_VERSION,
 and each entry also records NUMERICS_TAG, the SHA-256 of the source of the
-modules whose output is cached and of the unit conversions (`units`, and
+modules whose output is cached (`qubit`, `coupled`, `readout`, and `gates`
+for the optimised pulses) and of the unit conversions (`units`, and
 `config`, which maps the GHz values in the key through them): an entry
 written under another version or by other numerics code is a miss and is
 recomputed, so an edit that forgets the bump cannot be served stale
@@ -39,7 +40,7 @@ def _source_digest(names):
 
 
 NUMERICS_TAG = _source_digest(("qubit.py", "coupled.py", "readout.py",
-                               "units.py", "config.py"))
+                               "gates.py", "units.py", "config.py"))
 
 
 def canonical_key_text(key: dict) -> str:

@@ -15,11 +15,13 @@ batched, gate Monte Carlo draws one after another, and all reductions are
 index-ordered. --workers N is accepted and ignored, so outputs are the same
 for any value.
 
-The result cache holds two kinds of entry, each written and read by
+The result cache holds three kinds of entry, each written and read by
 `_cached`: one per (device, chi window), shared by chi-curve, readout and
-noise-readout, and one per (device, sweep) for landscape. Entries hold raw
-values (NaN where resonant); clamps and unit conversions apply only on
-emission. spectrum is one bare eigensolve and is not cached.
+noise-readout; one per (device, sweep) for landscape; and one optimised
+pulse per (device, flux, gate truncation, gate time, gate step), shared by
+gates and noise-gates. Entries hold raw values (NaN where resonant); clamps
+and unit conversions apply only on emission. spectrum is one bare
+eigensolve and is not cached.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .coupled import (
 # library functions
 from .coupled import _cell_values, dispersive_shift  # noqa: F401
 from .errors import ConfigError, FluxsimError
-from .gates import build_gate_space, optimize_pulse
+from .gates import PulseParams, build_gate_space, optimize_pulse
 from .noise import noisy_gate_error, noisy_readout_snr
 from .qubit import FluxBias, fluxonium_spectrum
 from .readout import run_ramped_readout, run_static_readout
@@ -210,20 +212,37 @@ def cmd_noise_readout(cfg: RunConfig, out_dir, cache_dir):
     return files
 
 
-def _optimized_pulses(cfg: RunConfig):
+def _optimized_pulses(cfg: RunConfig, cache_dir):
+    """(PulseParams, {fidelity, error, leakage}) of the optimised pulse at
+    each configured gate time, cached as one entry per pulse; the drive
+    frequency is the gate space's omega_01."""
     space = build_gate_space(cfg.params, FluxBias(cfg.flux), cfg.resonator,
                              cfg.mode, cfg.gate_dims)
+    gate = cfg.raw["gate"]
     out = []
     for tau in cfg.gate_taus:
-        pulse, result = optimize_pulse(space, tau, dt=cfg.gate_dt)
-        out.append((pulse, result))
+        key = {"op": "pulse", "device": cfg.raw["device"], "flux": cfg.flux,
+               "levels_fluxonium": gate["levels_fluxonium"],
+               "levels_resonator": gate["levels_resonator"],
+               "tau_g_ns": tau, "dt_ns": cfg.gate_dt}
+
+        def optimize():
+            pulse, result = optimize_pulse(space, tau, dt=cfg.gate_dt)
+            return {"eps_d": pulse.eps_d, "lam": pulse.lam,
+                    "fidelity": result.fidelity, "error": result.error,
+                    "leakage": result.leakage}
+
+        entry = {name: float(values[0]) for name, values
+                 in _cached(cache_dir, key, optimize).items()}
+        out.append((PulseParams(tau, entry.pop("eps_d"), entry.pop("lam"),
+                                space.omega_01), entry))
     return out
 
 
 def cmd_gates(cfg: RunConfig, out_dir, cache_dir):
-    rows = [(pulse.tau_g, pulse.eps_d, pulse.lam, result.fidelity,
-             result.error, result.leakage)
-            for pulse, result in _optimized_pulses(cfg)]
+    rows = [(pulse.tau_g, pulse.eps_d, pulse.lam, result["fidelity"],
+             result["error"], result["leakage"])
+            for pulse, result in _optimized_pulses(cfg, cache_dir)]
     path = write_csv(out_dir / "gates.csv",
                      ["tau_g_ns", "eps_d", "lambda", "fidelity", "error",
                       "leakage"], list(zip(*rows)))
@@ -231,7 +250,7 @@ def cmd_gates(cfg: RunConfig, out_dir, cache_dir):
 
 
 def cmd_noise_gates(cfg: RunConfig, out_dir, cache_dir):
-    pulses = [pulse for pulse, _ in _optimized_pulses(cfg)]
+    pulses = [pulse for pulse, _ in _optimized_pulses(cfg, cache_dir)]
     curve = noisy_gate_error(cfg.params, cfg.resonator, pulses, cfg.noise,
                              base_flux=cfg.flux, mode=cfg.mode,
                              dims=cfg.gate_dims, dt=cfg.gate_dt)

@@ -4,7 +4,8 @@ Sinusoidal in-phase envelope with a derivative out-of-phase correction,
 charge-operator drive, interaction-picture RK4 propagation, leakage-aware
 average gate fidelity with a single virtual-Z phase removed, and
 (eps_d, lambda) pulse optimization at fixed drive frequency: the best point
-of a 3 x 3 seed grid, refined by quadratic models on a shrinking stencil
+of a 3 x 3 seed grid around the Rabi-area estimate and the first-order DRAG
+weight, refined by quadratic models on a shrinking stencil
 (quadratic_refinement).
 """
 
@@ -18,6 +19,7 @@ from scipy.optimize import OptimizeResult, minimize
 
 from .coupled import (
     DEFAULT_MODE,
+    MIN_ASSIGNMENT_QUALITY,
     CoupledDims,
     CouplingMode,
     ResonatorParams,
@@ -26,7 +28,8 @@ from .coupled import (
     build_coupled_hamiltonian,
     diagonalize,
 )
-from .errors import DomainError, OptimizerConsistencyError, StepSizeError
+from .errors import (DomainError, OptimizerConsistencyError,
+                     ResonanceRegionError, StepSizeError)
 from .qubit import EnergyParams, FluxBias, fluxonium_spectrum
 
 
@@ -103,7 +106,10 @@ class GateSpace:
     charge_eig the projected qubit charge operator, tensored with the
     resonator identity, in that eigenbasis; comp_basis the dressed |0,0>,
     |1,0> eigenvectors (columns); omega_01 the dressed qubit frequency;
-    anharm the bare qubit anharmonicity.
+    anharm the bare qubit anharmonicity; n01 = |<0|n|1>|; lam_drag the
+    first-order DRAG weight (|<1|n|2>| / |<0|n|1>|)^2 / 2 (Motzoi et al.,
+    PRL 103, 110501 (2009)), 0 when level 2 is not kept; label_quality the
+    worse squared bare overlap backing the |0,0> and |1,0> labels.
     """
 
     h0_evals: np.ndarray
@@ -113,6 +119,8 @@ class GateSpace:
     omega_01: float
     anharm: float
     n01: float
+    lam_drag: float
+    label_quality: float
     dims: CoupledDims
 
 
@@ -125,15 +133,29 @@ def build_gate_space(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
     charge_op = np.kron(n_proj, np.eye(dims.n_res, dtype=complex))
     h0 = build_coupled_hamiltonian(params, flux, res, mode, dims, spec=spec)
     vals, vecs = diagonalize(h0)
-    index, _ = assign_dressed_levels(vecs)
+    index, quality = assign_dressed_levels(vecs)
     ground, excited = index[0], index[dims.n_res]  # |0, 0> and |1, 0>
     comp = np.column_stack([vecs[:, ground], vecs[:, excited]])
     omega_01 = float(vals[excited] - vals[ground])
     anharm = spec.transition(2, 1) - spec.transition(1, 0)
     n01 = abs(n_proj[0, 1])
+    lam_drag = float(0.5 * (abs(n_proj[1, 2]) / n01) ** 2
+                     if dims.kept > 2 else 0.0)
+    label_quality = float(min(quality[0], quality[dims.n_res]))
     charge_eig = vecs.conj().T @ charge_op @ vecs
-    return GateSpace(vals, vecs, charge_eig, comp,
-                     omega_01, anharm, n01, dims)
+    return GateSpace(vals, vecs, charge_eig, comp, omega_01, anharm, n01,
+                     lam_drag, label_quality, dims)
+
+
+def check_gate_labels(space: GateSpace):
+    """Raise ResonanceRegionError when the dressed |0,0> or |1,0> label is
+    backed by a squared overlap below MIN_ASSIGNMENT_QUALITY: the gate's
+    computational subspace is then undefined."""
+    if space.label_quality < MIN_ASSIGNMENT_QUALITY:
+        raise ResonanceRegionError(
+            f"gate-space label quality {space.label_quality:.3f} below "
+            f"{MIN_ASSIGNMENT_QUALITY}; computational states undefined",
+            worst_quality=space.label_quality)
 
 
 DEFAULT_GATE_DT = 1e-3
@@ -336,13 +358,14 @@ def quadratic_refinement(fun, x0, args=(), *, scale, xatol, fatol=0.0, **_):
 
 
 def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
-                   n_eps=3, n_lam=3, eps_span=2.5, lam_range=(-2.0, 2.0),
+                   n_eps=3, n_lam=3, eps_span=2.5, lam_range=None,
                    xatol=1e-6):
     """Optimise the DRAG pulse's (eps_d, lambda) at gate time tau_g.
 
     The best point of an n_eps x n_lam seed grid (3 x 3 by default;
     geometric in eps_d over a factor eps_span around the Rabi-area
-    estimate, linear in lambda over lam_range) seeds quadratic_refinement,
+    estimate, linear in lambda over lam_range, by default
+    space.lam_drag +- 2) seeds quadratic_refinement,
     whose stencil axes are 1 % of the seed's eps_d and 0.5 in lambda. It
     stops once an iteration decreases the error, and its model predicts a
     decrease, by less than ERROR_FLOOR, or once the stencil is below
@@ -350,8 +373,12 @@ def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
     at most once. Deterministic; returns (PulseParams, GateResult), the
     result being the evaluation at dt of that pulse made during the search.
     Raises OptimizerConsistencyError if the refined error is worse than the
-    best seed's.
+    best seed's, and ResonanceRegionError (check_gate_labels) before any
+    evaluation.
     """
+    check_gate_labels(space)
+    if lam_range is None:
+        lam_range = (space.lam_drag - 2.0, space.lam_drag + 2.0)
     omega_d = space.omega_01
     eps_est = rabi_area_estimate(space, tau_g)
     # a one-point axis sits at its centre

@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coupled import DEFAULT_MODE, CoupledDims, CouplingMode, ResonatorParams
-from .errors import DomainError
-from .gates import GateResult, PulseParams, build_gate_space, evaluate_gate
+from .errors import DomainError, ResonanceRegionError
+from .gates import (GateResult, PulseParams, build_gate_space,
+                    check_gate_labels, evaluate_gate)
 from .gates import DEFAULT_GATE_DT
 from .qubit import EnergyParams, FluxBias, anharmonicity
 from .readout import (ChiProfile, FluxRamp, ReadoutConfig, flux_ramp_profile,
@@ -192,11 +193,14 @@ def gate_draw(delta, params: EnergyParams, res: ResonatorParams,
     at its delta=0 optimum; only the static Hamiltonian moves with the
     offset. The DRAG quadrature keeps the anharmonicity of the unshifted
     bias, since a quasi-static offset is unknown when the pulse is shaped;
-    pass it as anharm to skip recomputing it.
+    pass it as anharm to skip recomputing it. Raises ResonanceRegionError
+    (check_gate_labels) where the offset bias leaves the computational
+    states unlabelled.
     """
     if anharm is None:
         anharm = anharmonicity(params, FluxBias(base_flux), dims.dim)
     space = build_gate_space(params, FluxBias(base_flux + delta), res, mode, dims)
+    check_gate_labels(space)
     return evaluate_gate(replace(space, anharm=anharm), pulse, dt)
 
 
@@ -209,12 +213,19 @@ def noisy_gate_error(params: EnergyParams, res: ResonatorParams,
 
     pulses is a sequence of PulseParams pre-optimized at delta=0, one per
     gate time; the axis of the returned curve is their tau_g values. Draws
-    run in draw-index order.
+    run in draw-index order; a draw whose offset bias leaves the
+    computational states unlabelled (gate_draw's ResonanceRegionError) is
+    excluded with a zero row.
     """
     anharm = anharmonicity(params, FluxBias(base_flux), dims.dim)
-    draws = np.array([[gate_draw(delta, params, res, p, base_flux, mode, dims,
-                                 dt, anharm).error for p in pulses]
-                      for delta in sample_flux_offsets(spec)])
-    included = np.ones(len(draws), dtype=bool)
+    offsets = sample_flux_offsets(spec)
+    draws = np.zeros((offsets.size, len(pulses)))
+    included = np.ones(offsets.size, dtype=bool)
+    for k, delta in enumerate(offsets):
+        try:
+            draws[k] = [gate_draw(delta, params, res, p, base_flux, mode, dims,
+                                  dt, anharm).error for p in pulses]
+        except ResonanceRegionError:
+            included[k] = False
     axis = np.array([p.tau_g for p in pulses])
     return aggregate_curves(axis, draws, included, spec.scale, spec.seed)

@@ -332,12 +332,14 @@ def _record(times, alpha_plus, epsilon, cfg: ReadoutConfig) -> ReadoutTrajectory
     """Readout record of one sigma_z = +1 trajectory.
 
     chi(t), kappa and epsilon are real, so the sigma_z = -1 field is the
-    complex conjugate of the sigma_z = +1 one.
+    complex conjugate of the sigma_z = +1 one; their integrated separation
+    is purely imaginary, and the demodulation quadrature that
+    optimal_demod_phase would return is exactly -pi/2.
     """
     alpha_minus = alpha_plus.conj()
     out_p = output_field(alpha_plus, cfg.kappa, epsilon)
     out_m = output_field(alpha_minus, cfg.kappa, epsilon)
-    theta = optimal_demod_phase(out_p, out_m, times)
+    theta = -0.5 * math.pi
     m_p, m_m = measurement_signal(out_p, out_m, cfg.eta, theta, times, cfg.kappa)
     snr = snr_curve(m_p, m_m, cfg.kappa, times)
     return ReadoutTrajectory(times, alpha_plus, alpha_minus, out_p, out_m,

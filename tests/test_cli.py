@@ -250,8 +250,8 @@ def test_cache_from_other_numerics_code_is_recomputed(tmp_path):
     # including the unit conversions that config applies to the key's GHz
     cfg_path, out, cfg = _small_chi_window(tmp_path)
     tags = {"other": "0" * 64}
-    for name in ("qubit.py", "coupled.py", "readout.py", "units.py",
-                 "config.py"):
+    for name in ("qubit.py", "coupled.py", "readout.py", "gates.py",
+                 "units.py", "config.py"):
         tags[name] = _numerics_tag_after_edit(tmp_path, name)
     assert NUMERICS_TAG not in tags.values()
     for edited, tag in tags.items():
@@ -710,7 +710,7 @@ def test_noise_gates_subcommand(tmp_path, monkeypatch):
     space = build_gate_space(PARAMS, FluxBias(0.5), RES)
     pulse = PulseParams(10.0, 1.557152, 4.7745, space.omega_01)
     monkeypatch.setattr(cli, "_optimized_pulses",
-                        lambda cfg: [(pulse, None)])
+                        lambda cfg, cache_dir: [(pulse, None)])
     raw = base_config(tmp_path / "out")
     raw["gate"] = {"tau_g_ns_list": [10.0]}
     cfg_path, out = write_config(tmp_path, raw)
@@ -719,3 +719,89 @@ def test_noise_gates_subcommand(tmp_path, monkeypatch):
     assert float(row["axis_value"]) == 10.0
     assert row["n_effective"] == "4"
     assert 0.0 <= float(row["mean"]) < 0.1
+
+
+def _gate_config(tmp_path, **gate):
+    raw = base_config(tmp_path / "out")
+    raw["gate"] = {"tau_g_ns_list": [3.0], **gate}
+    raw["noise"] = {"scale": 1e-2, "n_draws": 2}
+    return raw
+
+
+def _counted_optimizer(monkeypatch, optimize=None):
+    """Count the CLI's optimize_pulse calls (by gate time), passing each to
+    optimize, by default the real optimiser; returns the list."""
+    import fluxsim.cli as cli
+    calls = []
+    optimize = optimize or cli.optimize_pulse
+
+    def counted(space, tau_g, **kwargs):
+        calls.append(tau_g)
+        return optimize(space, tau_g, **kwargs)
+
+    monkeypatch.setattr(cli, "optimize_pulse", counted)
+    return calls
+
+
+@pytest.mark.slow
+def test_noise_gates_after_gates_optimises_no_pulse(tmp_path, monkeypatch):
+    cfg_path, out = write_config(tmp_path, _gate_config(tmp_path))
+    calls = _counted_optimizer(monkeypatch)
+    assert main(["gates", "--config", str(cfg_path)]) == 0
+    assert calls == [3.0]
+    # one entry per gate time
+    assert len(list((out / ".cache").glob("*.json"))) == 1
+    assert main(["noise-gates", "--config", str(cfg_path)]) == 0
+    assert calls == [3.0]
+    # the cached pulse gives the bytes of a run without the cache
+    names = ("gates.csv", "noise_gates.csv")
+    cached = {name: (out / name).read_bytes() for name in names}
+    bare = tmp_path / "bare"
+    for sub in ("gates", "noise-gates"):
+        assert main([sub, "--config", str(cfg_path), "--no-cache",
+                     "--out", str(bare)]) == 0
+    assert calls == [3.0] * 3
+    assert {name: (bare / name).read_bytes() for name in names} == cached
+
+
+def test_changed_gate_step_or_flux_is_a_pulse_cache_miss(tmp_path,
+                                                         monkeypatch):
+    from fluxsim.gates import PulseParams
+
+    def fake(space, tau_g, dt):
+        return (PulseParams(tau_g, 1.0, 4.0, space.omega_01),
+                SimpleNamespace(fidelity=0.75, error=0.25, leakage=0.0))
+
+    calls = _counted_optimizer(monkeypatch, fake)
+    # (gate section changes, top-level changes, optimiser calls so far)
+    cases = [({}, {}, 1), ({}, {}, 1), ({"dt_ns": 5e-4}, {}, 2), ({}, {}, 2),
+             ({}, {"flux": 0.501}, 3)]
+    for gate, top, n_calls in cases:
+        raw = {**_gate_config(tmp_path, **gate), **top}
+        cfg_path, out = write_config(tmp_path, raw)
+        assert main(["gates", "--config", str(cfg_path)]) == 0
+        assert len(calls) == n_calls, (gate, top)
+        (row,) = read_csv(out / "gates.csv")
+        assert (row["eps_d"], row["lambda"], row["error"]) == ("1.0", "4.0",
+                                                               "0.25")
+    assert len(list((out / ".cache").glob("*.json"))) == 3
+
+
+def test_gate_space_with_poor_labels_exits_3(tmp_path, capsys, monkeypatch):
+    from fluxsim import gates
+    from fluxsim.coupled import MIN_ASSIGNMENT_QUALITY
+    assign = gates.assign_dressed_levels
+
+    def assign_poorly(vecs):
+        index, quality = assign(vecs)
+        return index, np.full_like(quality, 0.5 * MIN_ASSIGNMENT_QUALITY)
+
+    monkeypatch.setattr(gates, "assign_dressed_levels", assign_poorly)
+    calls = _counted_optimizer(monkeypatch)
+    cfg_path, out = write_config(tmp_path, _gate_config(tmp_path))
+    assert main(["gates", "--config", str(cfg_path)]) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["type"] == "ResonanceRegionError"
+    assert calls == [3.0]
+    assert not (out / "gates.csv").exists()
+    assert not list(out.glob(".cache/*.json"))

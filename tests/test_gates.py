@@ -10,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxsim import gates
-from fluxsim.coupled import CoupledDims, CouplingMode, ResonatorParams, sweep_dressed
-from fluxsim.errors import DomainError, StepSizeError
+from fluxsim.coupled import (
+    MIN_ASSIGNMENT_QUALITY,
+    CoupledDims,
+    CouplingMode,
+    ResonatorParams,
+    sweep_dressed,
+)
+from fluxsim.errors import DomainError, ResonanceRegionError, StepSizeError
 from fluxsim.gates import (
     DEFAULT_GATE_DT,
     UNITARITY_BUDGET,
@@ -28,7 +34,8 @@ from fluxsim.gates import (
     rabi_area_estimate,
 )
 from fluxsim.noise import NoiseSpec, noisy_gate_error
-from fluxsim.qubit import EnergyParams, FluxBias
+from fluxsim.qubit import (EnergyParams, FluxBias, charge_matrix_element,
+                           fluxonium_spectrum)
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
 RES = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
@@ -307,24 +314,53 @@ def test_one_point_grid_seeds_at_the_estimate(space, monkeypatch):
     _no_refinement(monkeypatch)
     optimize_pulse(space, 3.0, n_eps=1, n_lam=1)
     est = rabi_area_estimate(space, 3.0)
-    assert (calls[0].eps_d, calls[0].lam) == (est, 0.0)
+    assert (calls[0].eps_d, calls[0].lam) == (est, space.lam_drag)
     # a seed at the low ends of both axes is far worse
-    low_end = PulseParams(3.0, est / 2.5, -2.0, space.omega_01)
+    low_end = PulseParams(3.0, est / 2.5, space.lam_drag - 2.0, space.omega_01)
     assert (evaluate_gate(space, calls[0], DEFAULT_GATE_DT).error
             < evaluate_gate(space, low_end, DEFAULT_GATE_DT).error)
 
 
+def _grid_points(space, n_eps, n_lam, lam_lo, lam_hi):
+    est = rabi_area_estimate(space, 3.0)
+    eps = np.geomspace(est / 2.5, est * 2.5, n_eps) if n_eps > 1 else [est]
+    lam = (np.linspace(lam_lo, lam_hi, n_lam) if n_lam > 1
+           else [(lam_lo + lam_hi) / 2])
+    return [(float(e), float(x)) for e in eps for x in lam]
+
+
 @pytest.mark.parametrize("n_eps, n_lam", [(3, 3), (25, 17), (1, 3), (3, 1)])
 def test_pulse_grid_points(space, monkeypatch, n_eps, n_lam):
+    # the lambda axis is centred on the first-order DRAG weight
     calls = _fake_gate(monkeypatch,
                        lambda eps_d, lam: (eps_d - 1.0) ** 2 + lam ** 2)
     _no_refinement(monkeypatch)
     optimize_pulse(space, 3.0, n_eps=n_eps, n_lam=n_lam)
-    est = rabi_area_estimate(space, 3.0)
-    eps = np.geomspace(est / 2.5, est * 2.5, n_eps) if n_eps > 1 else [est]
-    lam = np.linspace(-2.0, 2.0, n_lam) if n_lam > 1 else [0.0]
-    assert calls[:n_eps * n_lam] == [(float(e), float(x))
-                                     for e in eps for x in lam]
+    assert calls[:n_eps * n_lam] == _grid_points(
+        space, n_eps, n_lam, space.lam_drag - 2.0, space.lam_drag + 2.0)
+
+
+def test_explicit_lam_range_gives_the_former_grid(space, monkeypatch):
+    calls = _fake_gate(monkeypatch,
+                       lambda eps_d, lam: (eps_d - 1.0) ** 2 + lam ** 2)
+    _no_refinement(monkeypatch)
+    optimize_pulse(space, 3.0, lam_range=(-2.0, 2.0))
+    assert calls[:9] == _grid_points(space, 3, 3, -2.0, 2.0)
+    assert [lam for _, lam in calls[:3]] == [-2.0, 0.0, 2.0]
+
+
+def test_drag_weight_is_the_first_order_formula(space):
+    # (|<1|n|2>| / |<0|n|1>|)^2 / 2 from the bare matrix elements at f = 0.5
+    spec = fluxonium_spectrum(PARAMS, FluxBias(0.5), space.dims.dim)
+    n01 = abs(charge_matrix_element(spec, 0, 1))
+    n12 = abs(charge_matrix_element(spec, 1, 2))
+    assert space.lam_drag == pytest.approx(0.5 * (n12 / n01) ** 2, rel=1e-12)
+    # the optimum's lambda, 4.77-4.83 on this device, is inside the axis
+    assert 4.2 < space.lam_drag < 4.3
+    # with level 2 not kept there is nothing to correct
+    two = build_gate_space(PARAMS, FluxBias(0.5), RES,
+                           dims=CoupledDims(kept=2, n_res=3))
+    assert two.lam_drag == 0.0
 
 
 def test_refinement_lands_on_the_minimum_of_a_quadratic(space, monkeypatch):
@@ -372,9 +408,9 @@ def test_refinement_on_a_singular_hessian_stays_finite():
 def test_pulse_optimisation_evaluation_count(space, monkeypatch):
     calls = _recording_gate(monkeypatch)
     optimize_pulse(space, 3.0, n_eps=3, n_lam=3)
-    # 9 seeds and the refinement, which stops at the error floor;
-    # Nelder-Mead needed 120 in all
-    assert len(calls) <= 40
+    # 9 seeds and the refinement, which stops at the error floor: 33 from
+    # the centred lambda axis, 39 from (-2, 0, 2); Nelder-Mead needed 120
+    assert len(calls) <= 34
 
 
 def _refinement_values(monkeypatch):
@@ -489,7 +525,7 @@ def test_pulse_optimisation_at_30ns(space, monkeypatch):
     # refinement stops there instead of shrinking its stencil to xatol
     calls = _recording_gate(monkeypatch)
     _, result = optimize_pulse(space, 30.0)
-    assert len(calls) <= 30
+    assert len(calls) <= 22
     assert result.error <= 1e-10
 
 
@@ -533,8 +569,8 @@ def test_refinement_agrees_with_nelder_mead(space, tau_g):
 def test_error_floor_moves_the_pulse_within_stated_bounds(space,
                                                           monkeypatch):
     # against the refinement without the floor (which shrinks its stencil
-    # to xatol, as before the floor), at 20 ns, where the floor moves the
-    # default config's pulses most
+    # to xatol, as before the floor), at 20 ns; the floor moves the 10 ns
+    # pulse further, by 1.4e-7 relative in eps_d and 5.3e-5 in lambda
     pulse, result = optimize_pulse(space, 20.0)
     monkeypatch.setattr(gates, "ERROR_FLOOR", 0.0)
     ref_pulse, ref = optimize_pulse(space, 20.0)
@@ -549,6 +585,67 @@ def test_error_floor_moves_the_pulse_within_stated_bounds(space,
     assert abs(curves[0].stderr[0] - curves[1].stderr[0]) <= 1e-8
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("tau_g", [10.0, 20.0])
+def test_centred_lambda_axis_moves_the_pulse_within_stated_bounds(space,
+                                                                  tau_g):
+    # against the former axis (-2, 0, 2): the gates.csv error, eps_d and
+    # lambda, and the noise_gates.csv mean and standard error
+    pulse, result = optimize_pulse(space, tau_g)
+    ref_pulse, ref = optimize_pulse(space, tau_g, lam_range=(-2.0, 2.0))
+    assert result.error <= ref.error + 1e-12
+    assert abs(pulse.eps_d - ref_pulse.eps_d) <= 1e-6 * ref_pulse.eps_d
+    assert abs(pulse.lam - ref_pulse.lam) <= 1e-3
+    spec = NoiseSpec(1e-2, 4, 1234)
+    curves = [noisy_gate_error(PARAMS, RES, [p], spec)
+              for p in (pulse, ref_pulse)]
+    assert abs(curves[0].mean[0] - curves[1].mean[0]) <= 1e-7
+    assert abs(curves[0].stderr[0] - curves[1].stderr[0]) <= 1e-7
+
+
+def _poor_labels(monkeypatch, poor_calls):
+    """Make the gate space's dressed labels report a quality below
+    MIN_ASSIGNMENT_QUALITY on the calls whose index (from 0) poor_calls
+    accepts."""
+    assign = gates.assign_dressed_levels
+    count = [0]
+
+    def assign_poorly(vecs):
+        index, quality = assign(vecs)
+        if poor_calls(count[0]):
+            quality = np.full_like(quality, 0.5 * MIN_ASSIGNMENT_QUALITY)
+        count[0] += 1
+        return index, quality
+
+    monkeypatch.setattr(gates, "assign_dressed_levels", assign_poorly)
+
+
+def test_optimiser_refuses_a_space_with_poor_labels(monkeypatch):
+    _poor_labels(monkeypatch, lambda call: True)
+    poor = build_gate_space(PARAMS, FluxBias(0.5), RES)
+    assert poor.label_quality == 0.5 * MIN_ASSIGNMENT_QUALITY
+    calls = _recording_gate(monkeypatch)
+    with pytest.raises(ResonanceRegionError) as info:
+        optimize_pulse(poor, 3.0)
+    assert info.value.worst_quality == poor.label_quality
+    assert calls == []
+
+
+def test_gate_draws_with_poor_labels_are_excluded(space, monkeypatch):
+    pulse = PulseParams(3.0, rabi_area_estimate(space, 3.0), space.lam_drag,
+                        space.omega_01)
+    spec = NoiseSpec(1e-2, 4, 1234)
+    clean = noisy_gate_error(PARAMS, RES, [pulse], spec)
+    assert clean.n_excluded == 0
+    # one space per draw: draws 1 and 3 lose their labels
+    _poor_labels(monkeypatch, lambda call: call % 2 == 1)
+    curve = noisy_gate_error(PARAMS, RES, [pulse], spec)
+    assert (curve.n_effective, curve.n_excluded) == (2, 2)
+    assert curve.included.tolist() == [True, False, True, False]
+    assert curve.draws[[1, 3]].tolist() == [[0.0], [0.0]]
+    assert curve.draws[[0, 2]].tobytes() == clean.draws[[0, 2]].tobytes()
+
+
 def test_gate_space_structure(space):
     # computational basis columns are orthonormal dressed eigenvectors
     overlap = space.comp_basis.conj().T @ space.comp_basis
@@ -556,6 +653,8 @@ def test_gate_space_structure(space):
     assert space.omega_01 > 0
     assert space.anharm > 0
     assert space.h0_evals.shape == (space.dims.kept * space.dims.n_res,)
+    # the default device's labels hold far above the breakdown threshold
+    assert space.label_quality > 0.999
 
 
 @pytest.mark.parametrize("mode", list(CouplingMode))

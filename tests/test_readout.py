@@ -436,11 +436,16 @@ def test_closed_form_quadrature_against_searched_angle(name):
 
 @pytest.mark.parametrize("name", [*CASES, "chi=0"])
 def test_demod_phase_is_exactly_minus_quadrature(name):
-    # conjugate output fields separate along the imaginary axis only
+    # conjugate output fields separate along the imaginary axis only, so
+    # the closed-form maximiser gives the quadrature the records use, bit
+    # for bit, for static, ramped and noise-shifted records
     if name == "chi=0":
         chi_of_t, chi_target = (lambda t: np.zeros_like(np.asarray(t, float)),
                                 0.0)
     else:
         chi_of_t, chi_target = _readout_case(name)
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=250.0, dt=0.05)
-    assert run_readout(chi_of_t, chi_target, cfg).theta == -math.pi / 2
+    traj = run_readout(chi_of_t, chi_target, cfg)
+    assert traj.theta == -math.pi / 2
+    assert optimal_demod_phase(traj.alpha_out_plus, traj.alpha_out_minus,
+                               traj.times) == -math.pi / 2
