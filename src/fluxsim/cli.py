@@ -10,10 +10,12 @@ untouched when its bytes would not change. Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 I/O error.
 
 Every subcommand runs in one process: flux sweeps (chi-curve, landscape
-and the chi profile of the readout subcommands) and readout draws run
-batched, gate Monte Carlo draws one after another, and all reductions are
-index-ordered. --workers N is accepted and ignored, so outputs are the same
-for any value.
+and the chi profile of the readout subcommands) run batched; readout
+integrates its pulsed row and its static row (the ramp held at its start
+flux) as one batch, noise-readout all its draws as one; gate Monte Carlo
+draws run one after another, and all reductions are index-ordered.
+--workers N is accepted and ignored, so outputs are the same for any
+value.
 
 The result cache holds three kinds of entry, each written and read by
 `_cached`: one per (device, chi window), shared by chi-curve, readout and
@@ -55,7 +57,7 @@ from .errors import ConfigError, FluxsimError
 from .gates import PulseParams, build_gate_space, optimize_pulse
 from .noise import noisy_gate_error, noisy_readout_snr
 from .qubit import FluxBias, fluxonium_spectrum
-from .readout import run_ramped_readout, run_static_readout
+from .readout import FluxRamp, ramp_rows, readout_records
 from .output import write_csv, write_manifest
 
 EXIT_OK = 0
@@ -179,17 +181,16 @@ READOUT_HEADER = ["tau_ns", "snr", "error", "m_s_0", "m_s_1",
 
 def cmd_readout(cfg: RunConfig, out_dir, cache_dir):
     profile = chi_profile(*_chi_values(cfg, cache_dir), cfg.chi_clamp)
-    pulsed = run_ramped_readout(cfg.ramp, profile, cfg.readout)
-    static = run_static_readout(profile.chi_at(cfg.ramp.f_start), cfg.readout)
-    files = []
-    for name, traj in (("readout_pulsed.csv", pulsed),
-                       ("readout_static.csv", static)):
-        path = write_csv(out_dir / name, READOUT_HEADER, [
-            traj.times, traj.snr, traj.error, traj.m_s_plus, traj.m_s_minus,
-            traj.alpha_out_plus.real, traj.alpha_out_plus.imag,
-            traj.alpha_out_minus.real, traj.alpha_out_minus.imag])
-        files.append((path, "readout"))
-    return files
+    # static readout is the ramp held at f_start: one batch of two rows
+    ramps = [cfg.ramp, FluxRamp(cfg.ramp.f_start, cfg.ramp.f_start, 0.0)]
+    records = readout_records(*ramp_rows(ramps, profile, cfg.readout),
+                              cfg.readout)
+    return [(write_csv(out_dir / name, READOUT_HEADER, [
+        traj.times, traj.snr, traj.error, traj.m_s_plus, traj.m_s_minus,
+        traj.alpha_out_plus.real, traj.alpha_out_plus.imag,
+        traj.alpha_out_minus.real, traj.alpha_out_minus.imag]), "readout")
+        for name, traj in zip(("readout_pulsed.csv", "readout_static.csv"),
+                              records)]
 
 
 NOISE_HEADER = ["axis_value", "mean", "stderr", "n_effective", "n_excluded",
@@ -204,12 +205,10 @@ def _noise_columns(curve):
 def cmd_noise_readout(cfg: RunConfig, out_dir, cache_dir):
     profile = chi_profile(*_chi_values(cfg, cache_dir), cfg.chi_clamp)
     result = noisy_readout_snr(cfg.ramp, profile, cfg.readout, cfg.noise)
-    files = []
-    for name, curve in (("noise_readout_snr.csv", result.snr),
-                        ("noise_readout_error.csv", result.error)):
-        path = write_csv(out_dir / name, NOISE_HEADER, _noise_columns(curve))
-        files.append((path, "noise-readout"))
-    return files
+    return [(write_csv(out_dir / name, NOISE_HEADER, _noise_columns(curve)),
+             "noise-readout")
+            for name, curve in (("noise_readout_snr.csv", result.snr),
+                                ("noise_readout_error.csv", result.error))]
 
 
 def _optimized_pulses(cfg: RunConfig, cache_dir):
@@ -277,7 +276,7 @@ def run_subcommand(name, cfg: RunConfig, use_cache=True):
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / ".cache" if use_cache else None
     files = SUBCOMMANDS[name](cfg, out_dir, cache_dir)
-    return write_manifest(out_dir, files, cfg, cfg.noise.seed)
+    return write_manifest(out_dir, files, cfg)
 
 
 def build_parser():

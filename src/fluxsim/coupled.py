@@ -433,14 +433,16 @@ class Anticrossing:
     t_swap: float
 
 
+ANTICROSSING_XTOL = 1e-6  # flux tolerance of the anticrossing search
+
+
 def find_anticrossing(params: EnergyParams, res: ResonatorParams,
                       mode: CouplingMode = DEFAULT_MODE,
                       dims: CoupledDims = CoupledDims(),
-                      transition=(3, 1), window=(0.55, 0.60),
-                      xtol=1e-6) -> Anticrossing:
-    """Bounded scalar minimization (scipy), to xtol in flux, of the gap
-    |E(i, 0) - E(j, 1)| between the dressed levels labelled |i, 0> and
-    |j, 1>, each read from a one-point `sweep_dressed`; the window must
+                      transition=(3, 1), window=(0.55, 0.60)) -> Anticrossing:
+    """Bounded scalar minimization (scipy), to ANTICROSSING_XTOL in flux, of
+    the gap |E(i, 0) - E(j, 1)| between the dressed levels labelled |i, 0>
+    and |j, 1>, each read from a one-point `sweep_dressed`; the window must
     bracket exactly one interior gap minimum."""
     i, j = transition
     a, b = window
@@ -453,9 +455,9 @@ def find_anticrossing(params: EnergyParams, res: ResonatorParams,
         return abs(float(energy[0] - energy[1]))
 
     opt = minimize_scalar(gap, bounds=(a, b), method="bounded",
-                          options={"xatol": xtol})
+                          options={"xatol": ANTICROSSING_XTOL})
     f_star, gap_min = float(opt.x), float(opt.fun)
-    if f_star - a < 2 * xtol or b - f_star < 2 * xtol:
+    if min(f_star - a, b - f_star) < 2 * ANTICROSSING_XTOL:
         raise BracketingError(f"minimum at {f_star} sits on the edge of "
                               f"[{a}, {b}]; no interior bracket")
     g_ij = 0.5 * gap_min

@@ -19,12 +19,11 @@ import numpy as np
 
 from .coupled import DEFAULT_MODE, CoupledDims, CouplingMode, ResonatorParams
 from .errors import DomainError, ResonanceRegionError
-from .gates import (GateResult, PulseParams, build_gate_space,
-                    check_gate_labels, evaluate_gate)
-from .gates import DEFAULT_GATE_DT
+from .gates import (DEFAULT_GATE_DT, GateResult, PulseParams,
+                    build_gate_space, check_gate_labels, evaluate_gate)
 from .qubit import EnergyParams, FluxBias, anharmonicity
-from .readout import (ChiProfile, FluxRamp, ReadoutConfig, flux_ramp_profile,
-                      readout_records, time_grid)
+from .readout import (ChiProfile, FluxRamp, ReadoutConfig, ramp_inside,
+                      ramp_rows, readout_records, time_grid)
 
 
 @dataclass(frozen=True)
@@ -150,19 +149,13 @@ def _readout_draws(deltas, ramp: FluxRamp, profile: ChiProfile,
     n_t = time_grid(cfg.t_max, cfg.dt).size
     snr = np.zeros((len(deltas), n_t))
     error = np.zeros((len(deltas), n_t))
-    included = np.zeros(len(deltas), dtype=bool)
-    chi_fns, chi_targets = [], []
-    for k, delta in enumerate(deltas):
-        shifted = ramp.shifted(delta)
-        try:
-            chi_fns.append(flux_ramp_profile(shifted, profile))
-        except DomainError:
-            continue
-        chi_targets.append(profile.chi_at(shifted.f_end))
-        included[k] = True
-    if chi_fns:
-        records = readout_records(chi_fns, chi_targets, cfg)
-        for k, traj in zip(np.flatnonzero(included), records):
+    shifted = [ramp.shifted(delta) for delta in deltas]
+    included = np.array([ramp_inside(r, profile) for r in shifted], dtype=bool)
+    if included.any():
+        rows = ramp_rows([r for r, ok in zip(shifted, included) if ok],
+                         profile, cfg)
+        for k, traj in zip(np.flatnonzero(included),
+                           readout_records(*rows, cfg)):
             snr[k], error[k] = traj.snr, traj.error
     return snr, error, included
 

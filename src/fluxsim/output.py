@@ -124,14 +124,15 @@ def _previous_records(path, chash, seed) -> dict:
     return {rec["name"]: rec for rec in files}
 
 
-def write_manifest(out_dir, files, run_config, seed) -> Path:
-    """Emit manifest.json covering every file written by the run.
+def write_manifest(out_dir, files, run_config) -> Path:
+    """Emit manifest.json covering every file written by the run, with the
+    config's noise seed.
 
     files is a sequence of (path, schema) pairs; paths must live inside
     out_dir and exist already so their hashes can be recorded.
     """
     path = Path(out_dir) / "manifest.json"
-    chash = config_hash(run_config)
+    chash, seed = config_hash(run_config), run_config.noise.seed
     # merge with a previous manifest from the same (config, seed, version) so
     # successive subcommands sharing an output directory stay fully listed
     records = _previous_records(path, chash, seed)

@@ -68,8 +68,7 @@ class FluxRamp:
         """Reduced flux at time t (array-friendly)."""
         t = np.asarray(t, dtype=float)
         if self.t_rise == 0.0:
-            return np.where(t > 0, self.f_end, self.f_start) if t.ndim else \
-                (self.f_end if t > 0 else self.f_start)
+            return np.where(t > 0, self.f_end, self.f_start)[()]
         frac = np.clip(t / self.t_rise, 0.0, 1.0)
         return self.f_start + (self.f_end - self.f_start) * frac
 
@@ -220,10 +219,9 @@ def _langevin_rows(chi_half, kappa, epsilon, dt):
     return np.ascontiguousarray(alpha.T)
 
 
-def _chi_half(chi_of_t, times):
-    """chi(t) on the half grid t_0, t_0 + dt/2, t_1, ... of a uniform grid."""
-    t_half = np.linspace(times[0], times[-1], 2 * (times.size - 1) + 1)
-    return np.asarray(chi_of_t(t_half), dtype=float)
+def _half_grid(times):
+    """The half grid t_0, t_0 + dt/2, t_1, ... of a uniform grid."""
+    return np.linspace(times[0], times[-1], 2 * (times.size - 1) + 1)
 
 
 def integrate_langevin(chi_of_t, kappa, epsilon, sigma_z, times):
@@ -234,7 +232,7 @@ def integrate_langevin(chi_of_t, kappa, epsilon, sigma_z, times):
     Returns the intracavity amplitude alpha(t) on the given uniform grid.
     """
     times = np.asarray(times, dtype=float)
-    chi_half = _chi_half(chi_of_t, times) * float(sigma_z)
+    chi_half = np.asarray(chi_of_t(_half_grid(times)), float) * float(sigma_z)
     return _langevin_rows(chi_half[None, :], kappa, [float(epsilon)],
                           times[1] - times[0])[0]
 
@@ -243,22 +241,6 @@ def output_field(alpha, kappa, epsilon):
     """Input-output boundary condition alpha_out = alpha_in + sqrt(kappa) alpha."""
     alpha_in = -epsilon / math.sqrt(kappa)
     return alpha_in + math.sqrt(kappa) * np.asarray(alpha)
-
-
-def flux_ramp_profile(ramp: FluxRamp, profile: ChiProfile):
-    """chi(t) callable: linear flux ramp mapped through the chi profile."""
-    lo, hi = profile.flux_grid[0], profile.flux_grid[-1]
-    f_min = min(ramp.f_start, ramp.f_end)
-    f_max = max(ramp.f_start, ramp.f_end)
-    if f_min < lo or f_max > hi:
-        raise DomainError(
-            f"ramp flux range [{f_min}, {f_max}] outside chi profile domain [{lo}, {hi}]"
-        )
-
-    def chi_of_t(t):
-        return profile.chi_at(ramp.flux_at(t))
-
-    return chi_of_t
 
 
 def measurement_signal(alpha_out_0, alpha_out_1, eta, theta, times, kappa):
@@ -346,17 +328,38 @@ def _record(times, alpha_plus, epsilon, cfg: ReadoutConfig) -> ReadoutTrajectory
                              m_p, m_m, snr, readout_error(snr), theta, epsilon)
 
 
-def readout_records(chi_fns, chi_targets, cfg: ReadoutConfig):
-    """Readout record of each (chi_of_t, chi_target) pair, yielded in order.
+def ramp_inside(ramp: FluxRamp, profile: ChiProfile) -> bool:
+    """Whether the whole flux range of the ramp lies on the profile's grid."""
+    return (profile.flux_grid[0] <= min(ramp.f_start, ramp.f_end)
+            and max(ramp.f_start, ramp.f_end) <= profile.flux_grid[-1])
 
-    chi_target calibrates the drive amplitude (the plateau chi for ramped
-    readout, the static chi otherwise). All trajectories are integrated in
-    one call, and a row's bits do not depend on the other rows.
-    """
+
+def ramp_rows(ramps, profile: ChiProfile, cfg: ReadoutConfig):
+    """The readout rows of flux ramps, for readout_records: chi on the half
+    grid of time_grid(cfg.t_max, cfg.dt), each ramp mapped through the
+    profile in one chi_at call, and each drive target chi(f_end). A ramp
+    held at f_start is static readout at chi(f_start). Raises DomainError
+    if a ramp leaves the profile's domain."""
+    for ramp in ramps:
+        if not ramp_inside(ramp, profile):
+            raise DomainError(
+                f"ramp flux range [{min(ramp.f_start, ramp.f_end)}, "
+                f"{max(ramp.f_start, ramp.f_end)}] outside chi profile domain "
+                f"[{profile.flux_grid[0]}, {profile.flux_grid[-1]}]"
+            )
+    t_half = _half_grid(time_grid(cfg.t_max, cfg.dt))
+    chi_half = profile.chi_at(np.array([ramp.flux_at(t_half) for ramp in ramps]))
+    return chi_half, [profile.chi_at(ramp.f_end) for ramp in ramps]
+
+
+def readout_records(chi_half, chi_targets, cfg: ReadoutConfig):
+    """Readout record of each row of chi_half (chi on the half grid of
+    time_grid(cfg.t_max, cfg.dt)) with the drive calibrated to its
+    chi_target, yielded in order. All rows are integrated in one call, and
+    a row's bits do not depend on the other rows."""
     times = time_grid(cfg.t_max, cfg.dt)
     epsilon = np.array([drive_amplitude(cfg.n_bar, cfg.kappa, chi)
                         for chi in chi_targets])
-    chi_half = np.array([_chi_half(fn, times) for fn in chi_fns])
     alpha = _langevin_rows(chi_half, cfg.kappa, epsilon, times[1] - times[0])
     for alpha_p, eps in zip(alpha, epsilon):
         yield _record(times, alpha_p, float(eps), cfg)
@@ -364,7 +367,9 @@ def readout_records(chi_fns, chi_targets, cfg: ReadoutConfig):
 
 def run_readout(chi_of_t, chi_target, cfg: ReadoutConfig) -> ReadoutTrajectory:
     """Simulate both qubit states for one drive configuration."""
-    (traj,) = readout_records([chi_of_t], [chi_target], cfg)
+    t_half = _half_grid(time_grid(cfg.t_max, cfg.dt))
+    (traj,) = readout_records(np.asarray(chi_of_t(t_half), float)[None, :],
+                              [chi_target], cfg)
     return traj
 
 
@@ -376,8 +381,6 @@ def run_static_readout(chi, cfg: ReadoutConfig) -> ReadoutTrajectory:
 
 def run_ramped_readout(ramp: FluxRamp, profile: ChiProfile,
                        cfg: ReadoutConfig) -> ReadoutTrajectory:
-    """Flux-pulse-assisted readout: chi follows the ramp through the profile;
-    the drive targets n_bar at the ramp's end-point chi."""
-    chi_of_t = flux_ramp_profile(ramp, profile)
-    chi_target = profile.chi_at(ramp.f_end)
-    return run_readout(chi_of_t, chi_target, cfg)
+    """Flux-pulse-assisted readout: the one-row case of ramp_rows."""
+    (traj,) = readout_records(*ramp_rows([ramp], profile, cfg), cfg)
+    return traj

@@ -287,13 +287,13 @@ def test_readout_chi_profile_is_the_library_profile(tmp_path, monkeypatch):
     import fluxsim.cli as cli
 
     profiles = []
-    ramped = cli.run_ramped_readout
+    rows = cli.ramp_rows
 
-    def record(ramp, profile, readout):
+    def record(ramps, profile, readout):
         profiles.append(profile)
-        return ramped(ramp, profile, readout)
+        return rows(ramps, profile, readout)
 
-    monkeypatch.setattr(cli, "run_ramped_readout", record)
+    monkeypatch.setattr(cli, "ramp_rows", record)
     raw = base_config(tmp_path / "out")
     raw["readout"]["chi_clamp_mhz"] = 1.0  # some points are clamped
     cfg = config_from_dict(raw)
@@ -538,6 +538,54 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert "bogus" in err["error"]["message"]
 
 
+def test_readout_bytes_equal_a_static_run_and_a_one_row_ramp(tmp_path):
+    # the static row was built as constant-chi readout at chi(f_start), the
+    # pulsed row as a one-ramp run; both CSVs keep those bytes
+    import fluxsim.cli as cli
+    from fluxsim.output import write_csv
+    from fluxsim.readout import run_ramped_readout, run_static_readout
+
+    raw = base_config(tmp_path / "out")
+    raw["readout"]["eta"] = 0.5
+    cfg = config_from_dict(raw)
+    run_subcommand("readout", cfg)
+    profile = build_chi_profile(PARAMS, RES, **raw["chi_curve"],
+                                clamp=cfg.chi_clamp)
+    want_dir = tmp_path / "want"
+    want_dir.mkdir()
+    for name, traj in (
+            ("readout_pulsed.csv",
+             run_ramped_readout(cfg.ramp, profile, cfg.readout)),
+            ("readout_static.csv",
+             run_static_readout(profile.chi_at(cfg.ramp.f_start),
+                                cfg.readout))):
+        want = write_csv(want_dir / name, cli.READOUT_HEADER, [
+            traj.times, traj.snr, traj.error, traj.m_s_plus, traj.m_s_minus,
+            traj.alpha_out_plus.real, traj.alpha_out_plus.imag,
+            traj.alpha_out_minus.real, traj.alpha_out_minus.imag])
+        assert (tmp_path / "out" / name).read_bytes() == want.read_bytes()
+
+
+def test_each_readout_subcommand_integrates_one_batch(tmp_path, monkeypatch):
+    from fluxsim import readout
+
+    shapes = []
+    rows = readout._langevin_rows
+
+    def spy(chi_half, *args):
+        shapes.append(chi_half.shape)
+        return rows(chi_half, *args)
+
+    monkeypatch.setattr(readout, "_langevin_rows", spy)
+    cfg = config_from_dict(base_config(tmp_path / "out"))
+    n_half = 2 * int(round(cfg.readout.t_max / cfg.readout.dt)) + 1
+    run_subcommand("readout", cfg)
+    assert shapes == [(2, n_half)]  # pulsed and static rows
+    shapes.clear()
+    run_subcommand("noise-readout", cfg)
+    assert shapes == [(cfg.noise.n_draws, n_half)]
+
+
 def test_gate_step_count_over_the_cap_exits_before_any_work(tmp_path, capsys,
                                                            monkeypatch):
     import fluxsim.cli as cli
@@ -569,8 +617,8 @@ def test_work_over_the_caps_exits_before_any_work(tmp_path, capsys,
 
     # a regression must fail here, not start 1e12 readout steps, 3e8 chi
     # points or 1e6 landscape cells
-    for name in ("sweep_dressed", "compute_landscapes", "run_ramped_readout",
-                 "run_static_readout", "noisy_readout_snr"):
+    for name in ("sweep_dressed", "compute_landscapes", "ramp_rows",
+                 "readout_records", "noisy_readout_snr"):
         monkeypatch.setattr(cli, name, no_work)
     cases = [("readout", {"dt_ns": 1e-9}, "'readout.dt_ns' = 1e-09",
               ("readout", "noise-readout")),

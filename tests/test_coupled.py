@@ -215,7 +215,8 @@ def test_anticrossing_within_xtol_of_golden_section(mode, f_golden,
         return minimize(fun, *args, **kwargs)
 
     monkeypatch.setattr(coupled, "minimize_scalar", spy)
-    ac = find_anticrossing(PARAMS, RES, mode, xtol=1e-6)
+    ac = find_anticrossing(PARAMS, RES, mode)
+    assert coupled.ANTICROSSING_XTOL == 1e-6
     assert abs(ac.f_star - f_golden) <= 1e-6
     # the gap read from one-point sweeps' labels is, bit for bit, the gap of
     # the two dressed levels with the largest overlap on the bare span

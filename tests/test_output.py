@@ -166,11 +166,12 @@ def test_config_hash_stable_under_key_order():
 
 
 def test_manifest_lists_files_with_hashes(tmp_path):
-    cfg = config_from_dict({**MINIMAL, "out_dir": str(tmp_path)})
+    cfg = config_from_dict({**MINIMAL, "noise": {"seed": 4321},
+                            "out_dir": str(tmp_path)})
     f1 = write_csv(tmp_path / "one.csv", ["x"], [[1.0]])
-    mpath = write_manifest(tmp_path, [(f1, "one")], cfg, seed=1234)
+    mpath = write_manifest(tmp_path, [(f1, "one")], cfg)
     manifest = json.loads(mpath.read_text())
-    assert manifest["seed"] == 1234
+    assert manifest["seed"] == 4321  # the config's noise seed
     assert manifest["config_hash"] == config_hash(cfg)
     assert manifest["defaults_used"] == list(cfg.defaults_used)
     (rec,) = manifest["files"]
@@ -180,21 +181,24 @@ def test_manifest_lists_files_with_hashes(tmp_path):
 
 
 def test_manifest_merges_across_subcommands(tmp_path):
-    cfg = config_from_dict({**MINIMAL, "out_dir": str(tmp_path)})
+    cfg = config_from_dict({**MINIMAL, "noise": {"seed": 1},
+                            "out_dir": str(tmp_path)})
     f1 = write_csv(tmp_path / "one.csv", ["x"], [[1.0]])
-    write_manifest(tmp_path, [(f1, "one")], cfg, seed=1)
+    write_manifest(tmp_path, [(f1, "one")], cfg)
     f2 = write_csv(tmp_path / "two.csv", ["x"], [[2.0]])
-    mpath = write_manifest(tmp_path, [(f2, "two")], cfg, seed=1)
+    mpath = write_manifest(tmp_path, [(f2, "two")], cfg)
     names = [r["name"] for r in json.loads(mpath.read_text())["files"]]
     assert names == ["one.csv", "two.csv"]
 
 
 def test_manifest_reset_when_config_changes(tmp_path):
-    cfg1 = config_from_dict({**MINIMAL, "out_dir": str(tmp_path)})
+    cfg1 = config_from_dict({**MINIMAL, "noise": {"seed": 1},
+                             "out_dir": str(tmp_path)})
     f1 = write_csv(tmp_path / "one.csv", ["x"], [[1.0]])
-    write_manifest(tmp_path, [(f1, "one")], cfg1, seed=1)
-    cfg2 = config_from_dict({**MINIMAL, "out_dir": str(tmp_path), "flux": 0.6})
+    write_manifest(tmp_path, [(f1, "one")], cfg1)
+    cfg2 = config_from_dict({**MINIMAL, "noise": {"seed": 1},
+                             "out_dir": str(tmp_path), "flux": 0.6})
     f2 = write_csv(tmp_path / "two.csv", ["x"], [[2.0]])
-    mpath = write_manifest(tmp_path, [(f2, "two")], cfg2, seed=1)
+    mpath = write_manifest(tmp_path, [(f2, "two")], cfg2)
     names = [r["name"] for r in json.loads(mpath.read_text())["files"]]
     assert names == ["two.csv"]  # stale listing from the old config dropped

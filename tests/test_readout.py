@@ -16,13 +16,14 @@ from fluxsim.readout import (
     FluxRamp,
     ReadoutConfig,
     drive_amplitude,
-    flux_ramp_profile,
     integrate_langevin,
     measurement_signal,
     optimal_demod_phase,
     output_field,
     qubit_phase_shift,
     readout_error,
+    ramp_inside,
+    ramp_rows,
     readout_records,
     run_ramped_readout,
     run_readout,
@@ -37,14 +38,13 @@ KAPPA = units.mhz(5.0)
 CHI = units.mhz(0.527)
 
 
-def _reference_langevin(chi_of_t, kappa, epsilon, sigma_z, times):
+def _reference_langevin(chi_half, kappa, epsilon, sigma_z, times):
     """The scalar RK4 loop the batched kernel replaced, one trajectory and
-    one step at a time."""
+    one step at a time; chi_half is chi on the half grid t_0, t_0 + dt/2,
+    t_1, ..."""
     times = np.asarray(times, dtype=float)
     n = times.size - 1
     dt = times[1] - times[0]
-    t_half = np.linspace(times[0], times[-1], 2 * n + 1)
-    chi_half = np.asarray(chi_of_t(t_half), dtype=float)
     a_half = -1j * chi_half * float(sigma_z) - 0.5 * kappa
     alpha = np.empty(n + 1, dtype=complex)
     alpha[0] = 0.0
@@ -210,12 +210,59 @@ def test_chi_profile_interpolation_and_clamp():
         ChiProfile(np.array([0.5, 0.4]), np.array([1.0, 2.0]))
 
 
-def test_flux_ramp_profile_domain_check():
+def _half_grid(cfg):
+    times = time_grid(cfg.t_max, cfg.dt)
+    return np.linspace(times[0], times[-1], 2 * (times.size - 1) + 1)
+
+
+def test_ramp_rows_domain_check():
     profile = ChiProfile(np.array([0.45, 0.55]), np.array([1.0, 2.0]), clamp=10.0)
-    with pytest.raises(DomainError):
-        flux_ramp_profile(FluxRamp(0.5, 0.641, 50.0), profile)
-    chi_of_t = flux_ramp_profile(FluxRamp(0.46, 0.54, 10.0), profile)
-    assert chi_of_t(0.0) == pytest.approx(1.1)
+    cfg = ReadoutConfig(t_max=20.0, dt=0.05)
+    inside = FluxRamp(0.46, 0.54, 10.0)
+    # ramps that end off the profile (above, below) and start off it
+    # (above, below), alone and after a ramp inside it
+    for off, f_min, f_max in ((FluxRamp(0.5, 0.641, 50.0), 0.5, 0.641),
+                              (FluxRamp(0.5, 0.44, 5.0), 0.44, 0.5),
+                              (FluxRamp(0.56, 0.5, 5.0), 0.5, 0.56),
+                              (FluxRamp(0.44, 0.5, 5.0), 0.44, 0.5)):
+        assert not ramp_inside(off, profile)
+        want = (rf"ramp flux range \[{f_min}, {f_max}\] outside chi profile "
+                rf"domain \[0.45, 0.55\]")
+        for ramps in ([off], [inside, off]):
+            with pytest.raises(DomainError, match=want):
+                ramp_rows(ramps, profile, cfg)
+    # the grid's end points are inside
+    for ramp in (inside, FluxRamp(0.45, 0.55, 10.0), FluxRamp(0.55, 0.55, 0.0)):
+        assert ramp_inside(ramp, profile)
+    (chi_half,), (target,) = ramp_rows([inside], profile, cfg)
+    assert chi_half[0] == pytest.approx(1.1)
+    assert target == profile.chi_at(0.54)
+
+
+def test_ramp_rows_sample_each_ramp_through_the_profile():
+    # stacked rows equal each ramp's chi(flux_at(t)) on its own, bit for
+    # bit, for 16 noise-shifted ramps and the zero-height (static) ramp
+    profile = _synthetic_profile()
+    cfg = ReadoutConfig(kappa=KAPPA, t_max=250.0, dt=0.05)
+    ramps = [*_shifted(16), FluxRamp(0.5, 0.5, 0.0)]
+    chi_half, targets = ramp_rows(ramps, profile, cfg)
+    t_half = _half_grid(cfg)
+    assert chi_half.shape == (17, t_half.size)
+    for row, target, ramp in zip(chi_half, targets, ramps):
+        assert np.array_equal(row, profile.chi_at(ramp.flux_at(t_half)))
+        assert target == profile.chi_at(ramp.f_end)
+    assert np.array_equal(chi_half[-1], np.full(t_half.size,
+                                                profile.chi_at(0.5)))
+
+
+def test_zero_height_ramp_is_static_readout_bit_for_bit():
+    profile = _synthetic_profile()
+    cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=250.0,
+                        dt=0.05)
+    for f in (0.4, 0.5, 0.6137):
+        _assert_same_record(run_ramped_readout(FluxRamp(f, f, 0.0), profile,
+                                               cfg),
+                            run_static_readout(profile.chi_at(f), cfg))
 
 
 def test_ramped_readout_targets_plateau_chi():
@@ -265,24 +312,27 @@ def test_readout_config_validation():
 CASES = {"static": None, "ramp": 0.0, "ramp+0.01": 0.01, "ramp-0.02": -0.02}
 
 
-def _readout_case(name):
-    """(chi_of_t, chi_target): static chi, or the flux ramp shifted by a
-    quasi-static offset."""
+def _readout_case(name, cfg):
+    """(record, chi_half, chi_target): static readout at CHI, or the flux
+    ramp shifted by a quasi-static offset, with its chi on the half grid
+    and drive target."""
     delta = CASES[name]
     if delta is None:
-        return lambda t: np.full_like(np.asarray(t, float), CHI), CHI
+        return (run_static_readout(CHI, cfg),
+                np.full(_half_grid(cfg).size, CHI), CHI)
     profile = _synthetic_profile()
     shifted = FluxRamp(0.5, 0.641, 50.0).shifted(delta)
-    return flux_ramp_profile(shifted, profile), profile.chi_at(shifted.f_end)
+    (chi_half,), (chi_target,) = ramp_rows([shifted], profile, cfg)
+    return run_ramped_readout(shifted, profile, cfg), chi_half, chi_target
 
 
-def _reference_readout(chi_of_t, chi_target, cfg):
+def _reference_readout(chi_half, chi_target, cfg):
     """(alpha_plus, alpha_minus, snr, error) of the scalar RK4 reference,
     with the error from math.erfc."""
     times = time_grid(cfg.t_max, cfg.dt)
     eps = drive_amplitude(cfg.n_bar, cfg.kappa, chi_target)
-    ref_p = _reference_langevin(chi_of_t, cfg.kappa, eps, +1, times)
-    ref_m = _reference_langevin(chi_of_t, cfg.kappa, eps, -1, times)
+    ref_p = _reference_langevin(chi_half, cfg.kappa, eps, +1, times)
+    ref_m = _reference_langevin(chi_half, cfg.kappa, eps, -1, times)
     out_p = output_field(ref_p, cfg.kappa, eps)
     out_m = output_field(ref_m, cfg.kappa, eps)
     theta = optimal_demod_phase(out_p, out_m, times)
@@ -307,35 +357,31 @@ def _assert_matches_reference(snr, error, ref_snr, ref_error):
 def test_readout_matches_scalar_rk4_reference(name, t_max):
     # same RK4 map, rounded differently: fields to 1e-12, SNR to 1e-13 of
     # its peak, error to 1e-13
-    chi_of_t, chi_target = _readout_case(name)
     cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=t_max,
                         dt=0.05)
-    traj = run_readout(chi_of_t, chi_target, cfg)
-    ref_p, ref_m, ref_snr, ref_error = _reference_readout(chi_of_t, chi_target,
+    traj, chi_half, chi_target = _readout_case(name, cfg)
+    ref_p, ref_m, ref_snr, ref_error = _reference_readout(chi_half, chi_target,
                                                           cfg)
     assert np.max(np.abs(traj.alpha_plus - ref_p)) <= 1e-12
     assert np.max(np.abs(traj.alpha_minus - ref_m)) <= 1e-12
     _assert_matches_reference(traj.snr, traj.error, ref_snr, ref_error)
 
 
-def _shifted_ramps(n):
-    """n (chi_of_t, chi_target) pairs: the flux ramp under n offsets."""
-    profile = _synthetic_profile()
-    ramps = [FluxRamp(0.5, 0.641, 50.0).shifted(d)
-             for d in np.linspace(-0.03, 0.03, n)]
-    return ([flux_ramp_profile(r, profile) for r in ramps],
-            [profile.chi_at(r.f_end) for r in ramps])
+def _shifted(n):
+    """The flux ramp under n offsets."""
+    return [FluxRamp(0.5, 0.641, 50.0).shifted(d)
+            for d in np.linspace(-0.03, 0.03, n)]
 
 
 def test_readout_batch_matches_scalar_rk4_reference():
-    chi_fns, chi_targets = _shifted_ramps(16)
     cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=1000.0,
                         dt=0.05)
+    chi_half, chi_targets = ramp_rows(_shifted(16), _synthetic_profile(), cfg)
     n_t = time_grid(cfg.t_max, cfg.dt).size
-    records = readout_records(chi_fns, chi_targets, cfg)
-    for k, (fn, chi, traj) in enumerate(zip(chi_fns, chi_targets, records)):
+    records = readout_records(chi_half, chi_targets, cfg)
+    for k, (row, chi, traj) in enumerate(zip(chi_half, chi_targets, records)):
         assert traj.snr.shape == traj.error.shape == (n_t,)
-        *_, ref_snr, ref_error = _reference_readout(fn, chi, cfg)
+        *_, ref_snr, ref_error = _reference_readout(row, chi, cfg)
         _assert_matches_reference(traj.snr, traj.error, ref_snr, ref_error)
     assert k == 15
 
@@ -347,18 +393,19 @@ def _assert_same_record(got, want):
 
 def test_readout_batch_rows_equal_single_runs_bit_for_bit():
     # a row's bits do not depend on the rest of the batch: the rows in
-    # reverse order, and each row alone (run_readout), give the same records
-    chi_fns, chi_targets = _shifted_ramps(16)
+    # reverse order, and each ramp alone (run_ramped_readout), give the
+    # same records
+    profile = _synthetic_profile()
+    ramps = _shifted(16)
     cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=250.0,
                         dt=0.05)
-    records = list(readout_records(chi_fns, chi_targets, cfg))
-    reversed_records = list(readout_records(chi_fns[::-1], chi_targets[::-1],
-                                            cfg))
+    records = list(readout_records(*ramp_rows(ramps, profile, cfg), cfg))
+    reversed_records = list(readout_records(
+        *ramp_rows(ramps[::-1], profile, cfg), cfg))
     assert len(records) == len(reversed_records) == 16
-    for traj, rev, fn, chi in zip(records, reversed_records[::-1], chi_fns,
-                                  chi_targets):
+    for traj, rev, ramp in zip(records, reversed_records[::-1], ramps):
         _assert_same_record(rev, traj)
-        _assert_same_record(run_readout(fn, chi, cfg), traj)
+        _assert_same_record(run_ramped_readout(ramp, profile, cfg), traj)
 
 
 def test_langevin_step_at_an_rk4_amplification_zero_is_refused():
@@ -389,7 +436,8 @@ def test_langevin_step_just_inside_the_bound_matches_reference(half_kappa_dt,
         return np.full_like(np.asarray(t, float), chi)
 
     traj = run_readout(chi_of_t, chi, cfg)
-    ref_p, ref_m, ref_snr, ref_error = _reference_readout(chi_of_t, chi, cfg)
+    ref_p, ref_m, ref_snr, ref_error = _reference_readout(
+        chi_of_t(_half_grid(cfg)), chi, cfg)
     assert np.max(np.abs(traj.alpha_plus - ref_p)) <= 1e-12
     assert np.max(np.abs(traj.alpha_minus - ref_m)) <= 1e-12
     _assert_matches_reference(traj.snr, traj.error, ref_snr, ref_error)
@@ -397,11 +445,14 @@ def test_langevin_step_just_inside_the_bound_matches_reference(half_kappa_dt,
 
 @pytest.mark.parametrize("name", CASES)
 def test_minus_field_is_conjugate_of_plus(name):
-    chi_of_t, chi_target = _readout_case(name)
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=250.0, dt=0.05)
-    traj = run_readout(chi_of_t, chi_target, cfg)
+    traj, chi_half, _ = _readout_case(name, cfg)
     assert np.array_equal(traj.alpha_minus, traj.alpha_plus.conj())
     times = time_grid(cfg.t_max, cfg.dt)
+
+    def chi_of_t(t_half):  # integrate_langevin samples the half grid
+        return chi_half
+
     assert np.array_equal(
         integrate_langevin(chi_of_t, cfg.kappa, traj.epsilon, -1, times),
         integrate_langevin(chi_of_t, cfg.kappa, traj.epsilon, +1, times).conj())
@@ -418,9 +469,8 @@ def test_closed_form_quadrature_against_searched_angle(name):
     # all; m_s by the angle error times the in-phase signal, to first
     # order; SNR and error by rounding only (the contrast is stationary at
     # the optimum)
-    chi_of_t, chi_target = _readout_case(name)
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=1000.0, dt=0.05)
-    traj = run_readout(chi_of_t, chi_target, cfg)
+    traj, *_ = _readout_case(name, cfg)
     fields = (traj.alpha_out_plus, traj.alpha_out_minus)
     m_p, m_m = measurement_signal(*fields, cfg.eta, SEARCHED_THETA,
                                   traj.times, cfg.kappa)
@@ -439,13 +489,11 @@ def test_demod_phase_is_exactly_minus_quadrature(name):
     # conjugate output fields separate along the imaginary axis only, so
     # the closed-form maximiser gives the quadrature the records use, bit
     # for bit, for static, ramped and noise-shifted records
-    if name == "chi=0":
-        chi_of_t, chi_target = (lambda t: np.zeros_like(np.asarray(t, float)),
-                                0.0)
-    else:
-        chi_of_t, chi_target = _readout_case(name)
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=250.0, dt=0.05)
-    traj = run_readout(chi_of_t, chi_target, cfg)
+    if name == "chi=0":
+        traj = run_static_readout(0.0, cfg)
+    else:
+        traj, *_ = _readout_case(name, cfg)
     assert traj.theta == -math.pi / 2
     assert optimal_demod_phase(traj.alpha_out_plus, traj.alpha_out_minus,
                                traj.times) == -math.pi / 2
