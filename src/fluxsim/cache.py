@@ -1,24 +1,16 @@
 """Content-addressed on-disk result cache.
 
 Entries are JSON files named by the SHA-256 of their canonical key. A hit
-requires a deep key comparison (a hash collision is treated as a miss), the
-schema version must match, and corrupt files are quarantined rather than
-trusted or deleted. Entries are published with `publish`, which every
+requires a deep key comparison (a hash collision is treated as a miss) and
+the entry's numerics tag to match; corrupt files are quarantined rather
+than trusted or deleted. Entries are published with `publish`, which every
 file the program writes goes through.
 
-The key names the computation but not the code that produced the value.
-A change to the layout of a cached value must bump CACHE_SCHEMA_VERSION,
-and each entry also records NUMERICS_TAG, the SHA-256 of the source of the
-modules whose output is cached (`qubit`, `coupled`, `readout`, and `gates`
-for the optimised pulses) and of the unit conversions (`units`, and
-`config`, which maps the GHz values in the key through them): an entry
-written under another version or by other numerics code is a miss and is
-recomputed, so an edit that forgets the bump cannot be served stale
-values. Version 2: real flux-affine spectra and whole-sweep chi and
-landscape entries. Version 3: the spectrum entry holds only the energies
-in GHz. Version 4: spectra solved at the canonical flux in [0, 1/2]
-(values change in their last bits). Version 5: every entry holds an object
-of named flat arrays (NaN as null), and spectra are no longer cached.
+The key names the computation but not the code that produced the value, so
+each entry also records NUMERICS_TAG, the SHA-256 of the name and source of
+every module of the package. An entry written by any other code is a miss
+and is recomputed, whether that code differs in its numerics, its units,
+what the CLI caches or the layout of an entry.
 """
 
 from __future__ import annotations
@@ -28,19 +20,16 @@ import json
 import os
 from pathlib import Path
 
-CACHE_SCHEMA_VERSION = 5
 
-
-def _source_digest(names):
+def _source_digest():
     digest = hashlib.sha256()
-    for name in names:
-        digest.update(name.encode("utf-8"))
-        digest.update(Path(__file__).with_name(name).read_bytes())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode("utf-8"))
+        digest.update(path.read_bytes())
     return digest.hexdigest()
 
 
-NUMERICS_TAG = _source_digest(("qubit.py", "coupled.py", "readout.py",
-                               "gates.py", "units.py", "config.py"))
+NUMERICS_TAG = _source_digest()
 
 
 def canonical_key_text(key: dict) -> str:
@@ -82,7 +71,6 @@ def publish(path, data: bytes) -> Path:
 def cache_put(cache_dir, key: dict, value) -> Path:
     """Publish an entry; last writer wins on races."""
     return publish(entry_path(cache_dir, key), json.dumps({
-        "schema_version": CACHE_SCHEMA_VERSION,
         "numerics": NUMERICS_TAG,
         "key": key,
         "value": value,
@@ -92,9 +80,9 @@ def cache_put(cache_dir, key: dict, value) -> Path:
 def cache_get(cache_dir, key: dict):
     """Return the cached value or None on any kind of miss.
 
-    Misses: absent file, schema-version or numerics-tag mismatch,
-    deep-compare key mismatch (hash collision). A file that fails to parse
-    is renamed to *.corrupt so it is inspectable but never consulted again.
+    Misses: absent file, numerics-tag mismatch, deep-compare key mismatch
+    (hash collision). A file that fails to parse is renamed to *.corrupt
+    so it is inspectable but never consulted again.
     """
     path = entry_path(cache_dir, key)
     if not path.is_file():
@@ -103,7 +91,6 @@ def cache_get(cache_dir, key: dict):
         entry = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(entry, dict):
             raise ValueError("cache entry is not an object")
-        version = entry["schema_version"]
         numerics = entry.get("numerics")
         stored_key = entry["key"]
         value = entry["value"]
@@ -111,8 +98,7 @@ def cache_get(cache_dir, key: dict):
         quarantine = path.with_suffix(".corrupt")
         os.replace(path, quarantine)
         return None
-    if version != CACHE_SCHEMA_VERSION or numerics != NUMERICS_TAG:
-        return None
-    if canonical_key_text(stored_key) != canonical_key_text(key):
+    if (numerics != NUMERICS_TAG
+            or canonical_key_text(stored_key) != canonical_key_text(key)):
         return None
     return value

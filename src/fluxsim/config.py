@@ -6,7 +6,10 @@ rejects unknown keys, fills in defaults and records each default it applies
 so the manifest can list them (no silent defaulting). An absent top-level
 section counts as an empty object; an absent nested group (readout.ramp) is
 one default. One loop over the same table checks each key; the checks that
-relate several keys, and the work caps, follow it explicitly.
+relate several keys follow it explicitly. Each kind of capped work is
+written once, in `capped_work`: its amount at the defaults, times its
+factor, gives its cap in WORK_CAPS, and its amount at the config is checked
+against that cap before any work starts.
 """
 
 from __future__ import annotations
@@ -107,31 +110,53 @@ def _defaults_tree():
 
 _DEFAULTS = _defaults_tree()
 
-# Work caps, checked before any work starts: each is 100 times what the
-# defaults ask for.
-# propagate_gate allocates its drive samples for every RK4 step up front
-# (30 000 steps at 30 ns)
-MAX_GATE_STEPS = 100 * round(max(_DEFAULTS["gate"]["tau_g_ns_list"])
-                             / _DEFAULTS["gate"]["dt_ns"])
-# the Langevin traces hold every point of the readout time grid
-# (20 001 points over 1000 ns)
-_READOUT_POINTS = round(_DEFAULTS["readout"]["t_max_ns"]
-                        / _DEFAULTS["readout"]["dt_ns"]) + 1
-MAX_READOUT_POINTS = 100 * _READOUT_POINTS
-# the readout Monte Carlo holds every point of every draw (50 x 20 001)
-MAX_READOUT_DRAW_POINTS = 100 * _DEFAULTS["noise"]["n_draws"] * _READOUT_POINTS
-# each chi-curve point is a dressed eigensolve (3 001 points)
-MAX_CHI_POINTS = 100 * (round((_DEFAULTS["chi_curve"]["f_max"]
-                               - _DEFAULTS["chi_curve"]["f_min"])
-                              / _DEFAULTS["chi_curve"]["step"]) + 1)
-# each landscape cell is a dressed eigensolve (1 x 61 cells)
-MAX_LANDSCAPE_CELLS = 100 * _DEFAULTS["sweep"]["n_e_j"] * _DEFAULTS["sweep"]["n_f"]
-# the coupled eigensolves of the sweeps (8 x 8 levels) and of the gate
-# space (6 x 3 levels), bounded as each truncation is
-MAX_COUPLED_LEVELS = int(_TRUNCATION_FACTOR * _DEFAULTS["device"]["levels_kept"]
-                         * _DEFAULTS["device"]["levels_resonator"])
-MAX_GATE_LEVELS = int(_TRUNCATION_FACTOR * _DEFAULTS["gate"]["levels_fluxonium"]
-                      * _DEFAULTS["gate"]["levels_resonator"])
+
+def capped_work(config):
+    """Each kind of work a config tree (canonical, or _DEFAULTS) asks for, in
+    check order: (noun, factor, {quoted key: value}, amount). Its cap is the
+    factor times the amount at the defaults."""
+    def keys(section, *names):
+        return {f"{section}.{name}": config[section][name] for name in names}
+
+    grid = keys("readout", "t_max_ns", "dt_ns")
+    points = grid["readout.t_max_ns"] / grid["readout.dt_ns"] + 1
+    draws = keys("noise", "n_draws")
+    n_draws = draws["noise.n_draws"]
+    taus, dt = config["gate"]["tau_g_ns_list"], config["gate"]["dt_ns"]
+    total = sum(taus, 0.0)
+    steps = {"gate.dt_ns": dt, "sum(gate.tau_g_ns_list)": total}
+    n_steps = total / dt
+    cells = keys("sweep", "n_e_j", "n_f")
+    coupled = keys("device", "levels_kept", "levels_resonator")
+    gate_levels = keys("gate", "levels_fluxonium", "levels_resonator")
+    chi = keys("chi_curve", "f_min", "f_max", "step")
+    return (
+        # the Langevin traces hold every point of the readout time grid, of
+        # every draw in the readout Monte Carlo
+        ("readout points", 100, grid, points),
+        ("readout draw points", 100, {**draws, **grid}, n_draws * points),
+        # propagate_gate allocates the drive samples of all its RK4 steps
+        ("RK4 steps", 100, {"gate.dt_ns": dt, "max(gate.tau_g_ns_list)": max(taus)},
+         max(taus) / dt),
+        # each landscape cell and each chi-curve point is a dressed eigensolve
+        ("landscape cells", 100, cells, math.prod(cells.values())),
+        # the coupled eigensolves, bounded as each truncation is
+        ("coupled levels", _TRUNCATION_FACTOR, coupled,
+         math.prod(coupled.values())),
+        ("gate levels", _TRUNCATION_FACTOR, gate_levels,
+         math.prod(gate_levels.values())),
+        ("chi points", 100, chi,
+         (chi["chi_curve.f_max"] - chi["chi_curve.f_min"])
+         / chi["chi_curve.step"] + 1),
+        # gates propagates every gate time once, noise-gates once per draw
+        ("gate steps", 100, steps, n_steps),
+        ("gate draw steps", 100, {**draws, **steps}, n_draws * n_steps),
+    )
+
+
+# the work caps, checked before any work starts
+WORK_CAPS = {noun: int(factor * round(amount))
+             for noun, factor, _, amount in capped_work(_DEFAULTS)}
 
 
 @dataclass(frozen=True)
@@ -218,16 +243,6 @@ def _check_value(name, value, lo=None, hi=None, kind=float):
         raise ConfigError(CATEGORY_INVARIANT, f"'{name}' must be <= {hi}, got {value}")
 
 
-def _check_work(values, size, what, cap):
-    """Reject a config whose work, computed from the values of its keys (a
-    dict of key -> value), exceeds the cap; the message quotes the values."""
-    if not size <= cap:
-        given = ", ".join(f"'{key}' = {value}" for key, value in values.items())
-        raise ConfigError(CATEGORY_INVARIANT,
-                          f"{given} give {size:.6g} {what}; at most {cap} "
-                          f"are allowed")
-
-
 def config_from_dict(raw: dict) -> RunConfig:
     """Validate a JSON-compatible dict into a RunConfig."""
     if not isinstance(raw, dict):
@@ -270,30 +285,12 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(CATEGORY_INVARIANT,
                           "'anticrossing.window_hi' must exceed window_lo")
 
-    readout_grid = {"readout.t_max_ns": readout["t_max_ns"],
-                    "readout.dt_ns": readout["dt_ns"]}
-    readout_points = readout["t_max_ns"] / readout["dt_ns"] + 1
-    _check_work(readout_grid, readout_points, "readout points",
-                MAX_READOUT_POINTS)
-    _check_work({"noise.n_draws": noise["n_draws"], **readout_grid},
-                noise["n_draws"] * readout_points, "readout draw points",
-                MAX_READOUT_DRAW_POINTS)
-    taus = gate["tau_g_ns_list"]
-    _check_work({"gate.dt_ns": gate["dt_ns"], "max(gate.tau_g_ns_list)": max(taus)},
-                max(taus) / gate["dt_ns"], "RK4 steps", MAX_GATE_STEPS)
-    _check_work({"sweep.n_e_j": sweep["n_e_j"], "sweep.n_f": sweep["n_f"]},
-                sweep["n_e_j"] * sweep["n_f"],
-                "landscape cells", MAX_LANDSCAPE_CELLS)
-    for section, kept, levels, cap in (
-            ("device", "levels_kept", "coupled levels", MAX_COUPLED_LEVELS),
-            ("gate", "levels_fluxonium", "gate levels", MAX_GATE_LEVELS)):
-        values = {f"{section}.{key}": canonical[section][key]
-                  for key in (kept, "levels_resonator")}
-        _check_work(values, math.prod(values.values()), levels, cap)
-    _check_work({f"chi_curve.{key}": chi_curve[key]
-                 for key in ("f_min", "f_max", "step")},
-                (chi_curve["f_max"] - chi_curve["f_min"]) / chi_curve["step"] + 1,
-                "chi points", MAX_CHI_POINTS)
+    for noun, _, values, amount in capped_work(canonical):
+        if not amount <= WORK_CAPS[noun]:
+            given = ", ".join(f"'{key}' = {value}" for key, value in values.items())
+            raise ConfigError(CATEGORY_INVARIANT,
+                              f"{given} give {amount:.6g} {noun}; at most "
+                              f"{WORK_CAPS[noun]} are allowed")
 
     kappa = units.mhz(readout["kappa_mhz_over_2pi"])
     ramp = readout["ramp"]
@@ -319,7 +316,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         readout=readout_cfg,
         ramp=FluxRamp(ramp["f_start"], ramp["f_end"], ramp["t_rise_ns"]),
         chi_clamp=units.mhz(readout["chi_clamp_mhz"]),
-        gate_taus=tuple(float(t) for t in taus), gate_dt=float(gate["dt_ns"]),
+        gate_taus=tuple(float(t) for t in gate["tau_g_ns_list"]),
+        gate_dt=float(gate["dt_ns"]),
         noise=noise_spec, flux=float(canonical["flux"]),
         out_dir=canonical["out_dir"], raw=canonical,
         defaults_used=tuple(defaults_used),

@@ -3,7 +3,6 @@
 import json
 
 from fluxsim.cache import (
-    CACHE_SCHEMA_VERSION,
     NUMERICS_TAG,
     cache_get,
     cache_put,
@@ -38,7 +37,6 @@ def test_key_collision_treated_as_miss(tmp_path):
     path = entry_path(tmp_path, KEY)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({
-        "schema_version": CACHE_SCHEMA_VERSION,
         "numerics": NUMERICS_TAG,
         "key": {"op": "chi", "f": 0.6},
         "value": 123,
@@ -46,29 +44,16 @@ def test_key_collision_treated_as_miss(tmp_path):
     assert cache_get(tmp_path, KEY) is None
 
 
-def test_schema_version_mismatch_is_a_miss(tmp_path):
-    path = entry_path(tmp_path, KEY)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({
-        "schema_version": CACHE_SCHEMA_VERSION + 1,
-        "numerics": NUMERICS_TAG,
-        "key": KEY,
-        "value": 123,
-    }), encoding="utf-8")
-    assert cache_get(tmp_path, KEY) is None
-    assert path.is_file()  # not quarantined, just ignored
-
-
 def test_numerics_tag_mismatch_is_a_miss(tmp_path):
-    # same schema version and key, written by other numerics code
+    # the same key, written by other code: with another tag, with no tag,
+    # or in the layout of the code before the source-digest tag (a schema
+    # version beside that code's tag)
     path = entry_path(tmp_path, KEY)
     path.parent.mkdir(parents=True, exist_ok=True)
-    for numerics in ("0" * 64, None):
-        entry = {"schema_version": CACHE_SCHEMA_VERSION, "key": KEY,
-                 "value": 123}
-        if numerics is not None:
-            entry["numerics"] = numerics
-        path.write_text(json.dumps(entry), encoding="utf-8")
+    for tagged in ({"numerics": "0" * 64}, {},
+                   {"schema_version": 5, "numerics": "1" * 64}):
+        path.write_text(json.dumps({**tagged, "key": KEY, "value": 123}),
+                        encoding="utf-8")
         assert cache_get(tmp_path, KEY) is None
         assert path.is_file()  # not quarantined, just ignored
     cache_put(tmp_path, KEY, 7)

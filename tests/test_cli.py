@@ -5,7 +5,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 
 from fluxsim import cache, diagnostics, qubit, units
-from fluxsim.cache import CACHE_SCHEMA_VERSION, NUMERICS_TAG, entry_path
+from fluxsim.cache import NUMERICS_TAG, entry_path
 from fluxsim.cli import SUBCOMMANDS, build_parser, main, run_subcommand
 from fluxsim.config import config_from_dict
 from fluxsim.coupled import (
@@ -187,18 +190,19 @@ def test_one_cache_entry_per_sweep(tmp_path):
     assert diagnostics.eigensolve_count() == 0
 
 
-def _forged_chi_curve(cfg, version, out, numerics=NUMERICS_TAG):
+def _forged_chi_curve(cfg, out, **fields):
     """A cache entry under the current `chi-curve` key holding chi = 1 MHz
-    at every grid point, written as the given schema version and numerics
-    tag."""
+    at every grid point, tagged as this code tags it unless fields replace
+    the tag (or add other fields); returns its path."""
     cc = cfg.raw["chi_curve"]
     key = {"op": "chi-curve", **cc, "device": cfg.raw["device"]}
     value = {"chi": [units.mhz(1.0)] * len(chi_grid(**cc))}
     path = entry_path(out / ".cache", key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"schema_version": version,
-                                "numerics": numerics, "key": key,
-                                "value": value}), encoding="utf-8")
+    path.write_text(json.dumps({"numerics": NUMERICS_TAG, **fields,
+                                "key": key, "value": value}),
+                    encoding="utf-8")
+    return path
 
 
 def _small_chi_window(tmp_path):
@@ -218,48 +222,100 @@ def _library_chi_mhz(cfg):
     return units.to_mhz(fill_and_clamp(chi, cfg.chi_clamp)).tolist()
 
 
+def _assert_chi_curve_recomputed(cfg_path, out, cfg, label):
+    diagnostics.reset_eigensolve_count()
+    assert main(["chi-curve", "--config", str(cfg_path)]) == 0, label
+    assert diagnostics.eigensolve_count() > 0, label
+    assert _chi_mhz(out) == _library_chi_mhz(cfg), label
+
+
 def test_cache_from_an_older_schema_is_recomputed(tmp_path):
+    # an entry in the layout of the code before the source-digest tag (a
+    # schema version, and that code's tag) is a plain miss: recomputed and
+    # overwritten, never quarantined
     cfg_path, out, cfg = _small_chi_window(tmp_path)
-    _forged_chi_curve(cfg, CACHE_SCHEMA_VERSION - 1, out)
-    assert main(["chi-curve", "--config", str(cfg_path)]) == 0
-    assert _chi_mhz(out) == _library_chi_mhz(cfg)
-    # the same entry under the current version is served as it stands
-    _forged_chi_curve(cfg, CACHE_SCHEMA_VERSION, out)
+    path = _forged_chi_curve(cfg, out, schema_version=5, numerics="1" * 64)
+    _assert_chi_curve_recomputed(cfg_path, out, cfg, "older schema")
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    assert sorted(entry) == ["key", "numerics", "value"]
+    assert entry["numerics"] == NUMERICS_TAG
+    assert not list(path.parent.glob("*.corrupt"))
+    # the same entry as this code writes it is served as it stands
+    _forged_chi_curve(cfg, out)
     assert main(["chi-curve", "--config", str(cfg_path)]) == 0
     assert set(_chi_mhz(out)) == {units.to_mhz(units.mhz(1.0))}
 
 
+PACKAGE = Path(cache.__file__).parent
+PACKAGE_MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
+
+
+def _edited_package(tmp_path, name, edit):
+    """A copy of the package, as tmp_path/edited_<name>/fluxsim, whose
+    module `name` holds edit(its source)."""
+    package = tmp_path / f"edited_{name}" / "fluxsim"
+    shutil.copytree(PACKAGE, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = package / name
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    return package
+
+
 def _numerics_tag_after_edit(tmp_path, name):
     """NUMERICS_TAG of a copy of the package whose `name` has one more line."""
-    copy = tmp_path / f"edited_{name}"
-    shutil.copytree(Path(cache.__file__).parent, copy,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(copy / name, "a", encoding="utf-8") as handle:
-        handle.write("# edited\n")
+    package = _edited_package(tmp_path, name,
+                              lambda source: source + "# edited\n")
     spec = importlib.util.spec_from_file_location(f"edited_cache_{name}",
-                                                  copy / "cache.py")
+                                                  package / "cache.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.NUMERICS_TAG
 
 
 def test_cache_from_other_numerics_code_is_recomputed(tmp_path):
-    # an entry under the current schema version, written by numerics code
-    # whose source differs from this one's (a forgotten version bump): any
-    # tag, or the tag of an edit to a module the cached chi passes through,
-    # including the unit conversions that config applies to the key's GHz
+    # an entry written by code whose source differs from this one's, or
+    # with no tag at all, is a miss and is recomputed
     cfg_path, out, cfg = _small_chi_window(tmp_path)
-    tags = {"other": "0" * 64}
-    for name in ("qubit.py", "coupled.py", "readout.py", "gates.py",
-                 "units.py", "config.py"):
-        tags[name] = _numerics_tag_after_edit(tmp_path, name)
-    assert NUMERICS_TAG not in tags.values()
-    for edited, tag in tags.items():
-        _forged_chi_curve(cfg, CACHE_SCHEMA_VERSION, out, numerics=tag)
-        diagnostics.reset_eigensolve_count()
-        assert main(["chi-curve", "--config", str(cfg_path)]) == 0, edited
-        assert diagnostics.eigensolve_count() > 0, edited
-        assert _chi_mhz(out) == _library_chi_mhz(cfg), edited
+    path = _forged_chi_curve(cfg, out, numerics="0" * 64)
+    _assert_chi_curve_recomputed(cfg_path, out, cfg, "other")
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    del entry["numerics"]
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    _assert_chi_curve_recomputed(cfg_path, out, cfg, "untagged")
+
+
+@pytest.mark.parametrize("name", PACKAGE_MODULES)
+def test_an_edit_to_any_module_is_a_cache_miss(tmp_path, name):
+    # the tag digests every module: the numerics, the units, what the CLI
+    # caches and the entry layout all lie somewhere in the package
+    tag = _numerics_tag_after_edit(tmp_path, name)
+    assert tag != NUMERICS_TAG
+    cfg_path, out, cfg = _small_chi_window(tmp_path)
+    _forged_chi_curve(cfg, out, numerics=tag)
+    _assert_chi_curve_recomputed(cfg_path, out, cfg, name)
+
+
+def test_an_edit_to_cli_recomputes_a_warm_chi_curve(tmp_path):
+    # a copy of the package whose CLI solves chi with fewer kept levels and
+    # photon states, run on the cache this code filled, must not be served
+    # this code's chi
+    cfg_path, out, _ = _small_chi_window(tmp_path)
+    assert main(["chi-curve", "--config", str(cfg_path)]) == 0
+    original = (out / "chi_curve.csv").read_bytes()
+    package = _edited_package(tmp_path, "cli.py", lambda source: source.replace(
+        "cfg.mode, cfg.dims).chi()",
+        "cfg.mode, type(cfg.dims)(kept=4, n_res=4)).chi()"))
+
+    def edited_chi_curve(*flags):
+        subprocess.run([sys.executable, "-m", "fluxsim.cli", "chi-curve",
+                        "--config", str(cfg_path), *flags],
+                       env={**os.environ, "PYTHONPATH": str(package.parent)},
+                       check=True)
+        return (out / "chi_curve.csv").read_bytes()
+
+    warm = edited_chi_curve()
+    assert warm != original
+    assert warm == edited_chi_curve("--no-cache")
 
 
 def test_warm_chi_curve_is_byte_identical_to_cold(tmp_path):

@@ -1,29 +1,26 @@
 """Tests for config parsing, validation, and defaults recording."""
 
 import copy
+import inspect
 import json
 import math
 
 import pytest
 
+from fluxsim import coupled, gates, noise, readout, units
 from fluxsim.config import (
     CATEGORY_INVARIANT,
     CATEGORY_MALFORMED_JSON,
     CATEGORY_MISSING_FILE,
     CATEGORY_UNKNOWN_KEY,
-    MAX_CHI_POINTS,
-    MAX_COUPLED_LEVELS,
-    MAX_GATE_LEVELS,
-    MAX_GATE_STEPS,
-    MAX_LANDSCAPE_CELLS,
-    MAX_READOUT_DRAW_POINTS,
-    MAX_READOUT_POINTS,
     REQUIRED,
     SCHEMA,
+    WORK_CAPS,
+    capped_work,
     config_from_dict,
     parse_config,
 )
-from fluxsim.coupled import CouplingMode
+from fluxsim.coupled import CoupledDims, CouplingMode
 from fluxsim.errors import ConfigError
 
 MINIMAL = {"device": {"e_j_ghz": 4.75, "e_c_ghz": 1.25, "e_l_ghz": 1.5}}
@@ -197,7 +194,7 @@ def test_invariant_violations_name_the_key():
 
 def test_gate_step_count_is_capped_at_the_longest_gate():
     # the cap is 100 times the defaults' 30 000 steps at 30 ns
-    assert MAX_GATE_STEPS == 3_000_000
+    assert WORK_CAPS["RK4 steps"] == 3_000_000
     cfg = config_from_dict({**MINIMAL, "gate": {"dt_ns": 1e-5}})
     assert cfg.gate_dt == 1e-5
     config_from_dict({**MINIMAL, "gate": {"tau_g_ns_list": [3.0, 3000.0]}})
@@ -213,6 +210,57 @@ def test_gate_step_count_is_capped_at_the_longest_gate():
         config_from_dict({**MINIMAL, "gate": {"dt_ns": 1e-7}})
     assert ("'gate.dt_ns' = 1e-07, 'max(gate.tau_g_ns_list)' = 30.0 give "
             "3e+08 RK4 steps" in str(exc.value))
+
+
+def test_gate_work_is_capped_over_every_gate_time_and_draw():
+    # 100 x the defaults' 60 000 steps over 10, 20 and 30 ns, and 50 draws
+    assert (WORK_CAPS["gate steps"], WORK_CAPS["gate draw steps"]) == (
+        6_000_000, 300_000_000)
+    # 5 999 999.999999999 steps and 299 999 999.99999994 draw steps
+    config_from_dict({**MINIMAL, "gate": {"dt_ns": 1e-5}})
+    # 3 003 000 steps and 150 150 000 draw steps
+    config_from_dict({**MINIMAL, "gate": {"tau_g_ns_list": [3.0, 3000.0]}})
+    config_from_dict({**MINIMAL, "gate": {"tau_g_ns_list": [30.0] * 200}})
+    config_from_dict({**MINIMAL, "noise": {"n_draws": 5000},
+                      "readout": {"t_max_ns": 500.0}})
+    for raw, quoted in (
+            # within every readout cap, but 5e7 draws of 60 000 steps
+            ({"readout": {"t_max_ns": 0.05}, "noise": {"n_draws": 50_000_000}},
+             "'noise.n_draws' = 50000000, 'gate.dt_ns' = 0.001, "
+             "'sum(gate.tau_g_ns_list)' = 60.0 give 3e+12 gate draw steps; "
+             "at most 300000000 are allowed"),
+            # at the default readout the readout draw points, checked
+            # first, reach their cap at the same draw count
+            ({"noise": {"n_draws": 5001}},
+             "'noise.n_draws' = 5001, 'readout.t_max_ns' = 1000.0"),
+            ({"noise": {"n_draws": 5001}, "readout": {"t_max_ns": 500.0}},
+             "'noise.n_draws' = 5001, 'gate.dt_ns' = 0.001, "
+             "'sum(gate.tau_g_ns_list)' = 60.0 give 3.0006e+08"),
+            # within the RK4 cap on the longest gate, but 20 000 gates
+            ({"gate": {"tau_g_ns_list": [30.0] * 20_000}},
+             "'gate.dt_ns' = 0.001, 'sum(gate.tau_g_ns_list)' = 600000.0 "
+             "give 6e+08 gate steps; at most 6000000 are allowed"),
+            ({"gate": {"tau_g_ns_list": [30.0] * 201}},
+             "give 6.03e+06 gate steps")):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({**MINIMAL, **raw})
+        assert exc.value.category == CATEGORY_INVARIANT
+        assert quoted in str(exc.value)
+
+
+def test_each_cap_is_its_work_at_the_defaults_times_its_factor():
+    work = capped_work(config_from_dict(MINIMAL).raw)
+    assert list(WORK_CAPS) == [noun for noun, *_ in work]
+    assert WORK_CAPS == {noun: int(factor * round(amount))
+                         for noun, factor, _, amount in work}
+    assert {noun: factor for noun, factor, *_ in work} == {
+        noun: 100 ** (1 / 3) if noun.endswith("levels") else 100
+        for noun in WORK_CAPS}
+    assert WORK_CAPS == {
+        "readout points": 2_000_100, "readout draw points": 100_005_000,
+        "RK4 steps": 3_000_000, "landscape cells": 6_100,
+        "coupled levels": 297, "gate levels": 83, "chi points": 300_100,
+        "gate steps": 6_000_000, "gate draw steps": 300_000_000}
 
 
 @pytest.mark.parametrize("section, within, over_cap, quoted", [
@@ -240,9 +288,9 @@ def test_gate_step_count_is_capped_at_the_longest_gate():
 ])
 def test_work_caps_quote_the_keys_and_values(section, within, over_cap,
                                              quoted):
-    assert (MAX_READOUT_POINTS, MAX_CHI_POINTS, MAX_LANDSCAPE_CELLS,
-            MAX_READOUT_DRAW_POINTS) == (2_000_100, 300_100, 6_100,
-                                         100_005_000)
+    assert [WORK_CAPS[noun] for noun in (
+        "readout points", "chi points", "landscape cells",
+        "readout draw points")] == [2_000_100, 300_100, 6_100, 100_005_000]
     config_from_dict({**MINIMAL, section: within})
     with pytest.raises(ConfigError) as exc:
         config_from_dict({**MINIMAL, section: over_cap})
@@ -257,7 +305,7 @@ def test_truncations_are_bounded_by_their_defaults():
     bounds = {row[0]: row[3] for row in SCHEMA}
     assert (bounds["device.dim"], bounds["device.levels_resonator"],
             bounds["gate.levels_resonator"]) == (185, 37, 13)
-    assert (MAX_COUPLED_LEVELS, MAX_GATE_LEVELS) == (297, 83)
+    assert (WORK_CAPS["coupled levels"], WORK_CAPS["gate levels"]) == (297, 83)
     # rejected at config time only: no dimension this large is built here
     for section, within, over_cap, quoted in (
             ("device", {"dim": 185, "levels_kept": 37, "levels_resonator": 8},
@@ -390,3 +438,59 @@ def test_parse_config_reads_file(tmp_path):
 def test_charge_mode_selected():
     raw = {"device": {**MINIMAL["device"], "coupling_mode": "charge"}}
     assert config_from_dict(raw).mode is CouplingMode.CHARGE
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def test_library_defaults_are_the_schema_defaults():
+    # the library restates some of the table's defaults as its own keyword
+    # and field defaults, in its units; each pair must agree
+    d = {key: default for key, default, *_ in SCHEMA}
+    dims = CoupledDims(d["device.dim"], d["device.levels_kept"],
+                       d["device.levels_resonator"])
+    gate_dims = CoupledDims(d["device.dim"], d["gate.levels_fluxonium"],
+                            d["gate.levels_resonator"])
+    clamp = units.mhz(d["readout.chi_clamp_mhz"])
+    pairs = {
+        "CoupledDims": (CoupledDims(), dims),
+        "ReadoutConfig.kappa": (_default(readout.ReadoutConfig, "kappa"),
+                                units.mhz(d["readout.kappa_mhz_over_2pi"])),
+        "ChiProfile.clamp": (_default(readout.ChiProfile, "clamp"), clamp),
+        "build_chi_profile.clamp": (_default(coupled.build_chi_profile,
+                                             "clamp"), clamp),
+        "DEFAULT_MODE": (coupled.DEFAULT_MODE.value,
+                         d["device.coupling_mode"]),
+        "DEFAULT_GATE_DT": (gates.DEFAULT_GATE_DT, d["gate.dt_ns"]),
+        "find_anticrossing.window": (
+            _default(coupled.find_anticrossing, "window"),
+            (d["anticrossing.window_lo"], d["anticrossing.window_hi"])),
+        "find_anticrossing.transition": (
+            _default(coupled.find_anticrossing, "transition"),
+            (d["anticrossing.level_i"], d["anticrossing.level_j"])),
+    }
+    for field, key in (("n_bar", "n_bar"), ("eta", "eta"),
+                       ("t_max", "t_max_ns"), ("dt", "dt_ns")):
+        pairs[f"ReadoutConfig.{field}"] = (
+            _default(readout.ReadoutConfig, field), d[f"readout.{key}"])
+    for field in ("n_draws", "seed"):
+        pairs[f"NoiseSpec.{field}"] = (_default(noise.NoiseSpec, field),
+                                       d[f"noise.{field}"])
+    for name in ("f_min", "f_max", "step"):
+        pairs[f"build_chi_profile.{name}"] = (
+            _default(coupled.build_chi_profile, name), d[f"chi_curve.{name}"])
+    for fn in (coupled.build_coupled_hamiltonian, coupled.sweep_dressed,
+               coupled.dispersive_shift, coupled.compute_landscapes,
+               coupled.find_anticrossing, coupled.build_chi_profile):
+        pairs[f"{fn.__name__}.dims"] = (_default(fn, "dims"), dims)
+    for fn in (gates.build_gate_space, noise.gate_draw, noise.noisy_gate_error):
+        pairs[f"{fn.__name__}.dims"] = (_default(fn, "dims"), gate_dims)
+    for fn in (gates.propagate_gate, gates.evaluate_gate, gates.optimize_pulse,
+               noise.gate_draw, noise.noisy_gate_error):
+        pairs[f"{fn.__name__}.dt"] = (_default(fn, "dt"), d["gate.dt_ns"])
+    for fn in (noise.gate_draw, noise.noisy_gate_error):
+        pairs[f"{fn.__name__}.base_flux"] = (_default(fn, "base_flux"),
+                                             d["flux"])
+    differ = {name: pair for name, pair in pairs.items() if pair[0] != pair[1]}
+    assert not differ
