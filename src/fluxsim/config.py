@@ -57,7 +57,8 @@ SCHEMA = (
     ("device.omega_r_ghz", 7.0, 1e-9, None, float),
     ("device.g_mhz_over_2pi", 50.0, 0.0, None, float),
     ("device.coupling_mode", "ladder-rwa", None, None, CouplingMode),
-    _truncation("device.dim", DEFAULT_DIM),
+    # the DRAG anharmonicity reads bare level 2
+    ("device.dim", DEFAULT_DIM, 3, int(_TRUNCATION_FACTOR * DEFAULT_DIM), int),
     ("device.levels_kept", 8, 2, None, int),
     _truncation("device.levels_resonator", 8),
     ("readout.n_bar", 10.0, 0.0, None, float),

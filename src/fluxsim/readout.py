@@ -152,12 +152,14 @@ def time_grid(t_max, dt):
 _STEP_BLOCK = 256
 
 
-def _langevin_rows(chi_half, kappa, epsilon, dt):
+def integrate_langevin(chi_half, kappa, epsilon, dt):
     """RK4 integration of alpha' = (-i chi(t) - kappa/2) alpha + epsilon from
-    alpha(0) = 0 for every row of chi_half at once.
+    alpha(0) = 0 (the forcing is -sqrt(kappa) alpha_in with
+    alpha_in = -epsilon/sqrt(kappa)) for every row of chi_half at once.
 
     chi_half is (rows, 2n + 1): chi of each trajectory on the half grid
-    t_0, t_0 + dt/2, t_1, ...; epsilon is (rows,). The ODE is linear, so
+    t_0, t_0 + dt/2, t_1, ...; epsilon is (rows,). A sigma_z = -1 row is
+    the negated chi row, or the complex conjugate. The ODE is linear, so
     RK4 stage j of step s is k_j = p_j alpha + q_j epsilon (p_1 = a_1,
     q_1 = 1, a = -i chi - kappa/2 on the step's half grid) and the step is
     exactly the affine map alpha <- P_s alpha + Q_s with
@@ -179,7 +181,7 @@ def _langevin_rows(chi_half, kappa, epsilon, dt):
     beyond it lie the roots of the RK4 stability polynomial, where P_s = 0,
     so a larger step raises StepSizeError before integrating.
 
-    Returns alpha, (rows, n + 1).
+    Returns alpha time-major, (n + 1, rows).
     """
     epsilon = np.asarray(epsilon, dtype=float)
     # max and min, not max(abs): no temporary the size of chi_half
@@ -216,25 +218,7 @@ def _langevin_rows(chi_half, kappa, epsilon, dt):
             "non-finite value during Langevin integration",
             kappa=kappa, dt=dt,
         )
-    return np.ascontiguousarray(alpha.T)
-
-
-def _half_grid(times):
-    """The half grid t_0, t_0 + dt/2, t_1, ... of a uniform grid."""
-    return np.linspace(times[0], times[-1], 2 * (times.size - 1) + 1)
-
-
-def integrate_langevin(chi_of_t, kappa, epsilon, sigma_z, times):
-    """RK4 integration of alpha' = -i chi(t) sz alpha - kappa/2 alpha + epsilon
-    from alpha(0) = 0 (the forcing is -sqrt(kappa) alpha_in with
-    alpha_in = -epsilon/sqrt(kappa)).
-
-    Returns the intracavity amplitude alpha(t) on the given uniform grid.
-    """
-    times = np.asarray(times, dtype=float)
-    chi_half = np.asarray(chi_of_t(_half_grid(times)), float) * float(sigma_z)
-    return _langevin_rows(chi_half[None, :], kappa, [float(epsilon)],
-                          times[1] - times[0])[0]
+    return alpha
 
 
 def output_field(alpha, kappa, epsilon):
@@ -347,7 +331,8 @@ def ramp_rows(ramps, profile: ChiProfile, cfg: ReadoutConfig):
                 f"{max(ramp.f_start, ramp.f_end)}] outside chi profile domain "
                 f"[{profile.flux_grid[0]}, {profile.flux_grid[-1]}]"
             )
-    t_half = _half_grid(time_grid(cfg.t_max, cfg.dt))
+    times = time_grid(cfg.t_max, cfg.dt)
+    t_half = np.linspace(times[0], times[-1], 2 * times.size - 1)
     chi_half = profile.chi_at(np.array([ramp.flux_at(t_half) for ramp in ramps]))
     return chi_half, [profile.chi_at(ramp.f_end) for ramp in ramps]
 
@@ -360,23 +345,23 @@ def readout_records(chi_half, chi_targets, cfg: ReadoutConfig):
     times = time_grid(cfg.t_max, cfg.dt)
     epsilon = np.array([drive_amplitude(cfg.n_bar, cfg.kappa, chi)
                         for chi in chi_targets])
-    alpha = _langevin_rows(chi_half, cfg.kappa, epsilon, times[1] - times[0])
-    for alpha_p, eps in zip(alpha, epsilon):
+    alpha = integrate_langevin(chi_half, cfg.kappa, epsilon, times[1] - times[0])
+    for alpha_p, eps in zip(np.ascontiguousarray(alpha.T), epsilon):
         yield _record(times, alpha_p, float(eps), cfg)
 
 
-def run_readout(chi_of_t, chi_target, cfg: ReadoutConfig) -> ReadoutTrajectory:
-    """Simulate both qubit states for one drive configuration."""
-    t_half = _half_grid(time_grid(cfg.t_max, cfg.dt))
-    (traj,) = readout_records(np.asarray(chi_of_t(t_half), float)[None, :],
+def run_readout(chi_half, chi_target, cfg: ReadoutConfig) -> ReadoutTrajectory:
+    """Simulate both qubit states for one row of chi on the half grid: the
+    one-row case of readout_records."""
+    (traj,) = readout_records(np.asarray(chi_half, float)[None, :],
                               [chi_target], cfg)
     return traj
 
 
 def run_static_readout(chi, cfg: ReadoutConfig) -> ReadoutTrajectory:
     """Constant-chi readout (no flux ramp)."""
-    return run_readout(lambda t: np.full_like(np.asarray(t, dtype=float), chi),
-                       chi, cfg)
+    n_half = 2 * time_grid(cfg.t_max, cfg.dt).size - 1
+    return run_readout(np.full(n_half, float(chi)), chi, cfg)
 
 
 def run_ramped_readout(ramp: FluxRamp, profile: ChiProfile,

@@ -317,9 +317,10 @@ def test_criterion_8_closed_form_oracle(profile):
     times = time_grid(1000.0, 0.05)
     worst = 0.0
     for sz in (+1, -1):
-        alpha = integrate_langevin(
-            lambda t: np.full_like(np.asarray(t, float), chi),
-            KAPPA, eps, sz, times)
+        # sigma_z = -1 is the negated chi row
+        chi_half = np.full((1, 2 * times.size - 1), chi * sz)
+        (alpha,) = integrate_langevin(chi_half, KAPPA, [eps],
+                                      times[1] - times[0]).T
         out = output_field(alpha, KAPPA, eps)
         ref = np.array([static_output_field(chi, KAPPA, eps, sz, float(t))
                         for t in times])

@@ -626,13 +626,13 @@ def test_each_readout_subcommand_integrates_one_batch(tmp_path, monkeypatch):
     from fluxsim import readout
 
     shapes = []
-    rows = readout._langevin_rows
+    kernel = readout.integrate_langevin
 
     def spy(chi_half, *args):
         shapes.append(chi_half.shape)
-        return rows(chi_half, *args)
+        return kernel(chi_half, *args)
 
-    monkeypatch.setattr(readout, "_langevin_rows", spy)
+    monkeypatch.setattr(readout, "integrate_langevin", spy)
     cfg = config_from_dict(base_config(tmp_path / "out"))
     n_half = 2 * int(round(cfg.readout.t_max / cfg.readout.dt)) + 1
     run_subcommand("readout", cfg)
@@ -660,6 +660,23 @@ def test_gate_step_count_over_the_cap_exits_before_any_work(tmp_path, capsys,
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"]["category"] == "config"
         assert "'gate.dt_ns' = 1e-07" in record["error"]["message"]
+    assert not (out / "gates.csv").exists()
+    assert not (out / "noise_gates.csv").exists()
+
+
+def test_two_level_bare_truncation_exits_2_for_the_gates(tmp_path, capsys):
+    # the DRAG anharmonicity reads bare level 2: dim 2 with two kept and two
+    # gate levels was accepted, then raised IndexError and exited 1
+    raw = base_config(tmp_path / "out")
+    raw["device"].update(dim=2, levels_kept=2)
+    raw["gate"] = {"tau_g_ns_list": [3.0], "levels_fluxonium": 2}
+    raw["anticrossing"] = {"level_i": 1, "level_j": 0}
+    cfg_path, out = write_config(tmp_path, raw)
+    for sub in ("gates", "noise-gates"):
+        assert main([sub, "--config", str(cfg_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["category"] == "config"
+        assert "'device.dim' must be >= 3, got 2" in record["error"]["message"]
     assert not (out / "gates.csv").exists()
     assert not (out / "noise_gates.csv").exists()
 

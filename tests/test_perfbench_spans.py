@@ -2,10 +2,12 @@
 
 `perfbench/spans.py` swaps fluxsim functions for timing wrappers by module
 attribute, so a renamed, moved or deleted function breaks traced benchmark
-runs; this test makes that a unit-test failure instead.
+runs; these tests make that a unit-test failure instead, and check that
+each readout subcommand's Langevin batch runs under the wrapped name.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -32,3 +34,28 @@ def test_instrument_then_restore_puts_every_original_back():
         ins.restore()
     for owner, attr, original in wrapped:
         assert spans._get(owner, attr) is original, attr
+
+
+def test_tracer_sees_one_langevin_batch_per_readout_subcommand(tmp_path):
+    from fluxsim import cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "device": {"e_j_ghz": 4.75, "e_c_ghz": 1.25, "e_l_ghz": 1.5},
+        "chi_curve": {"f_min": 0.45, "f_max": 0.70, "step": 1e-3},
+        "readout": {"t_max_ns": 50.0},
+        "noise": {"n_draws": 3},
+        "out_dir": str(tmp_path / "out")}), encoding="utf-8")
+    spans = _load_spans()
+    seen = []
+    for sub in ("readout", "noise-readout"):
+        tracer = spans.Tracer()
+        ins = spans.instrument(tracer)
+        try:
+            assert cli.main([sub, "--config", str(cfg)]) == 0
+        finally:
+            ins.restore()
+        seen.append((sub, tracer.calls.get("readout.langevin"),
+                     tracer.counts.get("readout.langevin_steps")))
+    # 50 ns at dt 0.05 ns: 1 000 steps, all rows in one call
+    assert seen == [("readout", 1, 1000), ("noise-readout", 1, 1000)]

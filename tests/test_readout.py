@@ -74,8 +74,10 @@ def test_langevin_matches_closed_form_static():
     times = time_grid(cfg.t_max, cfg.dt)
     eps = drive_amplitude(cfg.n_bar, cfg.kappa, CHI)
     for sz in (+1, -1):
-        alpha = integrate_langevin(lambda t: np.full_like(np.asarray(t, float), CHI),
-                                   cfg.kappa, eps, sz, times)
+        # sigma_z = -1 is the negated chi row
+        chi_half = np.full((1, 2 * times.size - 1), CHI * sz)
+        (alpha,) = integrate_langevin(chi_half, cfg.kappa, [eps],
+                                      times[1] - times[0]).T
         out = output_field(alpha, cfg.kappa, eps)
         sample = range(0, times.size, 97)
         worst = max(abs(out[i] - static_output_field(CHI, cfg.kappa, eps, sz,
@@ -432,12 +434,9 @@ def test_langevin_step_just_inside_the_bound_matches_reference(half_kappa_dt,
                         t_max=1000.0, dt=dt)
     assert dt * abs(complex(0.5 * cfg.kappa, chi)) <= 1.0
 
-    def chi_of_t(t):
-        return np.full_like(np.asarray(t, float), chi)
-
-    traj = run_readout(chi_of_t, chi, cfg)
-    ref_p, ref_m, ref_snr, ref_error = _reference_readout(
-        chi_of_t(_half_grid(cfg)), chi, cfg)
+    chi_half = np.full(_half_grid(cfg).size, chi)
+    traj = run_readout(chi_half, chi, cfg)
+    ref_p, ref_m, ref_snr, ref_error = _reference_readout(chi_half, chi, cfg)
     assert np.max(np.abs(traj.alpha_plus - ref_p)) <= 1e-12
     assert np.max(np.abs(traj.alpha_minus - ref_m)) <= 1e-12
     _assert_matches_reference(traj.snr, traj.error, ref_snr, ref_error)
@@ -449,13 +448,12 @@ def test_minus_field_is_conjugate_of_plus(name):
     traj, chi_half, _ = _readout_case(name, cfg)
     assert np.array_equal(traj.alpha_minus, traj.alpha_plus.conj())
     times = time_grid(cfg.t_max, cfg.dt)
-
-    def chi_of_t(t_half):  # integrate_langevin samples the half grid
-        return chi_half
-
+    dt = times[1] - times[0]
+    # sigma_z = -1 integrates the negated chi row
     assert np.array_equal(
-        integrate_langevin(chi_of_t, cfg.kappa, traj.epsilon, -1, times),
-        integrate_langevin(chi_of_t, cfg.kappa, traj.epsilon, +1, times).conj())
+        integrate_langevin(-chi_half[None, :], cfg.kappa, [traj.epsilon], dt),
+        integrate_langevin(chi_half[None, :], cfg.kappa, [traj.epsilon],
+                           dt).conj())
 
 
 # The 64-point scan plus golden-section refinement that the closed form
