@@ -10,12 +10,18 @@ untouched when its bytes would not change. Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 I/O error.
 
 Every subcommand runs in one process: flux sweeps (chi-curve, landscape
-and the chi profile of the readout subcommands) run batched; readout
+and the chi profile of the readout subcommands) run batched, their blocks
+of flux points on a thread pool (`coupled.sweep_dressed`); readout
 integrates its pulsed row and its static row (the ramp held at its start
 flux) as one batch, noise-readout all its draws as one; gate Monte Carlo
-draws run one after another, and all reductions are index-ordered.
---workers N is accepted and ignored, so outputs are the same for any
-value.
+draws run one after another, and all reductions are index-ordered. The
+pool has one thread per CPU the process may use over the BLAS thread
+count, and runs serially when no BLAS thread count is set. Importing this
+module before numpy sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 where they are unset, so the CLI solves each block on
+one BLAS thread and sweeps on every CPU; a value already set is kept.
+The blocks are joined in order, so outputs are bit-identical for any
+thread count. --workers N is accepted and ignored.
 
 The result cache holds three kinds of entry, each written and read by
 `_cached`: one per (device, chi window), shared by chi-curve, readout and
@@ -31,8 +37,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+from . import BLAS_THREAD_VARS
+
+# one BLAS thread per sweep thread, set before numpy loads BLAS; once numpy
+# is loaded its BLAS has read them, and they are left as they are
+if "numpy" not in sys.modules:
+    for var in BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
 
 import numpy as np
 
@@ -292,7 +307,8 @@ def build_parser():
     parser.add_argument("--out", default=None,
                         help="override output directory")
     parser.add_argument("--workers", type=int, default=None,
-                        help="accepted and ignored: every run is in-process")
+                        help="accepted and ignored: sweeps use one thread "
+                             "per CPU over the BLAS thread count")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the result cache entirely")
     return parser

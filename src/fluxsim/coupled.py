@@ -8,7 +8,8 @@ dressed gap (scipy), and chi-vs-flux profiles for the readout dynamics.
 
 Labelled levels are one type, `DressedSweep`: chi, detunings, landscape
 cells, chi profiles and the anticrossing gap come from `sweep_dressed`
-(blocks of flux points in stacked eigensolves), and a single point, each
+(blocks of flux points in stacked eigensolves, on a thread pool when a set
+BLAS thread count leaves CPUs free), and a single point, each
 gap evaluation and the two-level surrogate are one-point sweeps. A sweep
 folds every flux to its canonical flux in [0, 1/2]
 (`qubit.canonical_flux`) and solves each distinct canonical flux once, so
@@ -22,12 +23,13 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import units
+from . import BLAS_THREAD_VARS, units
 from .errors import (
     BracketingError,
     InvalidDimensionError,
@@ -206,9 +208,23 @@ CHI_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # Flux sweeps
 
 # flux points per stacked eigensolve: bounds a sweep's working set whatever
-# its length (peak about 2.6 MB at the default 40/8/8 truncation); larger
-# blocks add memory, not speed
-_SWEEP_BLOCK = 32
+# its length (peak about 1.3 MB per block in flight, one per sweep thread,
+# at the default 40/8/8 truncation); larger blocks add memory, not speed
+_SWEEP_BLOCK = 16
+
+
+def _sweep_workers():
+    """Threads that solve a sweep's blocks: the CPUs this process may use,
+    divided by the BLAS threads of each solve (the largest positive count
+    set in BLAS_THREAD_VARS). With none set, BLAS may use every CPU, and
+    the sweep runs serially."""
+    threads = max((int(v) for v in map(os.environ.get, BLAS_THREAD_VARS)
+                   if v and v.strip().isdigit()), default=0)
+    if threads < 1:  # unset, or 0: BLAS's own default of every CPU
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, cpus // threads)
 
 
 @dataclass(frozen=True)
@@ -303,7 +319,10 @@ def sweep_dressed(params: EnergyParams, f_values, res: ResonatorParams,
     Each distinct canonical flux is solved once: blocks of up to
     _SWEEP_BLOCK of them share one stacked bare eigensolve and one stacked
     coupled eigensolve (real in LADDER_RWA mode, complex in CHARGE mode),
-    and every point reads the levels of its canonical flux.
+    and every point reads the levels of its canonical flux. The blocks run
+    on `_sweep_workers()` threads, serially when that is 1 or there is one
+    block; they are joined in block order, so every point's bits and the
+    exception a failing block raises are those of the serial run.
     """
     f = np.asarray(f_values, dtype=float).reshape(-1)
     if f.size == 0:
@@ -316,9 +335,22 @@ def sweep_dressed(params: EnergyParams, f_values, res: ResonatorParams,
                 f"{dims.n_res} photon states")
     rows = np.array([i * dims.n_res + n for i, n in labels])
     g, inverse = np.unique(canonical_flux(f)[0], return_inverse=True)
-    parts = [_dressed_block(params, g[start:start + _SWEEP_BLOCK], res, mode,
-                            dims, rows)
-             for start in range(0, g.size, _SWEEP_BLOCK)]
+
+    def block(start):
+        return _dressed_block(params, g[start:start + _SWEEP_BLOCK], res,
+                              mode, dims, rows)
+
+    starts = range(0, g.size, _SWEEP_BLOCK)
+    workers = min(_sweep_workers(), len(starts))
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # map yields in block order and, on a block's exception, cancels
+        # the blocks not yet started; leaving the pool joins its threads
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(block, starts))
+    else:
+        parts = list(map(block, starts))
     bare, energy, quality = (np.concatenate(p)[inverse] for p in zip(*parts))
     return DressedSweep(labels, bare, energy, quality)
 

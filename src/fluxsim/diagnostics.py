@@ -1,12 +1,19 @@
-"""Lightweight counters used to verify cache behavior."""
+"""Lightweight counters used to verify cache behavior.
+
+The eigensolve counter is shared by the threads of a sweep, so it is
+updated under a lock and no count is lost."""
+
+import threading
 
 _eigensolves = 0
+_lock = threading.Lock()
 
 
 def count_eigensolve(n=1):
     """Count n eigensolves: one per matrix of a stacked call."""
     global _eigensolves
-    _eigensolves += n
+    with _lock:
+        _eigensolves += n
 
 
 def eigensolve_count():
@@ -15,4 +22,5 @@ def eigensolve_count():
 
 def reset_eigensolve_count():
     global _eigensolves
-    _eigensolves = 0
+    with _lock:
+        _eigensolves = 0

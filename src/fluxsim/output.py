@@ -8,10 +8,12 @@ the language. A float64 column is formatted in one orjson call, whose Ryu
 digits (Adams, PLDI 2018) are the same shortest round-trip digits at about
 a tenth of repr's cost per double; only the cells whose notation differs
 from repr's (non-finite, |x| >= 1e16, small exponents) are re-formatted by
-repr. Every emitted file is listed in manifest.json with its content hash;
-the manifest also records the config hash, seed, tool version, and every
-default the run relied on. Files are written through `cache.publish`, so a
-rerun that produces the same bytes leaves each file untouched.
+repr. Every emitted file is listed in manifest.json with the SHA-256 of the
+bytes `write_csv` published, carried on the path it returns, so no output
+is read back; the manifest also records the config hash, seed, tool
+version, and every default the run relied on. Files are written through
+`cache.publish`, so a rerun that produces the same bytes leaves each file
+untouched.
 """
 
 from __future__ import annotations
@@ -73,7 +75,14 @@ def _column_text(column, n_rows):
     return map(format_value, column)
 
 
-def write_csv(path, header, columns) -> Path:
+class PublishedFile(type(Path())):
+    """The path of a file `write_csv` published, with the SHA-256 hex
+    digest of the bytes it published there."""
+
+    sha256: str
+
+
+def write_csv(path, header, columns) -> PublishedFile:
     """Write a CSV column by column, with deterministic formatting and a
     trailing newline. A column is a sequence or a scalar repeated on every
     row; sequences share one length, and scalars alone make one row."""
@@ -84,15 +93,10 @@ def write_csv(path, header, columns) -> Path:
     n_rows = lengths.pop() if lengths else 1
     text = [_column_text(c, n_rows) for c in columns]
     lines = [",".join(header), *map(",".join, zip(*text))]
-    return publish(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    published = PublishedFile(publish(path, data))
+    published.sha256 = hashlib.sha256(data).hexdigest()
+    return published
 
 
 def config_hash(run_config) -> str:
@@ -128,8 +132,8 @@ def write_manifest(out_dir, files, run_config) -> Path:
     """Emit manifest.json covering every file written by the run, with the
     config's noise seed.
 
-    files is a sequence of (path, schema) pairs; paths must live inside
-    out_dir and exist already so their hashes can be recorded.
+    files is a sequence of (path, schema) pairs, each path a
+    `PublishedFile` inside out_dir whose digest is recorded as it is.
     """
     path = Path(out_dir) / "manifest.json"
     chash, seed = config_hash(run_config), run_config.noise.seed
@@ -137,11 +141,10 @@ def write_manifest(out_dir, files, run_config) -> Path:
     # successive subcommands sharing an output directory stay fully listed
     records = _previous_records(path, chash, seed)
     for file_path, schema in files:
-        file_path = Path(file_path)
         records[file_path.name] = {
             "name": file_path.name,
             "schema": schema,
-            "sha256": sha256_file(file_path),
+            "sha256": file_path.sha256,
         }
     manifest = {
         "tool_version": __version__,

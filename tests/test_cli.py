@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fluxsim import cache, diagnostics, qubit, units
+from fluxsim import BLAS_THREAD_VARS, cache, diagnostics, qubit, units
 from fluxsim.cache import NUMERICS_TAG, entry_path
 from fluxsim.cli import SUBCOMMANDS, build_parser, main, run_subcommand
 from fluxsim.config import config_from_dict
@@ -316,6 +316,28 @@ def test_an_edit_to_cli_recomputes_a_warm_chi_curve(tmp_path):
     warm = edited_chi_curve()
     assert warm != original
     assert warm == edited_chi_curve("--no-cache")
+
+
+PINNED = dict.fromkeys(BLAS_THREAD_VARS, "1")
+
+
+@pytest.mark.parametrize("code, env, want", [
+    ("import fluxsim.cli", {}, PINNED),
+    ("import fluxsim.cli", {"OPENBLAS_NUM_THREADS": "3"},
+     {**PINNED, "OPENBLAS_NUM_THREADS": "3"}),
+    ("import numpy\nimport fluxsim.cli", {},
+     dict.fromkeys(BLAS_THREAD_VARS)),
+], ids=["unset", "user-set", "numpy-first"])
+def test_cli_import_pins_blas_threads_before_numpy(code, env, want):
+    # a fresh process started with only env of the BLAS variables set
+    run_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    run_env.update(env, PYTHONPATH=str(Path(qubit.__file__).parent.parent))
+    script = (f"{code}\nimport json, os\n"
+              f"print(json.dumps({{v: os.environ.get(v) "
+              f"for v in {BLAS_THREAD_VARS!r}}}))")
+    done = subprocess.run([sys.executable, "-c", script], env=run_env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == want
 
 
 def test_warm_chi_curve_is_byte_identical_to_cold(tmp_path):

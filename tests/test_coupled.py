@@ -1,6 +1,8 @@
 """Tests for the coupled fluxonium-resonator model."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -630,3 +632,114 @@ def test_anticrossing_within_stated_bound_of_unfolded_solve(mode, monkeypatch):
     monkeypatch.setattr(coupled, "sweep_dressed", _unfolded_sweep)
     unfolded = find_anticrossing(PARAMS, RES, mode)
     assert abs(folded.f_star - unfolded.f_star) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# Sweep blocks on a thread pool
+
+# ultrastrong coupling: windows with resonant (NaN chi) points and points
+# labelled by the greedy fallback, in both coupling modes
+STRONG = ResonatorParams.from_ghz(7.0, 5.0, 1500.0)
+STRONG_GRID = np.linspace(0.0, 0.5, 201)
+
+
+@pytest.mark.parametrize("cpus, env, workers", [
+    (4, {}, 1),
+    (4, {"OPENBLAS_NUM_THREADS": "1"}, 4),
+    (4, {"OMP_NUM_THREADS": "2"}, 2),
+    (4, {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "3"}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "4"}, 1),
+    (4, {"OPENBLAS_NUM_THREADS": "0"}, 1),
+    (4, {"OPENBLAS_NUM_THREADS": "many"}, 1),
+])
+def test_sweep_worker_rule(monkeypatch, cpus, env, workers):
+    for var in coupled.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(coupled.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    assert coupled._sweep_workers() == workers
+
+
+def _pool_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("ThreadPoolExecutor")]
+
+
+def _forced_workers(monkeypatch, workers):
+    monkeypatch.setattr(coupled, "_sweep_workers", lambda: workers)
+
+
+@pytest.mark.parametrize("mode", list(CouplingMode))
+def test_threaded_sweep_is_bit_identical_to_serial(mode, monkeypatch):
+    fallbacks = []
+
+    def counted(vecs):
+        fallbacks.append(1)
+        return assign_dressed_levels(vecs)
+
+    monkeypatch.setattr(coupled, "assign_dressed_levels", counted)
+    sweeps = {}
+    for workers in (1, 2, 3):
+        _forced_workers(monkeypatch, workers)
+        sweeps[workers] = sweep_dressed(PARAMS, STRONG_GRID, STRONG, mode,
+                                        CoupledDims(), FOLD_LABELS)
+    chi = sweeps[1].chi()
+    assert np.isnan(chi).any() and np.isfinite(chi).any()
+    assert fallbacks
+    for workers in (2, 3):
+        for name in ("bare", "energy", "quality"):
+            assert (getattr(sweeps[workers], name).tobytes()
+                    == getattr(sweeps[1], name).tobytes()), (workers, name)
+    assert not _pool_threads()
+
+
+def test_threaded_sweep_counts_every_eigensolve(monkeypatch):
+    grid = 0.40 + 5e-4 * np.arange(401)  # symmetric about 1/2
+    _forced_workers(monkeypatch, 3)
+    for _ in range(5):
+        diagnostics.reset_eigensolve_count()
+        sweep_dressed(PARAMS, grid, RES)
+        assert diagnostics.eigensolve_count() == 201 + 201
+
+
+def test_eigensolve_count_waits_for_its_lock():
+    diagnostics.reset_eigensolve_count()
+    with diagnostics._lock:
+        counter = threading.Thread(target=diagnostics.count_eigensolve,
+                                   args=(5,))
+        counter.start()
+        counter.join(0.05)
+        assert counter.is_alive() and diagnostics.eigensolve_count() == 0
+    counter.join()
+    assert diagnostics.eigensolve_count() == 5
+
+
+def test_failing_block_raises_as_in_the_serial_sweep(monkeypatch):
+    solve = qubit.diagonalize
+    dim = CoupledDims().dim
+    # blocks 2 and 5 fail; block 2 only after block 5 has failed, so the
+    # pool sees block 5's exception first
+    failing = {2: 0.2, 5: 0.0}
+    canonical = qubit.canonical_flux(STRONG_GRID)[0]  # ascending, distinct
+    first = {k: fluxonium_hamiltonians(
+        PARAMS, [canonical[coupled._SWEEP_BLOCK * k]], dim)[0]
+        for k in failing}
+
+    def diagonalize(h):
+        for k, delay in failing.items():
+            if h.shape[-1] == dim and np.array_equal(h[0], first[k]):
+                time.sleep(delay)
+                raise NumericalFailureError(f"eigensolve failed in block {k}")
+        return solve(h)
+
+    monkeypatch.setattr(qubit, "diagonalize", diagonalize)
+    raised = {}
+    for workers in (1, 2, 3):
+        _forced_workers(monkeypatch, workers)
+        with pytest.raises(NumericalFailureError) as exc:
+            sweep_dressed(PARAMS, STRONG_GRID, RES)
+        raised[workers] = str(exc.value)
+        assert not _pool_threads(), workers
+    assert set(raised.values()) == {"eigensolve failed in block 2"}

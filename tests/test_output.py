@@ -1,7 +1,11 @@
 """Tests for CSV formatting and manifest emission."""
 
+import builtins
+import hashlib
+import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,7 +16,6 @@ from fluxsim.config import config_from_dict
 from fluxsim.output import (
     config_hash,
     format_value,
-    sha256_file,
     write_csv,
     write_manifest,
 )
@@ -177,7 +180,33 @@ def test_manifest_lists_files_with_hashes(tmp_path):
     (rec,) = manifest["files"]
     assert rec["name"] == "one.csv"
     assert rec["schema"] == "one"
-    assert rec["sha256"] == sha256_file(f1)
+    assert rec["sha256"] == hashlib.sha256(f1.read_bytes()).hexdigest()
+
+
+def test_manifest_opens_no_output_file(tmp_path, monkeypatch):
+    cfg = config_from_dict({**MINIMAL, "out_dir": str(tmp_path)})
+    files = [(write_csv(tmp_path / f"{name}.csv", ["x"], [[value]]), name)
+             for name, value in (("one", 1.0), ("two", 2.0))]
+    want = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path, _ in files}
+    opened = []
+
+    def recording(open_fn):
+        def wrapper(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return open_fn(file, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(builtins, "open", recording(builtins.open))
+    monkeypatch.setattr(io, "open", recording(io.open))
+    monkeypatch.setattr(os, "open", recording(os.open))
+    mpath = write_manifest(tmp_path, files, cfg)
+    monkeypatch.undo()
+    assert opened, "the recorder saw no open at all"
+    assert not [f for f in opened if f.endswith(".csv")], opened
+    got = {rec["name"]: rec["sha256"]
+           for rec in json.loads(mpath.read_text())["files"]}
+    assert got == want
 
 
 def test_manifest_merges_across_subcommands(tmp_path):
