@@ -112,32 +112,12 @@ class ChiProfile:
         return float(out) if np.isscalar(f) or f_arr.ndim == 0 else out
 
 
-def qubit_phase_shift(chi, kappa):
-    """Output-field phase shift phi_qb = 2 arctan(2 chi / kappa)."""
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    return 2.0 * math.atan(2.0 * chi / kappa)
-
-
 def drive_amplitude(n_bar, kappa, chi):
     """Input drive amplitude targeting a steady-state mean photon number:
     epsilon = sqrt(n_bar (kappa^2/4 + chi^2))."""
     if n_bar < 0:
         raise ValueError(f"n_bar must be >= 0, got {n_bar}")
     return math.sqrt(n_bar * (kappa * kappa / 4.0 + chi * chi))
-
-
-def static_output_field(chi, kappa, epsilon, sigma_z, tau):
-    """Closed-form output field for constant chi with the cavity starting
-    empty. Equals alpha_in at tau = 0 and the steady-state output
-    (epsilon/sqrt(kappa)) e^{-i phi_qb sigma_z} as tau -> infinity."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    phi = qubit_phase_shift(chi, kappa)
-    sz = float(sigma_z)
-    pref = (epsilon / math.sqrt(kappa)) * np.exp(-1j * phi * sz)
-    decay = np.exp((-1j * chi * sz - 0.5 * kappa) * tau + 0.5j * phi * sz)
-    return complex(pref * (1.0 - 2.0 * math.cos(0.5 * phi) * decay))
 
 
 def time_grid(t_max, dt):

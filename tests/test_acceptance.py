@@ -2,16 +2,16 @@
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines. Criterion 7a checks the absolute noisy-gate error level (~0.20 in
-the Gaussian limit at scale 1e-2, tau_g = 10 ns) against an independent
-multilevel reference computed inside the test; the 0.36 +- 0.10 band it
-once used had no source in the repository. See the criterion docstring.
+the Gaussian limit at scale 1e-2, tau_g = 10 ns) against the independent
+multilevel reference `bare_gate_errors` of `perfbench/reference.py`, which
+imports nothing from fluxsim; the 0.36 +- 0.10 band it once used had no
+source in the repository. See the criterion docstring.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from fluxsim import units
 from fluxsim.cli import main
@@ -40,11 +40,8 @@ from fluxsim.noise import (
     sample_flux_offsets,
 )
 from fluxsim.qubit import (
-    DEFAULT_DIM,
     EnergyParams,
     FluxBias,
-    anharmonicity,
-    build_ho_operators,
     charge_matrix_element,
     fluxonium_spectrum,
 )
@@ -56,14 +53,17 @@ from fluxsim.readout import (
     output_field,
     run_ramped_readout,
     run_static_readout,
-    static_output_field,
     time_grid,
 )
 from fluxsim.special import erfc
 
-PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
+from conftest import reference
+
+DEVICE_GHZ = (4.75, 1.25, 1.5)  # E_J, E_C, E_L
+PARAMS = EnergyParams.from_ghz(*DEVICE_GHZ)
 RES = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
-KAPPA = units.mhz(5.0)
+KAPPA_MHZ = 5.0
+KAPPA = units.mhz(KAPPA_MHZ)
 RAMP = FluxRamp(0.5, 0.641, 50.0)
 
 # pulses optimized at the sweet spot with the default settings; their
@@ -127,50 +127,6 @@ def gate_mc(gate_mc_curves):
 # levels, so at zero coupling the reference and the program hold the same
 # Hamiltonian and must agree to integrator accuracy.
 REF_LEVELS = 6
-
-
-def _reference_gate_errors(deltas, pulse, levels=REF_LEVELS):
-    """Independent reference for the gate error of a frozen DRAG pulse at
-    the offset biases 0.5 + delta: the lowest `levels` bare-fluxonium levels
-    (no resonator), built from fluxsim.qubit alone.
-
-    The drive eps_d [2 s sin(omega_d t) + (lam / alpha) ds/dt cos(omega_d t)]
-    couples through the charge operator, with s = (1 - cos(2 pi t / tau_g))/2
-    and alpha the delta=0 anharmonicity. The propagator is integrated in the
-    lab frame by adaptive DOP853 (rtol 1e-11), all offsets in one batch.
-    The error is 1 - F with the leakage-aware average fidelity
-    F = (Tr(M^dag M) + |Tr M|^2) / 6 (Pedersen, Moller & Molmer 2007) of
-    M = X Z(phi) P U P on bare |0>, |1>, maximised over the virtual-Z
-    phase phi.
-    """
-    alpha = anharmonicity(PARAMS, FluxBias(0.5))
-    _, _, n_op, _ = build_ho_operators(DEFAULT_DIM, PARAMS.phi0)
-    energies, charge = [], []
-    for delta in deltas:
-        spec = fluxonium_spectrum(PARAMS, FluxBias(0.5 + delta))
-        v = spec.eigenvectors[:, :levels]
-        energies.append(spec.eigenvalues[:levels] - spec.eigenvalues[0])
-        charge.append(v.conj().T @ n_op @ v)
-    energies, charge = np.array(energies), np.array(charge)
-    w = 2.0 * math.pi / pulse.tau_g
-
-    def rhs(t, y):
-        s = 0.5 * (1.0 - math.cos(w * t))
-        ds = 0.5 * w * math.sin(w * t)
-        u = pulse.eps_d * (2.0 * s * math.sin(pulse.omega_d * t)
-                           + (pulse.lam / alpha) * ds * math.cos(pulse.omega_d * t))
-        prop = y.reshape(charge.shape)
-        return (-1j * (energies[:, :, None] * prop + u * (charge @ prop))).ravel()
-
-    start = np.broadcast_to(np.eye(levels, dtype=complex), charge.shape).ravel()
-    sol = solve_ivp(rhs, (0.0, pulse.tau_g), start, method="DOP853",
-                    rtol=1e-11, atol=1e-12)
-    assert sol.success, sol.message
-    m = sol.y[:, -1].reshape(charge.shape)[:, :2, :2]
-    tr_mm = np.einsum("kij,kij->k", m.conj(), m).real
-    # |Tr(X Z(phi) m)| = |m[0,1] + e^{i phi} m[1,0]|, largest at |m01| + |m10|
-    best_tr = np.abs(m[:, 0, 1]) + np.abs(m[:, 1, 0])
-    return 1.0 - (tr_mm + best_tr ** 2) / 6.0
 
 
 def test_criterion_1_sweet_spot_spectrum():
@@ -261,7 +217,8 @@ def test_criterion_6_noisy_readout(profile, static_traj):
 def test_criterion_7a_noisy_gate_error_level(gate_mc_curves):
     """Absolute noisy gate error at scale 1e-2 and tau_g = 10 ns, against
     an independent multilevel reference evaluated on the same 50 offsets
-    with the same frozen pulse (see _reference_gate_errors).
+    with the same frozen pulse: reference.bare_gate_errors, which builds
+    the bare fluxonium itself and imports nothing from fluxsim.
 
     The level is ~0.19 for these 50 draws and ~0.20 in the Gaussian limit:
     the error grows from ~0 at the sweet spot to 0.35 at |delta| = 0.011
@@ -276,17 +233,20 @@ def test_criterion_7a_noisy_gate_error_level(gate_mc_curves):
     system and agree to integrator accuracy.
     """
     pulse = OPT_PULSE[10.0]
+    drive = (pulse.tau_g, pulse.eps_d, pulse.lam, pulse.omega_d)
     curve = gate_mc_curves[1e-2]
     assert curve.axis[0] == 10.0
     program = curve.draws[:, 0]
-    reference = _reference_gate_errors(sample_flux_offsets(NoiseSpec(1e-2)), pulse)
-    mean_dev = abs(curve.mean[0] - reference.mean())
-    worst = float(np.max(np.abs(program - reference)))
+    ref_draws = reference.bare_gate_errors(
+        *DEVICE_GHZ, sample_flux_offsets(NoiseSpec(1e-2)), *drive, REF_LEVELS)
+    mean_dev = abs(curve.mean[0] - ref_draws.mean())
+    worst = float(np.max(np.abs(program - ref_draws)))
 
     probes = (0.0, 0.009, 0.0139)
-    at_probes = _reference_gate_errors(probes, pulse)
-    truncation = float(np.max(np.abs(
-        _reference_gate_errors(probes, pulse, REF_LEVELS + 1) - at_probes)))
+    at_probes = reference.bare_gate_errors(*DEVICE_GHZ, probes, *drive,
+                                           REF_LEVELS)
+    truncation = float(np.max(np.abs(reference.bare_gate_errors(
+        *DEVICE_GHZ, probes, *drive, REF_LEVELS + 1) - at_probes)))
     uncoupled = ResonatorParams.from_ghz(7.0, 5.0, 0.0)
     zero_g = max(abs(gate_draw(d, PARAMS, uncoupled, pulse).error - ref)
                  for d, ref in zip(probes, at_probes))
@@ -295,7 +255,7 @@ def test_criterion_7a_noisy_gate_error_level(gate_mc_curves):
           and truncation < 2e-4 and zero_g < 1e-7)
     _report("7a", "noisy gate error level", ok,
             f"mean error(scale=1e-2, tau_g=10): program {curve.mean[0]:.4f}, "
-            f"reference {reference.mean():.4f} (|diff| {mean_dev:.1e} < 2e-3); "
+            f"reference {ref_draws.mean():.4f} (|diff| {mean_dev:.1e} < 2e-3); "
             f"worst draw |diff| {worst:.1e} (< 5e-3); reference "
             f"{REF_LEVELS} vs {REF_LEVELS + 1} levels {truncation:.1e} "
             f"(< 2e-4); zero-coupling |diff| {zero_g:.1e} (< 1e-7)")
@@ -312,6 +272,9 @@ def test_criterion_7b_noisy_gate_scale_ratio(gate_mc):
 
 
 def test_criterion_8_closed_form_oracle(profile):
+    """The Langevin output field at constant chi against the closed form of
+    reference.static_output_field, which sets its own drive from n_bar, so
+    a fault in drive_amplitude does not cancel."""
     chi = profile.chi_at(0.5)
     eps = drive_amplitude(10.0, KAPPA, chi)
     times = time_grid(1000.0, 0.05)
@@ -322,8 +285,8 @@ def test_criterion_8_closed_form_oracle(profile):
         (alpha,) = integrate_langevin(chi_half, KAPPA, [eps],
                                       times[1] - times[0]).T
         out = output_field(alpha, KAPPA, eps)
-        ref = np.array([static_output_field(chi, KAPPA, eps, sz, float(t))
-                        for t in times])
+        ref = reference.static_output_field(units.to_mhz(chi), KAPPA_MHZ, 10.0,
+                                            sz, times)
         worst = max(worst, float(np.max(np.abs(out - ref))))
     ok = worst < 1e-8
     _report(8, "closed-form readout oracle", ok,

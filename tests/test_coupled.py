@@ -44,6 +44,8 @@ from fluxsim.qubit import (
     fluxonium_spectrum,
 )
 
+from conftest import reference, unfolded_spectrum_sweep
+
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
 RES = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
 
@@ -113,6 +115,14 @@ def test_dispersive_shift_reference_points():
     assert units.to_mhz(chi_sweet) == pytest.approx(0.527, abs=0.01)
     chi_ro = dispersive_shift(PARAMS, FluxBias(0.641), RES)
     assert units.to_mhz(chi_ro) == pytest.approx(-7.95, abs=0.08)
+
+
+def test_dispersive_shift_matches_the_reference_model():
+    # criteria 1 and 2's chi, against the plain-numpy ladder-RWA model in GHz
+    for f in (0.5, 0.641):
+        chi = units.to_mhz(dispersive_shift(PARAMS, FluxBias(f), RES))
+        want = reference.dispersive_shift_mhz(4.75, 1.25, 1.5, f, 7.0, 50.0)
+        assert abs(chi - want) < 1e-8, (f, chi, want)
 
 
 def test_dispersive_shift_flux_symmetry():
@@ -515,20 +525,14 @@ def test_argmax_labels_equal_greedy_assignment(monkeypatch):
 # ---------------------------------------------------------------------------
 # The parity fold: H(1 - f) = P H(f) P and H(f + 1) = H(f)
 
-def _unfolded_spectrum_sweep(params, f_values, dim=qubit.DEFAULT_DIM):
-    """The bare solve without the fold: H(f) itself at every point."""
-    vals, vecs = np.linalg.eigh(fluxonium_hamiltonians(params, f_values, dim))
-    return vals, qubit._fix_signs(vecs)
-
-
 def _unfolded_sweep(params, f_values, res, mode, dims, labels):
     """sweep_dressed without the fold: every point solved directly, in
     blocks of 32 in grid order."""
     rows = np.array([i * dims.n_res + n for i, n in labels])
     parts = []
     for start in range(0, len(f_values), 32):
-        vals, vecs = _unfolded_spectrum_sweep(params, f_values[start:start + 32],
-                                              dims.dim)
+        vals, vecs = unfolded_spectrum_sweep(params, f_values[start:start + 32],
+                                             dims.dim)
         bare = vals[:, :dims.kept]
         op = coupled._coupling_operator(vecs, params, mode, dims.kept)
         h = assemble_coupled(bare, op, res, mode, dims.n_res)

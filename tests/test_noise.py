@@ -26,8 +26,10 @@ from fluxsim.noise import (
     sample_flux_offsets,
     standard_normal_draw,
 )
-from fluxsim.qubit import EnergyParams, FluxBias, fluxonium_hamiltonians
+from fluxsim.qubit import EnergyParams, FluxBias
 from fluxsim.readout import ChiProfile, FluxRamp, ReadoutConfig, run_ramped_readout
+
+from conftest import reference, unfolded_spectrum_sweep
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
 RES = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
@@ -68,6 +70,13 @@ def test_draw_k_independent_of_draw_count():
     short = sample_flux_offsets(NoiseSpec(1e-2, n_draws=5, seed=7))
     long = sample_flux_offsets(NoiseSpec(1e-2, n_draws=9, seed=7))
     assert np.array_equal(short, long[:5])
+
+
+@pytest.mark.parametrize("seed", [1234, 7])
+def test_offsets_are_the_documented_philox_box_muller_draws(seed):
+    spec = NoiseSpec(1e-2, n_draws=50, seed=seed)
+    assert np.array_equal(sample_flux_offsets(spec),
+                          reference.flux_offsets(1e-2, 50, seed))
 
 
 def test_standard_normal_statistics():
@@ -278,12 +287,6 @@ def test_noisy_gate_error_axis_and_monotone_in_scale():
     assert large.mean[0] > 2.0 * small.mean[0]
 
 
-def _unfolded_spectrum_sweep(params, f_values, dim=qubit.DEFAULT_DIM):
-    """The bare solve without the parity fold: H(f) itself at every point."""
-    vals, vecs = np.linalg.eigh(fluxonium_hamiltonians(params, f_values, dim))
-    return vals, qubit._fix_signs(vecs)
-
-
 def test_gate_draws_within_stated_bound_of_unfolded_solve(monkeypatch):
     # offsets about the sweet spot: the positive ones are solved at the
     # mirrored canonical flux 1/2 - delta
@@ -292,6 +295,6 @@ def test_gate_draws_within_stated_bound_of_unfolded_solve(monkeypatch):
     deltas = sample_flux_offsets(NoiseSpec(1e-2, 16, 0))
     assert (deltas > 0).any() and (deltas < 0).any()
     folded = [gate_draw(d, PARAMS, RES, pulse).error for d in deltas]
-    monkeypatch.setattr(qubit, "spectrum_sweep", _unfolded_spectrum_sweep)
+    monkeypatch.setattr(qubit, "spectrum_sweep", unfolded_spectrum_sweep)
     unfolded = [gate_draw(d, PARAMS, RES, pulse).error for d in deltas]
     assert np.max(np.abs(np.subtract(folded, unfolded))) <= 1e-10

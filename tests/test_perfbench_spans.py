@@ -6,22 +6,13 @@ runs; these tests make that a unit-test failure instead, and check that
 each readout subcommand's Langevin batch runs under the wrapped name.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_perfbench
 
 
 def test_instrument_then_restore_puts_every_original_back():
-    spans = _load_spans()
+    spans = load_perfbench("spans")
     ins = spans.instrument(spans.Tracer())
     try:
         wrapped = list(ins._saved)
@@ -46,7 +37,7 @@ def test_tracer_sees_one_langevin_batch_per_readout_subcommand(tmp_path):
         "readout": {"t_max_ns": 50.0},
         "noise": {"n_draws": 3},
         "out_dir": str(tmp_path / "out")}), encoding="utf-8")
-    spans = _load_spans()
+    spans = load_perfbench("spans")
     seen = []
     for sub in ("readout", "noise-readout"):
         tracer = spans.Tracer()

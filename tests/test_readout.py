@@ -20,7 +20,6 @@ from fluxsim.readout import (
     measurement_signal,
     optimal_demod_phase,
     output_field,
-    qubit_phase_shift,
     readout_error,
     ramp_inside,
     ramp_rows,
@@ -29,13 +28,15 @@ from fluxsim.readout import (
     run_readout,
     run_static_readout,
     snr_curve,
-    static_output_field,
     time_grid,
 )
 from fluxsim.special import erfc
 
-KAPPA = units.mhz(5.0)
-CHI = units.mhz(0.527)
+from conftest import reference
+
+KAPPA_MHZ, CHI_MHZ = 5.0, 0.527
+KAPPA = units.mhz(KAPPA_MHZ)
+CHI = units.mhz(CHI_MHZ)
 
 
 def _reference_langevin(chi_half, kappa, epsilon, sigma_z, times):
@@ -73,17 +74,17 @@ def test_langevin_matches_closed_form_static():
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=1000.0, dt=0.05)
     times = time_grid(cfg.t_max, cfg.dt)
     eps = drive_amplitude(cfg.n_bar, cfg.kappa, CHI)
+    sample = times[::97]
     for sz in (+1, -1):
         # sigma_z = -1 is the negated chi row
         chi_half = np.full((1, 2 * times.size - 1), CHI * sz)
         (alpha,) = integrate_langevin(chi_half, cfg.kappa, [eps],
                                       times[1] - times[0]).T
-        out = output_field(alpha, cfg.kappa, eps)
-        sample = range(0, times.size, 97)
-        worst = max(abs(out[i] - static_output_field(CHI, cfg.kappa, eps, sz,
-                                                     float(times[i])))
-                    for i in sample)
-        assert worst < 1e-8
+        out = output_field(alpha, cfg.kappa, eps)[::97]
+        # the reference sets its own drive from n_bar, in MHz
+        want = reference.static_output_field(CHI_MHZ, KAPPA_MHZ, cfg.n_bar, sz,
+                                              sample)
+        assert np.max(np.abs(out - want)) < 1e-8
 
 
 def test_steady_state_photon_number():
@@ -94,11 +95,13 @@ def test_steady_state_photon_number():
 
 
 def test_static_output_field_limits():
+    # the reference field starts at alpha_in and settles at the steady-state
+    # output, turned by the qubit phase shift phi = 2 arctan(2 chi / kappa)
     eps = drive_amplitude(10.0, KAPPA, CHI)
-    at0 = static_output_field(CHI, KAPPA, eps, +1, 0.0)
+    at0, late = reference.static_output_field(CHI_MHZ, KAPPA_MHZ, 10.0, +1,
+                                                [0.0, 1e7])
     assert at0 == pytest.approx(-eps / math.sqrt(KAPPA), abs=1e-12)
-    phi = qubit_phase_shift(CHI, KAPPA)
-    late = static_output_field(CHI, KAPPA, eps, +1, 1e7)
+    phi = 2.0 * math.atan(2.0 * CHI / KAPPA)
     want = (eps / math.sqrt(KAPPA)) * np.exp(-1j * phi)
     assert abs(late - want) < 1e-12
 
@@ -284,15 +287,11 @@ def test_time_grid_rounding():
     assert t.size == 201 and t[-1] == pytest.approx(10.0)
 
 
-def test_drive_amplitude_and_phase_shift():
+def test_drive_amplitude():
     assert drive_amplitude(0.0, KAPPA, CHI) == 0.0
     assert drive_amplitude(4.0, KAPPA, 0.0) == pytest.approx(2.0 * KAPPA / 2.0)
-    assert qubit_phase_shift(0.0, KAPPA) == 0.0
-    assert qubit_phase_shift(KAPPA / 2.0, KAPPA) == pytest.approx(math.pi / 2.0)
     with pytest.raises(ValueError):
         drive_amplitude(-1.0, KAPPA, CHI)
-    with pytest.raises(ValueError):
-        qubit_phase_shift(CHI, 0.0)
 
 
 def test_readout_config_validation():
