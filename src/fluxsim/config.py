@@ -136,7 +136,7 @@ def capped_work(config):
         # every draw in the readout Monte Carlo
         ("readout points", 100, grid, points),
         ("readout draw points", 100, {**draws, **grid}, n_draws * points),
-        # propagate_gate allocates the drive samples of all its RK4 steps
+        # the time one gate takes grows with its RK4 steps
         ("RK4 steps", 100, {"gate.dt_ns": dt, "max(gate.tau_g_ns_list)": max(taus)},
          max(taus) / dt),
         # each landscape cell and each chi-curve point is a dressed eigensolve

@@ -5,17 +5,16 @@ charge-operator drive, interaction-picture RK4 propagation, leakage-aware
 average gate fidelity with a single virtual-Z phase removed, and
 (eps_d, lambda) pulse optimization at fixed drive frequency: the best point
 of a 3 x 3 seed grid around the Rabi-area estimate and the first-order DRAG
-weight, refined by quadratic models on a shrinking stencil
-(quadratic_refinement).
+weight, refined by quadratic models on a shrinking stencil (minimize).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 
 from .coupled import (
     DEFAULT_MODE,
@@ -121,41 +120,39 @@ class GateSpace:
     n01: float
     lam_drag: float
     label_quality: float
-    dims: CoupledDims
+
+
+GATE_DIMS = CoupledDims(kept=6, n_res=3)
 
 
 def build_gate_space(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
                      mode: CouplingMode = DEFAULT_MODE,
-                     dims: CoupledDims = CoupledDims(kept=6, n_res=3)) -> GateSpace:
+                     dims: CoupledDims = GATE_DIMS) -> GateSpace:
+    """Raises ResonanceRegionError when label_quality is below
+    MIN_ASSIGNMENT_QUALITY: the computational states are then undefined."""
     spec = fluxonium_spectrum(params, flux, dims.dim)
-    n_proj = _coupling_operator(spec.eigenvectors, params, CouplingMode.CHARGE,
-                                dims.kept)
-    charge_op = np.kron(n_proj, np.eye(dims.n_res, dtype=complex))
     h0 = build_coupled_hamiltonian(params, flux, res, mode, dims, spec=spec)
     vals, vecs = diagonalize(h0)
     index, quality = assign_dressed_levels(vecs)
+    label_quality = float(min(quality[0], quality[dims.n_res]))
+    if label_quality < MIN_ASSIGNMENT_QUALITY:
+        raise ResonanceRegionError(
+            f"gate-space label quality {label_quality:.3f} below "
+            f"{MIN_ASSIGNMENT_QUALITY}; computational states undefined",
+            worst_quality=label_quality)
     ground, excited = index[0], index[dims.n_res]  # |0, 0> and |1, 0>
     comp = np.column_stack([vecs[:, ground], vecs[:, excited]])
     omega_01 = float(vals[excited] - vals[ground])
     anharm = spec.transition(2, 1) - spec.transition(1, 0)
+    n_proj = _coupling_operator(spec.eigenvectors, params, CouplingMode.CHARGE,
+                                dims.kept)
     n01 = abs(n_proj[0, 1])
     lam_drag = float(0.5 * (abs(n_proj[1, 2]) / n01) ** 2
                      if dims.kept > 2 else 0.0)
-    label_quality = float(min(quality[0], quality[dims.n_res]))
+    charge_op = np.kron(n_proj, np.eye(dims.n_res, dtype=complex))
     charge_eig = vecs.conj().T @ charge_op @ vecs
     return GateSpace(vals, vecs, charge_eig, comp, omega_01, anharm, n01,
-                     lam_drag, label_quality, dims)
-
-
-def check_gate_labels(space: GateSpace):
-    """Raise ResonanceRegionError when the dressed |0,0> or |1,0> label is
-    backed by a squared overlap below MIN_ASSIGNMENT_QUALITY: the gate's
-    computational subspace is then undefined."""
-    if space.label_quality < MIN_ASSIGNMENT_QUALITY:
-        raise ResonanceRegionError(
-            f"gate-space label quality {space.label_quality:.3f} below "
-            f"{MIN_ASSIGNMENT_QUALITY}; computational states undefined",
-            worst_quality=space.label_quality)
+                     lam_drag, label_quality)
 
 
 DEFAULT_GATE_DT = 1e-3
@@ -167,6 +164,9 @@ ERROR_FLOOR = 1e-2 * UNITARITY_BUDGET
 # RK4 steps whose step matrices are formed and multiplied together at once;
 # bounds the working set (128 step matrices, 0.7 MB) whatever the gate time
 _STEP_BLOCK = 128
+# RK4 steps whose drive is sampled at once, a multiple of _STEP_BLOCK: 0.2 MB
+# whatever the gate time, and large enough that sampling costs little per step
+_DRIVE_BLOCK = 16 * _STEP_BLOCK
 
 
 def _chain(mats):
@@ -204,18 +204,18 @@ def propagate_gate(space: GateSpace, pulse: PulseParams,
     D(t_n)^dag D(t_{n-1}) = F = D(-h), and the final e^{-i H0 tau_g}
     absorbs D(t_{N-1}), so U = V [F B_{N-1} ... F B_0] V^dag.
 
-    The step matrices F B_n of up to _STEP_BLOCK steps come from one GEMM of
-    the drive coefficients against the nine F G_k; F itself is diagonal, so
-    it is added in place on the diagonals of that output. Each block is then
-    chained (see _chain) onto the propagator. dt must be finite and positive
-    (DomainError otherwise).
+    The drive is sampled _DRIVE_BLOCK steps at a time on the bits of
+    np.linspace(0, tau_g, 2 N + 1). The step matrices F B_n of up to
+    _STEP_BLOCK steps come from one GEMM of the drive coefficients against
+    the nine F G_k; F itself is diagonal, so it is added in place on the
+    diagonals of that output. Each block is then chained (see _chain) onto
+    the propagator. dt must be finite and positive (DomainError otherwise).
     """
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"gate step dt must be finite and positive, got {dt}")
     n_steps = max(1, int(round(pulse.tau_g / dt)))
     dt = pulse.tau_g / n_steps
-    t_half = np.linspace(0.0, pulse.tau_g, 2 * n_steps + 1)
-    u = drive_coefficient(pulse, space.anharm, t_half)
+    node = pulse.tau_g / (2 * n_steps)  # np.linspace's spacing
     dim = space.h0_evals.size
     half = np.exp(0.5j * dt * space.h0_evals)  # E = D(h/2)
     full = half ** 2                           # E^2 = D(h) = F^dag
@@ -233,18 +233,24 @@ def propagate_gate(space: GateSpace, pulse: PulseParams,
     gens = gens.reshape(9, -1).view(float)
     free = full.conj()
     h = dt
-    u1, um, uf = u[0:-1:2], u[1::2], u[2::2]
-    coef = np.column_stack([
-        h / 6 * u1, 4 * h / 6 * um, h / 6 * uf,
-        h ** 2 / 6 * um * u1, h ** 2 / 6 * um * um, h ** 2 / 6 * uf * um,
-        h ** 3 / 12 * um * um * u1, h ** 3 / 12 * uf * um * um,
-        h ** 4 / 24 * uf * um * um * u1,
-    ])
     w_prop = np.eye(dim, dtype=complex)
-    for start in range(0, n_steps, _STEP_BLOCK):
-        steps = (coef[start:start + _STEP_BLOCK] @ gens).view(complex)
-        steps[:, ::dim + 1] += free
-        w_prop = _chain(steps.reshape(-1, dim, dim)) @ w_prop
+    for lo in range(0, n_steps, _DRIVE_BLOCK):
+        hi = min(lo + _DRIVE_BLOCK, n_steps)
+        t = np.arange(2 * lo, 2 * hi + 1) * node
+        if hi == n_steps:
+            t[-1] = pulse.tau_g
+        u = drive_coefficient(pulse, space.anharm, t)
+        u1, um, uf = u[0:-1:2], u[1::2], u[2::2]
+        coef = np.column_stack([
+            h / 6 * u1, 4 * h / 6 * um, h / 6 * uf,
+            h ** 2 / 6 * um * u1, h ** 2 / 6 * um * um, h ** 2 / 6 * uf * um,
+            h ** 3 / 12 * um * um * u1, h ** 3 / 12 * uf * um * um,
+            h ** 4 / 24 * uf * um * um * u1,
+        ])
+        for start in range(0, hi - lo, _STEP_BLOCK):
+            steps = (coef[start:start + _STEP_BLOCK] @ gens).view(complex)
+            steps[:, ::dim + 1] += free
+            w_prop = _chain(steps.reshape(-1, dim, dim)) @ w_prop
     # w_prop = D(tau_g)^dag W for the interaction-picture propagator W, so
     # both have the same unitarity defect
     defect = float(np.max(np.abs(w_prop.conj().T @ w_prop - np.eye(dim))))
@@ -292,11 +298,9 @@ _STENCIL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
 _MAX_REFINE_ITER = 100
 
 
-def quadratic_refinement(fun, x0, args=(), *, scale, xatol, fatol=0.0, **_):
+def minimize(fun, x0, *, scale, xatol, fatol=0.0):
     """Minimise a smooth function of two variables from x0 by quadratic
-    models on a shrinking stencil (in the spirit of Powell's NEWUOA); a
-    callable `method` for scipy.optimize.minimize, returning an
-    OptimizeResult.
+    models on a shrinking stencil (in the spirit of Powell's NEWUOA).
 
     In units of `scale`, each iteration evaluates fun at c + r (+-e1, +-e2,
     e1 + e2) around the current best point c, whose value is known. Those
@@ -314,18 +318,19 @@ def quadratic_refinement(fun, x0, args=(), *, scale, xatol, fatol=0.0, **_):
     clipping, -(g.s + s.H.s / 2), are below fatol (the objective has
     converged to its resolution; a clipped step alone would predict too
     little while the minimum lies several radii away), once every component
-    of r * scale is below xatol, or after _MAX_REFINE_ITER iterations;
-    success is true for the first two.
+    of r * scale is below xatol, or after _MAX_REFINE_ITER iterations.
+    Returns the best point x and value fun, the evaluations nfev and
+    iterations nit made, and success, true for the first two stops.
     """
     scale = np.asarray(scale, dtype=float)
     best_x = np.asarray(x0, dtype=float)
-    best_f = fun(best_x, *args)
+    best_f = fun(best_x)
     nfev, nit, r = 1, 0, 1.0
     at_floor = False
     while nit < _MAX_REFINE_ITER and not (at_floor or np.all(r * scale < xatol)):
         nit += 1
         offsets = r * _STENCIL
-        f = [fun(best_x + d * scale, *args) for d in offsets]
+        f = [fun(best_x + d * scale) for d in offsets]
         grad = np.array([f[0] - f[1], f[2] - f[3]]) / (2.0 * r)
         cross = f[4] - f[0] - f[2] + best_f
         hess = np.array([[f[0] + f[1] - 2.0 * best_f, cross],
@@ -343,7 +348,7 @@ def quadratic_refinement(fun, x0, args=(), *, scale, xatol, fatol=0.0, **_):
         if length > 0:
             step *= min(1.0, 4.0 * r / length)
             offsets = np.vstack([offsets, step])
-            f.append(fun(best_x + step * scale, *args))
+            f.append(fun(best_x + step * scale))
         nfev += len(f)
         i = int(np.argmin(f))
         moved, achieved = 0.0, 0.0
@@ -353,8 +358,8 @@ def quadratic_refinement(fun, x0, args=(), *, scale, xatol, fatol=0.0, **_):
             moved = np.linalg.norm(offsets[i])
         r = min(r, max(moved, r / 8.0))
         at_floor = achieved < fatol and predicted < fatol
-    return OptimizeResult(x=best_x, fun=best_f, nfev=nfev, nit=nit,
-                          success=bool(at_floor or np.all(r * scale < xatol)))
+    return SimpleNamespace(x=best_x, fun=best_f, nfev=nfev, nit=nit,
+                           success=bool(at_floor or np.all(r * scale < xatol)))
 
 
 def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
@@ -365,18 +370,16 @@ def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
     The best point of an n_eps x n_lam seed grid (3 x 3 by default;
     geometric in eps_d over a factor eps_span around the Rabi-area
     estimate, linear in lambda over lam_range, by default
-    space.lam_drag +- 2) seeds quadratic_refinement,
-    whose stencil axes are 1 % of the seed's eps_d and 0.5 in lambda. It
-    stops once an iteration decreases the error, and its model predicts a
-    decrease, by less than ERROR_FLOOR, or once the stencil is below
-    xatol * max(1, eps_d) on both axes. Every (eps_d, lambda) is evaluated
+    space.lam_drag +- 2) seeds minimize, whose stencil axes are 1 % of the
+    seed's eps_d and 0.5 in lambda. It stops once an iteration decreases
+    the error, and its model predicts a decrease, by less than ERROR_FLOOR,
+    or once the stencil is below xatol * max(1, eps_d) on both axes. Every (eps_d, lambda) is evaluated
     at most once. Deterministic; returns (PulseParams, GateResult), the
     result being the evaluation at dt of that pulse made during the search.
     Raises OptimizerConsistencyError if the refined error is worse than the
-    best seed's, and ResonanceRegionError (check_gate_labels) before any
-    evaluation.
+    best seed's. The space's labels were checked when it was built
+    (build_gate_space), so no evaluation runs on unlabelled states.
     """
-    check_gate_labels(space)
     if lam_range is None:
         lam_range = (space.lam_drag - 2.0, space.lam_drag + 2.0)
     omega_d = space.omega_01
@@ -394,24 +397,17 @@ def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
                 space, PulseParams(tau_g, *key, omega_d), dt)
         return results[key].error
 
-    best = None
-    for eps_d in eps_grid:
-        for lam in lam_grid:
-            err = gate_error(eps_d, lam)
-            if best is None or err < best[0]:
-                best = (err, float(eps_d), float(lam))
-    grid_err, eps0, lam0 = best
+    # the first of equal seeds wins
+    grid_err, eps0, lam0 = min(
+        ((gate_error(eps_d, lam), float(eps_d), float(lam))
+         for eps_d in eps_grid for lam in lam_grid), key=lambda seed: seed[0])
 
     def objective(x):
         eps_d, lam = x
-        if eps_d <= 0:
-            return 1.0
-        return gate_error(eps_d, lam)
+        return 1.0 if eps_d <= 0 else gate_error(eps_d, lam)
 
-    sol = minimize(objective, x0=[eps0, lam0], method=quadratic_refinement,
-                   options={"scale": (0.01 * eps0, 0.5),
-                            "xatol": xatol * max(1.0, eps0),
-                            "fatol": ERROR_FLOOR})
+    sol = minimize(objective, [eps0, lam0], scale=(0.01 * eps0, 0.5),
+                   xatol=xatol * max(1.0, eps0), fatol=ERROR_FLOOR)
     if sol.fun > grid_err + 1e-15:
         raise OptimizerConsistencyError(
             f"refined error {sol.fun:.3e} worse than grid error {grid_err:.3e}"

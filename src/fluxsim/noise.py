@@ -2,8 +2,8 @@
 
 Each draw applies one constant reduced-flux offset delta = scale * x (x
 standard normal) to the whole flux trajectory of a readout sequence, or to
-the bias point of an already-optimized gate, and the per-draw curves are
-averaged in draw-index order.
+the bias point of already-optimized gates, one gate space per draw, and
+the per-draw curves are averaged in draw-index order.
 
 The PRNG is pinned: a Philox counter-based generator keyed per draw index
 from the master seed, with an explicit Box-Muller transform, so the offset
@@ -19,8 +19,8 @@ import numpy as np
 
 from .coupled import DEFAULT_MODE, CoupledDims, CouplingMode, ResonatorParams
 from .errors import DomainError, ResonanceRegionError
-from .gates import (DEFAULT_GATE_DT, GateResult, PulseParams,
-                    build_gate_space, check_gate_labels, evaluate_gate)
+from .gates import (DEFAULT_GATE_DT, GATE_DIMS, GateResult, build_gate_space,
+                    evaluate_gate)
 from .qubit import EnergyParams, FluxBias, anharmonicity
 from .readout import (ChiProfile, FluxRamp, ReadoutConfig, ramp_inside,
                       ramp_rows, readout_records, time_grid)
@@ -176,39 +176,40 @@ def noisy_readout_snr(ramp: FluxRamp, profile: ChiProfile, cfg: ReadoutConfig,
     )
 
 
-def gate_draw(delta, params: EnergyParams, res: ResonatorParams,
-              pulse: PulseParams, base_flux=0.5, mode: CouplingMode = DEFAULT_MODE,
-              dims: CoupledDims = CoupledDims(kept=6, n_res=3),
-              dt=DEFAULT_GATE_DT, anharm=None) -> GateResult:
-    """Evaluate a fixed, pre-optimized pulse at the offset flux bias.
+def gate_draw(delta, params: EnergyParams, res: ResonatorParams, pulses,
+              base_flux=0.5, mode: CouplingMode = DEFAULT_MODE,
+              dims: CoupledDims = GATE_DIMS, dt=DEFAULT_GATE_DT,
+              anharm=None) -> list[GateResult]:
+    """Evaluate fixed, pre-optimized pulses at the offset flux bias, all on
+    the one gate space built there; one GateResult per pulse.
 
     The applied waveform (amplitude, DRAG weight, drive frequency) is frozen
     at its delta=0 optimum; only the static Hamiltonian moves with the
     offset. The DRAG quadrature keeps the anharmonicity of the unshifted
     bias, since a quasi-static offset is unknown when the pulse is shaped;
     pass it as anharm to skip recomputing it. Raises ResonanceRegionError
-    (check_gate_labels) where the offset bias leaves the computational
-    states unlabelled.
+    (from build_gate_space) where the offset bias leaves the computational
+    states unlabelled, before any pulse is evaluated.
     """
     if anharm is None:
         anharm = anharmonicity(params, FluxBias(base_flux), dims.dim)
-    space = build_gate_space(params, FluxBias(base_flux + delta), res, mode, dims)
-    check_gate_labels(space)
-    return evaluate_gate(replace(space, anharm=anharm), pulse, dt)
+    space = replace(build_gate_space(params, FluxBias(base_flux + delta), res,
+                                     mode, dims), anharm=anharm)
+    return [evaluate_gate(space, pulse, dt) for pulse in pulses]
 
 
 def noisy_gate_error(params: EnergyParams, res: ResonatorParams,
                      pulses, spec: NoiseSpec, base_flux=0.5,
                      mode: CouplingMode = DEFAULT_MODE,
-                     dims: CoupledDims = CoupledDims(kept=6, n_res=3),
+                     dims: CoupledDims = GATE_DIMS,
                      dt=DEFAULT_GATE_DT) -> McCurve:
     """Mean gate error versus gate time under quasi-static flux offsets.
 
     pulses is a sequence of PulseParams pre-optimized at delta=0, one per
     gate time; the axis of the returned curve is their tau_g values. Draws
-    run in draw-index order; a draw whose offset bias leaves the
-    computational states unlabelled (gate_draw's ResonanceRegionError) is
-    excluded with a zero row.
+    run in draw-index order, one gate_draw (one gate space) each; a draw
+    whose offset bias leaves the computational states unlabelled
+    (gate_draw's ResonanceRegionError) is excluded with a zero row.
     """
     anharm = anharmonicity(params, FluxBias(base_flux), dims.dim)
     offsets = sample_flux_offsets(spec)
@@ -216,8 +217,8 @@ def noisy_gate_error(params: EnergyParams, res: ResonatorParams,
     included = np.ones(offsets.size, dtype=bool)
     for k, delta in enumerate(offsets):
         try:
-            draws[k] = [gate_draw(delta, params, res, p, base_flux, mode, dims,
-                                  dt, anharm).error for p in pulses]
+            draws[k] = [result.error for result in gate_draw(
+                delta, params, res, pulses, base_flux, mode, dims, dt, anharm)]
         except ResonanceRegionError:
             included[k] = False
     axis = np.array([p.tau_g for p in pulses])

@@ -248,7 +248,7 @@ def test_criterion_7a_noisy_gate_error_level(gate_mc_curves):
     truncation = float(np.max(np.abs(reference.bare_gate_errors(
         *DEVICE_GHZ, probes, *drive, REF_LEVELS + 1) - at_probes)))
     uncoupled = ResonatorParams.from_ghz(7.0, 5.0, 0.0)
-    zero_g = max(abs(gate_draw(d, PARAMS, uncoupled, pulse).error - ref)
+    zero_g = max(abs(gate_draw(d, PARAMS, uncoupled, [pulse])[0].error - ref)
                  for d, ref in zip(probes, at_probes))
 
     ok = (mean_dev < 2e-3 and worst < 5e-3

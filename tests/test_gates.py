@@ -1,6 +1,7 @@
 """Tests for DRAG pulse gates: envelopes, propagation, fidelity."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from fluxsim import gates
 from fluxsim.coupled import (
@@ -190,6 +192,48 @@ def test_propagator_matches_reference_at_block_edges(space, n_steps):
     assert np.max(np.abs(u - _reference_rk4(space, pulse, DEFAULT_GATE_DT))) <= 1e-11
 
 
+@pytest.mark.parametrize("n_steps", [100, 300, 2048, 3000, 4096])
+def test_streamed_drive_gives_the_unstreamed_propagator(space, monkeypatch,
+                                                        n_steps):
+    # the drive once sampled on np.linspace(0, tau_g, 2 N + 1), as
+    # propagate_gate formed it before streaming, gives the same nodes and
+    # the same propagator, bit for bit: step counts below, at and off a
+    # multiple of the drive block
+    pulse = PulseParams(n_steps * 1e-3, 1.5, 4.7, space.omega_01)
+    streamed = propagate_gate(space, pulse)
+    t_all = np.linspace(0.0, pulse.tau_g, 2 * n_steps + 1)
+    u_all = drive_coefficient(pulse, space.anharm, t_all)
+    blocks = []
+
+    def sliced(pulse_, anharm, t):
+        lo = 2 * gates._DRIVE_BLOCK * len(blocks)
+        blocks.append(t.size)
+        assert t.tobytes() == t_all[lo:lo + t.size].tobytes()
+        return u_all[lo:lo + t.size]
+
+    monkeypatch.setattr(gates, "drive_coefficient", sliced)
+    assert propagate_gate(space, pulse).tobytes() == streamed.tobytes()
+    assert len(blocks) == -(-n_steps // gates._DRIVE_BLOCK)
+    assert sum(blocks) - len(blocks) + 1 == t_all.size
+
+
+def test_gate_memory_does_not_grow_with_the_step_count(space):
+    # 100 times the steps, at most twice the peak: the drive is sampled per
+    # block, not for every step up front
+    peaks = []
+    for n_steps in (3_000, 300_000):
+        tau = n_steps * 1e-3
+        pulse = PulseParams(tau, rabi_area_estimate(space, tau), 0.0,
+                            space.omega_01)
+        tracemalloc.start()
+        try:
+            propagate_gate(space, pulse)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
+
+
 @settings(max_examples=25, deadline=None)
 @given(ratio=st.floats(0.0, 2.5), lam=st.floats(-6.0, 6.0),
        tau_g=st.floats(0.2, 0.4),
@@ -351,7 +395,7 @@ def test_explicit_lam_range_gives_the_former_grid(space, monkeypatch):
 
 def test_drag_weight_is_the_first_order_formula(space):
     # (|<1|n|2>| / |<0|n|1>|)^2 / 2 from the bare matrix elements at f = 0.5
-    spec = fluxonium_spectrum(PARAMS, FluxBias(0.5), space.dims.dim)
+    spec = fluxonium_spectrum(PARAMS, FluxBias(0.5), gates.GATE_DIMS.dim)
     n01 = abs(charge_matrix_element(spec, 0, 1))
     n12 = abs(charge_matrix_element(spec, 1, 2))
     assert space.lam_drag == pytest.approx(0.5 * (n12 / n01) ** 2, rel=1e-12)
@@ -398,8 +442,7 @@ def test_refinement_on_a_singular_hessian_stays_finite():
     # f = (x - y)^2 has a singular Hessian everywhere: steepest descent
     with np.errstate(all="raise"):
         sol = gates.minimize(lambda x: (x[0] - x[1]) ** 2, [1.0, 0.0],
-                             method=gates.quadratic_refinement,
-                             options={"scale": (0.1, 0.1), "xatol": 1e-8})
+                             scale=(0.1, 0.1), xatol=1e-8)
     assert np.all(np.isfinite(sol.x))
     assert sol.fun < 1e-12
     assert sol.success
@@ -420,8 +463,8 @@ def _refinement_values(monkeypatch):
     minimize = gates.minimize
 
     def recording_minimize(fun, x0, **kwargs):
-        def recorded(x, *args):
-            values.append(fun(x, *args))
+        def recorded(x):
+            values.append(fun(x))
             return values[-1]
         return minimize(recorded, x0, **kwargs)
 
@@ -492,9 +535,8 @@ def test_refinement_from_inside_a_flat_patch_makes_one_iteration():
         calls.append(tuple(x))
         return max(0.0, x[0] ** 2 + x[1] ** 2 - 1.0)
 
-    sol = gates.minimize(clamped, [0.1, 0.0], method=gates.quadratic_refinement,
-                         options={"scale": (0.1, 0.1), "xatol": 1e-8,
-                                  "fatol": gates.ERROR_FLOOR})
+    sol = gates.minimize(clamped, [0.1, 0.0], scale=(0.1, 0.1), xatol=1e-8,
+                         fatol=gates.ERROR_FLOOR)
     assert (sol.nit, sol.nfev, len(calls)) == (1, 6, 6)
     assert sol.success and sol.fun == 0.0
     assert tuple(sol.x) == (0.1, 0.0)
@@ -544,9 +586,9 @@ def _nelder_mead_optimum(space, tau_g):
              for e in np.geomspace(est / 2.5, est * 2.5, 3)
              for x in np.linspace(-2.0, 2.0, 3)]
     _, eps0, lam0 = min(seeds, key=lambda seed: seed[0])
-    return gates.minimize(error, x0=[eps0, lam0], method="Nelder-Mead",
-                          options={"xatol": 1e-6 * max(1.0, eps0),
-                                   "fatol": 1e-12, "maxiter": 400})
+    return optimize.minimize(error, x0=[eps0, lam0], method="Nelder-Mead",
+                             options={"xatol": 1e-6 * max(1.0, eps0),
+                                      "fatol": 1e-12, "maxiter": 400})
 
 
 @pytest.mark.slow
@@ -631,29 +673,29 @@ def _poor_labels(monkeypatch, poor_calls):
     monkeypatch.setattr(gates, "assign_dressed_levels", assign_poorly)
 
 
-def test_optimiser_refuses_a_space_with_poor_labels(monkeypatch):
+def test_no_gate_space_is_built_with_poor_labels(monkeypatch):
+    # the refusal comes where the space is built, before any evaluation
     _poor_labels(monkeypatch, lambda call: True)
-    poor = build_gate_space(PARAMS, FluxBias(0.5), RES)
-    assert poor.label_quality == 0.5 * MIN_ASSIGNMENT_QUALITY
     calls = _recording_gate(monkeypatch)
     with pytest.raises(ResonanceRegionError) as info:
-        optimize_pulse(poor, 3.0)
-    assert info.value.worst_quality == poor.label_quality
+        build_gate_space(PARAMS, FluxBias(0.5), RES)
+    assert info.value.worst_quality == 0.5 * MIN_ASSIGNMENT_QUALITY
     assert calls == []
 
 
 def test_gate_draws_with_poor_labels_are_excluded(space, monkeypatch):
-    pulse = PulseParams(3.0, rabi_area_estimate(space, 3.0), space.lam_drag,
-                        space.omega_01)
+    pulses = [PulseParams(tau, rabi_area_estimate(space, tau), space.lam_drag,
+                          space.omega_01) for tau in (3.0, 4.0)]
     spec = NoiseSpec(1e-2, 4, 1234)
-    clean = noisy_gate_error(PARAMS, RES, [pulse], spec)
+    clean = noisy_gate_error(PARAMS, RES, pulses, spec)
     assert clean.n_excluded == 0
-    # one space per draw: draws 1 and 3 lose their labels
+    # one space per draw, shared by both pulses: draws 1 and 3 lose their
+    # labels
     _poor_labels(monkeypatch, lambda call: call % 2 == 1)
-    curve = noisy_gate_error(PARAMS, RES, [pulse], spec)
+    curve = noisy_gate_error(PARAMS, RES, pulses, spec)
     assert (curve.n_effective, curve.n_excluded) == (2, 2)
     assert curve.included.tolist() == [True, False, True, False]
-    assert curve.draws[[1, 3]].tolist() == [[0.0], [0.0]]
+    assert curve.draws[[1, 3]].tolist() == [[0.0, 0.0], [0.0, 0.0]]
     assert curve.draws[[0, 2]].tobytes() == clean.draws[[0, 2]].tobytes()
 
 
@@ -663,7 +705,8 @@ def test_gate_space_structure(space):
     assert np.max(np.abs(overlap - np.eye(2))) < 1e-12
     assert space.omega_01 > 0
     assert space.anharm > 0
-    assert space.h0_evals.shape == (space.dims.kept * space.dims.n_res,)
+    dims = gates.GATE_DIMS
+    assert space.h0_evals.shape == (dims.kept * dims.n_res,)
     # the default device's labels hold far above the breakdown threshold
     assert space.label_quality > 0.999
 

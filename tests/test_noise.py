@@ -1,6 +1,7 @@
 """Tests for the quasi-static flux-noise Monte Carlo layer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ def test_gate_draw_zero_offset_matches_direct_evaluation():
     pulse = PulseParams(dims_tau, rabi_area_estimate(space, dims_tau), 0.2,
                         space.omega_01)
     direct = evaluate_gate(space, pulse)
-    shifted = gate_draw(0.0, PARAMS, RES, pulse)
+    (shifted,) = gate_draw(0.0, PARAMS, RES, [pulse])
     assert shifted.error == direct.error
     assert shifted.fidelity == direct.fidelity
 
@@ -231,8 +232,10 @@ def test_gate_draw_applies_the_zero_offset_drive(monkeypatch):
                         lambda space, pulse, dt: spaces.append(space))
     at_zero = build_gate_space(PARAMS, FluxBias(0.5), RES)
     pulse = PulseParams(10.0, 1.5, 4.8, at_zero.omega_01)
-    gate_draw(0.01, PARAMS, RES, pulse)
-    (offset,) = spaces
+    gate_draw(0.01, PARAMS, RES, [pulse, replace(pulse, tau_g=20.0)])
+    # both pulses are evaluated on the one space built at the offset
+    offset, again = spaces
+    assert again is offset
     assert not np.allclose(offset.h0_evals, at_zero.h0_evals)
     assert build_gate_space(PARAMS, FluxBias(0.51), RES).anharm != at_zero.anharm
     t = np.linspace(0.0, pulse.tau_g, 401)
@@ -240,15 +243,25 @@ def test_gate_draw_applies_the_zero_offset_drive(monkeypatch):
                           drive_coefficient(pulse, at_zero.anharm, t))
 
 
-def test_gate_monte_carlo_solves_each_draw_once():
-    # one bare and one coupled eigensolve per draw, plus the delta=0
-    # anharmonicity once per call
+def test_gate_monte_carlo_solves_each_draw_once(monkeypatch):
+    # one gate_draw per draw, whatever the number of gate times: one bare
+    # and one coupled eigensolve per draw, plus the delta=0 anharmonicity
+    # once per call
     space = build_gate_space(PARAMS, FluxBias(0.5), RES)
-    pulse = PulseParams(4.0, rabi_area_estimate(space, 4.0), 0.2,
-                        space.omega_01)
+    pulses = [PulseParams(tau, rabi_area_estimate(space, tau), 0.2,
+                          space.omega_01) for tau in (1.0, 2.0, 4.0)]
+    draws = []
+
+    def counted_draw(*args):
+        draws.append(args[0])
+        return gate_draw(*args)
+
+    monkeypatch.setattr(noise, "gate_draw", counted_draw)
     diagnostics.reset_eigensolve_count()
-    noisy_gate_error(PARAMS, RES, [pulse], NoiseSpec(1e-4, 4, 11))
+    curve = noisy_gate_error(PARAMS, RES, pulses, NoiseSpec(1e-4, 4, 11))
     assert diagnostics.eigensolve_count() == 4 * 2 + 1
+    assert len(draws) == 4
+    assert curve.draws.shape == (4, 3)
 
 
 def test_gate_monte_carlo_is_gate_draw_in_draw_order(monkeypatch):
@@ -266,11 +279,14 @@ def test_gate_monte_carlo_is_gate_draw_in_draw_order(monkeypatch):
     monkeypatch.setattr(noise, "gate_draw", recording_draw)
     curve = noisy_gate_error(PARAMS, RES, pulses, spec)
     deltas = sample_flux_offsets(spec)
-    assert calls == [d for d in deltas for _ in pulses]
+    assert calls == list(deltas)
     for k, delta in enumerate(deltas):
+        for j, result in enumerate(gate_draw(delta, PARAMS, RES, pulses)):
+            assert curve.draws[k, j] == result.error
+        # each pulse on its own gives the same bits
         for j, pulse in enumerate(pulses):
-            assert curve.draws[k, j] == gate_draw(delta, PARAMS, RES,
-                                                  pulse).error
+            (alone,) = gate_draw(delta, PARAMS, RES, [pulse])
+            assert curve.draws[k, j] == alone.error
 
 
 def test_noisy_gate_error_axis_and_monotone_in_scale():
@@ -294,7 +310,7 @@ def test_gate_draws_within_stated_bound_of_unfolded_solve(monkeypatch):
     pulse = PulseParams(10.0, 1.557152, 4.7745, space.omega_01)
     deltas = sample_flux_offsets(NoiseSpec(1e-2, 16, 0))
     assert (deltas > 0).any() and (deltas < 0).any()
-    folded = [gate_draw(d, PARAMS, RES, pulse).error for d in deltas]
+    folded = [gate_draw(d, PARAMS, RES, [pulse])[0].error for d in deltas]
     monkeypatch.setattr(qubit, "spectrum_sweep", unfolded_spectrum_sweep)
-    unfolded = [gate_draw(d, PARAMS, RES, pulse).error for d in deltas]
+    unfolded = [gate_draw(d, PARAMS, RES, [pulse])[0].error for d in deltas]
     assert np.max(np.abs(np.subtract(folded, unfolded))) <= 1e-10

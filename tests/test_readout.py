@@ -156,6 +156,54 @@ def test_demod_phase_maximizes_contrast_of_any_pair():
         assert got <= best * (1.0 + 1e-6)  # the scan's resolution
 
 
+def _closed_form_static_snr(chi_mhz, kappa_mhz, n_bar, eta, taus):
+    """SNR(tau) of static readout from the reference's output field,
+    integrated in closed form.
+
+    That field relaxes from a0 = alpha_out(0) to a_inf = alpha_out(inf) at
+    the complex rate r = kappa/2 + i chi, so its integral over [0, tau] is
+    a_inf tau + (a0 - a_inf)(1 - e^{-r tau}) / r. The sigma_z = -1 field is
+    its conjugate and the quadrature is -pi/2, so
+    SNR = sqrt(kappa eta) 4 |Im integral| / sqrt(2 kappa tau)
+        = 2 sqrt(2 eta / tau) |Im integral|, and SNR(0) = 0."""
+    a0, a_inf = reference.static_output_field(chi_mhz, kappa_mhz, n_bar, +1,
+                                              [0.0, 1e7])
+    rate = 2e-3 * math.pi * (0.5 * kappa_mhz + 1j * chi_mhz)
+    taus = np.asarray(taus, dtype=float)
+    integral = a_inf * taus - (a0 - a_inf) * np.expm1(-rate * taus) / rate
+    snr = np.zeros_like(taus)
+    pos = taus > 0
+    snr[pos] = 2.0 * np.sqrt(2.0 * eta / taus[pos]) * np.abs(integral[pos].imag)
+    return snr
+
+
+@pytest.mark.parametrize("chi_mhz", [CHI_MHZ, -7.95])
+def test_static_snr_matches_closed_form_and_its_root_tau_limit(chi_mhz):
+    # the static and pulsed plateau chi of criterion 5, at the default dt
+    cfg = ReadoutConfig(n_bar=10.0, eta=0.5, kappa=KAPPA, t_max=20000.0)
+    traj = run_static_readout(units.mhz(chi_mhz), cfg)
+    want = _closed_form_static_snr(chi_mhz, KAPPA_MHZ, cfg.n_bar, cfg.eta,
+                                   traj.times)
+    dev = np.abs(traj.snr - want)
+    # the trapezoidal signal integral: measured 1.3e-9 (chi = 0.527 MHz)
+    # and 1.1e-8 (-7.95 MHz) of the peak SNR, and from 10 ns on 1.2e-5 of
+    # the SNR itself
+    assert dev.max() <= 2e-8 * want.max()
+    late = traj.times >= 10.0
+    assert np.max(dev[late] / want[late]) <= 2e-5
+    # SNR / sqrt(tau) -> 2 sqrt(2 eta n_bar kappa) sin(arctan(2 |chi| / kappa))
+    # as 1 - kappa / (|r|^2 tau), r = kappa/2 + i chi: 0.994 at 20 us for
+    # 0.527 MHz, 0.9994 for -7.95 MHz
+    chi = units.mhz(chi_mhz)
+    limit = (2.0 * math.sqrt(2.0 * cfg.eta * cfg.n_bar * KAPPA)
+             * math.sin(math.atan(2.0 * abs(chi) / KAPPA)))
+    approach = 1.0 - KAPPA / ((0.25 * KAPPA ** 2 + chi ** 2) * traj.times[-1])
+    for snr in (want[-1], traj.snr[-1]):
+        ratio = snr / math.sqrt(traj.times[-1]) / limit
+        assert ratio == pytest.approx(approach, rel=1e-10)
+    assert 0.99 < approach < 1.0
+
+
 def test_static_snr_calibration_constant():
     params = EnergyParams.from_ghz(4.75, 1.25, 1.5)
     res = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
@@ -164,6 +212,11 @@ def test_static_snr_calibration_constant():
     traj = run_static_readout(chi, cfg)
     snr, _ = traj.at_time(200.0)
     assert snr == pytest.approx(2.0729907011622464, rel=1e-9)
+    # the value's source: the closed form at the reference's chi, which the
+    # trapezoidal signal integral meets to 4.8e-9 here
+    chi_mhz = reference.dispersive_shift_mhz(4.75, 1.25, 1.5, 0.5, 7.0, 50.0)
+    (want,) = _closed_form_static_snr(chi_mhz, KAPPA_MHZ, 10.0, 1.0, [200.0])
+    assert want == pytest.approx(2.0729907011622464, rel=1e-8)
 
 
 def test_error_curve_is_half_erfc_of_half_snr():
