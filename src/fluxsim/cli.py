@@ -26,10 +26,10 @@ thread count. --workers N is accepted and ignored.
 The result cache holds three kinds of entry, each written and read by
 `_cached`: one per (device, chi window), shared by chi-curve, readout and
 noise-readout; one per (device, sweep) for landscape; and one optimised
-pulse per (device, flux, gate truncation, gate time, gate step), shared by
-gates and noise-gates. Entries hold raw values (NaN where resonant); clamps
-and unit conversions apply only on emission. spectrum is one bare
-eigensolve and is not cached.
+pulse per (device, flux, gate truncation, gate time, smallest gate time,
+gate step), shared by gates and noise-gates. Entries hold raw values (NaN
+where resonant); clamps and unit conversions apply only on emission.
+spectrum is one bare eigensolve and is not cached.
 """
 
 from __future__ import annotations
@@ -229,28 +229,40 @@ def cmd_noise_readout(cfg: RunConfig, out_dir, cache_dir):
 def _optimized_pulses(cfg: RunConfig, cache_dir):
     """(PulseParams, {fidelity, error, leakage}) of the optimised pulse at
     each configured gate time, cached as one entry per pulse; the drive
-    frequency is the gate space's omega_01."""
+    frequency is the gate space's omega_01.
+
+    Only the smallest gate time tau_0 is optimised from the seed grid.
+    Every other tau_g is refined from tau_0's optimum (eps_d tau_0 / tau_g,
+    lambda), the same pulse area at the same DRAG weight, so a row depends
+    on tau_0 but not on the order of the list; tau_0 is part of each
+    entry's key."""
     space = build_gate_space(cfg.params, FluxBias(cfg.flux), cfg.resonator,
                              cfg.mode, cfg.gate_dims)
     gate = cfg.raw["gate"]
-    out = []
-    for tau in cfg.gate_taus:
+    tau_0 = min(cfg.gate_taus)
+
+    def cached_pulse(tau, seed=None):
         key = {"op": "pulse", "device": cfg.raw["device"], "flux": cfg.flux,
                "levels_fluxonium": gate["levels_fluxonium"],
                "levels_resonator": gate["levels_resonator"],
-               "tau_g_ns": tau, "dt_ns": cfg.gate_dt}
+               "tau_g_ns": tau, "seed_tau_g_ns": tau_0, "dt_ns": cfg.gate_dt}
 
         def optimize():
-            pulse, result = optimize_pulse(space, tau, dt=cfg.gate_dt)
+            pulse, result = optimize_pulse(space, tau, dt=cfg.gate_dt,
+                                           seed=seed)
             return {"eps_d": pulse.eps_d, "lam": pulse.lam,
                     "fidelity": result.fidelity, "error": result.error,
                     "leakage": result.leakage}
 
         entry = {name: float(values[0]) for name, values
                  in _cached(cache_dir, key, optimize).items()}
-        out.append((PulseParams(tau, entry.pop("eps_d"), entry.pop("lam"),
-                                space.omega_01), entry))
-    return out
+        return (PulseParams(tau, entry.pop("eps_d"), entry.pop("lam"),
+                            space.omega_01), entry)
+
+    first = cached_pulse(tau_0)
+    area, lam = first[0].eps_d * tau_0, first[0].lam
+    return [first if tau == tau_0 else cached_pulse(tau, (area / tau, lam))
+            for tau in cfg.gate_taus]
 
 
 def cmd_gates(cfg: RunConfig, out_dir, cache_dir):

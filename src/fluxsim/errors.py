@@ -49,7 +49,9 @@ class StepSizeError(FluxsimError):
 
 
 class OptimizerConsistencyError(FluxsimError):
-    """A refinement stage returned a worse point than its own starting grid."""
+    """A refinement stage returned a worse point than its own start (the
+    seed, or the best point of its seed grid), or stopped at its iteration
+    bound without converging."""
 
 
 class ConfigError(FluxsimError):

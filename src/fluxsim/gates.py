@@ -5,7 +5,8 @@ charge-operator drive, interaction-picture RK4 propagation, leakage-aware
 average gate fidelity with a single virtual-Z phase removed, and
 (eps_d, lambda) pulse optimization at fixed drive frequency: the best point
 of a 3 x 3 seed grid around the Rabi-area estimate and the first-order DRAG
-weight, refined by quadratic models on a shrinking stencil (minimize).
+weight, or an explicit seed, refined by quadratic models on a shrinking
+stencil (minimize).
 """
 
 from __future__ import annotations
@@ -308,10 +309,13 @@ def minimize(fun, x0, *, scale, xatol, fatol=0.0):
     model exactly.
     The model's Newton step, or the steepest-descent (Cauchy) step when H
     is not positive definite, is clipped to length 4r and evaluated too,
-    and the best of the stencil and that point becomes c. The radius then
-    shrinks to the length of the accepted step, but never below r/8: a flat
-    objective (zero gradient) or an iteration that finds nothing better
-    divides r by 8.
+    and the best of the stencil and that point becomes c. When that point
+    is the unclipped Newton step and achieves at least half the decrease
+    the model predicts for it, the model is trusted and r is divided by 8:
+    c is then close to the minimum, and a smaller stencil fits the model
+    there. Otherwise the radius shrinks to the length of the accepted step,
+    but never below r/8: a flat objective (zero gradient) or an iteration
+    that finds nothing better divides r by 8.
 
     It stops after an iteration in which both the achieved decrease of the
     best value and the model's predicted decrease for its step s before
@@ -335,7 +339,8 @@ def minimize(fun, x0, *, scale, xatol, fatol=0.0):
         cross = f[4] - f[0] - f[2] + best_f
         hess = np.array([[f[0] + f[1] - 2.0 * best_f, cross],
                          [cross, f[2] + f[3] - 2.0 * best_f]]) / r ** 2
-        if hess[0, 0] > 0 and np.linalg.det(hess) > 0:
+        newton = hess[0, 0] > 0 and np.linalg.det(hess) > 0
+        if newton:
             step = -np.linalg.solve(hess, grad)
         elif grad.any():
             curv = grad @ hess @ grad
@@ -356,7 +361,11 @@ def minimize(fun, x0, *, scale, xatol, fatol=0.0):
             achieved = best_f - f[i]
             best_x, best_f = best_x + offsets[i] * scale, float(f[i])
             moved = np.linalg.norm(offsets[i])
-        r = min(r, max(moved, r / 8.0))
+        if (newton and length <= 4.0 * r and i == len(_STENCIL)
+                and achieved >= 0.5 * predicted):
+            r /= 8.0  # the model held over its own step: trust it closer in
+        else:
+            r = min(r, max(moved, r / 8.0))
         at_floor = achieved < fatol and predicted < fatol
     return SimpleNamespace(x=best_x, fun=best_f, nfev=nfev, nit=nit,
                            success=bool(at_floor or np.all(r * scale < xatol)))
@@ -364,30 +373,28 @@ def minimize(fun, x0, *, scale, xatol, fatol=0.0):
 
 def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
                    n_eps=3, n_lam=3, eps_span=2.5, lam_range=None,
-                   xatol=1e-6):
+                   xatol=1e-6, seed=None):
     """Optimise the DRAG pulse's (eps_d, lambda) at gate time tau_g.
 
     The best point of an n_eps x n_lam seed grid (3 x 3 by default;
     geometric in eps_d over a factor eps_span around the Rabi-area
     estimate, linear in lambda over lam_range, by default
     space.lam_drag +- 2) seeds minimize, whose stencil axes are 1 % of the
-    seed's eps_d and 0.5 in lambda. It stops once an iteration decreases
-    the error, and its model predicts a decrease, by less than ERROR_FLOOR,
-    or once the stencil is below xatol * max(1, eps_d) on both axes. Every (eps_d, lambda) is evaluated
+    seed's eps_d and 0.5 in lambda. An explicit seed (eps_d, lambda), such
+    as another gate time's optimum, replaces the grid. The refinement stops
+    once an iteration decreases the error, and its model predicts a
+    decrease, by less than ERROR_FLOOR, or once the stencil is below
+    xatol * max(1, eps_d) on both axes. Every (eps_d, lambda) is evaluated
     at most once. Deterministic; returns (PulseParams, GateResult), the
     result being the evaluation at dt of that pulse made during the search.
-    Raises OptimizerConsistencyError if the refined error is worse than the
-    best seed's. The space's labels were checked when it was built
-    (build_gate_space), so no evaluation runs on unlabelled states.
+    Raises OptimizerConsistencyError if the refinement stops at its
+    iteration bound, or if its error is worse than the seed's (the best
+    grid point's without a seed), and DomainError for a seed whose eps_d is
+    not positive or whose lambda is not finite. The space's labels were
+    checked when it was built (build_gate_space), so no evaluation runs on
+    unlabelled states.
     """
-    if lam_range is None:
-        lam_range = (space.lam_drag - 2.0, space.lam_drag + 2.0)
     omega_d = space.omega_01
-    eps_est = rabi_area_estimate(space, tau_g)
-    # a one-point axis sits at its centre
-    eps_grid = (np.geomspace(eps_est / eps_span, eps_est * eps_span, n_eps)
-                if n_eps > 1 else [eps_est])
-    lam_grid = np.linspace(*lam_range, n_lam) if n_lam > 1 else [sum(lam_range) / 2]
     results = {}
 
     def gate_error(eps_d, lam):
@@ -397,10 +404,26 @@ def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
                 space, PulseParams(tau_g, *key, omega_d), dt)
         return results[key].error
 
-    # the first of equal seeds wins
-    grid_err, eps0, lam0 = min(
-        ((gate_error(eps_d, lam), float(eps_d), float(lam))
-         for eps_d in eps_grid for lam in lam_grid), key=lambda seed: seed[0])
+    if seed is not None:
+        eps0, lam0 = map(float, seed)
+        if not (0 < eps0 < math.inf and math.isfinite(lam0)):
+            raise DomainError(f"pulse seed {seed} needs eps_d > 0 and a "
+                              f"finite lambda")
+        seed_err = gate_error(eps0, lam0)
+    else:
+        if lam_range is None:
+            lam_range = (space.lam_drag - 2.0, space.lam_drag + 2.0)
+        eps_est = rabi_area_estimate(space, tau_g)
+        # a one-point axis sits at its centre
+        eps_grid = (np.geomspace(eps_est / eps_span, eps_est * eps_span, n_eps)
+                    if n_eps > 1 else [eps_est])
+        lam_grid = (np.linspace(*lam_range, n_lam) if n_lam > 1
+                    else [sum(lam_range) / 2])
+        # the first of equal seeds wins
+        seed_err, eps0, lam0 = min(
+            ((gate_error(eps_d, lam), float(eps_d), float(lam))
+             for eps_d in eps_grid for lam in lam_grid),
+            key=lambda point: point[0])
 
     def objective(x):
         eps_d, lam = x
@@ -408,9 +431,13 @@ def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
 
     sol = minimize(objective, [eps0, lam0], scale=(0.01 * eps0, 0.5),
                    xatol=xatol * max(1.0, eps0), fatol=ERROR_FLOOR)
-    if sol.fun > grid_err + 1e-15:
+    if not sol.success:
         raise OptimizerConsistencyError(
-            f"refined error {sol.fun:.3e} worse than grid error {grid_err:.3e}"
-        )
+            f"refinement did not converge in {sol.nit} iterations "
+            f"({sol.nfev} evaluations); last error {sol.fun:.3e}")
+    if sol.fun > seed_err + 1e-15:
+        raise OptimizerConsistencyError(
+            f"refined error {sol.fun:.3e} worse than seed error "
+            f"{seed_err:.3e}")
     result = results[float(sol.x[0]), float(sol.x[1])]
     return result.params, result

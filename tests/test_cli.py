@@ -911,7 +911,7 @@ def test_changed_gate_step_or_flux_is_a_pulse_cache_miss(tmp_path,
                                                          monkeypatch):
     from fluxsim.gates import PulseParams
 
-    def fake(space, tau_g, dt):
+    def fake(space, tau_g, dt, seed=None):
         return (PulseParams(tau_g, 1.0, 4.0, space.omega_01),
                 SimpleNamespace(fidelity=0.75, error=0.25, leakage=0.0))
 
@@ -928,6 +928,105 @@ def test_changed_gate_step_or_flux_is_a_pulse_cache_miss(tmp_path,
         assert (row["eps_d"], row["lambda"], row["error"]) == ("1.0", "4.0",
                                                                "0.25")
     assert len(list((out / ".cache").glob("*.json"))) == 3
+
+
+def _seed_recording_optimizer(monkeypatch):
+    """A stand-in optimiser whose pulse at tau_g has eps_d = 15 / tau_g and
+    lambda = 4.7, or, given a seed, 1.1 times the seed's eps_d and its
+    lambda plus 0.01, so that a pulse seeded from a seeded pulse shows;
+    returns the list of (tau_g, seed) it was called with."""
+    from fluxsim.gates import PulseParams
+    calls = []
+
+    def fake(space, tau_g, dt, seed=None):
+        calls.append((tau_g, seed))
+        eps_d, lam = ((15.0 / tau_g, 4.7) if seed is None
+                      else (1.1 * seed[0], seed[1] + 0.01))
+        return (PulseParams(tau_g, eps_d, lam, space.omega_01),
+                SimpleNamespace(fidelity=0.75, error=0.25, leakage=0.0))
+
+    _counted_optimizer(monkeypatch, fake)
+    return calls
+
+
+def test_longer_gates_are_seeded_from_the_smallest_whatever_the_order(
+        tmp_path, monkeypatch):
+    calls = _seed_recording_optimizer(monkeypatch)
+
+    def gates(taus):
+        raw = _gate_config(tmp_path, tau_g_ns_list=taus)
+        cfg_path, out = write_config(tmp_path, raw)
+        assert main(["gates", "--config", str(cfg_path)]) == 0
+        return {row["tau_g_ns"]: row for row in read_csv(out / "gates.csv")}
+
+    rows = gates([10.0, 20.0, 30.0])
+    # the smallest gate time from the grid, the others from its pulse area
+    assert calls == [(10.0, None), (20.0, (1.5 * 10.0 / 20.0, 4.7)),
+                     (30.0, (1.5 * 10.0 / 30.0, 4.7))]
+    # any order of the same gate times is served from the cache, row for row
+    assert gates([30.0, 10.0, 20.0]) == rows
+    assert len(calls) == 3
+    # without 10 ns the 20 ns pulse is grid-optimised, and 30 ns is seeded
+    # from it: neither reuses an entry written under [10, 20, 30]
+    gates([20.0, 30.0])
+    assert calls[3:] == [(20.0, None), (30.0, (0.75 * 20.0 / 30.0, 4.7))]
+    assert len(list((tmp_path / "out" / ".cache").glob("*.json"))) == 5
+
+
+def test_a_refinement_that_never_converges_exits_3(tmp_path, capsys,
+                                                   monkeypatch):
+    from fluxsim import gates
+
+    def sloped(space, pulse, dt):
+        # no minimum in lambda: the refinement stops at its bound
+        return SimpleNamespace(error=0.5 - 1e-3 * pulse.lam, params=pulse)
+
+    monkeypatch.setattr(gates, "evaluate_gate", sloped)
+    cfg_path, out = write_config(tmp_path, _gate_config(tmp_path))
+    assert main(["gates", "--config", str(cfg_path)]) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["type"] == "OptimizerConsistencyError"
+    assert "did not converge" in record["error"]["message"]
+    assert not (out / "gates.csv").exists()
+    assert not list(out.glob(".cache/*.json"))
+
+
+# the default gate times' pulses as each was grid-optimised on its own,
+# before the longer ones were seeded from the 10 ns optimum and a
+# delivering Newton step shrank the stencil: (eps_d, lambda, error)
+GRID_PULSES = {10.0: (1.5571517878577037, 4.77456857250071,
+                      4.147788446040579e-09),
+               20.0: (0.7784336058952083, 4.765113241255266,
+                      4.414946186415136e-11),
+               30.0: (0.5189380477265512, 4.763477457659615, 0.0)}
+
+
+@pytest.mark.slow
+def test_seeded_pulses_stay_within_stated_bounds_of_the_grid_pulses(
+        tmp_path, monkeypatch):
+    # cold gates on the default gate times: 21 evaluations at 10 ns, 13 at
+    # 20 and 30 ns; every error at most 1e-12 above the grid pulse's, eps_d
+    # within 2e-7 relative and lambda within 6e-5, as README states
+    from fluxsim import gates
+    evaluate, taus = gates.evaluate_gate, []
+
+    def counted(space, pulse, dt):
+        taus.append(pulse.tau_g)
+        return evaluate(space, pulse, dt)
+
+    monkeypatch.setattr(gates, "evaluate_gate", counted)
+    raw = base_config(tmp_path / "out")
+    raw["gate"] = {}
+    cfg_path, out = write_config(tmp_path, raw)
+    assert main(["gates", "--config", str(cfg_path), "--no-cache"]) == 0
+    assert [taus.count(tau) for tau in GRID_PULSES] == [21, 13, 13]
+    rows = read_csv(out / "gates.csv")
+    assert [float(row["tau_g_ns"]) for row in rows] == list(GRID_PULSES)
+    for row in rows:
+        eps_d, lam, error = GRID_PULSES[float(row["tau_g_ns"])]
+        assert float(row["error"]) <= error + 1e-12, row
+        assert abs(float(row["eps_d"]) - eps_d) <= 2e-7 * eps_d, row
+        assert abs(float(row["lambda"]) - lam) <= 6e-5, row
 
 
 def test_gate_space_with_poor_labels_exits_3(tmp_path, capsys, monkeypatch):

@@ -19,7 +19,8 @@ from fluxsim.coupled import (
     ResonatorParams,
     sweep_dressed,
 )
-from fluxsim.errors import DomainError, ResonanceRegionError, StepSizeError
+from fluxsim.errors import (DomainError, OptimizerConsistencyError,
+                            ResonanceRegionError, StepSizeError)
 from fluxsim.gates import (
     DEFAULT_GATE_DT,
     UNITARITY_BUDGET,
@@ -323,7 +324,8 @@ def _no_refinement(monkeypatch):
     """Stand-in for the quadratic refinement that returns its seed point
     unrefined."""
     monkeypatch.setattr(gates, "minimize", lambda fun, x0, **kwargs:
-                        SimpleNamespace(fun=fun(x0), x=np.asarray(x0)))
+                        SimpleNamespace(fun=fun(x0), x=np.asarray(x0),
+                                        success=True))
 
 
 def _fake_gate(monkeypatch, error_of):
@@ -451,9 +453,127 @@ def test_refinement_on_a_singular_hessian_stays_finite():
 def test_pulse_optimisation_evaluation_count(space, monkeypatch):
     calls = _recording_gate(monkeypatch)
     optimize_pulse(space, 3.0, n_eps=3, n_lam=3)
-    # 9 seeds and the refinement, which stops at the error floor: 33 from
-    # the centred lambda axis, 39 from (-2, 0, 2); Nelder-Mead needed 120
-    assert len(calls) <= 34
+    # 9 seeds and the refinement, which stops at the error floor: 27 from
+    # the centred lambda axis (33 before a trusted Newton step shrank the
+    # stencil by 8), 39 from (-2, 0, 2) before that; Nelder-Mead needed 120
+    assert len(calls) <= 27
+
+
+def _recorded(fun):
+    """fun, recording every point it is called at; returns it and the
+    list of points."""
+    calls = []
+
+    def recorded(x):
+        calls.append(np.array(x, dtype=float))
+        return fun(x)
+
+    return recorded, calls
+
+
+def _coupled_quadratic(x):
+    """A quadratic with coupled axes and its minimum 1e-6 at (1.3, -0.7),
+    1.5 stencil radii from the origin."""
+    d0, d1 = x[0] - 1.3, x[1] + 0.7
+    return 1e-6 + 2.0 * d0 ** 2 + 0.6 * d0 * d1 + 0.5 * d1 ** 2
+
+
+def _second_radius(calls):
+    """The radius of the second iteration's stencil (calls 7-11) around the
+    point accepted by the first (call 6, its step)."""
+    offsets = np.array(calls[7:12]) - calls[6]
+    radius = offsets[0, 0]
+    np.testing.assert_allclose(offsets, radius * gates._STENCIL, atol=1e-14)
+    return radius
+
+
+def test_a_newton_step_that_delivers_its_prediction_is_trusted():
+    # the model is exact: its Newton step lands on the minimum and achieves
+    # all it predicts, so the next stencil is r/8 around it, and that
+    # iteration finds nothing left above the floor
+    fun, calls = _recorded(_coupled_quadratic)
+    sol = gates.minimize(fun, [0.0, 0.0], scale=(1.0, 1.0), xatol=1e-12,
+                         fatol=gates.ERROR_FLOOR)
+    np.testing.assert_allclose(calls[6], (1.3, -0.7), atol=1e-12)
+    assert _second_radius(calls) == pytest.approx(1.0 / 8.0, rel=1e-12)
+    assert (sol.nit, sol.nfev, len(calls)) == (2, 13, 13)
+    assert sol.success
+    assert sol.fun - 1e-6 < gates.ERROR_FLOOR
+
+
+def _notched(x):
+    """(x0 - 3.5)^2 + x1^2 raised by 6.2 within 1e-3 of its minimum: the
+    Newton step from the origin (3.5 radii, unclipped) lands there and
+    still beats every stencil value (at best 6.25), but achieves 6.05 of
+    the 12.25 its model predicts."""
+    value = (x[0] - 3.5) ** 2 + x[1] ** 2
+    return value + (6.2 if np.hypot(x[0] - 3.5, x[1]) < 1e-3 else 0.0)
+
+
+@pytest.mark.parametrize("fun, radius", [
+    # the unnotched quadratic: its step delivers, r / 8
+    (lambda x: (x[0] - 3.5) ** 2 + x[1] ** 2, 1.0 / 8.0),
+    # the minimum 10 radii away: the step is clipped to 4 radii, and the
+    # radius shrinks to min(r, max(|step|, r / 8)) = r
+    (lambda x: (x[0] - 10.0) ** 2 + x[1] ** 2, 1.0),
+    # the step achieves less than half its prediction: r as well
+    (_notched, 1.0),
+])
+def test_only_a_delivering_unclipped_newton_step_is_trusted(fun, radius):
+    recorded, calls = _recorded(fun)
+    gates.minimize(recorded, [0.0, 0.0], scale=(1.0, 1.0), xatol=1e-12,
+                   fatol=gates.ERROR_FLOOR)
+    # the first iteration accepted its step
+    assert fun(calls[6]) < min(fun(x) for x in calls[:6])
+    assert _second_radius(calls) == pytest.approx(radius, rel=1e-12)
+
+
+def test_a_refinement_that_never_converges_raises(space, monkeypatch):
+    # a gate error falling linearly in lambda has no minimum: every step is
+    # the clipped Cauchy step, the stencil never shrinks, and the
+    # refinement stops at its iteration bound without success
+    calls = _fake_gate(monkeypatch, lambda eps_d, lam: 0.5 - 1e-3 * lam)
+    with pytest.raises(OptimizerConsistencyError, match="did not converge"):
+        optimize_pulse(space, 3.0)
+    # 9 seeds, the seed point reused, 6 evaluations per iteration
+    assert len(calls) == 9 + 6 * gates._MAX_REFINE_ITER
+
+
+def test_a_seed_replaces_the_grid(space, monkeypatch):
+    est = rabi_area_estimate(space, 3.0)
+    seed = (1.01 * est, 4.5)
+    calls = _fake_gate(monkeypatch, lambda eps_d, lam: (
+        1e-6 + 50.0 * (eps_d / est - 1.03) ** 2 + 2e-3 * (lam - 4.7) ** 2))
+    pulse, _ = optimize_pulse(space, 3.0, seed=seed)
+    # the seed is the first point and no grid point is evaluated
+    assert calls[0] == seed
+    grid = set(_grid_points(space, 3, 3, space.lam_drag - 2.0,
+                            space.lam_drag + 2.0))
+    assert not grid & set(calls)
+    assert abs(pulse.eps_d - 1.03 * est) <= 1e-6 * max(1.0, est)
+    assert abs(pulse.lam - 4.7) <= 1e-6
+
+
+def test_refinement_worse_than_its_seed_raises(space, monkeypatch):
+    # a refinement that returns a point worse than the seed it started from
+    calls = _fake_gate(monkeypatch, lambda eps_d, lam: abs(lam - 4.0))
+    monkeypatch.setattr(gates, "minimize", lambda fun, x0, **kwargs:
+                        SimpleNamespace(fun=fun([x0[0], 5.0]),
+                                        x=np.array([x0[0], 5.0]),
+                                        success=True))
+    with pytest.raises(OptimizerConsistencyError, match="worse than seed"):
+        optimize_pulse(space, 3.0, seed=(1.0, 4.0))
+    assert calls == [(1.0, 4.0), (1.0, 5.0)]
+
+
+@pytest.mark.parametrize("seed", [(0.0, 4.7), (-1.0, 4.7), (math.nan, 4.7),
+                                  (math.inf, 4.7), (1.0, math.nan),
+                                  (1.0, math.inf)])
+def test_a_seed_outside_the_pulse_domain_raises(space, monkeypatch, seed):
+    calls = _fake_gate(monkeypatch, lambda eps_d, lam: 0.5)
+    with pytest.raises(DomainError, match="seed"):
+        optimize_pulse(space, 3.0, seed=seed)
+    assert calls == []
 
 
 def _refinement_values(monkeypatch):
