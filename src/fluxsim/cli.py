@@ -167,7 +167,7 @@ def cmd_landscape(cfg: RunConfig, out_dir, cache_dir):
     key = {"op": "landscape", "sweep": sweep, "device": cfg.raw["device"]}
     landscapes = _cached(cache_dir, key, lambda: compute_landscapes(
         units.ghz(e_j_axis), f_axis, cfg.params.e_c, cfg.params.e_l,
-        cfg.resonator, cfg.mode, cfg.dims, DEFAULT_TRANSITIONS))
+        cfg.resonator, cfg.mode, cfg.dims))
     files = []
     for kind, values in landscapes.items():
         path = write_csv(out_dir / f"landscape_{kind}.csv",

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import units
-from .coupled import CoupledDims, CouplingMode, ResonatorParams
+from .coupled import DEFAULT_MODE, CoupledDims, CouplingMode, ResonatorParams
 from .errors import ConfigError
+from .gates import DEFAULT_GATE_DT, GATE_DIMS
 from .noise import NoiseSpec
 from .qubit import DEFAULT_DIM, EnergyParams
 from .readout import FluxRamp, ReadoutConfig
@@ -49,34 +50,35 @@ def _truncation(key, default):
 # (dotted key, default or REQUIRED, lo, hi, kind), in the order the manifest
 # lists applied defaults. kind float is a finite number, int an integer, list
 # a nonempty list of finite numbers each within [lo, hi], str a nonempty
-# string, CouplingMode one of its values.
+# string, CouplingMode one of its values. A unit-free default the library
+# owns is read from its owner; the others are written here.
 SCHEMA = (
     ("device.e_j_ghz", REQUIRED, 1e-9, None, float),
     ("device.e_c_ghz", REQUIRED, 1e-9, None, float),
     ("device.e_l_ghz", REQUIRED, 1e-9, None, float),
     ("device.omega_r_ghz", 7.0, 1e-9, None, float),
     ("device.g_mhz_over_2pi", 50.0, 0.0, None, float),
-    ("device.coupling_mode", "ladder-rwa", None, None, CouplingMode),
+    ("device.coupling_mode", DEFAULT_MODE.value, None, None, CouplingMode),
     # the DRAG anharmonicity reads bare level 2
     ("device.dim", DEFAULT_DIM, 3, int(_TRUNCATION_FACTOR * DEFAULT_DIM), int),
-    ("device.levels_kept", 8, 2, None, int),
-    _truncation("device.levels_resonator", 8),
-    ("readout.n_bar", 10.0, 0.0, None, float),
-    ("readout.eta", 1.0, 0.0, 1.0, float),
+    ("device.levels_kept", CoupledDims.kept, 2, None, int),
+    _truncation("device.levels_resonator", CoupledDims.n_res),
+    ("readout.n_bar", ReadoutConfig.n_bar, 0.0, None, float),
+    ("readout.eta", ReadoutConfig.eta, 0.0, 1.0, float),
     ("readout.kappa_mhz_over_2pi", 5.0, 1e-12, None, float),
-    ("readout.t_max_ns", 1000.0, 1e-9, None, float),
-    ("readout.dt_ns", 0.05, 1e-9, None, float),
+    ("readout.t_max_ns", ReadoutConfig.t_max, 1e-9, None, float),
+    ("readout.dt_ns", ReadoutConfig.dt, 1e-9, None, float),
     ("readout.chi_clamp_mhz", 50.0, 1e-12, None, float),
     ("readout.ramp.f_start", 0.5, None, None, float),
     ("readout.ramp.f_end", 0.641, None, None, float),
     ("readout.ramp.t_rise_ns", 50.0, 0.0, None, float),
     ("gate.tau_g_ns_list", [10.0, 20.0, 30.0], 1e-9, None, list),
-    ("gate.levels_fluxonium", 6, 2, None, int),
-    _truncation("gate.levels_resonator", 3),
-    ("gate.dt_ns", 1e-3, 1e-12, None, float),
+    ("gate.levels_fluxonium", GATE_DIMS.kept, 2, None, int),
+    _truncation("gate.levels_resonator", GATE_DIMS.n_res),
+    ("gate.dt_ns", DEFAULT_GATE_DT, 1e-12, None, float),
     ("noise.scale", 1e-2, 0.0, None, float),
-    ("noise.n_draws", 50, 1, None, int),
-    ("noise.seed", 1234, 0, SEED_MAX, int),
+    ("noise.n_draws", NoiseSpec.n_draws, 1, None, int),
+    ("noise.seed", NoiseSpec.seed, 0, SEED_MAX, int),
     ("sweep.e_j_min_ghz", 4.75, 1e-9, None, float),
     ("sweep.e_j_max_ghz", 4.75, 1e-9, None, float),
     ("sweep.n_e_j", 1, 1, None, int),

@@ -27,7 +27,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import BLAS_THREAD_VARS, units
 from .errors import (
@@ -355,11 +354,12 @@ def sweep_dressed(params: EnergyParams, f_values, res: ResonatorParams,
     return DressedSweep(labels, bare, energy, quality)
 
 
-def two_level_eigensystem(omega_q, res: ResonatorParams,
-                          n_res=8) -> DressedSweep:
+def two_level_eigensystem(omega_q, res: ResonatorParams) -> DressedSweep:
     """Jaynes-Cummings surrogate: a bare two-level qubit (energies 0,
     omega_q) coupled by g (sigma^- a^dag + sigma^+ a), the two-level
-    ladder-RWA coupling, as a one-point sweep over all 2 n_res labels."""
+    ladder-RWA coupling, as a one-point sweep over all 2 n_res labels at
+    the default resonator truncation."""
+    n_res = CoupledDims.n_res
     bare = np.array([[0.0, omega_q]])
     h = assemble_coupled(bare, lowering_operator(2), res,
                          CouplingMode.LADDER_RWA, n_res)
@@ -411,41 +411,42 @@ def fill_and_clamp(vals, clamp):
     return np.clip(out, -clamp, clamp)
 
 
-def _landscape_row(params, f_values, res, mode, dims, transitions):
+def _landscape_row(params, f_values, res, mode, dims):
     """{kind: values along f_values} at one E_J, all from one dressed sweep;
     NaN marks resonant cells."""
-    levels = sorted({i for ij in transitions for i in ij})
+    levels = sorted({i for ij in DEFAULT_TRANSITIONS for i in ij})
     labels = CHI_LABELS + tuple((i, 0) for i in levels if (i, 0) not in CHI_LABELS)
     sweep = sweep_dressed(params, f_values, res, mode, dims, labels)
     row = {"omega_q": sweep.bare[:, 1] - sweep.bare[:, 0], "chi": sweep.chi()}
-    for (i, j) in transitions:
+    for (i, j) in DEFAULT_TRANSITIONS:
         row[f"delta_{i}{j}"] = sweep.detuning(res, i, j)
     return row
 
 
-def _cell_values(params, flux, res, mode, dims, transitions):
+def _cell_values(params, flux, res, mode, dims):
     """All landscape quantities at one cell: {kind: (value, status)}."""
-    row = _landscape_row(params, [flux.f], res, mode, dims, transitions)
+    row = _landscape_row(params, [flux.f], res, mode, dims)
     return {k: (float(v[0]), STATUS_RESONANT if np.isnan(v[0]) else STATUS_OK)
             for k, v in row.items()}
 
 
 def compute_landscapes(e_j_axis, f_axis, e_c, e_l, res: ResonatorParams,
                        mode: CouplingMode = DEFAULT_MODE,
-                       dims: CoupledDims = CoupledDims(),
-                       transitions=DEFAULT_TRANSITIONS):
+                       dims: CoupledDims = CoupledDims()):
     """Sweep (E_J, f), one flux sweep per E_J; every grid cell equals the
     single-point operation with identical inputs. Returns {kind: raw values
-    (len(e_j_axis), len(f_axis))} for omega_q, chi and each delta_ij, NaN
-    where resonant: resonance marks a cell, never aborts.
+    (len(e_j_axis), len(f_axis))} for omega_q, chi and each delta_ij of
+    DEFAULT_TRANSITIONS, NaN where resonant: resonance marks a cell, never
+    aborts.
     """
     e_j_axis = np.asarray(e_j_axis, dtype=float)
     f_axis = np.asarray(f_axis, dtype=float)
-    kinds = ["omega_q", "chi"] + [f"delta_{i}{j}" for (i, j) in transitions]
+    kinds = ["omega_q", "chi"] + [f"delta_{i}{j}"
+                                  for (i, j) in DEFAULT_TRANSITIONS]
     values = {k: np.empty((e_j_axis.size, f_axis.size)) for k in kinds}
     for a, e_j in enumerate(e_j_axis):
         row = _landscape_row(EnergyParams(float(e_j), e_c, e_l), f_axis,
-                             res, mode, dims, transitions)
+                             res, mode, dims)
         for k in kinds:
             values[k][a] = row[k]
     return values
@@ -476,6 +477,9 @@ def find_anticrossing(params: EnergyParams, res: ResonatorParams,
     the gap |E(i, 0) - E(j, 1)| between the dressed levels labelled |i, 0>
     and |j, 1>, each read from a one-point `sweep_dressed`; the window must
     bracket exactly one interior gap minimum."""
+    # the package's only use of scipy.optimize: imported here, not at start-up
+    from scipy.optimize import minimize_scalar
+
     i, j = transition
     a, b = window
     if not b > a:
@@ -521,7 +525,7 @@ def build_chi_profile(params: EnergyParams, res: ResonatorParams,
                       mode: CouplingMode = DEFAULT_MODE,
                       dims: CoupledDims = CoupledDims(),
                       f_min=0.40, f_max=0.70, step=1e-4,
-                      clamp=units.mhz(50.0)) -> ChiProfile:
+                      clamp=ChiProfile.clamp) -> ChiProfile:
     """Tabulate chi on `chi_grid(f_min, f_max, step)` in one dressed sweep
     and make it a `chi_profile`."""
     grid = chi_grid(f_min, f_max, step)

@@ -69,30 +69,21 @@ class GateResult:
         return 1.0 - self.fidelity
 
 
-def envelope(t, tau_g):
-    """In-phase envelope s(t) = (1 - cos(2 pi t / tau_g)) / 2 on [0, tau_g]."""
+def drive_coefficient(pulse: PulseParams, anharm, t):
+    """Scalar multiplying the charge operator at times t in [0, tau_g]:
+    eps_d [2 s(t) sin(omega_d t) + s'(t) cos(omega_d t)], with the in-phase
+    envelope s(t) = (1 - cos(2 pi t / tau_g)) / 2 and the out-of-phase DRAG
+    envelope s'(t) = (lambda / alpha) ds/dt, analytically
+    (lambda / alpha) (pi / tau_g) sin(2 pi t / tau_g)."""
+    tau_g = pulse.tau_g
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0) or np.any(t_arr > tau_g):
         raise DomainError(f"t={t} outside pulse window [0, {tau_g}]")
-    return 0.5 * (1.0 - np.cos(2.0 * math.pi * t_arr / tau_g))
-
-
-def drag_envelope(t, tau_g, lam, anharm):
-    """Out-of-phase envelope s'(t) = (lambda / alpha) ds/dt, analytically:
-    (lambda / alpha) (pi / tau_g) sin(2 pi t / tau_g)."""
     if anharm == 0.0:
         raise ZeroDivisionError("anharmonicity is zero; DRAG correction singular")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0) or np.any(t_arr > tau_g):
-        raise DomainError(f"t={t} outside pulse window [0, {tau_g}]")
-    return (lam / anharm) * (math.pi / tau_g) * np.sin(2.0 * math.pi * t_arr / tau_g)
-
-
-def drive_coefficient(pulse: PulseParams, anharm, t):
-    """Scalar multiplying the charge operator:
-    eps_d [2 s(t) sin(omega_d t) + s'(t) cos(omega_d t)]."""
-    s = envelope(t, pulse.tau_g)
-    sp = drag_envelope(t, pulse.tau_g, pulse.lam, anharm)
+    phase = 2.0 * math.pi * t_arr / tau_g
+    s = 0.5 * (1.0 - np.cos(phase))
+    sp = (pulse.lam / anharm) * (math.pi / tau_g) * np.sin(phase)
     return pulse.eps_d * (2.0 * s * np.sin(pulse.omega_d * t)
                           + sp * np.cos(pulse.omega_d * t))
 
@@ -108,8 +99,7 @@ class GateSpace:
     |1,0> eigenvectors (columns); omega_01 the dressed qubit frequency;
     anharm the bare qubit anharmonicity; n01 = |<0|n|1>|; lam_drag the
     first-order DRAG weight (|<1|n|2>| / |<0|n|1>|)^2 / 2 (Motzoi et al.,
-    PRL 103, 110501 (2009)), 0 when level 2 is not kept; label_quality the
-    worse squared bare overlap backing the |0,0> and |1,0> labels.
+    PRL 103, 110501 (2009)), 0 when level 2 is not kept.
     """
 
     h0_evals: np.ndarray
@@ -120,7 +110,6 @@ class GateSpace:
     anharm: float
     n01: float
     lam_drag: float
-    label_quality: float
 
 
 GATE_DIMS = CoupledDims(kept=6, n_res=3)
@@ -129,8 +118,9 @@ GATE_DIMS = CoupledDims(kept=6, n_res=3)
 def build_gate_space(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
                      mode: CouplingMode = DEFAULT_MODE,
                      dims: CoupledDims = GATE_DIMS) -> GateSpace:
-    """Raises ResonanceRegionError when label_quality is below
-    MIN_ASSIGNMENT_QUALITY: the computational states are then undefined."""
+    """Raises ResonanceRegionError when the worse squared bare overlap
+    backing the |0,0> and |1,0> labels is below MIN_ASSIGNMENT_QUALITY: the
+    computational states are then undefined."""
     spec = fluxonium_spectrum(params, flux, dims.dim)
     h0 = build_coupled_hamiltonian(params, flux, res, mode, dims, spec=spec)
     vals, vecs = diagonalize(h0)
@@ -153,7 +143,7 @@ def build_gate_space(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
     charge_op = np.kron(n_proj, np.eye(dims.n_res, dtype=complex))
     charge_eig = vecs.conj().T @ charge_op @ vecs
     return GateSpace(vals, vecs, charge_eig, comp, omega_01, anharm, n01,
-                     lam_drag, label_quality)
+                     lam_drag)
 
 
 DEFAULT_GATE_DT = 1e-3
@@ -372,19 +362,18 @@ def minimize(fun, x0, *, scale, xatol, fatol=0.0):
 
 
 def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
-                   n_eps=3, n_lam=3, eps_span=2.5, lam_range=None,
-                   xatol=1e-6, seed=None):
+                   n_eps=3, n_lam=3, lam_range=None, seed=None):
     """Optimise the DRAG pulse's (eps_d, lambda) at gate time tau_g.
 
     The best point of an n_eps x n_lam seed grid (3 x 3 by default;
-    geometric in eps_d over a factor eps_span around the Rabi-area
+    geometric in eps_d over a factor 2.5 around the Rabi-area
     estimate, linear in lambda over lam_range, by default
     space.lam_drag +- 2) seeds minimize, whose stencil axes are 1 % of the
     seed's eps_d and 0.5 in lambda. An explicit seed (eps_d, lambda), such
     as another gate time's optimum, replaces the grid. The refinement stops
     once an iteration decreases the error, and its model predicts a
     decrease, by less than ERROR_FLOOR, or once the stencil is below
-    xatol * max(1, eps_d) on both axes. Every (eps_d, lambda) is evaluated
+    1e-6 * max(1, eps_d) on both axes. Every (eps_d, lambda) is evaluated
     at most once. Deterministic; returns (PulseParams, GateResult), the
     result being the evaluation at dt of that pulse made during the search.
     Raises OptimizerConsistencyError if the refinement stops at its
@@ -415,7 +404,7 @@ def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
             lam_range = (space.lam_drag - 2.0, space.lam_drag + 2.0)
         eps_est = rabi_area_estimate(space, tau_g)
         # a one-point axis sits at its centre
-        eps_grid = (np.geomspace(eps_est / eps_span, eps_est * eps_span, n_eps)
+        eps_grid = (np.geomspace(eps_est / 2.5, eps_est * 2.5, n_eps)
                     if n_eps > 1 else [eps_est])
         lam_grid = (np.linspace(*lam_range, n_lam) if n_lam > 1
                     else [sum(lam_range) / 2])
@@ -430,7 +419,7 @@ def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
         return 1.0 if eps_d <= 0 else gate_error(eps_d, lam)
 
     sol = minimize(objective, [eps0, lam0], scale=(0.01 * eps0, 0.5),
-                   xatol=xatol * max(1.0, eps0), fatol=ERROR_FLOOR)
+                   xatol=1e-6 * max(1.0, eps0), fatol=ERROR_FLOOR)
     if not sol.success:
         raise OptimizerConsistencyError(
             f"refinement did not converge in {sol.nit} iterations "

@@ -295,7 +295,7 @@ def test_criterion_8_closed_form_oracle(profile):
 
 def test_criterion_9_jaynes_cummings_oracle():
     omega_q = units.ghz(5.2)
-    dressed = two_level_eigensystem(omega_q, RES, 8)
+    dressed = two_level_eigensystem(omega_q, RES)
     omega_r, g = RES.omega_r, RES.g
     sign = 1.0 if omega_q > omega_r else -1.0
 

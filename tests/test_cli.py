@@ -340,6 +340,23 @@ def test_cli_import_pins_blas_threads_before_numpy(code, env, want):
     assert json.loads(done.stdout) == want
 
 
+def test_cli_import_leaves_scipy_optimize_to_the_anticrossing(tmp_path):
+    # a fresh process with the BLAS variables unset, as a user starts the
+    # CLI: only the anticrossing search loads scipy.optimize, when it runs
+    run_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    run_env["PYTHONPATH"] = str(Path(qubit.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fluxsim.cli; print('scipy.optimize' in sys.modules)"],
+        env=run_env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+    cfg_path, out = write_config(tmp_path)
+    done = subprocess.run([sys.executable, "-m", "fluxsim.cli", "anticrossing",
+                           "--config", str(cfg_path)], env=run_env)
+    assert done.returncode == 0
+    assert len(read_csv(out / "anticrossing.csv")) == 1
+
+
 def test_warm_chi_curve_is_byte_identical_to_cold(tmp_path):
     cfg_path, out, _ = _small_chi_window(tmp_path)
     assert main(["chi-curve", "--config", str(cfg_path)]) == 0

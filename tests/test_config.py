@@ -445,8 +445,8 @@ def _default(fn, name):
 
 
 def test_library_defaults_are_the_schema_defaults():
-    # the library restates some of the table's defaults as its own keyword
-    # and field defaults, in its units; each pair must agree
+    # the table reads its unit-free defaults from the library; the defaults
+    # both still write, each in its own units, must agree
     d = {key: default for key, default, *_ in SCHEMA}
     dims = CoupledDims(d["device.dim"], d["device.levels_kept"],
                        d["device.levels_resonator"])
@@ -454,15 +454,11 @@ def test_library_defaults_are_the_schema_defaults():
                             d["gate.levels_resonator"])
     clamp = units.mhz(d["readout.chi_clamp_mhz"])
     pairs = {
-        "CoupledDims": (CoupledDims(), dims),
         "ReadoutConfig.kappa": (_default(readout.ReadoutConfig, "kappa"),
                                 units.mhz(d["readout.kappa_mhz_over_2pi"])),
         "ChiProfile.clamp": (_default(readout.ChiProfile, "clamp"), clamp),
         "build_chi_profile.clamp": (_default(coupled.build_chi_profile,
                                              "clamp"), clamp),
-        "DEFAULT_MODE": (coupled.DEFAULT_MODE.value,
-                         d["device.coupling_mode"]),
-        "DEFAULT_GATE_DT": (gates.DEFAULT_GATE_DT, d["gate.dt_ns"]),
         "find_anticrossing.window": (
             _default(coupled.find_anticrossing, "window"),
             (d["anticrossing.window_lo"], d["anticrossing.window_hi"])),
@@ -470,13 +466,6 @@ def test_library_defaults_are_the_schema_defaults():
             _default(coupled.find_anticrossing, "transition"),
             (d["anticrossing.level_i"], d["anticrossing.level_j"])),
     }
-    for field, key in (("n_bar", "n_bar"), ("eta", "eta"),
-                       ("t_max", "t_max_ns"), ("dt", "dt_ns")):
-        pairs[f"ReadoutConfig.{field}"] = (
-            _default(readout.ReadoutConfig, field), d[f"readout.{key}"])
-    for field in ("n_draws", "seed"):
-        pairs[f"NoiseSpec.{field}"] = (_default(noise.NoiseSpec, field),
-                                       d[f"noise.{field}"])
     for name in ("f_min", "f_max", "step"):
         pairs[f"build_chi_profile.{name}"] = (
             _default(coupled.build_chi_profile, name), d[f"chi_curve.{name}"])

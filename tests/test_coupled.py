@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,7 +75,7 @@ def _jc_label_energy(i, n, omega_q, omega_r, g):
 
 def test_two_level_ladder_matches_jaynes_cummings():
     omega_q = units.ghz(5.2)
-    dressed = two_level_eigensystem(omega_q, RES, n_res=8)
+    dressed = two_level_eigensystem(omega_q, RES)
     for i in range(2):
         for n in range(4):
             want = _jc_label_energy(i, n, omega_q, RES.omega_r, RES.g)
@@ -83,7 +84,7 @@ def test_two_level_ladder_matches_jaynes_cummings():
 
 def test_two_level_dispersive_shift_matches_analytic():
     omega_q = units.ghz(5.2)
-    dressed = two_level_eigensystem(omega_q, RES, n_res=8)
+    dressed = two_level_eigensystem(omega_q, RES)
     assert dressed.labels == tuple((i, n) for i in range(2) for n in range(8))
     chi = dressed.chi()[0]
     e = lambda i, n: _jc_label_energy(i, n, omega_q, RES.omega_r, RES.g)
@@ -220,13 +221,13 @@ def test_anticrossing_within_xtol_of_golden_section(mode, f_golden,
                                                     monkeypatch):
     # f* of the golden-section search that bounded minimization replaced
     gaps = []
-    minimize = coupled.minimize_scalar
+    minimize = scipy.optimize.minimize_scalar
 
     def spy(fun, *args, **kwargs):
         gaps.append(fun)
         return minimize(fun, *args, **kwargs)
 
-    monkeypatch.setattr(coupled, "minimize_scalar", spy)
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", spy)
     ac = find_anticrossing(PARAMS, RES, mode)
     assert coupled.ANTICROSSING_XTOL == 1e-6
     assert abs(ac.f_star - f_golden) <= 1e-6
