@@ -93,9 +93,12 @@ class McCurve:
 
 
 def _sum_in_draw_order(rows):
-    """Sum over axis 0 in draw-index order from +0.0, as a loop adding one
-    draw at a time does; np.sum pairs terms up over a single column."""
-    return np.add.accumulate(rows, axis=0)[-1] + 0.0
+    """Sum over axis 0 in draw-index order from +0.0, one draw at a time;
+    np.sum pairs terms up over a single column."""
+    total = np.zeros(rows.shape[1:])
+    for row in rows:
+        total += row
+    return total
 
 
 def aggregate_curves(axis, draws, included, scale, seed) -> McCurve:

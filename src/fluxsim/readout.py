@@ -72,6 +72,13 @@ class FluxRamp:
         frac = np.clip(t / self.t_rise, 0.0, 1.0)
         return self.f_start + (self.f_end - self.f_start) * frac
 
+    def held_from(self, t):
+        """Index of the first of the increasing times t from which flux_at
+        is constant: the first t >= t_rise, where t / t_rise clips to 1
+        (the first t > 0 for a step)."""
+        side = "right" if self.t_rise == 0.0 else "left"
+        return int(np.searchsorted(t, self.t_rise, side=side))
+
     def shifted(self, delta):
         return FluxRamp(self.f_start + delta, self.f_end + delta, self.t_rise)
 
@@ -132,6 +139,30 @@ def time_grid(t_max, dt):
 _STEP_BLOCK = 256
 
 
+def _block_scan(chi_block, kappa, epsilon, dt, steps):
+    """(C, cumsum(Q / C)) over the rows of a block of RK4 steps, C the
+    prefix products of P (see integrate_langevin), from chi_block, chi on
+    the steps' half grid, (rows, 2 steps + 1). Three samples, one step's,
+    stand for a block whose chi is held: that step's P and Q are broadcast
+    to every step, with the bits each step's own would have, since the
+    stage algebra is elementwise."""
+    h, hh = dt, 0.5 * dt
+    a = np.empty(chi_block.shape[::-1], dtype=complex)
+    a.real = -0.5 * kappa
+    a.imag = -chi_block.T
+    a1, a2, a4 = a[0:-1:2], a[1::2], a[2::2]
+    p2 = a2 * (1.0 + hh * a1)
+    q2 = 1.0 + hh * a2
+    p3 = a2 * (1.0 + hh * p2)
+    q3 = 1.0 + hh * a2 * q2
+    p4 = a4 * (1.0 + h * p3)
+    q4 = 1.0 + h * a4 * q3
+    step_p = 1.0 + (h / 6.0) * (a1 + 2.0 * p2 + 2.0 * p3 + p4)
+    step_q = (h / 6.0) * (1.0 + 2.0 * q2 + 2.0 * q3 + q4) * epsilon
+    c = np.cumprod(np.broadcast_to(step_p, (steps, a.shape[1])), axis=0)
+    return c, np.cumsum(step_q / c, axis=0)
+
+
 def integrate_langevin(chi_half, kappa, epsilon, dt):
     """RK4 integration of alpha' = (-i chi(t) - kappa/2) alpha + epsilon from
     alpha(0) = 0 (the forcing is -sqrt(kappa) alpha_in with
@@ -150,10 +181,12 @@ def integrate_langevin(chi_half, kappa, epsilon, dt):
     Their Applications", 1990): with C_s = P_lo+1 ... P_s,
     alpha_s = C_s (alpha_lo + sum_{lo < j <= s} Q_j / C_j). P and Q are
     built for _STEP_BLOCK steps at a time and each block is one cumprod and
-    one cumsum over all rows. This rounds differently from stepping
-    alpha <- P alpha + Q one step at a time: against that loop (t_max up to
-    5 us, dt = 0.05 ns) alpha_out moves by at most 9.2e-14, SNR by 1.3e-13
-    of its peak and the error by 1.5e-14.
+    one cumsum over all rows. A block in which every row's chi is held
+    builds them from its first step alone, with the same bits, and reuses
+    the scan of a held block of its length just before it. This rounds
+    differently from stepping alpha <- P alpha + Q one step at a time:
+    against that loop (t_max up to 5 us, dt = 0.05 ns) alpha_out moves by
+    at most 9.2e-14, SNR by 1.3e-13 of its peak and the error by 1.5e-14.
 
     The scan divides by C_s, so the step must keep P_s away from 0. For
     dt |kappa/2 + i chi| <= 1 on the half grid, 0.375 <= |P_s| < 1.31
@@ -174,25 +207,20 @@ def integrate_langevin(chi_half, kappa, epsilon, dt):
             dt=dt,
         )
     n = (chi_half.shape[1] - 1) // 2
-    h, hh = dt, 0.5 * dt
     alpha = np.empty((n + 1, chi_half.shape[0]), dtype=complex)
     alpha[0] = 0.0
+    scan = (False, None, None)  # (held, C, cumsum(Q / C)) of the last block
     for lo in range(0, n, _STEP_BLOCK):
         hi = min(lo + _STEP_BLOCK, n)
-        a = np.empty((2 * (hi - lo) + 1, chi_half.shape[0]), dtype=complex)
-        a.real = -0.5 * kappa
-        a.imag = -chi_half[:, 2 * lo:2 * hi + 1].T
-        a1, a2, a4 = a[0:-1:2], a[1::2], a[2::2]
-        p2 = a2 * (1.0 + hh * a1)
-        q2 = 1.0 + hh * a2
-        p3 = a2 * (1.0 + hh * p2)
-        q3 = 1.0 + hh * a2 * q2
-        p4 = a4 * (1.0 + h * p3)
-        q4 = 1.0 + h * a4 * q3
-        step_p = 1.0 + (h / 6.0) * (a1 + 2.0 * p2 + 2.0 * p3 + p4)
-        step_q = (h / 6.0) * (1.0 + 2.0 * q2 + 2.0 * q3 + q4) * epsilon
-        c = np.cumprod(step_p, axis=0)
-        alpha[lo + 1:hi + 1] = c * (alpha[lo] + np.cumsum(step_q / c, axis=0))
+        block = chi_half[:, 2 * lo:2 * hi + 1]
+        # where every row's chi is held, the block repeats one step's map;
+        # consecutive blocks share an edge sample, so a held block after a
+        # held block of its length repeats that block's whole scan
+        held = bool(np.all(block == block[:, :1]))
+        if not (held and scan[0] and len(scan[1]) == hi - lo):
+            scan = (held, *_block_scan(block[:, :3] if held else block,
+                                       kappa, epsilon, dt, hi - lo))
+        alpha[lo + 1:hi + 1] = scan[1] * (alpha[lo] + scan[2])
     if not np.all(np.isfinite(alpha.view(float))):
         raise NumericalFailureError(
             "non-finite value during Langevin integration",
@@ -300,10 +328,14 @@ def ramp_inside(ramp: FluxRamp, profile: ChiProfile) -> bool:
 
 def ramp_rows(ramps, profile: ChiProfile, cfg: ReadoutConfig):
     """The readout rows of flux ramps, for readout_records: chi on the half
-    grid of time_grid(cfg.t_max, cfg.dt), each ramp mapped through the
+    grid of time_grid(cfg.t_max, cfg.dt), all ramps mapped through the
     profile in one chi_at call, and each drive target chi(f_end). A ramp
     held at f_start is static readout at chi(f_start). Raises DomainError
-    if a ramp leaves the profile's domain."""
+    if a ramp leaves the profile's domain.
+
+    A row is mapped only up to the first point of its plateau
+    (FluxRamp.held_from); the rest of the plateau takes that point's chi,
+    the bits chi_at gives each of those equal fluxes."""
     for ramp in ramps:
         if not ramp_inside(ramp, profile):
             raise DomainError(
@@ -313,7 +345,14 @@ def ramp_rows(ramps, profile: ChiProfile, cfg: ReadoutConfig):
             )
     times = time_grid(cfg.t_max, cfg.dt)
     t_half = np.linspace(times[0], times[-1], 2 * times.size - 1)
-    chi_half = profile.chi_at(np.array([ramp.flux_at(t_half) for ramp in ramps]))
+    flux = [ramp.flux_at(t_half[:ramp.held_from(t_half) + 1])
+            for ramp in ramps]
+    chi = np.split(profile.chi_at(np.concatenate(flux)),
+                   np.cumsum([part.size for part in flux])[:-1])
+    chi_half = np.empty((len(ramps), t_half.size))
+    for row, part in zip(chi_half, chi):
+        row[:part.size] = part
+        row[part.size:] = part[-1]
     return chi_half, [profile.chi_at(ramp.f_end) for ramp in ramps]
 
 

@@ -297,20 +297,36 @@ def test_ramp_rows_domain_check():
     assert target == profile.chi_at(0.54)
 
 
-def test_ramp_rows_sample_each_ramp_through_the_profile():
+def test_ramp_rows_sample_each_ramp_through_the_profile(monkeypatch):
     # stacked rows equal each ramp's chi(flux_at(t)) on its own, bit for
-    # bit, for 16 noise-shifted ramps and the zero-height (static) ramp
+    # bit, for 16 noise-shifted ramps; a ramp that never reaches its
+    # plateau, a step at t = 0, a rise that ends between half-grid points,
+    # a descending ramp; and the zero-height (static) ramp
     profile = _synthetic_profile()
     cfg = ReadoutConfig(kappa=KAPPA, t_max=250.0, dt=0.05)
-    ramps = [*_shifted(16), FluxRamp(0.5, 0.5, 0.0)]
+    ramps = [*_shifted(16), FluxRamp(0.45, 0.65, 400.0),
+             FluxRamp(0.45, 0.6, 0.0), FluxRamp(0.5, 0.641, 37.01),
+             FluxRamp(0.641, 0.5, 50.0), FluxRamp(0.5, 0.5, 0.0)]
     chi_half, targets = ramp_rows(ramps, profile, cfg)
     t_half = _half_grid(cfg)
-    assert chi_half.shape == (17, t_half.size)
+    assert chi_half.shape == (21, t_half.size)
     for row, target, ramp in zip(chi_half, targets, ramps):
         assert np.array_equal(row, profile.chi_at(ramp.flux_at(t_half)))
         assert target == profile.chi_at(ramp.f_end)
     assert np.array_equal(chi_half[-1], np.full(t_half.size,
                                                 profile.chi_at(0.5)))
+    # the held tail is not mapped again: each 50 ns ramp is held from
+    # t_half[2000] = 50 ns, so chi_at sees 2001 fluxes per row and the
+    # drive target
+    mapped = []
+    chi_at = ChiProfile.chi_at
+    monkeypatch.setattr(ChiProfile, "chi_at",
+                        lambda self, f: mapped.append(np.size(f))
+                        or chi_at(self, f))
+    assert np.array_equal(ramp_rows(_shifted(16), profile, cfg)[0],
+                          chi_half[:16])
+    assert t_half[2000] == 50.0
+    assert sum(mapped) == 16 * (2001 + 1)
 
 
 def test_zero_height_ramp_is_static_readout_bit_for_bit():
@@ -492,6 +508,74 @@ def test_langevin_step_just_inside_the_bound_matches_reference(half_kappa_dt,
     assert np.max(np.abs(traj.alpha_plus - ref_p)) <= 1e-12
     assert np.max(np.abs(traj.alpha_minus - ref_m)) <= 1e-12
     _assert_matches_reference(traj.snr, traj.error, ref_snr, ref_error)
+
+
+def _blocked_reference(chi_half, kappa, epsilon, dt):
+    """integrate_langevin's blocked scan with every block's P and Q built
+    from all of its steps, each product in the kernel's operand order."""
+    n = (chi_half.shape[1] - 1) // 2
+    h, hh = dt, 0.5 * dt
+    alpha = np.empty((n + 1, chi_half.shape[0]), dtype=complex)
+    alpha[0] = 0.0
+    for lo in range(0, n, 256):
+        hi = min(lo + 256, n)
+        a = np.empty((2 * (hi - lo) + 1, chi_half.shape[0]), dtype=complex)
+        a.real = -0.5 * kappa
+        a.imag = -chi_half[:, 2 * lo:2 * hi + 1].T
+        a1, a2, a4 = a[0:-1:2], a[1::2], a[2::2]
+        p2 = a2 * (1.0 + hh * a1)
+        q2 = 1.0 + hh * a2
+        p3 = a2 * (1.0 + hh * p2)
+        q3 = 1.0 + hh * a2 * q2
+        p4 = a4 * (1.0 + h * p3)
+        q4 = 1.0 + h * a4 * q3
+        step_p = 1.0 + (h / 6.0) * (a1 + 2.0 * p2 + 2.0 * p3 + p4)
+        step_q = (h / 6.0) * (1.0 + 2.0 * q2 + 2.0 * q3 + q4) * epsilon
+        c = np.cumprod(step_p, axis=0)
+        alpha[lo + 1:hi + 1] = c * (alpha[lo] + np.cumsum(step_q / c, axis=0))
+    return alpha
+
+
+# (steps, half-grid index each row is held from): from step 0, never, on
+# and off the 256-step block edges, and in a partial last block
+HELD_CASES = {
+    "from-0": (700, [0]),
+    "never": (700, [1400]),
+    "block-edge": (1024, [512]),
+    "mixed-edges": (1000, [0, 512, 1024, 1536, 2000]),
+    "off-edge": (700, [513, 1023, 1025]),
+    "last-partial": (600, [1025, 1100, 1199]),
+    "random": (900, None),
+    # each row leaves its held value at the start of the block where the
+    # hold begins: that block's first and last samples agree
+    "returning": (700, [700]),
+    # held over the first block, ramping over the second, held again at
+    # another chi over the third
+    "held-again": (768, [1024]),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 17])
+@pytest.mark.parametrize("case", HELD_CASES)
+def test_held_blocks_match_the_blocked_scan_bit_for_bit(case, rows):
+    # rows of random chi, each held from a half-grid index: a held block
+    # builds one step's map, or reuses the scan of the held block before
+    # it, which must give every bit the blocked scan gives
+    rng = np.random.default_rng([rows, *case.encode()])
+    n, starts = HELD_CASES[case]
+    if starts is None:
+        starts = rng.integers(0, 2 * n + 1, rows)
+    chi_half = units.mhz(rng.uniform(-8.0, 8.0, (rows, 2 * n + 1)))
+    for row, k in zip(chi_half, np.resize(starts, rows)):
+        row[k:] = row[k]
+        if case == "returning":
+            row[512 * (k // 512)] = row[k]
+        if case == "held-again":
+            row[:513] = row[0]
+    epsilon = rng.uniform(0.01, 0.1, rows)
+    got = integrate_langevin(chi_half, KAPPA, epsilon, 0.05)
+    want = _blocked_reference(chi_half, KAPPA, epsilon, 0.05)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)
