@@ -65,10 +65,10 @@ class FluxRamp:
             raise ValueError(f"t_rise must be >= 0, got {self.t_rise}")
 
     def flux_at(self, t):
-        """Reduced flux at time t (array-friendly)."""
+        """Reduced flux at the times t."""
         t = np.asarray(t, dtype=float)
         if self.t_rise == 0.0:
-            return np.where(t > 0, self.f_end, self.f_start)[()]
+            return np.where(t > 0, self.f_end, self.f_start)
         frac = np.clip(t / self.t_rise, 0.0, 1.0)
         return self.f_start + (self.f_end - self.f_start) * frac
 
@@ -107,16 +107,15 @@ class ChiProfile:
         object.__setattr__(self, "chi_values", vals)
 
     def chi_at(self, f):
-        """Clamped, linearly interpolated chi(f). Raises DomainError off-grid."""
-        f_arr = np.asarray(f, dtype=float)
+        """Clamped, linearly interpolated chi at fluxes f; DomainError off-grid."""
+        f = np.asarray(f, dtype=float)
         lo, hi = self.flux_grid[0], self.flux_grid[-1]
-        if np.any(f_arr < lo) or np.any(f_arr > hi):
+        if np.any(f < lo) or np.any(f > hi):
             raise DomainError(
                 f"flux {f} outside chi profile domain [{lo}, {hi}]"
             )
-        out = np.interp(f_arr, self.flux_grid, self.chi_values)
-        out = np.clip(out, -self.clamp, self.clamp)
-        return float(out) if np.isscalar(f) or f_arr.ndim == 0 else out
+        return np.clip(np.interp(f, self.flux_grid, self.chi_values),
+                       -self.clamp, self.clamp)
 
 
 def drive_amplitude(n_bar, kappa, chi):
@@ -276,8 +275,7 @@ def snr_curve(m_s_0, m_s_1, kappa, times):
 
 def readout_error(snr):
     """Assignment error = (1/2) erfc(SNR / 2)."""
-    out = 0.5 * special.erfc(0.5 * np.asarray(snr, dtype=float))
-    return float(out) if np.isscalar(snr) else out
+    return 0.5 * special.erfc(0.5 * np.asarray(snr, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -328,8 +326,8 @@ def ramp_inside(ramp: FluxRamp, profile: ChiProfile) -> bool:
 
 def ramp_rows(ramps, profile: ChiProfile, cfg: ReadoutConfig):
     """The readout rows of flux ramps, for readout_records: chi on the half
-    grid of time_grid(cfg.t_max, cfg.dt), all ramps mapped through the
-    profile in one chi_at call, and each drive target chi(f_end). A ramp
+    grid of time_grid(cfg.t_max, cfg.dt) and the array of drive targets
+    chi(f_end), all mapped through the profile in one chi_at call. A ramp
     held at f_start is static readout at chi(f_start). Raises DomainError
     if a ramp leaves the profile's domain.
 
@@ -346,14 +344,14 @@ def ramp_rows(ramps, profile: ChiProfile, cfg: ReadoutConfig):
     times = time_grid(cfg.t_max, cfg.dt)
     t_half = np.linspace(times[0], times[-1], 2 * times.size - 1)
     flux = [ramp.flux_at(t_half[:ramp.held_from(t_half) + 1])
-            for ramp in ramps]
+            for ramp in ramps] + [[ramp.f_end for ramp in ramps]]
     chi = np.split(profile.chi_at(np.concatenate(flux)),
-                   np.cumsum([part.size for part in flux])[:-1])
+                   np.cumsum([len(part) for part in flux])[:-1])
     chi_half = np.empty((len(ramps), t_half.size))
     for row, part in zip(chi_half, chi):
         row[:part.size] = part
         row[part.size:] = part[-1]
-    return chi_half, [profile.chi_at(ramp.f_end) for ramp in ramps]
+    return chi_half, chi[-1]  # the drive targets, after every row's fluxes
 
 
 def readout_records(chi_half, chi_targets, cfg: ReadoutConfig):

@@ -1,7 +1,13 @@
 """The complementary error function of the readout error curve.
 
-erfc is scipy.special.erfc, re-exported so the readout error path looks it
-up in one place.
+erfc is scipy.special.erfc, imported on the first call rather than with the
+package: only the readout error curve needs it, and importing
+scipy.special is most of the CLI's start-up.
 """
 
-from scipy.special import erfc  # noqa: F401  (re-exported)
+
+def erfc(x):
+    """scipy.special.erfc(x), bit for bit."""
+    from scipy.special import erfc as scipy_erfc
+
+    return scipy_erfc(x)

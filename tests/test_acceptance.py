@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from fluxsim import units
+from fluxsim import coupled, units
 from fluxsim.cli import main
 from fluxsim.coupled import (
     CoupledDims,
@@ -376,7 +376,10 @@ def test_criterion_13_gate_propagator_contracts(gate_space):
             f"identity-vs-X = 1/3 (deviation {id_dev:.2e})")
 
 
-def test_criterion_14_worker_determinism(tmp_path):
+def test_criterion_14_worker_determinism(tmp_path, monkeypatch):
+    """The sweep on 1 and on 3 threads, forced whatever the BLAS thread
+    variables say: the 81 canonical fluxes of the chi window are 6 blocks,
+    which 3 threads solve concurrently and the sweep joins in order."""
     import json as _json
     raw = {
         "device": {"e_j_ghz": 4.75, "e_c_ghz": 1.25, "e_l_ghz": 1.5},
@@ -386,12 +389,12 @@ def test_criterion_14_worker_determinism(tmp_path):
     }
     outputs = {}
     for workers in (1, 3):
+        monkeypatch.setattr(coupled, "_sweep_workers", lambda: workers)
         out = tmp_path / f"w{workers}"
         cfg_path = tmp_path / f"cfg{workers}.json"
         cfg_path.write_text(_json.dumps({**raw, "out_dir": str(out)}))
         for sub in ("chi-curve", "noise-readout"):
-            assert main([sub, "--config", str(cfg_path),
-                         "--workers", str(workers)]) == 0
+            assert main([sub, "--config", str(cfg_path)]) == 0
         outputs[workers] = {
             name: (out / name).read_bytes()
             for name in ("chi_curve.csv", "noise_readout_snr.csv",

@@ -342,19 +342,30 @@ def test_cli_import_pins_blas_threads_before_numpy(code, env, want):
 
 def test_cli_import_leaves_scipy_optimize_to_the_anticrossing(tmp_path):
     # a fresh process with the BLAS variables unset, as a user starts the
-    # CLI: only the anticrossing search loads scipy.optimize, when it runs
+    # CLI: importing it loads no scipy module; the anticrossing search
+    # loads scipy.optimize, and the readout error curve scipy.special,
+    # when they run
     run_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     run_env["PYTHONPATH"] = str(Path(qubit.__file__).parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fluxsim.cli; print('scipy.optimize' in sys.modules)"],
-        env=run_env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+
+    def scipy_after(statement):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, fluxsim.cli; {statement}; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            env=run_env, capture_output=True, text=True, check=True)
+        return done.stdout.strip()
+
+    assert scipy_after("pass") == "[]"
     cfg_path, out = write_config(tmp_path)
     done = subprocess.run([sys.executable, "-m", "fluxsim.cli", "anticrossing",
                            "--config", str(cfg_path)], env=run_env)
     assert done.returncode == 0
     assert len(read_csv(out / "anticrossing.csv")) == 1
+    loaded = scipy_after("assert fluxsim.cli.main(['readout', '--config', "
+                         f"{str(cfg_path)!r}]) == 0")
+    assert "'scipy.special'" in loaded and "'scipy.optimize'" not in loaded
+    assert len(read_csv(out / "readout_pulsed.csv")) == 4001
 
 
 def test_warm_chi_curve_is_byte_identical_to_cold(tmp_path):

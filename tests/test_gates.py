@@ -34,7 +34,7 @@ from fluxsim.gates import (
     propagate_gate,
     rabi_area_estimate,
 )
-from fluxsim.noise import NoiseSpec, noisy_gate_error
+from fluxsim.noise import NoiseSpec, gate_draw, noisy_gate_error
 from fluxsim.qubit import (EnergyParams, FluxBias, charge_matrix_element,
                            fluxonium_spectrum)
 
@@ -848,3 +848,24 @@ def test_gate_frame_matches_sweep_labels(mode):
     for f, omega_01 in zip(grid, want):
         space = build_gate_space(PARAMS, FluxBias(f), RES, mode, dims)
         assert space.omega_01 == pytest.approx(omega_01, rel=1e-12), f
+
+
+@pytest.mark.slow
+def test_gate_error_converged_in_the_gate_space_truncation(space):
+    # the frozen 10 and 30 ns pulses of criterion 7 at f = 0.5 + delta, as
+    # gate_draw runs them (the delta = 0 anharmonicity), on GATE_DIMS at
+    # DEFAULT_GATE_DT against 10 qubit levels x 5 photon states at half the
+    # step. Measured gaps E - E_ref: 10 ns +2.99e-7, +2.66e-6, +1.77e-5
+    # (0.88 %, 0.10 %, 0.007 % of E_ref); 30 ns +3.19e-7, +2.76e-6,
+    # +4.3e-8 (0.10 %, 0.011 %, 6e-8 relative). The qubit truncation
+    # dominates; 3 qubit levels move E by up to 78 % of E_ref.
+    pulses = [PulseParams(10.0, 1.557152, 4.7745, space.omega_01),
+              PulseParams(30.0, 0.518938, 4.7634, space.omega_01)]
+    for delta in (1e-3, 3e-3, 1e-2):
+        got = gate_draw(delta, PARAMS, RES, pulses)
+        ref = gate_draw(delta, PARAMS, RES, pulses,
+                        dims=CoupledDims(kept=10, n_res=5),
+                        dt=DEFAULT_GATE_DT / 2)
+        for g, r in zip(got, ref):
+            gap = g.error - r.error
+            assert 0.0 < gap < min(1e-2 * r.error, 2e-5), (delta, g, r)

@@ -315,9 +315,9 @@ def test_ramp_rows_sample_each_ramp_through_the_profile(monkeypatch):
         assert target == profile.chi_at(ramp.f_end)
     assert np.array_equal(chi_half[-1], np.full(t_half.size,
                                                 profile.chi_at(0.5)))
-    # the held tail is not mapped again: each 50 ns ramp is held from
-    # t_half[2000] = 50 ns, so chi_at sees 2001 fluxes per row and the
-    # drive target
+    # one chi_at call per batch, and the held tail is not mapped again:
+    # each 50 ns ramp is held from t_half[2000] = 50 ns, so the call sees
+    # 2001 fluxes per row and the 16 drive targets
     mapped = []
     chi_at = ChiProfile.chi_at
     monkeypatch.setattr(ChiProfile, "chi_at",
@@ -326,7 +326,27 @@ def test_ramp_rows_sample_each_ramp_through_the_profile(monkeypatch):
     assert np.array_equal(ramp_rows(_shifted(16), profile, cfg)[0],
                           chi_half[:16])
     assert t_half[2000] == 50.0
-    assert sum(mapped) == 16 * (2001 + 1)
+    assert mapped == [16 * (2001 + 1)]
+
+
+def test_ramp_rows_targets_equal_scalar_lookups_bit_for_bit():
+    # the drive targets, looked up in the rows' one chi_at call, have the
+    # bits of a scalar chi_at(f_end) each: random ramps, the grid's end
+    # points, and a ramp that never reaches its plateau (t_rise 400 ns >
+    # t_max), whose last row sample is not its target
+    profile = _synthetic_profile()
+    cfg = ReadoutConfig(kappa=KAPPA, t_max=250.0, dt=0.05)
+    rng = np.random.default_rng(31)
+    f_start, f_end = rng.uniform(0.4, 0.7, (2, 64))
+    ramps = [*map(FluxRamp, f_start, f_end, rng.uniform(0.0, 300.0, 64)),
+             FluxRamp(0.5, 0.7, 10.0), FluxRamp(0.5, 0.4, 0.0),
+             FluxRamp(0.45, 0.65, 400.0)]
+    chi_half, targets = ramp_rows(ramps, profile, cfg)
+    want = [profile.chi_at(ramp.f_end) for ramp in ramps]
+    assert np.ndim(want[0]) == 0
+    assert targets.tobytes() == np.array(want).tobytes()
+    last = profile.chi_at(ramps[-1].flux_at(cfg.t_max))
+    assert chi_half[-1, -1] == last != targets[-1]
 
 
 def test_zero_height_ramp_is_static_readout_bit_for_bit():
