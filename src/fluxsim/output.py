@@ -4,14 +4,19 @@ Numbers are written as the shortest decimal string that round-trips the
 IEEE-754 double, in the notation of Python's repr, so emitted files diff
 bit-exactly across runs and platforms. repr is the reference: its digits
 (Gay's dtoa) are the shortest that round-trip and its notation is fixed by
-the language. A float64 column is formatted in one orjson call, whose Ryu
-digits (Adams, PLDI 2018) are the same shortest round-trip digits at about
-a tenth of repr's cost per double; only the cells whose notation differs
-from repr's (non-finite, |x| >= 1e16, small exponents) are re-formatted by
-repr. Every emitted file is listed in manifest.json with the SHA-256 of the
-bytes `write_csv` published, carried on the path it returns, so no output
-is read back; the manifest also records the config hash, seed, tool
-version, and every default the run relied on. Files are written through
+the language. A table is written row-major. Each run of adjacent float64
+columns is stacked and dumped flat in one orjson call, whose Ryu digits
+(Adams, PLDI 2018) are the same shortest round-trip digits at about a
+tenth of repr's cost per double. One scan of that text for commas turns
+every row's last comma into a newline and bounds the cells whose notation
+differs from repr's (non-finite, |x| >= 1e16, small exponents); only those
+are re-formatted by repr and spliced in. Constant columns after a float
+run are appended to every row in one replace; only the other columns
+(status text, levels, the gate rows) are formatted cell by cell. Every
+emitted file is listed in manifest.json with the SHA-256 of the bytes
+`write_csv` published, carried on the path it returns, so no output is
+read back; the manifest also records the config hash, seed, tool version,
+and every default the run relied on. Files are written through
 `cache.publish`, so a rerun that produces the same bytes leaves each file
 untouched.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -41,38 +47,76 @@ def _is_scalar(column) -> bool:
     return isinstance(column, str) or not hasattr(column, "__len__")
 
 
-def _float_cells(column) -> list:
-    """A float64 array's cells, each as float.__repr__ writes it.
-
-    orjson gives repr's digits everywhere; its notation differs for
-    non-finite values (null), for |x| >= 1e16 (e16, not e+16) and for
-    1e-9 <= |x| < 1e-4 (fixed notation down to 1e-5, then one-digit
-    exponents without repr's zero padding), so those cells alone go through
-    repr. The band is taken from 1e-11, two decades below where the two
-    notations meet again.
-    """
-    column = np.ascontiguousarray(column)
-    if not column.size:
-        return []
-    text = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)
-    cells = text[1:-1].decode("ascii").split(",")
-    magnitude = np.abs(column)
-    patch = (~np.isfinite(column) | (magnitude >= 1e16)
-             | ((magnitude >= 1e-11) & (magnitude < 1e-4)))
-    for i in np.flatnonzero(patch):
-        cells[i] = repr(float(column[i]))
-    return cells
-
-
-def _column_text(column, n_rows):
-    """One column's cells: a float64 array through _float_cells, another
-    sequence through format_value per element, a scalar formatted once and
-    repeated."""
+def _kind(column) -> str:
+    """A column's kind: scalar, float (a float64 array) or cells (any
+    other sequence)."""
     if _is_scalar(column):
-        return [format_value(column)] * n_rows
-    if getattr(column, "dtype", None) == float:
-        return _float_cells(column)
-    return map(format_value, column)
+        return "scalar"
+    return "float" if getattr(column, "dtype", None) == float else "cells"
+
+
+def _float_rows(columns) -> list:
+    """Rows of adjacent float64 columns, each cell as float.__repr__ writes
+    it, cells joined by "," and rows by a newline, with none after the last;
+    returned as buffers for the one join that makes the file.
+
+    The columns are stacked and dumped flat in one orjson call. orjson
+    gives repr's digits everywhere; its notation differs for non-finite
+    values (null), for |x| >= 1e16 (e16, not e+16) and for 1e-9 <= |x| <
+    1e-4 (fixed notation down to 1e-5, then one-digit exponents without
+    repr's zero padding), so those cells alone go through repr. The band is
+    taken from 1e-11, two decades below where the two notations meet again.
+    One scan for commas gives both the row ends (every k-th comma of k
+    columns) and the bounds of the cells that repr replaces.
+    """
+    values = np.column_stack(columns).ravel()
+    text = bytearray(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY))
+    view = np.frombuffer(text, np.uint8)
+    commas = np.flatnonzero(view == ord(","))
+    view[commas[len(columns) - 1::len(columns)]] = ord("\n")
+    magnitude = np.abs(values)
+    # not below 1e16: NaN and +-inf as well as the large magnitudes
+    band = np.flatnonzero(~(magnitude < 1e16)
+                          | ((magnitude >= 1e-11) & (magnitude < 1e-4)))
+    # cell i spans bounds[i] + 1 up to bounds[i + 1], inside the brackets
+    bounds = np.concatenate(([0], commas, [len(text) - 1]))
+    text = memoryview(text)
+    pieces, end = [], 1
+    for start, stop, value in zip((bounds[band] + 1).tolist(),
+                                  bounds[band + 1].tolist(),
+                                  values[band].tolist()):
+        pieces += (text[end:start], repr(value).encode("ascii"))
+        end = stop
+    pieces.append(text[end:-1])
+    return pieces
+
+
+def _rows(columns, n_rows) -> list:
+    """The table's rows, each ending in a newline, as buffers to join. A
+    float run followed by nothing but constant columns is written as one
+    block, the constants appended to every row at once; any other table
+    joins its rows cell by cell, a float run's rows each counting as one
+    cell."""
+    if not n_rows:
+        return []
+    runs = [(kind, list(group)) for kind, group in groupby(columns, _kind)]
+    if [kind for kind, _ in runs] in (["float"], ["float", "scalar"]):
+        rows = [*_float_rows(runs[0][1]), b"\n"]
+        suffix = "".join("," + format_value(c)
+                         for _, group in runs[1:] for c in group)
+        if suffix:
+            return [b"".join(rows).replace(b"\n", f"{suffix}\n".encode())]
+        return rows
+    cells = []
+    for kind, group in runs:
+        if kind == "float":
+            text = b"".join(_float_rows(group)).decode("ascii")
+            cells.append(text.split("\n"))
+        elif kind == "scalar":
+            cells.append([",".join(map(format_value, group))] * n_rows)
+        else:
+            cells.extend(map(format_value, column) for column in group)
+    return [("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8")]
 
 
 class PublishedFile(type(Path())):
@@ -83,17 +127,16 @@ class PublishedFile(type(Path())):
 
 
 def write_csv(path, header, columns) -> PublishedFile:
-    """Write a CSV column by column, with deterministic formatting and a
-    trailing newline. A column is a sequence or a scalar repeated on every
-    row; sequences share one length, and scalars alone make one row."""
+    """Write a CSV row-major, with deterministic formatting and a trailing
+    newline. A column is a sequence or a scalar repeated on every row;
+    sequences share one length, and scalars alone make one row."""
     lengths = {len(c) for c in columns if not _is_scalar(c)}
     if len(lengths) > 1 or len(columns) != len(header):
         raise ValueError(f"ragged table: {len(header)} header names, "
                          f"column lengths {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 1
-    text = [_column_text(c, n_rows) for c in columns]
-    lines = [",".join(header), *map(",".join, zip(*text))]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    data = b"".join([(",".join(header) + "\n").encode("utf-8"),
+                     *_rows(columns, n_rows)])
     published = PublishedFile(publish(path, data))
     published.sha256 = hashlib.sha256(data).hexdigest()
     return published

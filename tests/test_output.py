@@ -8,11 +8,14 @@ import math
 import os
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fluxsim.cli import NOISE_HEADER, READOUT_HEADER, _noise_columns
 from fluxsim.config import config_from_dict
+from fluxsim.noise import McCurve
 from fluxsim.output import (
     config_hash,
     format_value,
@@ -135,6 +138,94 @@ def test_write_csv_float_column_matches_repr_on_random_bits(tmp_path):
     wrong = [(e, c) for e, c in zip(expected, cells) if e != c]
     assert (header, len(cells)) == ("x", len(expected))
     assert not wrong, f"{len(wrong)} cells differ from repr, e.g. {wrong[:5]}"
+
+
+def _band_values(rng, n):
+    """n doubles inside the cells repr re-formats: non-finite values,
+    |x| >= 1e16 and 1e-11 <= |x| < 1e-4, with the notation edges."""
+    edges = [x for x in NOTATION_EDGES
+             if 1e-11 <= abs(x) < 1e-4 or abs(x) >= 1e16]
+    pool = np.concatenate([[math.nan, math.inf, -math.inf], edges,
+                           10.0 ** rng.uniform(-11.0, -4.0, 64),
+                           -(10.0 ** rng.uniform(16.0, 300.0, 64))])
+    return rng.choice(pool, n)
+
+
+def _mixed_floats(rng, shape):
+    """Ordinary doubles, random 64-bit patterns and band values, about a
+    third each."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    pick = rng.integers(0, 3, shape)
+    bits = rng.integers(0, 2**64, shape, dtype=np.uint64).view(np.float64)
+    values[pick == 1] = bits[pick == 1]
+    values[pick == 2] = _band_values(rng, int(np.sum(pick == 2)))
+    return values
+
+
+def test_write_csv_wide_float_table_matches_row_formatter(tmp_path):
+    # the readout tables' shape, 5 001 rows of 9 float64 columns, all but
+    # the first strided views; band cells open rows, close rows and close
+    # the table
+    rng = np.random.default_rng(32)
+    values = _mixed_floats(rng, (5001, 9))
+    values[[0, 7, 4999], 0] = _band_values(rng, 3)
+    values[[1, 7, 5000], 8] = _band_values(rng, 3)
+    values[2] = _band_values(rng, 9)
+    stored = values.astype(complex)
+    columns = [values[:, 0].copy(), stored[:, 1].real, *values[:, 2:].T]
+    header = [f"c{i}" for i in range(9)]
+    path = write_csv(tmp_path / "wide.csv", header, columns)
+    assert path.read_bytes() == _row_formatter_bytes(header, columns)
+
+
+# a float run is split or flanked by constant (c) and per-row text (t)
+# columns at the start, in the middle and at the end
+@pytest.mark.parametrize("layout", ["cFF", "FcF", "FFcc", "tFF", "FtF",
+                                    "FFt", "ctFcFtc", "FcFcF"])
+def test_write_csv_float_runs_split_by_other_columns(tmp_path, layout):
+    rng = np.random.default_rng(sum(map(ord, layout)))
+    n = 301
+    constants = iter([1e-5, 7, "GHz", -0.0, 2**70, "ok", 1.5e16])
+    columns = []
+    for kind in layout:
+        if kind == "F":
+            # a band cell first, an ordinary one last
+            column = _mixed_floats(rng, n)
+            column[[0, n - 1]] = _band_values(rng, 1)[0], 0.5
+        elif kind == "t":
+            column = rng.choice(np.array(["ok", "resonant", "x y"]), n)
+        else:
+            column = next(constants)
+        columns.append(column)
+    header = [f"c{i}" for i in range(len(columns))]
+    path = write_csv(tmp_path / "split.csv", header, columns)
+    assert path.read_bytes() == _row_formatter_bytes(header, columns)
+
+
+def test_write_csv_dumps_each_float_run_once(tmp_path, monkeypatch):
+    dumps, real_dumps = [], orjson.dumps
+
+    def counting(value, **kwargs):
+        dumps.append(value.size)
+        return real_dumps(value, **kwargs)
+
+    # the columns cli.cmd_readout and cli._noise_columns pass: a readout
+    # table's output fields are views into complex arrays
+    rng = np.random.default_rng(5)
+    field = (rng.standard_normal((2, 5001))
+             + 1j * rng.standard_normal((2, 5001)))
+    readout = [np.linspace(0.0, 250.0, 5001), *rng.standard_normal((4, 5001)),
+               field[0].real, field[0].imag, field[1].real, field[1].imag]
+    curve = McCurve(np.linspace(0.0, 250.0, 5001), np.zeros((16, 5001)),
+                    np.ones(16, dtype=bool), *rng.standard_normal((2, 5001)),
+                    16, 0, 1e-2, 1234)
+    monkeypatch.setattr("fluxsim.output.orjson.dumps", counting)
+    for header, columns in ((READOUT_HEADER, readout),
+                            (NOISE_HEADER, _noise_columns(curve))):
+        path = write_csv(tmp_path / "t.csv", header, columns)
+        assert path.read_bytes() == _row_formatter_bytes(header, columns)
+    # one dump per table, of all its 9 x 5 001 and 3 x 5 001 doubles
+    assert dumps == [9 * 5001, 3 * 5001], dumps
 
 
 def test_write_csv_empty_table_is_header_only(tmp_path):
