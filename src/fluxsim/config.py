@@ -187,9 +187,6 @@ class RunConfig:
     raw: dict
     defaults_used: tuple
 
-    def to_json(self):
-        return json.dumps(self.raw, indent=2, sort_keys=True)
-
 
 def _merge(given, defaults, prefix, defaults_used):
     """Merge one config object over its defaults: reject unknown keys, fill
@@ -332,14 +329,15 @@ def read_config(path) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(CATEGORY_MISSING_FILE, f"config file not found: {p}")
-    text = p.read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        return json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             CATEGORY_MALFORMED_JSON,
             f"{p}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer of more digits than Python reads
+    # bytes that are not UTF-8 (UnicodeDecodeError), an integer of more
+    # digits than Python reads, and nesting deeper than the parser recurses
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(CATEGORY_MALFORMED_JSON, f"{p}: {exc}") from exc
 
 

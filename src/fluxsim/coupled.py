@@ -471,8 +471,8 @@ ANTICROSSING_XTOL = 1e-6  # flux tolerance of the anticrossing search
 
 def find_anticrossing(params: EnergyParams, res: ResonatorParams,
                       mode: CouplingMode = DEFAULT_MODE,
-                      dims: CoupledDims = CoupledDims(),
-                      transition=(3, 1), window=(0.55, 0.60)) -> Anticrossing:
+                      dims: CoupledDims = CoupledDims(), *,
+                      transition, window) -> Anticrossing:
     """Bounded scalar minimization (scipy), to ANTICROSSING_XTOL in flux, of
     the gap |E(i, 0) - E(j, 1)| between the dressed levels labelled |i, 0>
     and |j, 1>, each read from a one-point `sweep_dressed`; the window must
@@ -519,15 +519,3 @@ def chi_profile(grid, chi, clamp) -> ChiProfile:
         raise NumericalFailureError("chi profile entirely resonant",
                                     f_min=grid[0], f_max=grid[-1])
     return ChiProfile(grid, fill_and_clamp(chi, clamp), clamp)
-
-
-def build_chi_profile(params: EnergyParams, res: ResonatorParams,
-                      mode: CouplingMode = DEFAULT_MODE,
-                      dims: CoupledDims = CoupledDims(),
-                      f_min=0.40, f_max=0.70, step=1e-4,
-                      clamp=ChiProfile.clamp) -> ChiProfile:
-    """Tabulate chi on `chi_grid(f_min, f_max, step)` in one dressed sweep
-    and make it a `chi_profile`."""
-    grid = chi_grid(f_min, f_max, step)
-    return chi_profile(grid, sweep_dressed(params, grid, res, mode, dims).chi(),
-                       clamp)

@@ -17,10 +17,6 @@ class NumericalFailureError(FluxsimError):
         self.inputs = inputs
 
 
-class IndexBoundError(FluxsimError):
-    """A level index lies outside the trusted (converged) range."""
-
-
 class ResonanceRegionError(FluxsimError):
     """Dressed-state labeling broke down; the dispersive model is invalid here."""
 

@@ -362,15 +362,15 @@ def minimize(fun, x0, *, scale, xatol, fatol=0.0):
 
 
 def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
-                   n_eps=3, n_lam=3, lam_range=None, seed=None):
+                   n_eps=3, n_lam=3, seed=None):
     """Optimise the DRAG pulse's (eps_d, lambda) at gate time tau_g.
 
     The best point of an n_eps x n_lam seed grid (3 x 3 by default;
     geometric in eps_d over a factor 2.5 around the Rabi-area
-    estimate, linear in lambda over lam_range, by default
-    space.lam_drag +- 2) seeds minimize, whose stencil axes are 1 % of the
-    seed's eps_d and 0.5 in lambda. An explicit seed (eps_d, lambda), such
-    as another gate time's optimum, replaces the grid. The refinement stops
+    estimate, linear in lambda over space.lam_drag +- 2) seeds minimize,
+    whose stencil axes are 1 % of the seed's eps_d and 0.5 in lambda. An
+    explicit seed (eps_d, lambda), such as another gate time's optimum,
+    replaces the grid. The refinement stops
     once an iteration decreases the error, and its model predicts a
     decrease, by less than ERROR_FLOOR, or once the stencil is below
     1e-6 * max(1, eps_d) on both axes. Every (eps_d, lambda) is evaluated
@@ -400,14 +400,13 @@ def optimize_pulse(space: GateSpace, tau_g, dt=DEFAULT_GATE_DT,
                               f"finite lambda")
         seed_err = gate_error(eps0, lam0)
     else:
-        if lam_range is None:
-            lam_range = (space.lam_drag - 2.0, space.lam_drag + 2.0)
+        lam_lo, lam_hi = space.lam_drag - 2.0, space.lam_drag + 2.0
         eps_est = rabi_area_estimate(space, tau_g)
         # a one-point axis sits at its centre
         eps_grid = (np.geomspace(eps_est / 2.5, eps_est * 2.5, n_eps)
                     if n_eps > 1 else [eps_est])
-        lam_grid = (np.linspace(*lam_range, n_lam) if n_lam > 1
-                    else [sum(lam_range) / 2])
+        lam_grid = (np.linspace(lam_lo, lam_hi, n_lam) if n_lam > 1
+                    else [(lam_lo + lam_hi) / 2])
         # the first of equal seeds wins
         seed_err, eps0, lam0 = min(
             ((gate_error(eps_d, lam), float(eps_d), float(lam))

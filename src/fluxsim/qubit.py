@@ -1,8 +1,8 @@
 """Bare fluxonium in the harmonic-oscillator basis.
 
-Operators, the flux-affine real Hamiltonian, stacked spectra over flux
-grids with a deterministic eigenvector sign convention, and charge matrix
-elements. All frequencies are angular (rad/ns); see :mod:`fluxsim.units`.
+Operators, the flux-affine real Hamiltonian and stacked spectra over flux
+grids with a deterministic eigenvector sign convention. All frequencies
+are angular (rad/ns); see :mod:`fluxsim.units`.
 
 `diagonalize` is the package's one Hamiltonian eigensolve: the bare
 spectra here and the coupled ones of :mod:`fluxsim.coupled` and
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics, units
-from .errors import IndexBoundError, InvalidDimensionError, NumericalFailureError
+from .errors import InvalidDimensionError, NumericalFailureError
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def spectrum_sweep(params: EnergyParams, f_values, dim=DEFAULT_DIM):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigensystem of the bare fluxonium with provenance metadata.
+    """Eigensystem of the bare fluxonium.
 
     eigenvalues are ascending angular frequencies; eigenvectors are the
     matching real orthonormal columns in the HO basis with fixed signs.
@@ -193,9 +193,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    params: EnergyParams
-    flux: FluxBias
-    dim: int
 
     def transition(self, i, j):
         """omega_i - omega_j (angular)."""
@@ -206,22 +203,7 @@ def fluxonium_spectrum(params: EnergyParams, flux: FluxBias, dim=DEFAULT_DIM) ->
     """Diagonalize the fluxonium Hamiltonian; ascending eigenvalues,
     deterministic eigenvector signs. A one-point `spectrum_sweep`."""
     vals, vecs = spectrum_sweep(params, [flux.f], dim)
-    return Spectrum(vals[0], vecs[0], params, flux, dim)
-
-
-def charge_matrix_element(spec: Spectrum, i, j):
-    """<i| n |j> in the fixed-sign eigenbasis.
-
-    Indices are restricted to the lower half of the truncated space, where
-    eigenstates are trusted to be converged.
-    """
-    bound = spec.dim // 2
-    if not (0 <= i < bound and 0 <= j < bound):
-        raise IndexBoundError(
-            f"levels ({i}, {j}) outside trusted range [0, {bound}) for dim={spec.dim}"
-        )
-    _, _, n_op, _ = build_ho_operators(spec.dim, spec.params.phi0)
-    return complex(spec.eigenvectors[:, i].conj() @ n_op @ spec.eigenvectors[:, j])
+    return Spectrum(vals[0], vecs[0])
 
 
 def anharmonicity(params: EnergyParams, flux: FluxBias, dim=DEFAULT_DIM):

@@ -373,16 +373,3 @@ def run_readout(chi_half, chi_target, cfg: ReadoutConfig) -> ReadoutTrajectory:
     (traj,) = readout_records(np.asarray(chi_half, float)[None, :],
                               [chi_target], cfg)
     return traj
-
-
-def run_static_readout(chi, cfg: ReadoutConfig) -> ReadoutTrajectory:
-    """Constant-chi readout (no flux ramp)."""
-    n_half = 2 * time_grid(cfg.t_max, cfg.dt).size - 1
-    return run_readout(np.full(n_half, float(chi)), chi, cfg)
-
-
-def run_ramped_readout(ramp: FluxRamp, profile: ChiProfile,
-                       cfg: ReadoutConfig) -> ReadoutTrajectory:
-    """Flux-pulse-assisted readout: the one-row case of ramp_rows."""
-    (traj,) = readout_records(*ramp_rows([ramp], profile, cfg), cfg)
-    return traj

@@ -4,6 +4,10 @@
 loaded by path. `reference` is `perfbench/reference.py`: plain-numpy models
 that import nothing from fluxsim and work in GHz where the program works in
 rad/ns. It is the independent model the tests compare the program against.
+
+Readout records are built as `cli.cmd_readout` builds them, through
+`ramp_rows` and `readout_records`; static readout is the zero-height ramp,
+and a bare chi is a flat profile.
 """
 
 import importlib.util
@@ -12,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from fluxsim import qubit
+from fluxsim.readout import ChiProfile, FluxRamp, ramp_rows, readout_records
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -32,3 +37,18 @@ def unfolded_spectrum_sweep(params, f_values, dim=qubit.DEFAULT_DIM):
     """The bare solve without the parity fold: H(f) itself at every point."""
     vals, vecs = np.linalg.eigh(qubit.fluxonium_hamiltonians(params, f_values, dim))
     return vals, qubit._fix_signs(vecs)
+
+
+def readout_batch(ramps, profile, cfg):
+    """The readout records of the ramps, integrated as one batch."""
+    return list(readout_records(*ramp_rows(ramps, profile, cfg), cfg))
+
+
+# static readout at f = 0.5: the ramp held at its start flux
+STATIC = FluxRamp(0.5, 0.5, 0.0)
+
+
+def flat_profile(chi):
+    """A two-point profile that is chi over the flux period [0, 1], with a
+    clamp above |chi|: every flux maps to chi itself."""
+    return ChiProfile(np.array([0.0, 1.0]), np.full(2, chi), abs(chi) + 1.0)

@@ -13,13 +13,15 @@ import math
 import numpy as np
 import pytest
 
-from fluxsim import coupled, units
+from fluxsim import cli, coupled, units
 from fluxsim.cli import main
+from fluxsim.config import config_from_dict
 from fluxsim.coupled import (
     CoupledDims,
     CouplingMode,
     ResonatorParams,
-    build_chi_profile,
+    _coupling_operator,
+    chi_profile,
     dispersive_shift,
     find_anticrossing,
     sweep_dressed,
@@ -42,7 +44,6 @@ from fluxsim.noise import (
 from fluxsim.qubit import (
     EnergyParams,
     FluxBias,
-    charge_matrix_element,
     fluxonium_spectrum,
 )
 from fluxsim.readout import (
@@ -51,13 +52,11 @@ from fluxsim.readout import (
     drive_amplitude,
     integrate_langevin,
     output_field,
-    run_ramped_readout,
-    run_static_readout,
     time_grid,
 )
 from fluxsim.special import erfc
 
-from conftest import reference
+from conftest import readout_batch, reference
 
 DEVICE_GHZ = (4.75, 1.25, 1.5)  # E_J, E_C, E_L
 PARAMS = EnergyParams.from_ghz(*DEVICE_GHZ)
@@ -78,7 +77,10 @@ def _report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def profile():
-    return build_chi_profile(PARAMS, RES)
+    """The chi profile the CLI's readout takes at the config defaults."""
+    cfg = config_from_dict({"device": dict(zip(
+        ("e_j_ghz", "e_c_ghz", "e_l_ghz"), DEVICE_GHZ))})
+    return chi_profile(*cli._chi_values(cfg, None), cfg.chi_clamp)
 
 
 @pytest.fixture(scope="module")
@@ -87,13 +89,21 @@ def readout_cfg():
 
 
 @pytest.fixture(scope="module")
-def static_traj(profile, readout_cfg):
-    return run_static_readout(profile.chi_at(0.5), readout_cfg)
+def readout_pair(profile, readout_cfg):
+    """(pulsed, static) records of the CLI's one two-row batch: the ramp,
+    and the ramp held at its start flux."""
+    return readout_batch([RAMP, FluxRamp(RAMP.f_start, RAMP.f_start, 0.0)],
+                         profile, readout_cfg)
 
 
 @pytest.fixture(scope="module")
-def pulsed_traj(profile, readout_cfg):
-    return run_ramped_readout(RAMP, profile, readout_cfg)
+def pulsed_traj(readout_pair):
+    return readout_pair[0]
+
+
+@pytest.fixture(scope="module")
+def static_traj(readout_pair):
+    return readout_pair[1]
 
 
 @pytest.fixture(scope="module")
@@ -154,16 +164,20 @@ def test_criterion_2_readout_point_spectrum():
             f"Delta_10={d10:.4f} GHz, Delta_20={d20:.2f} MHz")
 
 
-def test_criterion_3_charge_matrix_element():
+def test_criterion_3_charge_element():
+    # <2|n|0> from the charge operator the CHARGE-mode Hamiltonian projects
     spec = fluxonium_spectrum(PARAMS, FluxBias(0.641))
-    g_eff = units.to_mhz(RES.g) * abs(charge_matrix_element(spec, 2, 0))
+    n_op = _coupling_operator(spec.eigenvectors, PARAMS, CouplingMode.CHARGE,
+                              3)
+    g_eff = units.to_mhz(RES.g) * abs(n_op[2, 0])
     ok = abs(g_eff / 18.32 - 1.0) < 0.05
     _report(3, "charge matrix element", ok,
             f"g*|<2|n|0>|={g_eff:.3f} MHz (18.32 +- 5%)")
 
 
 def test_criterion_4_anticrossing():
-    ac = find_anticrossing(PARAMS, RES, CouplingMode.CHARGE)
+    ac = find_anticrossing(PARAMS, RES, CouplingMode.CHARGE,
+                           transition=(3, 1), window=(0.55, 0.60))
     g31 = units.to_mhz(ac.g_ij)
     ok = (abs(g31 / 5.81 - 1.0) < 0.05 and abs(ac.t_swap / 43.0 - 1.0) < 0.05
           and abs(ac.f_star - 0.575) < 0.01)
@@ -181,8 +195,8 @@ def test_criterion_5_snr_improvement_ratio(profile, readout_cfg,
                                 t_max=250.0, dt=0.05)
     full_cfg = ReadoutConfig(n_bar=10.0, eta=1.0, kappa=KAPPA,
                              t_max=250.0, dt=0.05)
-    quarter = run_ramped_readout(RAMP, profile, quarter_cfg)
-    full = run_ramped_readout(RAMP, profile, full_cfg)
+    (quarter,) = readout_batch([RAMP], profile, quarter_cfg)
+    (full,) = readout_batch([RAMP], profile, full_cfg)
     half_exact = np.max(np.abs(2.0 * quarter.snr - full.snr)) < 1e-12
     calibration_ok = 0.5 <= snr_static <= 5.0
     ok = abs(ratio / 10.0 - 1.0) < 0.30 and half_exact and calibration_ok
@@ -199,7 +213,7 @@ def test_criterion_6_noisy_readout(profile, static_traj):
     mean_err, _ = noisy.error.at_axis(200.0)
     static_snr, _ = static_traj.at_time(200.0)  # eta=1 baseline
     ratio = mean_snr / static_snr
-    noise_free = run_ramped_readout(RAMP, profile, cfg)
+    (noise_free,) = readout_batch([RAMP], profile, cfg)
     nf_snr, _ = noise_free.at_time(200.0)
     small = noisy_readout_snr(RAMP, profile, cfg, NoiseSpec(1e-3))
     small_snr, _ = small.snr.at_axis(200.0)

@@ -23,8 +23,8 @@ from fluxsim.coupled import (
     CoupledDims,
     CouplingMode,
     ResonatorParams,
-    build_chi_profile,
     chi_grid,
+    chi_profile,
     dispersive_shift,
     fill_and_clamp,
     find_anticrossing,
@@ -32,6 +32,8 @@ from fluxsim.coupled import (
 )
 from fluxsim.errors import NumericalFailureError
 from fluxsim.qubit import EnergyParams, FluxBias, fluxonium_spectrum
+
+from conftest import STATIC, flat_profile, readout_batch
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
 RES = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
@@ -405,8 +407,9 @@ def test_readout_chi_profile_is_the_library_profile(tmp_path, monkeypatch):
     cfg = config_from_dict(raw)
     for _ in ("cold", "warm"):
         run_subcommand("readout", cfg)
-    want = build_chi_profile(PARAMS, RES, **raw["chi_curve"],
-                             clamp=units.mhz(1.0))
+    grid = chi_grid(**raw["chi_curve"])
+    want = chi_profile(grid, sweep_dressed(PARAMS, grid, RES).chi(),
+                       units.mhz(1.0))
     assert len(profiles) == 2
     for profile in profiles:
         assert profile.flux_grid.tobytes() == want.flux_grid.tobytes()
@@ -417,15 +420,14 @@ def test_readout_chi_profile_is_the_library_profile(tmp_path, monkeypatch):
 def test_entirely_resonant_chi_window_is_a_numerical_error(tmp_path, capsys,
                                                            monkeypatch):
     import fluxsim.cli as cli
-    import fluxsim.coupled as coupled
 
     def resonant_sweep(params, f_values, *args):
         return SimpleNamespace(chi=lambda: np.full(len(f_values), math.nan))
 
     monkeypatch.setattr(cli, "sweep_dressed", resonant_sweep)
-    monkeypatch.setattr(coupled, "sweep_dressed", resonant_sweep)
+    cfg = config_from_dict(base_config(tmp_path / "out"))
     with pytest.raises(NumericalFailureError, match="entirely resonant"):
-        build_chi_profile(PARAMS, RES, f_min=0.45, f_max=0.66, step=1e-3)
+        chi_profile(*cli._chi_values(cfg, None), cfg.chi_clamp)
     cfg_path, out = write_config(tmp_path)
     # the cold run fills the cache with the resonant window, the warm run
     # reads it back
@@ -486,7 +488,8 @@ def test_anticrossing_subcommand(tmp_path):
     cfg_path, out = write_config(tmp_path, raw)
     assert main(["anticrossing", "--config", str(cfg_path)]) == 0
     (row,) = read_csv(out / "anticrossing.csv")
-    want = find_anticrossing(PARAMS, RES, CouplingMode.CHARGE, CoupledDims())
+    want = find_anticrossing(PARAMS, RES, CouplingMode.CHARGE, CoupledDims(),
+                             transition=(3, 1), window=(0.55, 0.60))
     assert float(row["f_star"]) == pytest.approx(want.f_star, abs=1e-5)
     assert float(row["g_ij_mhz"]) == pytest.approx(units.to_mhz(want.g_ij), rel=1e-6)
     assert float(row["t_swap_ns"]) == pytest.approx(want.t_swap, rel=1e-6)
@@ -644,27 +647,48 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert "bogus" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("text", [b'{"device": {"e_j_ghz": 4.75\xff}}',
+                                  b"[" * 200_000 + b"]" * 200_000],
+                         ids=["not-utf8", "deep"])
+def test_undecodable_config_exits_2_with_a_config_record(tmp_path, capsys,
+                                                         text):
+    # a config error record and exit 2, not a traceback and exit 1
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_bytes(text)
+    assert main(["spectrum", "--config", str(cfg_path),
+                 "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"]["category"] == "config"
+    assert record["error"]["message"].startswith("[malformed-json]")
+    assert json.loads((out / "error.json").read_text()) == record
+
+
 def test_readout_bytes_equal_a_static_run_and_a_one_row_ramp(tmp_path):
-    # the static row was built as constant-chi readout at chi(f_start), the
-    # pulsed row as a one-ramp run; both CSVs keep those bytes
+    # both CSVs are the CLI's one two-row batch, the ramp and the ramp held
+    # at f_start; each row equals the ramp alone in a batch of one, and the
+    # held row static readout at chi(f_start) on a flat profile
     import fluxsim.cli as cli
     from fluxsim.output import write_csv
-    from fluxsim.readout import run_ramped_readout, run_static_readout
+    from fluxsim.readout import FluxRamp
 
     raw = base_config(tmp_path / "out")
     raw["readout"]["eta"] = 0.5
     cfg = config_from_dict(raw)
     run_subcommand("readout", cfg)
-    profile = build_chi_profile(PARAMS, RES, **raw["chi_curve"],
-                                clamp=cfg.chi_clamp)
+    profile = chi_profile(*cli._chi_values(cfg, None), cfg.chi_clamp)
+    f_start = cfg.ramp.f_start
+    pulsed, static = readout_batch(
+        [cfg.ramp, FluxRamp(f_start, f_start, 0.0)], profile, cfg.readout)
+    (alone,) = readout_batch([cfg.ramp], profile, cfg.readout)
+    (flat,) = readout_batch([STATIC], flat_profile(profile.chi_at(f_start)),
+                            cfg.readout)
+    for got, want in ((pulsed, alone), (static, flat)):
+        for name, value in vars(want).items():
+            assert np.array_equal(getattr(got, name), value), name
     want_dir = tmp_path / "want"
     want_dir.mkdir()
-    for name, traj in (
-            ("readout_pulsed.csv",
-             run_ramped_readout(cfg.ramp, profile, cfg.readout)),
-            ("readout_static.csv",
-             run_static_readout(profile.chi_at(cfg.ramp.f_start),
-                                cfg.readout))):
+    for name, traj in (("readout_pulsed.csv", pulsed),
+                       ("readout_static.csv", static)):
         want = write_csv(want_dir / name, cli.READOUT_HEADER, [
             traj.times, traj.snr, traj.error, traj.m_s_plus, traj.m_s_minus,
             traj.alpha_out_plus.real, traj.alpha_out_plus.imag,

@@ -112,7 +112,7 @@ def test_defaults_used_lists_every_default_in_order():
 
 def test_canonical_raw_round_trips():
     cfg = config_from_dict(MINIMAL)
-    again = config_from_dict(json.loads(cfg.to_json()))
+    again = config_from_dict(json.loads(json.dumps(cfg.raw)))
     assert again.raw == cfg.raw
     # the round trip applies no further defaults
     assert again.defaults_used == ()
@@ -349,6 +349,25 @@ def test_integer_of_more_digits_than_python_reads_is_malformed(tmp_path):
     assert exc.value.category == CATEGORY_MALFORMED_JSON
 
 
+# bytes that are not UTF-8, nesting deeper than the JSON parser recurses and
+# a byte-order mark: each is a malformed-json config error, not a traceback
+UNDECODABLE = {
+    "not-utf8": b'{"device": {"e_j_ghz": 4.75\xff}}',
+    "deep": b"[" * 200_000 + b"]" * 200_000,
+    "bom": b"\xef\xbb\xbf" + json.dumps(MINIMAL).encode(),
+}
+
+
+@pytest.mark.parametrize("name", UNDECODABLE)
+def test_undecodable_config_is_malformed(tmp_path, name):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(UNDECODABLE[name])
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path)
+    assert exc.value.category == CATEGORY_MALFORMED_JSON
+    assert str(path) in str(exc.value)
+
+
 @pytest.mark.parametrize("ramp", [5, [0.5, 0.641, 50.0], "ab", None])
 def test_non_object_ramp_is_an_invariant_violation(ramp):
     with pytest.raises(ConfigError) as exc:
@@ -452,26 +471,15 @@ def test_library_defaults_are_the_schema_defaults():
                        d["device.levels_resonator"])
     gate_dims = CoupledDims(d["device.dim"], d["gate.levels_fluxonium"],
                             d["gate.levels_resonator"])
-    clamp = units.mhz(d["readout.chi_clamp_mhz"])
     pairs = {
         "ReadoutConfig.kappa": (_default(readout.ReadoutConfig, "kappa"),
                                 units.mhz(d["readout.kappa_mhz_over_2pi"])),
-        "ChiProfile.clamp": (_default(readout.ChiProfile, "clamp"), clamp),
-        "build_chi_profile.clamp": (_default(coupled.build_chi_profile,
-                                             "clamp"), clamp),
-        "find_anticrossing.window": (
-            _default(coupled.find_anticrossing, "window"),
-            (d["anticrossing.window_lo"], d["anticrossing.window_hi"])),
-        "find_anticrossing.transition": (
-            _default(coupled.find_anticrossing, "transition"),
-            (d["anticrossing.level_i"], d["anticrossing.level_j"])),
+        "ChiProfile.clamp": (_default(readout.ChiProfile, "clamp"),
+                             units.mhz(d["readout.chi_clamp_mhz"])),
     }
-    for name in ("f_min", "f_max", "step"):
-        pairs[f"build_chi_profile.{name}"] = (
-            _default(coupled.build_chi_profile, name), d[f"chi_curve.{name}"])
     for fn in (coupled.build_coupled_hamiltonian, coupled.sweep_dressed,
                coupled.dispersive_shift, coupled.compute_landscapes,
-               coupled.find_anticrossing, coupled.build_chi_profile):
+               coupled.find_anticrossing):
         pairs[f"{fn.__name__}.dims"] = (_default(fn, "dims"), dims)
     for fn in (gates.build_gate_space, noise.gate_draw, noise.noisy_gate_error):
         pairs[f"{fn.__name__}.dims"] = (_default(fn, "dims"), gate_dims)

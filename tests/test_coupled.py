@@ -23,7 +23,8 @@ from fluxsim.coupled import (
     ResonatorParams,
     assemble_coupled,
     assign_dressed_levels,
-    build_chi_profile,
+    chi_grid,
+    chi_profile,
     compute_landscapes,
     dispersive_shift,
     fill_and_clamp,
@@ -49,6 +50,8 @@ from conftest import reference, unfolded_spectrum_sweep
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
 RES = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
+# the configured 3-1 anticrossing search (the anticrossing.* defaults)
+AC_31 = {"transition": (3, 1), "window": (0.55, 0.60)}
 
 
 def _jc_energy(n_exc, branch, omega_q, omega_r, g):
@@ -205,7 +208,7 @@ def test_fill_and_clamp_leading_and_interior_runs():
 
 
 def test_anticrossing_reference():
-    ac = find_anticrossing(PARAMS, RES, CouplingMode.CHARGE)
+    ac = find_anticrossing(PARAMS, RES, CouplingMode.CHARGE, **AC_31)
     assert isinstance(ac, Anticrossing)
     assert ac.f_star == pytest.approx(0.5725, abs=0.004)
     assert units.to_mhz(ac.g_ij) == pytest.approx(6.0, abs=0.4)
@@ -228,7 +231,7 @@ def test_anticrossing_within_xtol_of_golden_section(mode, f_golden,
         return minimize(fun, *args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "minimize_scalar", spy)
-    ac = find_anticrossing(PARAMS, RES, mode)
+    ac = find_anticrossing(PARAMS, RES, mode, **AC_31)
     assert coupled.ANTICROSSING_XTOL == 1e-6
     assert abs(ac.f_star - f_golden) <= 1e-6
     # the gap read from one-point sweeps' labels is, bit for bit, the gap of
@@ -256,10 +259,10 @@ def test_anticrossing_window_must_bracket_an_interior_minimum():
     # the 3-1 gap minimum (f* ~ 0.5725) lies below this window, so the
     # bounded search ends on its lower edge
     with pytest.raises(BracketingError, match="edge"):
-        find_anticrossing(PARAMS, RES, window=(0.58, 0.60))
+        find_anticrossing(PARAMS, RES, transition=(3, 1), window=(0.58, 0.60))
     for window in ((0.60, 0.60), (0.60, 0.55)):
         with pytest.raises(BracketingError, match="empty"):
-            find_anticrossing(PARAMS, RES, window=window)
+            find_anticrossing(PARAMS, RES, transition=(3, 1), window=window)
 
 
 def test_anticrossing_levels_must_be_kept():
@@ -267,7 +270,7 @@ def test_anticrossing_levels_must_be_kept():
     for transition in ((4, 1), (3, 4)):
         with pytest.raises(InvalidDimensionError):
             find_anticrossing(PARAMS, RES, DEFAULT_MODE, dims,
-                              transition=transition)
+                              transition=transition, window=AC_31["window"])
 
 
 def test_low_quality_assignment_raises_resonance_error(monkeypatch):
@@ -329,8 +332,9 @@ def test_resonator_params_validation():
 
 def test_chi_profile_builder_matches_point_values():
     dims = CoupledDims(dim=30, kept=5, n_res=4)
-    profile = build_chi_profile(PARAMS, RES, DEFAULT_MODE, dims,
-                                f_min=0.49, f_max=0.51, step=5e-3)
+    grid = chi_grid(0.49, 0.51, 5e-3)
+    profile = chi_profile(grid, sweep_dressed(PARAMS, grid, RES, DEFAULT_MODE,
+                                              dims).chi(), units.mhz(50.0))
     assert profile.flux_grid[0] == pytest.approx(0.49)
     assert profile.flux_grid[-1] == pytest.approx(0.51)
     direct = dispersive_shift(PARAMS, FluxBias(0.5), RES, DEFAULT_MODE, dims)
@@ -633,9 +637,9 @@ def test_fold_within_stated_bounds_of_unfolded_sweep(mode, f_min, f_max, step):
 
 @pytest.mark.parametrize("mode", list(CouplingMode))
 def test_anticrossing_within_stated_bound_of_unfolded_solve(mode, monkeypatch):
-    folded = find_anticrossing(PARAMS, RES, mode)
+    folded = find_anticrossing(PARAMS, RES, mode, **AC_31)
     monkeypatch.setattr(coupled, "sweep_dressed", _unfolded_sweep)
-    unfolded = find_anticrossing(PARAMS, RES, mode)
+    unfolded = find_anticrossing(PARAMS, RES, mode, **AC_31)
     assert abs(folded.f_star - unfolded.f_star) <= 1e-11
 
 

@@ -17,6 +17,7 @@ from fluxsim.coupled import (
     CoupledDims,
     CouplingMode,
     ResonatorParams,
+    _coupling_operator,
     sweep_dressed,
 )
 from fluxsim.errors import (DomainError, OptimizerConsistencyError,
@@ -35,8 +36,7 @@ from fluxsim.gates import (
     rabi_area_estimate,
 )
 from fluxsim.noise import NoiseSpec, gate_draw, noisy_gate_error
-from fluxsim.qubit import (EnergyParams, FluxBias, charge_matrix_element,
-                           fluxonium_spectrum)
+from fluxsim.qubit import EnergyParams, FluxBias, fluxonium_spectrum
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
 RES = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
@@ -391,20 +391,22 @@ def test_pulse_grid_points(space, monkeypatch, n_eps, n_lam):
         space, n_eps, n_lam, space.lam_drag - 2.0, space.lam_drag + 2.0)
 
 
-def test_explicit_lam_range_gives_the_former_grid(space, monkeypatch):
+def test_zero_drag_weight_gives_the_former_grid(space, monkeypatch):
     calls = _fake_gate(monkeypatch,
                        lambda eps_d, lam: (eps_d - 1.0) ** 2 + lam ** 2)
     _no_refinement(monkeypatch)
-    optimize_pulse(space, 3.0, lam_range=(-2.0, 2.0))
+    optimize_pulse(replace(space, lam_drag=0.0), 3.0)
     assert calls[:9] == _grid_points(space, 3, 3, -2.0, 2.0)
     assert [lam for _, lam in calls[:3]] == [-2.0, 0.0, 2.0]
 
 
 def test_drag_weight_is_the_first_order_formula(space):
-    # (|<1|n|2>| / |<0|n|1>|)^2 / 2 from the bare matrix elements at f = 0.5
+    # (|<1|n|2>| / |<0|n|1>|)^2 / 2 from the bare matrix elements at f = 0.5,
+    # read from the charge operator the CHARGE-mode Hamiltonian projects
     spec = fluxonium_spectrum(PARAMS, FluxBias(0.5), gates.GATE_DIMS.dim)
-    n01 = abs(charge_matrix_element(spec, 0, 1))
-    n12 = abs(charge_matrix_element(spec, 1, 2))
+    n_op = _coupling_operator(spec.eigenvectors, PARAMS, CouplingMode.CHARGE,
+                              3)
+    n01, n12 = abs(n_op[0, 1]), abs(n_op[1, 2])
     assert space.lam_drag == pytest.approx(0.5 * (n12 / n01) ** 2, rel=1e-12)
     # the optimum's lambda, 4.77-4.83 on this device, is inside the axis
     assert 4.2 < space.lam_drag < 4.3
@@ -767,10 +769,11 @@ def test_error_floor_moves_the_pulse_within_stated_bounds(space,
 @pytest.mark.parametrize("tau_g", [10.0, 20.0])
 def test_centred_lambda_axis_moves_the_pulse_within_stated_bounds(space,
                                                                   tau_g):
-    # against the former axis (-2, 0, 2): the gates.csv error, eps_d and
-    # lambda, and the noise_gates.csv mean and standard error
+    # against the former axis (-2, 0, 2), centred on a zero DRAG weight:
+    # the gates.csv error, eps_d and lambda, and the noise_gates.csv mean
+    # and standard error
     pulse, result = optimize_pulse(space, tau_g)
-    ref_pulse, ref = optimize_pulse(space, tau_g, lam_range=(-2.0, 2.0))
+    ref_pulse, ref = optimize_pulse(replace(space, lam_drag=0.0), tau_g)
     assert result.error <= ref.error + 1e-12
     assert abs(pulse.eps_d - ref_pulse.eps_d) <= 1e-6 * ref_pulse.eps_d
     assert abs(pulse.lam - ref_pulse.lam) <= 1e-3

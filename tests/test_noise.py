@@ -28,9 +28,9 @@ from fluxsim.noise import (
     standard_normal_draw,
 )
 from fluxsim.qubit import EnergyParams, FluxBias
-from fluxsim.readout import ChiProfile, FluxRamp, ReadoutConfig, run_ramped_readout
+from fluxsim.readout import ChiProfile, FluxRamp, ReadoutConfig
 
-from conftest import reference, unfolded_spectrum_sweep
+from conftest import readout_batch, reference, unfolded_spectrum_sweep
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
 RES = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
@@ -90,7 +90,7 @@ def test_standard_normal_statistics():
 
 def test_zero_scale_matches_noise_free_run():
     profile = _synthetic_profile()
-    baseline = run_ramped_readout(RAMP, profile, CFG)
+    (baseline,) = readout_batch([RAMP], profile, CFG)
     result = noisy_readout_snr(RAMP, profile, CFG, NoiseSpec(0.0, n_draws=3, seed=1))
     assert result.snr.n_effective == 3
     assert np.max(np.abs(result.snr.mean - baseline.snr)) < 1e-12
@@ -133,7 +133,7 @@ def test_batched_draws_equal_single_draws():
         assert np.array_equal(result.snr.draws[k], snr)
         assert np.array_equal(result.error.draws[k], err)
         if included:
-            traj = run_ramped_readout(RAMP.shifted(delta), profile, CFG)
+            (traj,) = readout_batch([RAMP.shifted(delta)], profile, CFG)
             assert np.array_equal(snr, traj.snr)
             assert np.array_equal(err, traj.error)
         else:

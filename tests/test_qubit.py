@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxsim import units
-from fluxsim.errors import IndexBoundError, InvalidDimensionError
+from fluxsim.coupled import CouplingMode, _coupling_operator
+from fluxsim.errors import InvalidDimensionError
 from fluxsim.qubit import (
     DEFAULT_DIM,
     EnergyParams,
@@ -16,7 +17,6 @@ from fluxsim.qubit import (
     anharmonicity,
     build_ho_operators,
     canonical_flux,
-    charge_matrix_element,
     fluxonium_hamiltonians,
     fluxonium_spectrum,
     spectrum_sweep,
@@ -77,24 +77,25 @@ def test_eigenvector_phase_convention_deterministic():
         assert pivot.real > 0.0
 
 
-def test_charge_matrix_element_selection_rule_at_sweet_spot():
-    spec = fluxonium_spectrum(PARAMS, FluxBias(0.5))
+def _charge_elements(f):
+    """<i|n|j> over the three lowest bare levels at flux f: the charge
+    operator that the CHARGE-mode Hamiltonian and the gate space project."""
+    spec = fluxonium_spectrum(PARAMS, FluxBias(f))
+    return _coupling_operator(spec.eigenvectors, PARAMS, CouplingMode.CHARGE,
+                              3)
+
+
+def test_charge_element_selection_rule_at_sweet_spot():
+    n_op = _charge_elements(0.5)
     # even-parity transition suppressed exactly at half flux
-    assert abs(charge_matrix_element(spec, 0, 2)) < 1e-10
-    assert abs(charge_matrix_element(spec, 0, 1)) > 0.1
+    assert abs(n_op[0, 2]) < 1e-10
+    assert abs(n_op[0, 1]) > 0.1
 
 
-def test_charge_matrix_element_off_sweet_spot():
-    spec = fluxonium_spectrum(PARAMS, FluxBias(0.641))
-    n20 = abs(charge_matrix_element(spec, 2, 0))
+def test_charge_element_off_sweet_spot():
+    n20 = abs(_charge_elements(0.641)[2, 0])
     g_mhz = 50.0 * n20
     assert g_mhz == pytest.approx(18.32, rel=0.05)
-
-
-def test_charge_matrix_element_index_bound():
-    spec = fluxonium_spectrum(PARAMS, FluxBias(0.5), 20)
-    with pytest.raises(IndexBoundError):
-        charge_matrix_element(spec, 0, 10)
 
 
 def test_transition_ordering():

@@ -24,15 +24,12 @@ from fluxsim.readout import (
     ramp_inside,
     ramp_rows,
     readout_records,
-    run_ramped_readout,
-    run_readout,
-    run_static_readout,
     snr_curve,
     time_grid,
 )
 from fluxsim.special import erfc
 
-from conftest import reference
+from conftest import STATIC, flat_profile, readout_batch, reference
 
 KAPPA_MHZ, CHI_MHZ = 5.0, 0.527
 KAPPA = units.mhz(KAPPA_MHZ)
@@ -89,7 +86,7 @@ def test_langevin_matches_closed_form_static():
 
 def test_steady_state_photon_number():
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=3000.0, dt=0.05)
-    traj = run_static_readout(CHI, cfg)
+    traj = readout_batch([STATIC], flat_profile(CHI), cfg)[0]
     assert abs(traj.alpha_plus[-1]) ** 2 == pytest.approx(10.0, rel=1e-6)
     assert abs(traj.alpha_minus[-1]) ** 2 == pytest.approx(10.0, rel=1e-6)
 
@@ -111,8 +108,8 @@ def test_eta_quarter_halves_snr_pointwise():
                          dt=0.05)
     quarter = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=300.0,
                             dt=0.05)
-    full = run_static_readout(CHI, base)
-    half = run_static_readout(CHI, quarter)
+    full = readout_batch([STATIC], flat_profile(CHI), base)[0]
+    half = readout_batch([STATIC], flat_profile(CHI), quarter)[0]
     assert np.max(np.abs(2.0 * half.snr - full.snr)) < 1e-12
 
 
@@ -123,15 +120,16 @@ def test_snr_scales_with_root_eta(chi_mhz, eta):
     # the quadrature does not depend on eta, so M_S and SNR scale as sqrt(eta)
     kw = {"n_bar": 10.0, "kappa": KAPPA, "t_max": 100.0, "dt": 0.05}
     chi = units.mhz(chi_mhz)
-    full = run_static_readout(chi, ReadoutConfig(eta=1.0, **kw))
-    part = run_static_readout(chi, ReadoutConfig(eta=eta, **kw))
+    full, part = (readout_batch([STATIC], flat_profile(chi),
+                                ReadoutConfig(eta=e, **kw))[0]
+                  for e in (1.0, eta))
     assert np.max(np.abs(part.snr - math.sqrt(eta) * full.snr)) < 1e-12
     assert np.all((part.error >= 0.0) & (part.error <= 0.5))
 
 
 def test_optimal_demod_phase_is_quadrature():
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=300.0, dt=0.05)
-    traj = run_static_readout(CHI, cfg)
+    traj = readout_batch([STATIC], flat_profile(CHI), cfg)[0]
     assert traj.theta == -math.pi / 2
 
 
@@ -181,7 +179,7 @@ def _closed_form_static_snr(chi_mhz, kappa_mhz, n_bar, eta, taus):
 def test_static_snr_matches_closed_form_and_its_root_tau_limit(chi_mhz):
     # the static and pulsed plateau chi of criterion 5, at the default dt
     cfg = ReadoutConfig(n_bar=10.0, eta=0.5, kappa=KAPPA, t_max=20000.0)
-    traj = run_static_readout(units.mhz(chi_mhz), cfg)
+    traj = readout_batch([STATIC], flat_profile(units.mhz(chi_mhz)), cfg)[0]
     want = _closed_form_static_snr(chi_mhz, KAPPA_MHZ, cfg.n_bar, cfg.eta,
                                    traj.times)
     dev = np.abs(traj.snr - want)
@@ -209,7 +207,7 @@ def test_static_snr_calibration_constant():
     res = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
     chi = dispersive_shift(params, FluxBias(0.5), res)
     cfg = ReadoutConfig(n_bar=10.0, eta=1.0, kappa=KAPPA, t_max=250.0, dt=0.05)
-    traj = run_static_readout(chi, cfg)
+    traj = readout_batch([STATIC], flat_profile(chi), cfg)[0]
     snr, _ = traj.at_time(200.0)
     assert snr == pytest.approx(2.0729907011622464, rel=1e-9)
     # the value's source: the closed form at the reference's chi, which the
@@ -221,7 +219,7 @@ def test_static_snr_calibration_constant():
 
 def test_error_curve_is_half_erfc_of_half_snr():
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=200.0, dt=0.05)
-    traj = run_static_readout(CHI, cfg)
+    traj = readout_batch([STATIC], flat_profile(CHI), cfg)[0]
     for i in range(0, traj.times.size, 203):
         assert traj.error[i] == 0.5 * erfc(0.5 * traj.snr[i])
     assert readout_error(0.0) == pytest.approx(0.5, abs=1e-15)
@@ -229,7 +227,7 @@ def test_error_curve_is_half_erfc_of_half_snr():
 
 def test_snr_zero_at_origin():
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=100.0, dt=0.05)
-    traj = run_static_readout(CHI, cfg)
+    traj = readout_batch([STATIC], flat_profile(CHI), cfg)[0]
     assert traj.snr[0] == 0.0
     assert traj.m_s_plus[0] == 0.0 and traj.m_s_minus[0] == 0.0
 
@@ -350,20 +348,25 @@ def test_ramp_rows_targets_equal_scalar_lookups_bit_for_bit():
 
 
 def test_zero_height_ramp_is_static_readout_bit_for_bit():
+    # the ramp held at f, batched after a pulsed row as cmd_readout batches
+    # it, is the constant row chi(f) driven at chi(f)
     profile = _synthetic_profile()
     cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=250.0,
                         dt=0.05)
+    n_half = _half_grid(cfg).size
     for f in (0.4, 0.5, 0.6137):
-        _assert_same_record(run_ramped_readout(FluxRamp(f, f, 0.0), profile,
-                                               cfg),
-                            run_static_readout(profile.chi_at(f), cfg))
+        chi = profile.chi_at(f)
+        _, held = readout_batch([FluxRamp(0.5, 0.641, 50.0),
+                                 FluxRamp(f, f, 0.0)], profile, cfg)
+        (static,) = readout_records(np.full((1, n_half), chi), [chi], cfg)
+        _assert_same_record(held, static)
 
 
 def test_ramped_readout_targets_plateau_chi():
     profile = _synthetic_profile()
     ramp = FluxRamp(0.5, 0.641, 50.0)
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=300.0, dt=0.05)
-    traj = run_ramped_readout(ramp, profile, cfg)
+    traj = readout_batch([ramp], profile, cfg)[0]
     want_eps = drive_amplitude(10.0, KAPPA, profile.chi_at(0.641))
     assert traj.epsilon == pytest.approx(want_eps, rel=1e-12)
     assert np.all(np.isfinite(traj.snr))
@@ -408,12 +411,12 @@ def _readout_case(name, cfg):
     and drive target."""
     delta = CASES[name]
     if delta is None:
-        return (run_static_readout(CHI, cfg),
+        return (readout_batch([STATIC], flat_profile(CHI), cfg)[0],
                 np.full(_half_grid(cfg).size, CHI), CHI)
     profile = _synthetic_profile()
     shifted = FluxRamp(0.5, 0.641, 50.0).shifted(delta)
     (chi_half,), (chi_target,) = ramp_rows([shifted], profile, cfg)
-    return run_ramped_readout(shifted, profile, cfg), chi_half, chi_target
+    return readout_batch([shifted], profile, cfg)[0], chi_half, chi_target
 
 
 def _reference_readout(chi_half, chi_target, cfg):
@@ -483,7 +486,7 @@ def _assert_same_record(got, want):
 
 def test_readout_batch_rows_equal_single_runs_bit_for_bit():
     # a row's bits do not depend on the rest of the batch: the rows in
-    # reverse order, and each ramp alone (run_ramped_readout), give the
+    # reverse order, and each ramp alone in a batch of one, give the
     # same records
     profile = _synthetic_profile()
     ramps = _shifted(16)
@@ -495,7 +498,7 @@ def test_readout_batch_rows_equal_single_runs_bit_for_bit():
     assert len(records) == len(reversed_records) == 16
     for traj, rev, ramp in zip(records, reversed_records[::-1], ramps):
         _assert_same_record(rev, traj)
-        _assert_same_record(run_ramped_readout(ramp, profile, cfg), traj)
+        _assert_same_record(readout_batch([ramp], profile, cfg)[0], traj)
 
 
 def test_langevin_step_at_an_rk4_amplification_zero_is_refused():
@@ -506,7 +509,7 @@ def test_langevin_step_at_an_rk4_amplification_zero_is_refused():
     assert abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) < 1e-3
     cfg = ReadoutConfig(n_bar=10.0, kappa=kappa, t_max=20.0, dt=dt)
     with pytest.raises(StepSizeError, match="step") as info:
-        run_static_readout(chi, cfg)
+        readout_batch([STATIC], flat_profile(chi), cfg)
     assert info.value.dt == dt
 
 
@@ -523,7 +526,7 @@ def test_langevin_step_just_inside_the_bound_matches_reference(half_kappa_dt,
     assert dt * abs(complex(0.5 * cfg.kappa, chi)) <= 1.0
 
     chi_half = np.full(_half_grid(cfg).size, chi)
-    traj = run_readout(chi_half, chi, cfg)
+    traj = readout_batch([STATIC], flat_profile(chi), cfg)[0]
     ref_p, ref_m, ref_snr, ref_error = _reference_readout(chi_half, chi, cfg)
     assert np.max(np.abs(traj.alpha_plus - ref_p)) <= 1e-12
     assert np.max(np.abs(traj.alpha_minus - ref_m)) <= 1e-12
@@ -645,7 +648,7 @@ def test_demod_phase_is_exactly_minus_quadrature(name):
     # for bit, for static, ramped and noise-shifted records
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=250.0, dt=0.05)
     if name == "chi=0":
-        traj = run_static_readout(0.0, cfg)
+        traj = readout_batch([STATIC], flat_profile(0.0), cfg)[0]
     else:
         traj, *_ = _readout_case(name, cfg)
     assert traj.theta == -math.pi / 2
