@@ -122,8 +122,8 @@ def _status(values):
 # Subcommands
 
 def cmd_spectrum(cfg: RunConfig, out_dir, cache_dir):
-    energies = fluxonium_spectrum(cfg.params, FluxBias(cfg.flux),
-                                  cfg.dims.dim).eigenvalues
+    energies, _ = fluxonium_spectrum(cfg.params, FluxBias(cfg.flux),
+                                     cfg.dims.dim)
     path = write_csv(out_dir / "spectrum.csv", ["level", "energy_ghz"],
                      [range(energies.size), units.to_ghz(energies)])
     return [(path, "spectrum")]

@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .gates import DEFAULT_GATE_DT, GATE_DIMS
 from .noise import NoiseSpec
 from .qubit import DEFAULT_DIM, EnergyParams
-from .readout import FluxRamp, ReadoutConfig
+from .readout import ChiProfile, FluxRamp, ReadoutConfig
 
 CATEGORY_MISSING_FILE = "missing-file"
 CATEGORY_MALFORMED_JSON = "malformed-json"
@@ -50,8 +50,9 @@ def _truncation(key, default):
 # (dotted key, default or REQUIRED, lo, hi, kind), in the order the manifest
 # lists applied defaults. kind float is a finite number, int an integer, list
 # a nonempty list of finite numbers each within [lo, hi], str a nonempty
-# string, CouplingMode one of its values. A unit-free default the library
-# owns is read from its owner; the others are written here.
+# string, CouplingMode one of its values. A default the library owns is read
+# from its owner (kappa and the chi clamp converted to MHz, both exactly);
+# the others are written here.
 SCHEMA = (
     ("device.e_j_ghz", REQUIRED, 1e-9, None, float),
     ("device.e_c_ghz", REQUIRED, 1e-9, None, float),
@@ -65,10 +66,12 @@ SCHEMA = (
     _truncation("device.levels_resonator", CoupledDims.n_res),
     ("readout.n_bar", ReadoutConfig.n_bar, 0.0, None, float),
     ("readout.eta", ReadoutConfig.eta, 0.0, 1.0, float),
-    ("readout.kappa_mhz_over_2pi", 5.0, 1e-12, None, float),
+    ("readout.kappa_mhz_over_2pi", units.to_mhz(ReadoutConfig.kappa), 1e-12,
+     None, float),
     ("readout.t_max_ns", ReadoutConfig.t_max, 1e-9, None, float),
     ("readout.dt_ns", ReadoutConfig.dt, 1e-9, None, float),
-    ("readout.chi_clamp_mhz", 50.0, 1e-12, None, float),
+    ("readout.chi_clamp_mhz", units.to_mhz(ChiProfile.clamp), 1e-12, None,
+     float),
     ("readout.ramp.f_start", 0.5, None, None, float),
     ("readout.ramp.f_end", 0.641, None, None, float),
     ("readout.ramp.t_rise_ns", 50.0, 0.0, None, float),

@@ -34,6 +34,7 @@ from .errors import (
     InvalidDimensionError,
     NumericalFailureError,
     ResonanceRegionError,
+    require_finite,
 )
 from .qubit import (
     DEFAULT_DIM,
@@ -58,10 +59,7 @@ class ResonatorParams:
     g: float
 
     def __post_init__(self):
-        for name in ("omega_r", "kappa", "g"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(self, "omega_r", "kappa", "g")
         if not self.omega_r > 0:
             raise ValueError(f"omega_r must be positive, got {self.omega_r}")
         if not self.kappa > 0:
@@ -170,12 +168,11 @@ def build_coupled_hamiltonian(params: EnergyParams, flux: FluxBias,
                               spec=None):
     """Fluxonium eigensolve at full dim, project the coupling operator onto
     the lowest kept levels, tensor with the resonator. spec is the bare
-    Spectrum at this bias when the caller already has it."""
-    if spec is None:
-        spec = fluxonium_spectrum(params, flux, dims.dim)
-    q_op = _coupling_operator(spec.eigenvectors, params, mode, dims.kept)
-    return assemble_coupled(spec.eigenvalues[:dims.kept], q_op, res, mode,
-                            dims.n_res)
+    (eigenvalues, eigenvectors) at this bias when the caller already has
+    it."""
+    vals, vecs = fluxonium_spectrum(params, flux, dims.dim) if spec is None else spec
+    q_op = _coupling_operator(vecs, params, mode, dims.kept)
+    return assemble_coupled(vals[:dims.kept], q_op, res, mode, dims.n_res)
 
 
 def assign_dressed_levels(eigenvectors):
@@ -439,17 +436,11 @@ def compute_landscapes(e_j_axis, f_axis, e_c, e_l, res: ResonatorParams,
     DEFAULT_TRANSITIONS, NaN where resonant: resonance marks a cell, never
     aborts.
     """
-    e_j_axis = np.asarray(e_j_axis, dtype=float)
     f_axis = np.asarray(f_axis, dtype=float)
-    kinds = ["omega_q", "chi"] + [f"delta_{i}{j}"
-                                  for (i, j) in DEFAULT_TRANSITIONS]
-    values = {k: np.empty((e_j_axis.size, f_axis.size)) for k in kinds}
-    for a, e_j in enumerate(e_j_axis):
-        row = _landscape_row(EnergyParams(float(e_j), e_c, e_l), f_axis,
-                             res, mode, dims)
-        for k in kinds:
-            values[k][a] = row[k]
-    return values
+    rows = [_landscape_row(EnergyParams(float(e_j), e_c, e_l), f_axis, res,
+                           mode, dims)
+            for e_j in np.asarray(e_j_axis, dtype=float)]
+    return {k: np.array([row[k] for row in rows]) for k in rows[0]}
 
 
 # ---------------------------------------------------------------------------

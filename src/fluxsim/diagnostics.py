@@ -18,9 +18,3 @@ def count_eigensolve(n=1):
 
 def eigensolve_count():
     return _eigensolves
-
-
-def reset_eigensolve_count():
-    global _eigensolves
-    with _lock:
-        _eigensolves = 0

@@ -1,4 +1,16 @@
-"""Exception types shared across the simulation package."""
+"""Exception types shared across the simulation package, and the one
+finite-field check of its parameter classes."""
+
+import math
+
+
+def require_finite(obj, *names):
+    """Raise ValueError for the first of obj's named fields, in order, that
+    is not a finite number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class FluxsimError(Exception):

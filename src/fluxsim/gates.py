@@ -29,8 +29,8 @@ from .coupled import (
     diagonalize,
 )
 from .errors import (DomainError, OptimizerConsistencyError,
-                     ResonanceRegionError, StepSizeError)
-from .qubit import EnergyParams, FluxBias, fluxonium_spectrum
+                     ResonanceRegionError, StepSizeError, require_finite)
+from .qubit import EnergyParams, FluxBias, anharmonicity, fluxonium_spectrum
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,7 @@ class PulseParams:
     omega_d: float
 
     def __post_init__(self):
-        for name in ("tau_g", "eps_d", "lam", "omega_d"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(self, "tau_g", "eps_d", "lam", "omega_d")
         if not self.tau_g > 0:
             raise ValueError(f"tau_g must be positive, got {self.tau_g}")
         if self.eps_d < 0:
@@ -121,8 +118,9 @@ def build_gate_space(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
     """Raises ResonanceRegionError when the worse squared bare overlap
     backing the |0,0> and |1,0> labels is below MIN_ASSIGNMENT_QUALITY: the
     computational states are then undefined."""
-    spec = fluxonium_spectrum(params, flux, dims.dim)
-    h0 = build_coupled_hamiltonian(params, flux, res, mode, dims, spec=spec)
+    bare_vals, bare_vecs = fluxonium_spectrum(params, flux, dims.dim)
+    h0 = build_coupled_hamiltonian(params, flux, res, mode, dims,
+                                   spec=(bare_vals, bare_vecs))
     vals, vecs = diagonalize(h0)
     index, quality = assign_dressed_levels(vecs)
     label_quality = float(min(quality[0], quality[dims.n_res]))
@@ -134,8 +132,8 @@ def build_gate_space(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
     ground, excited = index[0], index[dims.n_res]  # |0, 0> and |1, 0>
     comp = np.column_stack([vecs[:, ground], vecs[:, excited]])
     omega_01 = float(vals[excited] - vals[ground])
-    anharm = spec.transition(2, 1) - spec.transition(1, 0)
-    n_proj = _coupling_operator(spec.eigenvectors, params, CouplingMode.CHARGE,
+    anharm = anharmonicity(bare_vals)
+    n_proj = _coupling_operator(bare_vecs, params, CouplingMode.CHARGE,
                                 dims.kept)
     n01 = abs(n_proj[0, 1])
     lam_drag = float(0.5 * (abs(n_proj[1, 2]) / n01) ** 2

@@ -21,7 +21,7 @@ from .coupled import DEFAULT_MODE, CoupledDims, CouplingMode, ResonatorParams
 from .errors import DomainError, ResonanceRegionError
 from .gates import (DEFAULT_GATE_DT, GATE_DIMS, GateResult, build_gate_space,
                     evaluate_gate)
-from .qubit import EnergyParams, FluxBias, anharmonicity
+from .qubit import EnergyParams, FluxBias, anharmonicity, fluxonium_spectrum
 from .readout import (ChiProfile, FluxRamp, ReadoutConfig, ramp_inside,
                       ramp_rows, readout_records, time_grid)
 
@@ -180,22 +180,20 @@ def noisy_readout_snr(ramp: FluxRamp, profile: ChiProfile, cfg: ReadoutConfig,
 
 
 def gate_draw(delta, params: EnergyParams, res: ResonatorParams, pulses,
-              base_flux=0.5, mode: CouplingMode = DEFAULT_MODE,
-              dims: CoupledDims = GATE_DIMS, dt=DEFAULT_GATE_DT,
-              anharm=None) -> list[GateResult]:
+              anharm, base_flux=0.5, mode: CouplingMode = DEFAULT_MODE,
+              dims: CoupledDims = GATE_DIMS,
+              dt=DEFAULT_GATE_DT) -> list[GateResult]:
     """Evaluate fixed, pre-optimized pulses at the offset flux bias, all on
     the one gate space built there; one GateResult per pulse.
 
     The applied waveform (amplitude, DRAG weight, drive frequency) is frozen
     at its delta=0 optimum; only the static Hamiltonian moves with the
-    offset. The DRAG quadrature keeps the anharmonicity of the unshifted
-    bias, since a quasi-static offset is unknown when the pulse is shaped;
-    pass it as anharm to skip recomputing it. Raises ResonanceRegionError
-    (from build_gate_space) where the offset bias leaves the computational
-    states unlabelled, before any pulse is evaluated.
+    offset. The DRAG quadrature keeps anharm, the anharmonicity of the
+    unshifted bias, since a quasi-static offset is unknown when the pulse is
+    shaped. Raises ResonanceRegionError (from build_gate_space) where the
+    offset bias leaves the computational states unlabelled, before any pulse
+    is evaluated.
     """
-    if anharm is None:
-        anharm = anharmonicity(params, FluxBias(base_flux), dims.dim)
     space = replace(build_gate_space(params, FluxBias(base_flux + delta), res,
                                      mode, dims), anharm=anharm)
     return [evaluate_gate(space, pulse, dt) for pulse in pulses]
@@ -214,14 +212,15 @@ def noisy_gate_error(params: EnergyParams, res: ResonatorParams,
     whose offset bias leaves the computational states unlabelled
     (gate_draw's ResonanceRegionError) is excluded with a zero row.
     """
-    anharm = anharmonicity(params, FluxBias(base_flux), dims.dim)
+    anharm = anharmonicity(
+        fluxonium_spectrum(params, FluxBias(base_flux), dims.dim)[0])
     offsets = sample_flux_offsets(spec)
     draws = np.zeros((offsets.size, len(pulses)))
     included = np.ones(offsets.size, dtype=bool)
     for k, delta in enumerate(offsets):
         try:
             draws[k] = [result.error for result in gate_draw(
-                delta, params, res, pulses, base_flux, mode, dims, dt, anharm)]
+                delta, params, res, pulses, anharm, base_flux, mode, dims, dt)]
         except ResonanceRegionError:
             included[k] = False
     axis = np.array([p.tau_g for p in pulses])

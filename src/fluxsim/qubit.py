@@ -183,30 +183,17 @@ def spectrum_sweep(params: EnergyParams, f_values, dim=DEFAULT_DIM):
     return vals, _fix_signs(vecs)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigensystem of the bare fluxonium.
-
-    eigenvalues are ascending angular frequencies; eigenvectors are the
-    matching real orthonormal columns in the HO basis with fixed signs.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def transition(self, i, j):
-        """omega_i - omega_j (angular)."""
-        return self.eigenvalues[i] - self.eigenvalues[j]
-
-
-def fluxonium_spectrum(params: EnergyParams, flux: FluxBias, dim=DEFAULT_DIM) -> Spectrum:
-    """Diagonalize the fluxonium Hamiltonian; ascending eigenvalues,
-    deterministic eigenvector signs. A one-point `spectrum_sweep`."""
+def fluxonium_spectrum(params: EnergyParams, flux: FluxBias, dim=DEFAULT_DIM):
+    """(eigenvalues, eigenvectors) of the fluxonium Hamiltonian at one
+    flux: ascending angular frequencies (dim,) and the matching real
+    orthonormal, sign-fixed columns (dim, dim) in the HO basis. A one-point
+    `spectrum_sweep`."""
     vals, vecs = spectrum_sweep(params, [flux.f], dim)
-    return Spectrum(vals[0], vecs[0])
+    return vals[0], vecs[0]
 
 
-def anharmonicity(params: EnergyParams, flux: FluxBias, dim=DEFAULT_DIM):
-    """alpha = (omega_2 - omega_1) - (omega_1 - omega_0) (angular)."""
-    spec = fluxonium_spectrum(params, flux, dim)
-    return spec.transition(2, 1) - spec.transition(1, 0)
+def anharmonicity(eigenvalues):
+    """alpha = (omega_2 - omega_1) - (omega_1 - omega_0) (angular) from
+    ascending eigenvalues."""
+    return ((eigenvalues[2] - eigenvalues[1])
+            - (eigenvalues[1] - eigenvalues[0]))

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special, units
-from .errors import DomainError, NumericalFailureError, StepSizeError
+from .errors import (DomainError, NumericalFailureError, StepSizeError,
+                     require_finite)
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,7 @@ class ReadoutConfig:
     dt: float = 0.05
 
     def __post_init__(self):
-        for name in ("n_bar", "kappa", "t_max", "dt"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(self, "n_bar", "kappa", "t_max", "dt")
         if self.n_bar < 0:
             raise ValueError(f"n_bar must be >= 0, got {self.n_bar}")
         if not 0.0 < self.eta <= 1.0:
@@ -57,10 +55,7 @@ class FluxRamp:
     t_rise: float
 
     def __post_init__(self):
-        for name in ("f_start", "f_end", "t_rise"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(self, "f_start", "f_end", "t_rise")
         if self.t_rise < 0:
             raise ValueError(f"t_rise must be >= 0, got {self.t_rise}")
 

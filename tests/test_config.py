@@ -464,8 +464,9 @@ def _default(fn, name):
 
 
 def test_library_defaults_are_the_schema_defaults():
-    # the table reads its unit-free defaults from the library; the defaults
-    # both still write, each in its own units, must agree
+    # the table reads its defaults from the library; kappa and the clamp,
+    # read in MHz, must round-trip to the library's rad/ns exactly, and the
+    # defaults both still write must agree
     d = {key: default for key, default, *_ in SCHEMA}
     dims = CoupledDims(d["device.dim"], d["device.levels_kept"],
                        d["device.levels_resonator"])

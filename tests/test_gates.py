@@ -403,9 +403,8 @@ def test_zero_drag_weight_gives_the_former_grid(space, monkeypatch):
 def test_drag_weight_is_the_first_order_formula(space):
     # (|<1|n|2>| / |<0|n|1>|)^2 / 2 from the bare matrix elements at f = 0.5,
     # read from the charge operator the CHARGE-mode Hamiltonian projects
-    spec = fluxonium_spectrum(PARAMS, FluxBias(0.5), gates.GATE_DIMS.dim)
-    n_op = _coupling_operator(spec.eigenvectors, PARAMS, CouplingMode.CHARGE,
-                              3)
+    _, vecs = fluxonium_spectrum(PARAMS, FluxBias(0.5), gates.GATE_DIMS.dim)
+    n_op = _coupling_operator(vecs, PARAMS, CouplingMode.CHARGE, 3)
     n01, n12 = abs(n_op[0, 1]), abs(n_op[1, 2])
     assert space.lam_drag == pytest.approx(0.5 * (n12 / n01) ** 2, rel=1e-12)
     # the optimum's lambda, 4.77-4.83 on this device, is inside the axis
@@ -865,8 +864,8 @@ def test_gate_error_converged_in_the_gate_space_truncation(space):
     pulses = [PulseParams(10.0, 1.557152, 4.7745, space.omega_01),
               PulseParams(30.0, 0.518938, 4.7634, space.omega_01)]
     for delta in (1e-3, 3e-3, 1e-2):
-        got = gate_draw(delta, PARAMS, RES, pulses)
-        ref = gate_draw(delta, PARAMS, RES, pulses,
+        got = gate_draw(delta, PARAMS, RES, pulses, space.anharm)
+        ref = gate_draw(delta, PARAMS, RES, pulses, space.anharm,
                         dims=CoupledDims(kept=10, n_res=5),
                         dt=DEFAULT_GATE_DT / 2)
         for g, r in zip(got, ref):

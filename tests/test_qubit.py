@@ -45,33 +45,34 @@ def test_invalid_dimension_rejected():
 
 def test_harmonic_limit_uniform_spacing():
     params = EnergyParams(0.0, units.ghz(1.25), units.ghz(1.5))
-    spec = fluxonium_spectrum(params, FluxBias(0.3), 60)
-    gaps = np.diff(spec.eigenvalues[:12])
+    vals, _ = fluxonium_spectrum(params, FluxBias(0.3), 60)
+    gaps = np.diff(vals[:12])
     expected = math.sqrt(8.0 * params.e_c * params.e_l)
     assert np.max(np.abs(gaps / expected - 1.0)) < 1e-10
 
 
 def test_sweet_spot_frequency_and_anharmonicity():
-    wq = fluxonium_spectrum(PARAMS, FluxBias(0.5)).transition(1, 0)
+    vals, _ = fluxonium_spectrum(PARAMS, FluxBias(0.5))
+    wq = vals[1] - vals[0]
     assert units.to_ghz(wq) == pytest.approx(1.0483, abs=2e-3)
-    alpha = anharmonicity(PARAMS, FluxBias(0.5))
+    alpha = anharmonicity(vals)
     assert units.to_ghz(alpha) == pytest.approx(3.020, abs=5e-3)
 
 
 def test_spectrum_flux_symmetry():
     for f in (0.3, 0.45, 0.62):
-        a = fluxonium_spectrum(PARAMS, FluxBias(f)).eigenvalues[:10]
-        b = fluxonium_spectrum(PARAMS, FluxBias(1.0 - f)).eigenvalues[:10]
+        a = fluxonium_spectrum(PARAMS, FluxBias(f))[0][:10]
+        b = fluxonium_spectrum(PARAMS, FluxBias(1.0 - f))[0][:10]
         assert np.max(np.abs(a - b)) < 1e-8
 
 
 def test_eigenvector_phase_convention_deterministic():
-    s1 = fluxonium_spectrum(PARAMS, FluxBias(0.41))
-    s2 = fluxonium_spectrum(PARAMS, FluxBias(0.41))
-    assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
+    _, v1 = fluxonium_spectrum(PARAMS, FluxBias(0.41))
+    _, v2 = fluxonium_spectrum(PARAMS, FluxBias(0.41))
+    assert np.array_equal(v1, v2)
     # pivot components are real positive
     for k in range(6):
-        col = s1.eigenvectors[:, k]
+        col = v1[:, k]
         pivot = col[int(np.argmax(np.abs(col)))]
         assert pivot.imag == pytest.approx(0.0, abs=1e-14)
         assert pivot.real > 0.0
@@ -80,9 +81,8 @@ def test_eigenvector_phase_convention_deterministic():
 def _charge_elements(f):
     """<i|n|j> over the three lowest bare levels at flux f: the charge
     operator that the CHARGE-mode Hamiltonian and the gate space project."""
-    spec = fluxonium_spectrum(PARAMS, FluxBias(f))
-    return _coupling_operator(spec.eigenvectors, PARAMS, CouplingMode.CHARGE,
-                              3)
+    _, vecs = fluxonium_spectrum(PARAMS, FluxBias(f))
+    return _coupling_operator(vecs, PARAMS, CouplingMode.CHARGE, 3)
 
 
 def test_charge_element_selection_rule_at_sweet_spot():
@@ -99,10 +99,10 @@ def test_charge_element_off_sweet_spot():
 
 
 def test_transition_ordering():
-    spec = fluxonium_spectrum(PARAMS, FluxBias(0.5))
-    assert spec.transition(1, 0) > 0
-    assert spec.transition(2, 0) == pytest.approx(
-        spec.transition(2, 1) + spec.transition(1, 0), abs=1e-12)
+    vals, _ = fluxonium_spectrum(PARAMS, FluxBias(0.5))
+    assert vals[1] - vals[0] > 0
+    assert vals[2] - vals[0] == pytest.approx(
+        (vals[2] - vals[1]) + (vals[1] - vals[0]), abs=1e-12)
 
 
 def test_canonical_flux_folds_into_half_period():
