@@ -200,10 +200,12 @@ def cmd_readout(cfg: RunConfig, out_dir, cache_dir):
     ramps = [cfg.ramp, FluxRamp(cfg.ramp.f_start, cfg.ramp.f_start, 0.0)]
     records = readout_records(*ramp_rows(ramps, profile, cfg.readout),
                               cfg.readout)
+    # the sigma_z = -1 columns mirror the sigma_z = +1 record: the conjugate
+    # field and -M_S (0.0 - x, not -x, keeps the tau = 0 cells 0.0)
     return [(write_csv(out_dir / name, READOUT_HEADER, [
-        traj.times, traj.snr, traj.error, traj.m_s_plus, traj.m_s_minus,
+        traj.times, traj.snr, traj.error, traj.m_s_plus, 0.0 - traj.m_s_plus,
         traj.alpha_out_plus.real, traj.alpha_out_plus.imag,
-        traj.alpha_out_minus.real, traj.alpha_out_minus.imag]), "readout")
+        traj.alpha_out_plus.real, 0.0 - traj.alpha_out_plus.imag]), "readout")
         for name, traj in zip(("readout_pulsed.csv", "readout_static.csv"),
                               records)]
 

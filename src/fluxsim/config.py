@@ -40,6 +40,9 @@ SEED_MAX = (1 << 64) - 1
 # it sizes grow as its cube, so they do at most 100 times the default work,
 # like the work caps below.
 _TRUNCATION_FACTOR = 100 ** (1 / 3)
+# the largest value in GHz that is finite in rad/ns, as the landscape's
+# E_J axis must be
+_GHZ_MAX = sys.float_info.max / units.TWO_PI
 
 
 def _truncation(key, default):
@@ -79,11 +82,12 @@ SCHEMA = (
     ("gate.levels_fluxonium", GATE_DIMS.kept, 2, None, int),
     _truncation("gate.levels_resonator", GATE_DIMS.n_res),
     ("gate.dt_ns", DEFAULT_GATE_DT, 1e-12, None, float),
-    ("noise.scale", 1e-2, 0.0, None, float),
+    # f is 1-periodic: a wider spread adds nothing, and the draws stay finite
+    ("noise.scale", 1e-2, 0.0, 1.0, float),
     ("noise.n_draws", NoiseSpec.n_draws, 1, None, int),
     ("noise.seed", NoiseSpec.seed, 0, SEED_MAX, int),
-    ("sweep.e_j_min_ghz", 4.75, 1e-9, None, float),
-    ("sweep.e_j_max_ghz", 4.75, 1e-9, None, float),
+    ("sweep.e_j_min_ghz", 4.75, 1e-9, _GHZ_MAX, float),
+    ("sweep.e_j_max_ghz", 4.75, 1e-9, _GHZ_MAX, float),
     ("sweep.n_e_j", 1, 1, None, int),
     ("sweep.f_min", 0.40, None, None, float),
     ("sweep.f_max", 0.70, None, None, float),

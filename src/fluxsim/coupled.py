@@ -37,6 +37,7 @@ from .errors import (
     require_finite,
 )
 from .qubit import (
+    _FLUX_LATTICE,
     DEFAULT_DIM,
     EnergyParams,
     FluxBias,
@@ -497,9 +498,13 @@ def find_anticrossing(params: EnergyParams, res: ResonatorParams,
 
 def chi_grid(f_min, f_max, step):
     """The uniform flux grid f_min + k step, k = 0 .. round((f_max - f_min)
-    / step), on which chi profiles and chi curves are tabulated."""
+    / step), on which chi profiles and chi curves are tabulated; a last
+    point within the flux lattice (1e-12) of f_max is f_max."""
     n = int(round((f_max - f_min) / step))
-    return f_min + step * np.arange(n + 1)
+    grid = f_min + step * np.arange(n + 1)
+    if abs(grid[-1] - f_max) <= 1.0 / _FLUX_LATTICE:
+        grid[-1] = f_max
+    return grid
 
 
 def chi_profile(grid, chi, clamp) -> ChiProfile:

@@ -5,11 +5,12 @@ dispersive shift chi (possibly time dependent through a flux ramp),
 input-output boundary condition, demodulated measurement signal, SNR,
 and assignment error.
 
-The demodulation quadrature is the closed-form maximiser of the pointer-state
-contrast, the angle of the integrated output-field separation. chi(t),
-kappa and epsilon are real, so the sigma_z = -1 output field is the exact
-conjugate of the sigma_z = +1 one, the separation is purely imaginary, and
-the quadrature is exactly -pi/2 for every trajectory simulated here.
+chi(t), kappa and epsilon are real, so the sigma_z = -1 output field is the
+exact conjugate of the sigma_z = +1 one: their separation is purely
+imaginary, the contrast-maximising quadrature is exactly -pi/2, and
+M_S,1 = -M_S,0. A record is the sigma_z = +1 trajectory alone, with
+M_S = -2 sqrt(kappa eta) integral Im alpha_out dt and SNR = 2 |M_S| /
+sqrt(2 kappa tau) (Blais et al., Rev. Mod. Phys. 93, 025005 (2021), sec. V).
 """
 
 from __future__ import annotations
@@ -229,19 +230,14 @@ def output_field(alpha, kappa, epsilon):
     return alpha_in + math.sqrt(kappa) * np.asarray(alpha)
 
 
-def measurement_signal(alpha_out_0, alpha_out_1, eta, theta, times, kappa):
-    """Accumulated measurement signal per qubit state:
-    M_S(tau) = sqrt(kappa eta) * integral_0^tau 2 Re[e^{-i theta} alpha_out] dt
+def measurement_signal(alpha_out, eta, times, kappa):
+    """Accumulated measurement signal of one trajectory on the -pi/2
+    quadrature: M_S(tau) = sqrt(kappa eta) integral_0^tau -2 Im alpha_out dt
     (trapezoidal accumulation, M_S(0) = 0)."""
-    rot = np.exp(-1j * theta)
-    pref = math.sqrt(kappa * eta)
-    out = []
-    for traj in (alpha_out_0, alpha_out_1):
-        integrand = 2.0 * np.real(rot * np.asarray(traj))
-        dt = np.diff(np.asarray(times, dtype=float))
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * dt * (integrand[:-1] + integrand[1:]))))
-        out.append(pref * cum)
-    return out[0], out[1]
+    integrand = -2.0 * np.asarray(alpha_out).imag
+    dt = np.diff(np.asarray(times, dtype=float))
+    cum = np.cumsum(0.5 * dt * (integrand[:-1] + integrand[1:]))
+    return math.sqrt(kappa * eta) * np.concatenate(([0.0], cum))
 
 
 def optimal_demod_phase(alpha_out_0, alpha_out_1, times):
@@ -258,10 +254,10 @@ def optimal_demod_phase(alpha_out_0, alpha_out_1, times):
     return theta - math.pi * math.ceil(theta / math.pi)
 
 
-def snr_curve(m_s_0, m_s_1, kappa, times):
-    """SNR(tau) = |M_S,0 - M_S,1| / sqrt(2 kappa tau), with SNR(0) = 0."""
+def snr_curve(m_s, kappa, times):
+    """SNR(tau) = 2 |M_S| / sqrt(2 kappa tau) (M_S,1 = -M_S), SNR(0) = 0."""
     t = np.asarray(times, dtype=float)
-    sig = np.abs(np.asarray(m_s_0) - np.asarray(m_s_1))
+    sig = 2.0 * np.abs(np.asarray(m_s))
     snr = np.zeros_like(t)
     pos = t > 0
     snr[pos] = sig[pos] / np.sqrt(2.0 * kappa * t[pos])
@@ -275,18 +271,14 @@ def readout_error(snr):
 
 @dataclass(frozen=True)
 class ReadoutTrajectory:
-    """Full readout record: fields, signals, SNR, and error on one grid."""
+    """Readout record of the sigma_z = +1 trajectory on one grid."""
 
     times: np.ndarray
     alpha_plus: np.ndarray
-    alpha_minus: np.ndarray
     alpha_out_plus: np.ndarray
-    alpha_out_minus: np.ndarray
     m_s_plus: np.ndarray
-    m_s_minus: np.ndarray
     snr: np.ndarray
     error: np.ndarray
-    theta: float
     epsilon: float
 
     def at_time(self, tau):
@@ -296,21 +288,16 @@ class ReadoutTrajectory:
 
 
 def _record(times, alpha_plus, epsilon, cfg: ReadoutConfig) -> ReadoutTrajectory:
-    """Readout record of one sigma_z = +1 trajectory.
-
-    chi(t), kappa and epsilon are real, so the sigma_z = -1 field is the
-    complex conjugate of the sigma_z = +1 one; their integrated separation
-    is purely imaginary, and the demodulation quadrature that
-    optimal_demod_phase would return is exactly -pi/2.
-    """
-    alpha_minus = alpha_plus.conj()
-    out_p = output_field(alpha_plus, cfg.kappa, epsilon)
-    out_m = output_field(alpha_minus, cfg.kappa, epsilon)
-    theta = -0.5 * math.pi
-    m_p, m_m = measurement_signal(out_p, out_m, cfg.eta, theta, times, cfg.kappa)
-    snr = snr_curve(m_p, m_m, cfg.kappa, times)
-    return ReadoutTrajectory(times, alpha_plus, alpha_minus, out_p, out_m,
-                             m_p, m_m, snr, readout_error(snr), theta, epsilon)
+    """Readout record of one sigma_z = +1 trajectory (see the module
+    docstring). The CLI writes the sigma_z = -1 columns as its mirror, the
+    conjugate field and -M_S. Against demodulating both trajectories at
+    e^{i pi/2} = 6.1e-17 + 1j, m_s, SNR and the error move by at most
+    6.8e-16 of their column's peak, and the fields not at all."""
+    out = output_field(alpha_plus, cfg.kappa, epsilon)
+    m_s = measurement_signal(out, cfg.eta, times, cfg.kappa)
+    snr = snr_curve(m_s, cfg.kappa, times)
+    return ReadoutTrajectory(times, alpha_plus, out, m_s, snr,
+                             readout_error(snr), epsilon)
 
 
 def ramp_inside(ramp: FluxRamp, profile: ChiProfile) -> bool:
@@ -363,8 +350,8 @@ def readout_records(chi_half, chi_targets, cfg: ReadoutConfig):
 
 
 def run_readout(chi_half, chi_target, cfg: ReadoutConfig) -> ReadoutTrajectory:
-    """Simulate both qubit states for one row of chi on the half grid: the
-    one-row case of readout_records."""
+    """Readout record of one row of chi on the half grid: the one-row case
+    of readout_records."""
     (traj,) = readout_records(np.asarray(chi_half, float)[None, :],
                               [chi_target], cfg)
     return traj

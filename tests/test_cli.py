@@ -689,10 +689,12 @@ def test_readout_bytes_equal_a_static_run_and_a_one_row_ramp(tmp_path):
     want_dir.mkdir()
     for name, traj in (("readout_pulsed.csv", pulsed),
                        ("readout_static.csv", static)):
+        # the sigma_z = -1 columns mirror the sigma_z = +1 record
+        out_p = traj.alpha_out_plus
         want = write_csv(want_dir / name, cli.READOUT_HEADER, [
-            traj.times, traj.snr, traj.error, traj.m_s_plus, traj.m_s_minus,
-            traj.alpha_out_plus.real, traj.alpha_out_plus.imag,
-            traj.alpha_out_minus.real, traj.alpha_out_minus.imag])
+            traj.times, traj.snr, traj.error, traj.m_s_plus,
+            0.0 - traj.m_s_plus, out_p.real, out_p.imag, out_p.real,
+            0.0 - out_p.imag])
         assert (tmp_path / "out" / name).read_bytes() == want.read_bytes()
 
 
@@ -830,6 +832,11 @@ def test_numerical_failure_writes_error_json_to_the_config_out_dir(tmp_path,
     ("readout", {"ramp": 5}, "readout.ramp"),
     ("device", {"levels_kept": 50}, "device.levels_kept"),
     ("noise", {"n_draws": 10**6}, "noise.n_draws"),
+    # finite values that overflow in use: a draw's offset (f is 1-periodic)
+    # and E_J in rad/ns
+    ("noise", {"scale": 1e308}, "noise.scale"),
+    ("sweep", {"e_j_min_ghz": 1e308, "e_j_max_ghz": 1e308, "n_e_j": 1},
+     "sweep.e_j_min_ghz"),
 ])
 def test_bad_config_exits_2_before_any_work(tmp_path, capsys, section, values,
                                             key):

@@ -42,6 +42,7 @@ from fluxsim.errors import (
 from fluxsim.qubit import (
     EnergyParams,
     FluxBias,
+    canonical_flux,
     fluxonium_hamiltonians,
     fluxonium_spectrum,
 )
@@ -339,6 +340,24 @@ def test_chi_profile_builder_matches_point_values():
     assert profile.flux_grid[-1] == pytest.approx(0.51)
     direct = dispersive_shift(PARAMS, FluxBias(0.5), RES, DEFAULT_MODE, dims)
     assert profile.chi_at(0.5) == pytest.approx(direct, rel=1e-10)
+
+
+def test_chi_grid_ends_on_f_max():
+    # 0.41 + 240 * 1e-3 rounds one ulp below 0.65 and 0.40 + 400 * 5e-4 one
+    # above 0.6: both grids end on f_max, the latter at the canonical flux
+    # of its former end
+    assert chi_grid(0.41, 0.65, 1e-3)[-1] == 0.65
+    assert 0.41 + 240 * 1e-3 < 0.65
+    assert chi_grid(0.40, 0.60, 5e-4)[-1] == 0.6
+    assert canonical_flux(0.6)[0] == canonical_flux(0.40 + 400 * 5e-4)[0]
+    # windows that already end on f_max keep every bit: the defaults, and
+    # the CI and readout-mc windows
+    for f_min, f_max, step in ((0.40, 0.70, 1e-4), (0.45, 0.68, 1e-3),
+                               (0.41, 0.73, 1e-3)):
+        n = int(round((f_max - f_min) / step))
+        want = f_min + step * np.arange(n + 1)
+        assert want[-1] == f_max
+        assert chi_grid(f_min, f_max, step).tobytes() == want.tobytes()
 
 
 def test_zero_does_not_set_the_fill_sign():

@@ -17,14 +17,12 @@ from fluxsim.readout import (
     ReadoutConfig,
     drive_amplitude,
     integrate_langevin,
-    measurement_signal,
     optimal_demod_phase,
     output_field,
     readout_error,
     ramp_inside,
     ramp_rows,
     readout_records,
-    snr_curve,
     time_grid,
 )
 from fluxsim.special import erfc
@@ -61,6 +59,41 @@ def _reference_langevin(chi_half, kappa, epsilon, sigma_z, times):
     return alpha
 
 
+def _demodulate(alpha_out_0, alpha_out_1, eta, theta, times, kappa):
+    """Two-branch, any-angle demodulation, the reference for the record:
+    per trajectory k, M_k = sqrt(kappa eta) cumtrapz 2 Re(e^{-i theta}
+    alpha_out,k), M_k(0) = 0."""
+    rot = np.exp(-1j * theta)
+    dt = np.diff(np.asarray(times, dtype=float))
+    out = []
+    for traj in (alpha_out_0, alpha_out_1):
+        integrand = 2.0 * np.real(rot * np.asarray(traj))
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * dt * (integrand[:-1]
+                                                           + integrand[1:]))))
+        out.append(math.sqrt(kappa * eta) * cum)
+    return out[0], out[1]
+
+
+def _two_branch_snr(m_0, m_1, kappa, times):
+    """SNR(tau) = |M_0 - M_1| / sqrt(2 kappa tau), with SNR(0) = 0."""
+    t = np.asarray(times, dtype=float)
+    snr = np.zeros_like(t)
+    pos = t > 0
+    snr[pos] = np.abs(m_0 - m_1)[pos] / np.sqrt(2.0 * kappa * t[pos])
+    return snr
+
+
+def _two_branch_record(traj, cfg, theta=-0.5 * math.pi):
+    """(out_0, out_1, m_0, m_1, snr, error) of the two-branch demodulation
+    at theta of a record's sigma_z = +1 field and its conjugate."""
+    out_0 = output_field(traj.alpha_plus, cfg.kappa, traj.epsilon)
+    out_1 = output_field(traj.alpha_plus.conj(), cfg.kappa, traj.epsilon)
+    m_0, m_1 = _demodulate(out_0, out_1, cfg.eta, theta, traj.times,
+                           cfg.kappa)
+    snr = _two_branch_snr(m_0, m_1, cfg.kappa, traj.times)
+    return out_0, out_1, m_0, m_1, snr, readout_error(snr)
+
+
 def _synthetic_profile():
     grid = np.linspace(0.4, 0.7, 31)
     vals = units.mhz(0.5 - 60.0 * (grid - 0.5))
@@ -88,7 +121,6 @@ def test_steady_state_photon_number():
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=3000.0, dt=0.05)
     traj = readout_batch([STATIC], flat_profile(CHI), cfg)[0]
     assert abs(traj.alpha_plus[-1]) ** 2 == pytest.approx(10.0, rel=1e-6)
-    assert abs(traj.alpha_minus[-1]) ** 2 == pytest.approx(10.0, rel=1e-6)
 
 
 def test_static_output_field_limits():
@@ -128,9 +160,11 @@ def test_snr_scales_with_root_eta(chi_mhz, eta):
 
 
 def test_optimal_demod_phase_is_quadrature():
+    # the record's sigma_z = +1 output field and its conjugate
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=300.0, dt=0.05)
     traj = readout_batch([STATIC], flat_profile(CHI), cfg)[0]
-    assert traj.theta == -math.pi / 2
+    out_0, out_1, *_ = _two_branch_record(traj, cfg)
+    assert optimal_demod_phase(out_0, out_1, traj.times) == -math.pi / 2
 
 
 def test_demod_phase_maximizes_contrast_of_any_pair():
@@ -140,7 +174,7 @@ def test_demod_phase_maximizes_contrast_of_any_pair():
     scan = np.linspace(-math.pi, math.pi, 4001)
 
     def contrast(a0, a1, theta):
-        m0, m1 = measurement_signal(a0, a1, 1.0, theta, times, 1.0)
+        m0, m1 = _demodulate(a0, a1, 1.0, theta, times, 1.0)
         return abs(m0[-1] - m1[-1])
 
     for _ in range(10):
@@ -229,7 +263,8 @@ def test_snr_zero_at_origin():
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=100.0, dt=0.05)
     traj = readout_batch([STATIC], flat_profile(CHI), cfg)[0]
     assert traj.snr[0] == 0.0
-    assert traj.m_s_plus[0] == 0.0 and traj.m_s_minus[0] == 0.0
+    assert traj.m_s_plus[0] == 0.0
+    assert math.copysign(1.0, traj.m_s_plus[0]) == 1.0
 
 
 def test_flux_ramp_shape():
@@ -421,7 +456,8 @@ def _readout_case(name, cfg):
 
 def _reference_readout(chi_half, chi_target, cfg):
     """(alpha_plus, alpha_minus, snr, error) of the scalar RK4 reference,
-    with the error from math.erfc."""
+    both trajectories demodulated at the closed-form optimal angle, with
+    the error from math.erfc."""
     times = time_grid(cfg.t_max, cfg.dt)
     eps = drive_amplitude(cfg.n_bar, cfg.kappa, chi_target)
     ref_p = _reference_langevin(chi_half, cfg.kappa, eps, +1, times)
@@ -429,8 +465,8 @@ def _reference_readout(chi_half, chi_target, cfg):
     out_p = output_field(ref_p, cfg.kappa, eps)
     out_m = output_field(ref_m, cfg.kappa, eps)
     theta = optimal_demod_phase(out_p, out_m, times)
-    m_p, m_m = measurement_signal(out_p, out_m, cfg.eta, theta, times, cfg.kappa)
-    snr = snr_curve(m_p, m_m, cfg.kappa, times)
+    m_p, m_m = _demodulate(out_p, out_m, cfg.eta, theta, times, cfg.kappa)
+    snr = _two_branch_snr(m_p, m_m, cfg.kappa, times)
     return ref_p, ref_m, snr, np.array([0.5 * math.erfc(0.5 * x) for x in snr])
 
 
@@ -456,8 +492,31 @@ def test_readout_matches_scalar_rk4_reference(name, t_max):
     ref_p, ref_m, ref_snr, ref_error = _reference_readout(chi_half, chi_target,
                                                           cfg)
     assert np.max(np.abs(traj.alpha_plus - ref_p)) <= 1e-12
-    assert np.max(np.abs(traj.alpha_minus - ref_m)) <= 1e-12
+    assert np.max(np.abs(traj.alpha_plus.conj() - ref_m)) <= 1e-12
     _assert_matches_reference(traj.snr, traj.error, ref_snr, ref_error)
+
+
+@pytest.mark.parametrize("name, t_max", [
+    *(pytest.param(name, 1000.0, id=name) for name in CASES),
+    pytest.param("static", 5000.0, id="static-5us"),
+    pytest.param("ramp", 5000.0, id="ramp-5us"),
+])
+def test_one_branch_record_matches_two_branch_demodulation(name, t_max):
+    # the record integrates the sigma_z = +1 field on the -pi/2 quadrature
+    # and cmd_readout mirrors the sigma_z = -1 columns; the two-branch
+    # demodulation rounds e^{i pi/2} = 6.1e-17 + 1j, so m_s, SNR and the
+    # error move by rounding only, and the fields not at all
+    cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=t_max,
+                        dt=0.05)
+    traj, *_ = _readout_case(name, cfg)
+    out_0, out_1, m_0, m_1, snr, error = _two_branch_record(traj, cfg)
+    assert traj.alpha_out_plus.tobytes() == out_0.tobytes()
+    assert traj.alpha_out_plus.real.tobytes() == out_1.real.tobytes()
+    assert (0.0 - traj.alpha_out_plus.imag).tobytes() == out_1.imag.tobytes()
+    for got, want in ((traj.m_s_plus, m_0), (0.0 - traj.m_s_plus, m_1),
+                      (traj.snr, snr), (traj.error, error)):
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert traj.m_s_plus[0] == traj.snr[0] == 0.0
 
 
 def _shifted(n):
@@ -529,7 +588,7 @@ def test_langevin_step_just_inside_the_bound_matches_reference(half_kappa_dt,
     traj = readout_batch([STATIC], flat_profile(chi), cfg)[0]
     ref_p, ref_m, ref_snr, ref_error = _reference_readout(chi_half, chi, cfg)
     assert np.max(np.abs(traj.alpha_plus - ref_p)) <= 1e-12
-    assert np.max(np.abs(traj.alpha_minus - ref_m)) <= 1e-12
+    assert np.max(np.abs(traj.alpha_plus.conj() - ref_m)) <= 1e-12
     _assert_matches_reference(traj.snr, traj.error, ref_snr, ref_error)
 
 
@@ -605,7 +664,6 @@ def test_held_blocks_match_the_blocked_scan_bit_for_bit(case, rows):
 def test_minus_field_is_conjugate_of_plus(name):
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=250.0, dt=0.05)
     traj, chi_half, _ = _readout_case(name, cfg)
-    assert np.array_equal(traj.alpha_minus, traj.alpha_plus.conj())
     times = time_grid(cfg.t_max, cfg.dt)
     dt = times[1] - times[0]
     # sigma_z = -1 integrates the negated chi row
@@ -628,15 +686,12 @@ def test_closed_form_quadrature_against_searched_angle(name):
     # the optimum)
     cfg = ReadoutConfig(n_bar=10.0, kappa=KAPPA, t_max=1000.0, dt=0.05)
     traj, *_ = _readout_case(name, cfg)
-    fields = (traj.alpha_out_plus, traj.alpha_out_minus)
-    m_p, m_m = measurement_signal(*fields, cfg.eta, SEARCHED_THETA,
-                                  traj.times, cfg.kappa)
-    snr = snr_curve(m_p, m_m, cfg.kappa, traj.times)
-    in_phase = measurement_signal(*fields, cfg.eta, 0.0, traj.times, cfg.kappa)
+    _, _, m_p, m_m, snr, _ = _two_branch_record(traj, cfg, SEARCHED_THETA)
+    in_phase = _two_branch_record(traj, cfg, 0.0)[2:4]
     bound = (1.001 * abs(SEARCHED_THETA + math.pi / 2)
              * np.max(np.abs(in_phase)) + 1e-12)
     assert np.max(np.abs(traj.m_s_plus - m_p)) <= bound
-    assert np.max(np.abs(traj.m_s_minus - m_m)) <= bound
+    assert np.max(np.abs(0.0 - traj.m_s_plus - m_m)) <= bound
     assert np.max(np.abs(traj.snr - snr)) <= 1e-12
     assert np.max(np.abs(traj.error - readout_error(snr))) <= 1e-15
 
@@ -651,6 +706,6 @@ def test_demod_phase_is_exactly_minus_quadrature(name):
         traj = readout_batch([STATIC], flat_profile(0.0), cfg)[0]
     else:
         traj, *_ = _readout_case(name, cfg)
-    assert traj.theta == -math.pi / 2
-    assert optimal_demod_phase(traj.alpha_out_plus, traj.alpha_out_minus,
-                               traj.times) == -math.pi / 2
+    out_0, out_1, *_ = _two_branch_record(traj, cfg)
+    assert np.array_equal(out_0, traj.alpha_out_plus)
+    assert optimal_demod_phase(out_0, out_1, traj.times) == -math.pi / 2
