@@ -81,8 +81,9 @@ def cache_get(cache_dir, key: dict):
     """Return the cached value or None on any kind of miss.
 
     Misses: absent file, numerics-tag mismatch, deep-compare key mismatch
-    (hash collision). A file that fails to parse is renamed to *.corrupt
-    so it is inspectable but never consulted again.
+    (hash collision). A file that fails to parse, or nests deeper than the
+    parser recurses, is renamed to *.corrupt so it is inspectable but
+    never consulted again.
     """
     path = entry_path(cache_dir, key)
     if not path.is_file():
@@ -94,7 +95,7 @@ def cache_get(cache_dir, key: dict):
         numerics = entry.get("numerics")
         stored_key = entry["key"]
         value = entry["value"]
-    except (ValueError, KeyError):
+    except (ValueError, KeyError, RecursionError):
         quarantine = path.with_suffix(".corrupt")
         os.replace(path, quarantine)
         return None

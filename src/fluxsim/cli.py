@@ -35,6 +35,7 @@ spectrum is one bare eigensolve and is not cached.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -147,16 +148,14 @@ LANDSCAPE_EMISSION = {
 }
 
 
-def landscape_columns(kind, e_j_axis_ghz, f_axis, values):
-    """CSV columns (e_j_ghz, f, value, unit, status) of one landscape kind
-    from its raw values over (E_J, f), row-major: resonant cells are
-    filled and every value clamped as `fill_and_clamp` does, then
-    converted, all per LANDSCAPE_EMISSION."""
+def landscape_columns(kind, values):
+    """CSV columns (value, unit, status) of one landscape kind from its raw
+    values over (E_J, f), row-major: resonant cells are filled and every
+    value clamped as `fill_and_clamp` does, then converted, all per
+    LANDSCAPE_EMISSION."""
     unit, conv, clamp = LANDSCAPE_EMISSION[kind]
     values = np.ravel(values)
-    return [np.repeat(e_j_axis_ghz, f_axis.size),
-            np.tile(f_axis, e_j_axis_ghz.size),
-            conv(fill_and_clamp(values, clamp)), unit, _status(values)]
+    return [conv(fill_and_clamp(values, clamp)), unit, _status(values)]
 
 
 def cmd_landscape(cfg: RunConfig, out_dir, cache_dir):
@@ -168,13 +167,12 @@ def cmd_landscape(cfg: RunConfig, out_dir, cache_dir):
     landscapes = _cached(cache_dir, key, lambda: compute_landscapes(
         units.ghz(e_j_axis), f_axis, cfg.params.e_c, cfg.params.e_l,
         cfg.resonator, cfg.mode, cfg.dims))
-    files = []
-    for kind, values in landscapes.items():
-        path = write_csv(out_dir / f"landscape_{kind}.csv",
-                         ["e_j_ghz", "f", "value", "unit", "status"],
-                         landscape_columns(kind, e_j_axis, f_axis, values))
-        files.append((path, f"landscape-{kind}"))
-    return files
+    # the (E_J, f) cell of each row, shared by every kind
+    grid = [np.repeat(e_j_axis, f_axis.size), np.tile(f_axis, e_j_axis.size)]
+    return [(write_csv(out_dir / f"landscape_{kind}.csv",
+                       ["e_j_ghz", "f", "value", "unit", "status"],
+                       [*grid, *landscape_columns(kind, values)]),
+             f"landscape-{kind}") for kind, values in landscapes.items()]
 
 
 def cmd_anticrossing(cfg: RunConfig, out_dir, cache_dir):
@@ -308,9 +306,10 @@ def run_subcommand(name, cfg: RunConfig, use_cache=True):
     return write_manifest(out_dir, files, cfg)
 
 
+@functools.cache
 def build_parser():
-    """One flat parser: the subcommand is a positional choice, and every
-    subcommand takes the same options."""
+    """The process's one flat parser, built on first use: the subcommand is
+    a positional choice, and every subcommand takes the same options."""
     parser = argparse.ArgumentParser(
         prog="simulate",
         description="Fluxonium flux-pulse-assisted readout simulator.")

@@ -40,8 +40,8 @@ SEED_MAX = (1 << 64) - 1
 # it sizes grow as its cube, so they do at most 100 times the default work,
 # like the work caps below.
 _TRUNCATION_FACTOR = 100 ** (1 / 3)
-# the largest value in GHz that is finite in rad/ns, as the landscape's
-# E_J axis must be
+# the largest value in GHz that is finite in rad/ns, as every device energy
+# and the landscape's E_J axis must be
 _GHZ_MAX = sys.float_info.max / units.TWO_PI
 
 
@@ -57,10 +57,10 @@ def _truncation(key, default):
 # from its owner (kappa and the chi clamp converted to MHz, both exactly);
 # the others are written here.
 SCHEMA = (
-    ("device.e_j_ghz", REQUIRED, 1e-9, None, float),
-    ("device.e_c_ghz", REQUIRED, 1e-9, None, float),
-    ("device.e_l_ghz", REQUIRED, 1e-9, None, float),
-    ("device.omega_r_ghz", 7.0, 1e-9, None, float),
+    ("device.e_j_ghz", REQUIRED, 1e-9, _GHZ_MAX, float),
+    ("device.e_c_ghz", REQUIRED, 1e-9, _GHZ_MAX, float),
+    ("device.e_l_ghz", REQUIRED, 1e-9, _GHZ_MAX, float),
+    ("device.omega_r_ghz", 7.0, 1e-9, _GHZ_MAX, float),
     ("device.g_mhz_over_2pi", 50.0, 0.0, None, float),
     ("device.coupling_mode", DEFAULT_MODE.value, None, None, CouplingMode),
     # the DRAG anharmonicity reads bare level 2
@@ -119,6 +119,21 @@ def _defaults_tree():
 
 
 _DEFAULTS = _defaults_tree()
+
+
+def _applied_texts(tree, prefix=""):
+    """{dotted name: its defaults_used entry "name=<json>"} of every default
+    _merge can apply: each key, and a nested group (not a section) whole."""
+    texts = {}
+    for key, default in tree.items():
+        if isinstance(default, dict):
+            texts.update(_applied_texts(default, f"{prefix}{key}."))
+        if default is not REQUIRED and (prefix or not isinstance(default, dict)):
+            texts[prefix + key] = f"{prefix}{key}={json.dumps(default)}"
+    return texts
+
+
+_APPLIED = _applied_texts(_DEFAULTS)
 
 
 def capped_work(config):
@@ -216,8 +231,9 @@ def _merge(given, defaults, prefix, defaults_used):
             raise ConfigError(CATEGORY_INVARIANT,
                               f"'{name}' is required (no default)")
         else:
-            merged[key] = copy.deepcopy(default)
-            defaults_used.append(f"{name}={json.dumps(default)}")
+            # the defaults' lists and groups hold numbers only
+            merged[key] = copy.copy(default)
+            defaults_used.append(_APPLIED[name])
     return merged
 
 

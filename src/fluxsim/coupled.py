@@ -352,20 +352,6 @@ def sweep_dressed(params: EnergyParams, f_values, res: ResonatorParams,
     return DressedSweep(labels, bare, energy, quality)
 
 
-def two_level_eigensystem(omega_q, res: ResonatorParams) -> DressedSweep:
-    """Jaynes-Cummings surrogate: a bare two-level qubit (energies 0,
-    omega_q) coupled by g (sigma^- a^dag + sigma^+ a), the two-level
-    ladder-RWA coupling, as a one-point sweep over all 2 n_res labels at
-    the default resonator truncation."""
-    n_res = CoupledDims.n_res
-    bare = np.array([[0.0, omega_q]])
-    h = assemble_coupled(bare, lowering_operator(2), res,
-                         CouplingMode.LADDER_RWA, n_res)
-    rows = np.arange(2 * n_res)
-    return DressedSweep(tuple(divmod(int(row), n_res) for row in rows), bare,
-                        *_dressed_levels(h, rows))
-
-
 def dispersive_shift(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
                      mode: CouplingMode = DEFAULT_MODE,
                      dims: CoupledDims = CoupledDims()):

@@ -86,11 +86,6 @@ class McCurve:
     scale: float
     seed: int
 
-    def at_axis(self, value):
-        """(mean, stderr) at the axis point closest to value."""
-        i = int(np.argmin(np.abs(self.axis - value)))
-        return float(self.mean[i]), float(self.stderr[i])
-
 
 def _sum_in_draw_order(rows):
     """Sum over axis 0 in draw-index order from +0.0, one draw at a time;

@@ -11,14 +11,14 @@ tenth of repr's cost per double. One scan of that text for commas turns
 every row's last comma into a newline and bounds the cells whose notation
 differs from repr's (non-finite, |x| >= 1e16, small exponents); only those
 are re-formatted by repr and spliced in. Constant columns after a float
-run are appended to every row in one replace; only the other columns
-(status text, levels, the gate rows) are formatted cell by cell. Every
-emitted file is listed in manifest.json with the SHA-256 of the bytes
-`write_csv` published, carried on the path it returns, so no output is
-read back; the manifest also records the config hash, seed, tool version,
-and every default the run relied on. Files are written through
-`cache.publish`, so a rerun that produces the same bytes leaves each file
-untouched.
+run are appended to every row in one replace, a numpy str column (status)
+is joined as tolist() gives it, and the other columns (levels, the gate
+rows) are formatted cell by cell. Every emitted file is listed in
+manifest.json with the SHA-256 of the bytes `write_csv` published, carried
+on the path it returns, so no output is read back; the manifest also
+records the config hash, seed, tool version, and every default the run
+relied on. Files are written through `cache.publish`, so a rerun that
+produces the same bytes leaves each file untouched.
 """
 
 from __future__ import annotations
@@ -48,11 +48,13 @@ def _is_scalar(column) -> bool:
 
 
 def _kind(column) -> str:
-    """A column's kind: scalar, float (a float64 array) or cells (any
-    other sequence)."""
+    """A column's kind: scalar, float (a float64 array), text (a numpy str
+    array) or cells (any other sequence)."""
     if _is_scalar(column):
         return "scalar"
-    return "float" if getattr(column, "dtype", None) == float else "cells"
+    dtype = getattr(column, "dtype", np.dtype(object))
+    return ("float" if dtype == float
+            else "text" if dtype.kind == "U" else "cells")
 
 
 def _float_rows(columns) -> list:
@@ -114,6 +116,8 @@ def _rows(columns, n_rows) -> list:
             cells.append(text.split("\n"))
         elif kind == "scalar":
             cells.append([",".join(map(format_value, group))] * n_rows)
+        elif kind == "text":
+            cells.extend(column.tolist() for column in group)
         else:
             cells.extend(map(format_value, column) for column in group)
     return [("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8")]
@@ -154,7 +158,7 @@ def _previous_records(path, chash, seed) -> dict:
     name, schema and sha256."""
     try:
         previous = json.loads(path.read_text(encoding="utf-8"))
-    except (FileNotFoundError, IsADirectoryError, ValueError):
+    except (FileNotFoundError, IsADirectoryError, ValueError, RecursionError):
         return {}
     if not (isinstance(previous, dict)
             and previous.get("config_hash") == chash
@@ -196,5 +200,6 @@ def write_manifest(out_dir, files, run_config) -> Path:
         "defaults_used": list(run_config.defaults_used),
         "files": [records[k] for k in sorted(records)],
     }
-    return publish(path, (json.dumps(manifest, indent=2, sort_keys=True)
-                          + "\n").encode("utf-8"))
+    # ASCII only: the bytes of json.dumps(manifest, indent=2, sort_keys=True)
+    return publish(path, orjson.dumps(
+        manifest, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS) + b"\n")

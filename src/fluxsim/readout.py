@@ -281,11 +281,6 @@ class ReadoutTrajectory:
     error: np.ndarray
     epsilon: float
 
-    def at_time(self, tau):
-        """(snr, error) at the grid point closest to tau."""
-        i = int(np.argmin(np.abs(self.times - tau)))
-        return float(self.snr[i]), float(self.error[i])
-
 
 def _record(times, alpha_plus, epsilon, cfg: ReadoutConfig) -> ReadoutTrajectory:
     """Readout record of one sigma_z = +1 trajectory (see the module

@@ -25,7 +25,6 @@ from fluxsim.coupled import (
     dispersive_shift,
     find_anticrossing,
     sweep_dressed,
-    two_level_eigensystem,
 )
 from fluxsim.gates import (
     PulseParams,
@@ -57,7 +56,13 @@ from fluxsim.readout import (
 )
 from fluxsim.special import erfc
 
-from conftest import readout_batch, reference
+from conftest import (
+    at_axis,
+    at_time,
+    readout_batch,
+    reference,
+    two_level_eigensystem,
+)
 
 DEVICE_GHZ = (4.75, 1.25, 1.5)  # E_J, E_C, E_L
 PARAMS = EnergyParams.from_ghz(*DEVICE_GHZ)
@@ -188,8 +193,8 @@ def test_criterion_4_anticrossing():
 
 def test_criterion_5_snr_improvement_ratio(profile, readout_cfg,
                                            static_traj, pulsed_traj):
-    snr_static, _ = static_traj.at_time(200.0)
-    snr_pulsed, _ = pulsed_traj.at_time(200.0)
+    snr_static, _ = at_time(static_traj, 200.0)
+    snr_pulsed, _ = at_time(pulsed_traj, 200.0)
     ratio = snr_pulsed / snr_static
     quarter_cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA,
                                 t_max=250.0, dt=0.05)
@@ -209,14 +214,14 @@ def test_criterion_5_snr_improvement_ratio(profile, readout_cfg,
 def test_criterion_6_noisy_readout(profile, static_traj):
     cfg = ReadoutConfig(n_bar=10.0, eta=0.25, kappa=KAPPA, t_max=250.0, dt=0.05)
     noisy = noisy_readout_snr(RAMP, profile, cfg, NoiseSpec(1e-2))
-    mean_snr, _ = noisy.snr.at_axis(200.0)
-    mean_err, _ = noisy.error.at_axis(200.0)
-    static_snr, _ = static_traj.at_time(200.0)  # eta=1 baseline
+    mean_snr, _ = at_axis(noisy.snr, 200.0)
+    mean_err, _ = at_axis(noisy.error, 200.0)
+    static_snr, _ = at_time(static_traj, 200.0)  # eta=1 baseline
     ratio = mean_snr / static_snr
     (noise_free,) = readout_batch([RAMP], profile, cfg)
-    nf_snr, _ = noise_free.at_time(200.0)
+    nf_snr, _ = at_time(noise_free, 200.0)
     small = noisy_readout_snr(RAMP, profile, cfg, NoiseSpec(1e-3))
-    small_snr, _ = small.snr.at_axis(200.0)
+    small_snr, _ = at_axis(small.snr, 200.0)
     small_dev = abs(small_snr / nf_snr - 1.0)
     ok = (abs(ratio / 3.0 - 1.0) < 0.30
           and 0.02 <= mean_err <= 0.06

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from fluxsim.cache import (
     NUMERICS_TAG,
     cache_get,
@@ -10,6 +12,7 @@ from fluxsim.cache import (
     entry_path,
     key_hash,
 )
+from fluxsim.cli import _cached
 
 KEY = {"op": "chi", "f": 0.5, "device": {"e_j_ghz": 4.75}}
 
@@ -71,6 +74,28 @@ def test_corrupt_entry_quarantined(tmp_path):
     # a fresh write recovers the slot
     cache_put(tmp_path, KEY, 7)
     assert cache_get(tmp_path, KEY) == 7
+
+
+@pytest.mark.parametrize("text", ["[" * 200000, "[" * 200000 + "]" * 200000],
+                         ids=["unclosed", "closed"])
+def test_deeply_nested_entry_is_quarantined_and_recomputed(tmp_path, text):
+    # nested far deeper than a JSON parser recurses
+    path = entry_path(tmp_path, KEY)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    computed = []
+
+    def compute():
+        computed.append(KEY)
+        return {"chi": [0.25, float("nan")]}
+
+    first = _cached(tmp_path, KEY, compute)
+    assert path.with_suffix(".corrupt").read_text(encoding="utf-8") == text
+    # recomputed and stored again: the next read is a hit
+    again = _cached(tmp_path, KEY, compute)
+    assert len(computed) == 1
+    assert first["chi"].tolist()[0] == again["chi"].tolist()[0] == 0.25
+    assert cache_get(tmp_path, KEY) == {"chi": [0.25, None]}
 
 
 def test_overwrite_wins(tmp_path):

@@ -556,6 +556,17 @@ def test_bad_override_or_section_exits_2(tmp_path, capsys, noise, seed, key):
     assert not out.exists()
 
 
+def test_runs_in_one_process_parse_their_options_independently(tmp_path):
+    cfg_path, default_out = write_config(tmp_path)
+    runs = [(["--seed", "7", "--out", str(tmp_path / "a")], tmp_path / "a", 7),
+            (["--seed", "9", "--out", str(tmp_path / "b")], tmp_path / "b", 9),
+            ([], default_out, 1234)]
+    for flags, out, seed in runs:
+        assert main(["spectrum", "--config", str(cfg_path), *flags]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+    assert build_parser() is build_parser()
+
+
 def test_each_run_validates_its_config_once(tmp_path, monkeypatch):
     import fluxsim.cli as cli
     import fluxsim.config as config

@@ -110,6 +110,19 @@ def test_defaults_used_lists_every_default_in_order():
     assert cfg.ramp.f_end == 0.6
 
 
+def test_mutating_a_parsed_default_leaves_the_next_parse_intact():
+    first = config_from_dict(MINIMAL)
+    first.raw["gate"]["tau_g_ns_list"][0] = 1.0
+    first.raw["gate"]["tau_g_ns_list"].append(40.0)
+    first.raw["readout"]["ramp"]["f_end"] = 0.9
+    again = config_from_dict(MINIMAL)
+    assert again.raw["gate"]["tau_g_ns_list"] == [10.0, 20.0, 30.0]
+    assert again.gate_taus == (10.0, 20.0, 30.0)
+    assert again.raw["readout"]["ramp"] == {
+        "f_start": 0.5, "f_end": 0.641, "t_rise_ns": 50.0}
+    assert again.defaults_used == MINIMAL_DEFAULTS_USED
+
+
 def test_canonical_raw_round_trips():
     cfg = config_from_dict(MINIMAL)
     again = config_from_dict(json.loads(json.dumps(cfg.raw)))
@@ -402,6 +415,19 @@ def test_each_numeric_row_rejects_what_its_bounds_exclude(key, default, lo, hi,
         # the default, given explicitly, passes its own row
         cfg = config_from_dict(with_key(key, default))
         assert not any(d.startswith(f"{key}=") for d in cfg.defaults_used)
+
+
+@pytest.mark.parametrize("key", ["device.e_j_ghz", "device.e_c_ghz",
+                                 "device.e_l_ghz", "device.omega_r_ghz"])
+def test_device_energy_that_overflows_in_rad_per_ns_names_its_key(key):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(with_key(key, 1e308))
+    assert exc.value.category == CATEGORY_INVARIANT
+    assert str(exc.value).startswith(f"'{key}' must be <= "), str(exc.value)
+    # the bound itself is finite in rad/ns, and accepted
+    (hi,) = [row[3] for row in SCHEMA if row[0] == key]
+    assert math.isfinite(units.ghz(hi))
+    config_from_dict(with_key(key, hi))
 
 
 def test_degenerate_landscape_axis_with_one_point_is_accepted():

@@ -30,7 +30,6 @@ from fluxsim.coupled import (
     fill_and_clamp,
     find_anticrossing,
     sweep_dressed,
-    two_level_eigensystem,
 )
 from fluxsim.cli import LANDSCAPE_EMISSION, landscape_columns
 from fluxsim.errors import (
@@ -47,7 +46,7 @@ from fluxsim.qubit import (
     fluxonium_spectrum,
 )
 
-from conftest import reference, unfolded_spectrum_sweep
+from conftest import reference, two_level_eigensystem, unfolded_spectrum_sweep
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
 RES = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
@@ -170,11 +169,8 @@ def test_landscape_matches_single_point_calls():
 
 def _emitted(kind, values):
     """(value, unit, status) columns of one landscape kind's emission of
-    raw values over an (E_J, f) grid of their shape."""
-    values = np.array(values, dtype=float)
-    e_j = np.linspace(4.5, 5.0, values.shape[0])
-    f = np.linspace(0.4, 0.6, values.shape[1])
-    return landscape_columns(kind, e_j, f, values)[2:]
+    raw values over an (E_J, f) grid."""
+    return landscape_columns(kind, np.array(values, dtype=float))
 
 
 def test_landscape_emission_clamps_resonant_cells():

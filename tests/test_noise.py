@@ -30,7 +30,7 @@ from fluxsim.noise import (
 from fluxsim.qubit import EnergyParams, FluxBias
 from fluxsim.readout import ChiProfile, FluxRamp, ReadoutConfig
 
-from conftest import readout_batch, reference, unfolded_spectrum_sweep
+from conftest import at_axis, readout_batch, reference, unfolded_spectrum_sweep
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
 RES = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
@@ -167,7 +167,7 @@ def test_aggregate_curves_mean_and_stderr():
     want = np.std(draws[:2], axis=0, ddof=1) / math.sqrt(2)
     assert np.allclose(curve.stderr, want, atol=1e-15)
     assert curve.n_effective == 2 and curve.n_excluded == 1
-    mean, stderr = curve.at_axis(0.9)
+    mean, stderr = at_axis(curve, 0.9)
     assert mean == 4.0
 
 

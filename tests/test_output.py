@@ -126,6 +126,49 @@ def test_write_csv_matches_row_formatter(tmp_path, table):
     assert path.read_bytes() == _row_formatter_bytes(header, columns)
 
 
+# doubles whose notation repr alone writes: non-finite, |x| >= 1e16 and the
+# 1e-11 <= |x| < 1e-4 band, with the edges of each
+BAND_FLOATS = (st.sampled_from([math.nan, math.inf, -math.inf]
+                               + NOTATION_EDGES)
+               | st.floats(1e-11, 1e-4) | st.floats(-1e-4, -1e-11)
+               | st.floats(1e16, 1e308) | st.floats(-1e308, -1e16))
+STATUS = st.sampled_from(["ok", "resonant"]) | st.text(
+    alphabet="abcxyz_ -.0123456789\u00e9\u03c7", max_size=8)
+
+
+def _text_table_columns(n):
+    """A column of a table around its text columns, n rows: a numpy str
+    array or a str list, a float64 array of band and ordinary doubles, an
+    int range, or a scalar."""
+    return st.one_of(
+        st.lists(STATUS, min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=str)),
+        st.lists(STATUS, min_size=n, max_size=n),
+        st.lists(BAND_FLOATS | FLOATS, min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=float)),
+        st.integers(-5, 5).map(lambda k: range(k, k + n)),
+        BAND_FLOATS, st.integers(), STATUS)
+
+
+@st.composite
+def text_tables(draw):
+    """A table with at least one numpy str column, anywhere in it."""
+    n = draw(st.integers(0, 12))
+    columns = draw(st.lists(_text_table_columns(n), max_size=5))
+    text = np.array(draw(st.lists(STATUS, min_size=n, max_size=n)), dtype=str)
+    columns.insert(draw(st.integers(0, len(columns))), text)
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text_tables())
+def test_write_csv_text_columns_match_row_formatter(tmp_path, table):
+    header, columns = table
+    path = write_csv(tmp_path / "t.csv", header, columns)
+    assert path.read_bytes() == _row_formatter_bytes(header, columns)
+
+
 def test_write_csv_float_column_matches_repr_on_random_bits(tmp_path):
     # a seeded sweep of random 64-bit patterns: every exponent, sign and
     # non-finite value, with float.__repr__ as the reference
@@ -274,6 +317,17 @@ def test_manifest_lists_files_with_hashes(tmp_path):
     assert rec["sha256"] == hashlib.sha256(f1.read_bytes()).hexdigest()
 
 
+def test_manifest_bytes_are_the_indented_sorted_json_dump(tmp_path):
+    cfg = config_from_dict({**MINIMAL, "out_dir": str(tmp_path)})
+    files = [(write_csv(tmp_path / f"{name}.csv", ["x"], [[1.0]]), name)
+             for name in ("two", "one")]
+    data = write_manifest(tmp_path, files, cfg).read_bytes()
+    doc = json.loads(data)
+    assert doc["defaults_used"] == list(cfg.defaults_used)
+    assert data == (json.dumps(doc, indent=2, sort_keys=True)
+                    + "\n").encode("utf-8")
+
+
 def test_manifest_opens_no_output_file(tmp_path, monkeypatch):
     cfg = config_from_dict({**MINIMAL, "out_dir": str(tmp_path)})
     files = [(write_csv(tmp_path / f"{name}.csv", ["x"], [[value]]), name)
@@ -298,6 +352,16 @@ def test_manifest_opens_no_output_file(tmp_path, monkeypatch):
     got = {rec["name"]: rec["sha256"]
            for rec in json.loads(mpath.read_text())["files"]}
     assert got == want
+
+
+def test_deeply_nested_previous_manifest_is_treated_as_absent(tmp_path):
+    cfg = config_from_dict({**MINIMAL, "out_dir": str(tmp_path)})
+    # nested far deeper than a JSON parser recurses
+    (tmp_path / "manifest.json").write_text("[" * 200000 + "]" * 200000)
+    f1 = write_csv(tmp_path / "one.csv", ["x"], [[1.0]])
+    mpath = write_manifest(tmp_path, [(f1, "one")], cfg)
+    names = [r["name"] for r in json.loads(mpath.read_text())["files"]]
+    assert names == ["one.csv"]
 
 
 def test_manifest_merges_across_subcommands(tmp_path):

@@ -27,7 +27,7 @@ from fluxsim.readout import (
 )
 from fluxsim.special import erfc
 
-from conftest import STATIC, flat_profile, readout_batch, reference
+from conftest import STATIC, at_time, flat_profile, readout_batch, reference
 
 KAPPA_MHZ, CHI_MHZ = 5.0, 0.527
 KAPPA = units.mhz(KAPPA_MHZ)
@@ -242,7 +242,7 @@ def test_static_snr_calibration_constant():
     chi = dispersive_shift(params, FluxBias(0.5), res)
     cfg = ReadoutConfig(n_bar=10.0, eta=1.0, kappa=KAPPA, t_max=250.0, dt=0.05)
     traj = readout_batch([STATIC], flat_profile(chi), cfg)[0]
-    snr, _ = traj.at_time(200.0)
+    snr, _ = at_time(traj, 200.0)
     assert snr == pytest.approx(2.0729907011622464, rel=1e-9)
     # the value's source: the closed form at the reference's chi, which the
     # trapezoidal signal integral meets to 4.8e-9 here
