@@ -28,8 +28,9 @@ The result cache holds three kinds of entry, each written and read by
 noise-readout; one per (device, sweep) for landscape; and one optimised
 pulse per (device, flux, gate truncation, gate time, smallest gate time,
 gate step), shared by gates and noise-gates. Entries hold raw values (NaN
-where resonant); clamps and unit conversions apply only on emission.
-spectrum is one bare eigensolve and is not cached.
+where resonant), and the CSVs write them as computed, in their unit, nan
+where resonant; only the readout chi profile fills and clamps, at
+readout.chi_clamp_mhz. spectrum is one bare eigensolve and is not cached.
 """
 
 from __future__ import annotations
@@ -60,9 +61,7 @@ from .coupled import (
     STATUS_OK,
     STATUS_RESONANT,
     chi_grid,
-    chi_profile,
     compute_landscapes,
-    fill_and_clamp,
     find_anticrossing,
     sweep_dressed,
 )
@@ -73,7 +72,7 @@ from .errors import ConfigError, FluxsimError
 from .gates import PulseParams, build_gate_space, optimize_pulse
 from .noise import noisy_gate_error, noisy_readout_snr
 from .qubit import FluxBias, fluxonium_spectrum
-from .readout import FluxRamp, ramp_rows, readout_records
+from .readout import ChiProfile, FluxRamp, ramp_rows, readout_records
 from .output import write_csv, write_manifest
 
 EXIT_OK = 0
@@ -108,7 +107,7 @@ def _chi_values(cfg: RunConfig, cache_dir):
     resonant), cached as one entry per (device, chi window)."""
     cc = cfg.raw["chi_curve"]
     grid = chi_grid(**cc)
-    # raw chi, clamped only when emitted: the clamp is not part of the key
+    # raw chi: the readout profile's clamp is not part of the key
     key = {"op": "chi-curve", **cc, "device": cfg.raw["device"]}
     return grid, _cached(cache_dir, key, lambda: {"chi": sweep_dressed(
         cfg.params, grid, cfg.resonator, cfg.mode, cfg.dims).chi()})["chi"]
@@ -132,30 +131,26 @@ def cmd_spectrum(cfg: RunConfig, out_dir, cache_dir):
 
 def cmd_chi_curve(cfg: RunConfig, out_dir, cache_dir):
     grid, values = _chi_values(cfg, cache_dir)
-    path = write_csv(out_dir / "chi_curve.csv", ["f", "chi_mhz", "status"], [
-        grid, units.to_mhz(fill_and_clamp(values, cfg.chi_clamp)),
-        _status(values)])
+    path = write_csv(out_dir / "chi_curve.csv", ["f", "chi_mhz", "status"],
+                     [grid, units.to_mhz(values), _status(values)])
     return [(path, "chi-curve")]
 
 
-# unit, conversion from angular frequency and emission clamp (None: no
-# clamp) of each landscape kind
+# unit and conversion from angular frequency of each landscape kind
 LANDSCAPE_EMISSION = {
-    "omega_q": ("GHz", units.to_ghz, None),
-    "chi": ("MHz", units.to_mhz, units.mhz(5.0)),
-    **{f"delta_{i}{j}": ("GHz", units.to_ghz, units.ghz(5.0))
-       for i, j in DEFAULT_TRANSITIONS},
+    "omega_q": ("GHz", units.to_ghz),
+    "chi": ("MHz", units.to_mhz),
+    **{f"delta_{i}{j}": ("GHz", units.to_ghz) for i, j in DEFAULT_TRANSITIONS},
 }
 
 
 def landscape_columns(kind, values):
     """CSV columns (value, unit, status) of one landscape kind from its raw
-    values over (E_J, f), row-major: resonant cells are filled and every
-    value clamped as `fill_and_clamp` does, then converted, all per
-    LANDSCAPE_EMISSION."""
-    unit, conv, clamp = LANDSCAPE_EMISSION[kind]
+    values over (E_J, f), row-major: each value as computed, converted per
+    LANDSCAPE_EMISSION, nan where resonant."""
+    unit, conv = LANDSCAPE_EMISSION[kind]
     values = np.ravel(values)
-    return [conv(fill_and_clamp(values, clamp)), unit, _status(values)]
+    return [conv(values), unit, _status(values)]
 
 
 def cmd_landscape(cfg: RunConfig, out_dir, cache_dir):
@@ -193,7 +188,7 @@ READOUT_HEADER = ["tau_ns", "snr", "error", "m_s_0", "m_s_1",
 
 
 def cmd_readout(cfg: RunConfig, out_dir, cache_dir):
-    profile = chi_profile(*_chi_values(cfg, cache_dir), cfg.chi_clamp)
+    profile = ChiProfile(*_chi_values(cfg, cache_dir), cfg.chi_clamp)
     # static readout is the ramp held at f_start: one batch of two rows
     ramps = [cfg.ramp, FluxRamp(cfg.ramp.f_start, cfg.ramp.f_start, 0.0)]
     records = readout_records(*ramp_rows(ramps, profile, cfg.readout),
@@ -218,7 +213,7 @@ def _noise_columns(curve):
 
 
 def cmd_noise_readout(cfg: RunConfig, out_dir, cache_dir):
-    profile = chi_profile(*_chi_values(cfg, cache_dir), cfg.chi_clamp)
+    profile = ChiProfile(*_chi_values(cfg, cache_dir), cfg.chi_clamp)
     result = noisy_readout_snr(cfg.ramp, profile, cfg.readout, cfg.noise)
     return [(write_csv(out_dir / name, NOISE_HEADER, _noise_columns(curve)),
              "noise-readout")

@@ -4,19 +4,21 @@ Two-stage truncation (full HO-basis fluxonium eigensolve, then the lowest
 kept levels tensored with resonator Fock states), dressed-state labeling by
 bare-state overlap, dispersive shift, transition detunings, flux/E_J
 landscapes, anticrossing extraction by bounded scalar minimization of the
-dressed gap (scipy), and chi-vs-flux profiles for the readout dynamics.
+dressed gap (scipy), and the flux grid of chi profiles and chi curves.
 
 Labelled levels are one type, `DressedSweep`: chi, detunings, landscape
-cells, chi profiles and the anticrossing gap come from `sweep_dressed`
-(blocks of flux points in stacked eigensolves, on a thread pool when a set
-BLAS thread count leaves CPUs free), and a single point, each
-gap evaluation and the two-level surrogate are one-point sweeps. A sweep
+cells and the anticrossing gap come from `sweep_dressed` (blocks of flux
+points in stacked eigensolves, on a thread pool when a set BLAS thread
+count leaves CPUs free), and a single point, each gap evaluation and the
+two-level surrogate are one-point sweeps. A sweep
 folds every flux to its canonical flux in [0, 1/2]
 (`qubit.canonical_flux`) and solves each distinct canonical flux once, so
 f, 1 - f and f + 1 give bit-identical levels. The greedy
 `assign_dressed_levels` returns (index, quality) arrays over bare product
 states for the sweep's fallback and the gate space. Every eigensolve, bare
-or coupled, is `qubit.diagonalize`.
+or coupled, is `qubit.diagonalize`, and every coupled Hamiltonian is
+`build_coupled_hamiltonian` of a bare eigensystem. Values are returned as
+computed, NaN where resonant: nothing here fills or clamps them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from . import BLAS_THREAD_VARS, units
 from .errors import (
     BracketingError,
     InvalidDimensionError,
-    NumericalFailureError,
     ResonanceRegionError,
     require_finite,
 )
@@ -44,11 +45,11 @@ from .qubit import (
     build_ho_operators,
     canonical_flux,
     diagonalize,
-    fluxonium_spectrum,
+    # not called here: perfbench/spans.py wraps it where this module has it
+    fluxonium_spectrum,  # noqa: F401
     lowering_operator,
     spectrum_sweep,
 )
-from .readout import ChiProfile
 
 
 @dataclass(frozen=True)
@@ -162,18 +163,16 @@ def _coupling_operator(vecs, params: EnergyParams, mode: CouplingMode, kept):
     return w_dag @ lowering_operator(vecs.shape[-2]) @ w
 
 
-def build_coupled_hamiltonian(params: EnergyParams, flux: FluxBias,
-                              res: ResonatorParams,
-                              mode: CouplingMode = DEFAULT_MODE,
-                              dims: CoupledDims = CoupledDims(),
-                              spec=None):
-    """Fluxonium eigensolve at full dim, project the coupling operator onto
-    the lowest kept levels, tensor with the resonator. spec is the bare
-    (eigenvalues, eigenvectors) at this bias when the caller already has
-    it."""
-    vals, vecs = fluxonium_spectrum(params, flux, dims.dim) if spec is None else spec
+def build_coupled_hamiltonian(params: EnergyParams, spec,
+                              res: ResonatorParams, mode: CouplingMode,
+                              dims: CoupledDims):
+    """Coupled Hamiltonian of the bare eigensystem spec = (eigenvalues,
+    eigenvectors) at one flux, or stacked over a leading axis: the coupling
+    operator projected onto the lowest kept levels, tensored with the
+    resonator."""
+    vals, vecs = spec
     q_op = _coupling_operator(vecs, params, mode, dims.kept)
-    return assemble_coupled(vals[:dims.kept], q_op, res, mode, dims.n_res)
+    return assemble_coupled(vals[..., :dims.kept], q_op, res, mode, dims.n_res)
 
 
 def assign_dressed_levels(eigenvectors):
@@ -298,11 +297,10 @@ def _dressed_block(params, f_values, res, mode, dims, rows):
     """Lowest kept bare levels (n, kept), and the dressed energy and
     overlap quality (n, len(rows)) of the bare product states rows, from
     one stacked bare and one stacked coupled eigensolve."""
-    vals, vecs = spectrum_sweep(params, f_values, dims.dim)
-    bare = vals[:, :dims.kept]
-    h = assemble_coupled(bare, _coupling_operator(vecs, params, mode, dims.kept),
-                         res, mode, dims.n_res)
-    del vecs  # not needed while the larger coupled stack is solved
+    spec = spectrum_sweep(params, f_values, dims.dim)
+    bare = spec[0][:, :dims.kept]
+    h = build_coupled_hamiltonian(params, spec, res, mode, dims)
+    del spec  # the bare vectors: not needed while the coupled stack is solved
     return (bare, *_dressed_levels(h, rows))
 
 
@@ -374,25 +372,6 @@ DEFAULT_TRANSITIONS = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
 
 STATUS_OK = "ok"
 STATUS_RESONANT = "resonant"
-
-
-def fill_and_clamp(vals, clamp):
-    """Replace non-finite entries by +-clamp with the sign of the nearest
-    preceding finite nonzero entry in row-major order (the first one for a
-    leading run, + when there is none), then clip everything to
-    [-clamp, clamp]. An exact +-0.0 never sets the sign. Returns a new
-    array; with clamp None, an unchanged copy."""
-    out = np.array(vals, dtype=float)
-    if clamp is None:
-        return out
-    flat = out.reshape(-1)
-    bad = ~np.isfinite(flat)
-    signed = ~bad & (flat != 0.0)
-    source = np.maximum.accumulate(np.where(signed, np.arange(flat.size), -1))
-    source[source < 0] = np.argmax(signed)
-    sign = np.copysign(1.0, flat[source]) if signed.any() else np.ones(flat.size)
-    flat[bad] = clamp * sign[bad]
-    return np.clip(out, -clamp, clamp)
 
 
 def _landscape_row(params, f_values, res, mode, dims):
@@ -480,7 +459,7 @@ def find_anticrossing(params: EnergyParams, res: ResonatorParams,
 
 
 # ---------------------------------------------------------------------------
-# Chi-vs-flux profile for the readout dynamics
+# Chi-vs-flux grid
 
 def chi_grid(f_min, f_max, step):
     """The uniform flux grid f_min + k step, k = 0 .. round((f_max - f_min)
@@ -492,12 +471,3 @@ def chi_grid(f_min, f_max, step):
         grid[-1] = f_max
     return grid
 
-
-def chi_profile(grid, chi, clamp) -> ChiProfile:
-    """Profile of the raw chi on grid (NaN where resonant): resonant points
-    are filled as `fill_and_clamp` fills them and all values are clipped to
-    +-clamp. A grid that is resonant everywhere raises."""
-    if np.all(np.isnan(chi)):
-        raise NumericalFailureError("chi profile entirely resonant",
-                                    f_min=grid[0], f_max=grid[-1])
-    return ChiProfile(grid, fill_and_clamp(chi, clamp), clamp)

@@ -119,8 +119,8 @@ def build_gate_space(params: EnergyParams, flux: FluxBias, res: ResonatorParams,
     backing the |0,0> and |1,0> labels is below MIN_ASSIGNMENT_QUALITY: the
     computational states are then undefined."""
     bare_vals, bare_vecs = fluxonium_spectrum(params, flux, dims.dim)
-    h0 = build_coupled_hamiltonian(params, flux, res, mode, dims,
-                                   spec=(bare_vals, bare_vecs))
+    h0 = build_coupled_hamiltonian(params, (bare_vals, bare_vecs), res, mode,
+                                   dims)
     vals, vecs = diagonalize(h0)
     index, quality = assign_dressed_levels(vecs)
     label_quality = float(min(quality[0], quality[dims.n_res]))

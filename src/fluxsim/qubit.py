@@ -162,13 +162,17 @@ def _fix_signs(vecs):
 def diagonalize(h):
     """Hermitian eigensolve, the one of every bare and coupled spectrum: a
     stack (..., n, n) is solved in one call and counted per matrix, and a
-    LAPACK failure raises NumericalFailureError."""
+    LAPACK failure or an eigenvalue that is not finite (a Hamiltonian that
+    overflowed) raises NumericalFailureError."""
     diagnostics.count_eigensolve(int(np.prod(h.shape[:-2])))
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolve failed: {exc}",
                                     shape=h.shape) from exc
+    if not np.all(np.isfinite(vals)):
+        raise NumericalFailureError("eigensolve failed: an eigenvalue is not "
+                                    "finite", shape=h.shape)
     return vals, vecs
 
 

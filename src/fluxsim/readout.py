@@ -3,7 +3,8 @@
 Single-mode cavity driven by a coherent tone, qubit-state-dependent
 dispersive shift chi (possibly time dependent through a flux ramp),
 input-output boundary condition, demodulated measurement signal, SNR,
-and assignment error.
+and assignment error. A `ChiProfile` holds chi(f), the one filled and
+clamped chi of the package.
 
 chi(t), kappa and epsilon are real, so the sigma_z = -1 output field is the
 exact conjugate of the sigma_z = +1 one: their separation is purely
@@ -79,11 +80,27 @@ class FluxRamp:
         return FluxRamp(self.f_start + delta, self.f_end + delta, self.t_rise)
 
 
+def fill_and_clamp(vals, clamp):
+    """Replace non-finite entries by +-clamp with the sign of the nearest
+    preceding finite nonzero entry (the first one for a leading run, + when
+    there is none), then clip everything to [-clamp, clamp]. An exact +-0.0
+    never sets the sign. Returns a new array."""
+    out = np.array(vals, dtype=float)
+    bad = ~np.isfinite(out)
+    signed = ~bad & (out != 0.0)
+    source = np.maximum.accumulate(np.where(signed, np.arange(out.size), -1))
+    source[source < 0] = np.argmax(signed)
+    sign = np.copysign(1.0, out[source]) if signed.any() else np.ones(out.size)
+    out[bad] = clamp * sign[bad]
+    return np.clip(out, -clamp, clamp)
+
+
 @dataclass(frozen=True)
 class ChiProfile:
-    """Dispersive shift tabulated on a strictly increasing flux grid.
-
-    Interpolation is linear; values are clamped to +-clamp on evaluation.
+    """Dispersive shift on a strictly increasing flux grid, built from the
+    raw chi (NaN where resonant) and held as `fill_and_clamp` fills and
+    clips it: the Langevin step bound needs a finite chi everywhere. A
+    profile with no finite point raises. Interpolation is linear.
     """
 
     flux_grid: np.ndarray
@@ -93,17 +110,22 @@ class ChiProfile:
     def __post_init__(self):
         grid = np.asarray(self.flux_grid, dtype=float)
         vals = np.asarray(self.chi_values, dtype=float)
-        if grid.ndim != 1 or grid.size != vals.size:
-            raise ValueError("flux grid and chi values must be 1-D and equal length")
+        if grid.ndim != 1 or grid.size != vals.size or not grid.size:
+            raise ValueError("flux grid and chi values must be 1-D, equal "
+                             "length and not empty")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("flux grid must be strictly increasing")
         if not self.clamp > 0:
             raise ValueError(f"clamp must be positive, got {self.clamp}")
+        if not np.any(np.isfinite(vals)):
+            raise NumericalFailureError("chi profile entirely resonant",
+                                        f_min=grid[0], f_max=grid[-1])
         object.__setattr__(self, "flux_grid", grid)
-        object.__setattr__(self, "chi_values", vals)
+        object.__setattr__(self, "chi_values", fill_and_clamp(vals, self.clamp))
 
     def chi_at(self, f):
-        """Clamped, linearly interpolated chi at fluxes f; DomainError off-grid."""
+        """Clamped (interpolation can overshoot an end point by an ulp),
+        linearly interpolated chi at fluxes f; DomainError off-grid."""
         f = np.asarray(f, dtype=float)
         lo, hi = self.flux_grid[0], self.flux_grid[-1]
         if np.any(f < lo) or np.any(f > hi):

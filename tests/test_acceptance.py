@@ -21,7 +21,6 @@ from fluxsim.coupled import (
     CouplingMode,
     ResonatorParams,
     _coupling_operator,
-    chi_profile,
     dispersive_shift,
     find_anticrossing,
     sweep_dressed,
@@ -47,6 +46,7 @@ from fluxsim.qubit import (
     fluxonium_spectrum,
 )
 from fluxsim.readout import (
+    ChiProfile,
     FluxRamp,
     ReadoutConfig,
     drive_amplitude,
@@ -86,7 +86,7 @@ def profile():
     """The chi profile the CLI's readout takes at the config defaults."""
     cfg = config_from_dict({"device": dict(zip(
         ("e_j_ghz", "e_c_ghz", "e_l_ghz"), DEVICE_GHZ))})
-    return chi_profile(*cli._chi_values(cfg, None), cfg.chi_clamp)
+    return ChiProfile(*cli._chi_values(cfg, None), cfg.chi_clamp)
 
 
 @pytest.fixture(scope="module")

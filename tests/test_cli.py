@@ -24,14 +24,14 @@ from fluxsim.coupled import (
     CouplingMode,
     ResonatorParams,
     chi_grid,
-    chi_profile,
+    compute_landscapes,
     dispersive_shift,
-    fill_and_clamp,
     find_anticrossing,
     sweep_dressed,
 )
 from fluxsim.errors import NumericalFailureError
 from fluxsim.qubit import EnergyParams, FluxBias, fluxonium_spectrum
+from fluxsim.readout import ChiProfile
 
 from conftest import STATIC, flat_profile, readout_batch
 
@@ -221,7 +221,7 @@ def _chi_mhz(out):
 def _library_chi_mhz(cfg):
     cc = cfg.raw["chi_curve"]
     chi = sweep_dressed(PARAMS, chi_grid(**cc), RES).chi()
-    return units.to_mhz(fill_and_clamp(chi, cfg.chi_clamp)).tolist()
+    return units.to_mhz(chi).tolist()
 
 
 def _assert_chi_curve_recomputed(cfg_path, out, cfg, label):
@@ -408,8 +408,8 @@ def test_readout_chi_profile_is_the_library_profile(tmp_path, monkeypatch):
     for _ in ("cold", "warm"):
         run_subcommand("readout", cfg)
     grid = chi_grid(**raw["chi_curve"])
-    want = chi_profile(grid, sweep_dressed(PARAMS, grid, RES).chi(),
-                       units.mhz(1.0))
+    want = ChiProfile(grid, sweep_dressed(PARAMS, grid, RES).chi(),
+                      units.mhz(1.0))
     assert len(profiles) == 2
     for profile in profiles:
         assert profile.flux_grid.tobytes() == want.flux_grid.tobytes()
@@ -427,7 +427,7 @@ def test_entirely_resonant_chi_window_is_a_numerical_error(tmp_path, capsys,
     monkeypatch.setattr(cli, "sweep_dressed", resonant_sweep)
     cfg = config_from_dict(base_config(tmp_path / "out"))
     with pytest.raises(NumericalFailureError, match="entirely resonant"):
-        chi_profile(*cli._chi_values(cfg, None), cfg.chi_clamp)
+        ChiProfile(*cli._chi_values(cfg, None), cfg.chi_clamp)
     cfg_path, out = write_config(tmp_path)
     # the cold run fills the cache with the resonant window, the warm run
     # reads it back
@@ -458,6 +458,22 @@ def test_failed_eigensolve_exits_3_with_a_numerical_record(tmp_path, capsys,
     assert not list(out.glob(".cache/*.json"))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_an_overflowing_zero_point_phase_exits_3(tmp_path, capsys):
+    # E_C and E_L within their bounds, but 8 E_C / E_L overflows: phi0 is
+    # inf, the Hamiltonian NaN, and no eigenvalue finite
+    raw = base_config(tmp_path / "out")
+    raw["device"] = {**raw["device"], "e_c_ghz": 1e300, "e_l_ghz": 1e-9}
+    cfg_path, out = write_config(tmp_path, raw)
+    for sub in ("spectrum", "chi-curve", "landscape"):
+        assert main([sub, "--config", str(cfg_path)]) == 3, sub
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["category"] == "numerical", sub
+        assert record["error"]["type"] == "NumericalFailureError", sub
+        assert "not finite" in record["error"]["message"], sub
+    assert not list(out.glob("*.csv"))
+
+
 def test_no_cache_flag_bypasses_cache(tmp_path):
     raw = base_config(tmp_path / "out")
     raw["chi_curve"] = {"f_min": 0.49, "f_max": 0.51, "step": 1e-3}
@@ -480,6 +496,55 @@ def test_landscape_matches_library_calls(tmp_path):
     wq_rows = read_csv(out / "landscape_omega_q.csv")
     assert all(r["unit"] == "GHz" for r in wq_rows)
     assert (out / "landscape_delta_31.csv").is_file()
+
+
+def test_landscape_csvs_are_the_raw_values(tmp_path):
+    # every cell is the computed value in its unit, nan where resonant: on
+    # the default sweep delta_10 falls to -5.95 GHz at f = 0.5
+    raw = base_config(tmp_path / "out")
+    del raw["sweep"]
+    cfg_path, out = write_config(tmp_path, raw)
+    assert main(["landscape", "--config", str(cfg_path)]) == 0
+    cfg = config_from_dict(raw)
+    sweep = cfg.raw["sweep"]
+    e_j_axis = np.linspace(sweep["e_j_min_ghz"], sweep["e_j_max_ghz"],
+                           sweep["n_e_j"])
+    f_axis = np.linspace(sweep["f_min"], sweep["f_max"], sweep["n_f"])
+    grids = compute_landscapes(units.ghz(e_j_axis), f_axis, cfg.params.e_c,
+                               cfg.params.e_l, cfg.resonator, cfg.mode,
+                               cfg.dims)
+    for kind, values in grids.items():
+        unit, conv = ("MHz", units.to_mhz) if kind == "chi" else (
+            "GHz", units.to_ghz)
+        rows = read_csv(out / f"landscape_{kind}.csv")
+        got = np.array([float(row["value"]) for row in rows])
+        want = conv(values.ravel())
+        assert np.array_equal(got, want, equal_nan=True), kind
+        assert [row["status"] for row in rows] == [
+            "resonant" if math.isnan(v) else "ok" for v in want], kind
+        assert {row["unit"] for row in rows} == {unit}, kind
+    delta_10 = [float(row["value"])
+                for row in read_csv(out / "landscape_delta_10.csv")
+                if row["status"] == "ok"]
+    assert min(delta_10) < -5.0
+
+
+def test_chi_curve_writes_chi_as_computed(tmp_path):
+    # a resonant (NaN) point is written nan,resonant and a point beyond the
+    # readout profile's clamp (50 MHz) as it is
+    cfg_path, out, cfg = _small_chi_window(tmp_path)
+    path = _forged_chi_curve(cfg, out)
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    entry["value"]["chi"][3] = None
+    entry["value"]["chi"][5] = units.mhz(80.0)
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    assert main(["chi-curve", "--config", str(cfg_path)]) == 0
+    rows = (out / "chi_curve.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1 + 3].endswith(",nan,resonant")
+    _, chi, status = rows[1 + 5].split(",")
+    assert float(chi) == units.to_mhz(units.mhz(80.0)) and status == "ok"
+    assert all(row.endswith(",1.0,ok")
+               for k, row in enumerate(rows[1:]) if k not in (3, 5))
 
 
 def test_anticrossing_subcommand(tmp_path):
@@ -686,7 +751,7 @@ def test_readout_bytes_equal_a_static_run_and_a_one_row_ramp(tmp_path):
     raw["readout"]["eta"] = 0.5
     cfg = config_from_dict(raw)
     run_subcommand("readout", cfg)
-    profile = chi_profile(*cli._chi_values(cfg, None), cfg.chi_clamp)
+    profile = ChiProfile(*cli._chi_values(cfg, None), cfg.chi_clamp)
     f_start = cfg.ramp.f_start
     pulsed, static = readout_batch(
         [cfg.ramp, FluxRamp(f_start, f_start, 0.0)], profile, cfg.readout)

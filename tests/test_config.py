@@ -504,9 +504,8 @@ def test_library_defaults_are_the_schema_defaults():
         "ChiProfile.clamp": (_default(readout.ChiProfile, "clamp"),
                              units.mhz(d["readout.chi_clamp_mhz"])),
     }
-    for fn in (coupled.build_coupled_hamiltonian, coupled.sweep_dressed,
-               coupled.dispersive_shift, coupled.compute_landscapes,
-               coupled.find_anticrossing):
+    for fn in (coupled.sweep_dressed, coupled.dispersive_shift,
+               coupled.compute_landscapes, coupled.find_anticrossing):
         pairs[f"{fn.__name__}.dims"] = (_default(fn, "dims"), dims)
     for fn in (gates.build_gate_space, noise.gate_draw, noise.noisy_gate_error):
         pairs[f"{fn.__name__}.dims"] = (_default(fn, "dims"), gate_dims)

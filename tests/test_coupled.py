@@ -24,10 +24,8 @@ from fluxsim.coupled import (
     assemble_coupled,
     assign_dressed_levels,
     chi_grid,
-    chi_profile,
     compute_landscapes,
     dispersive_shift,
-    fill_and_clamp,
     find_anticrossing,
     sweep_dressed,
 )
@@ -45,6 +43,7 @@ from fluxsim.qubit import (
     fluxonium_hamiltonians,
     fluxonium_spectrum,
 )
+from fluxsim.readout import ChiProfile
 
 from conftest import reference, two_level_eigensystem, unfolded_spectrum_sweep
 
@@ -173,35 +172,28 @@ def _emitted(kind, values):
     return landscape_columns(kind, np.array(values, dtype=float))
 
 
-def test_landscape_emission_clamps_resonant_cells():
+def test_landscape_emission_writes_raw_values():
     dims = CoupledDims(dim=30, kept=4, n_res=3)
     grids = compute_landscapes(units.ghz(np.array([4.75])), np.array([0.5]),
                                PARAMS.e_c, PARAMS.e_l, RES, dims=dims)
-    # chi is clamped to +-5 MHz and delta_ij to +-5 GHz; omega_q never
-    chi_clamp, delta_clamp = units.mhz(5.0), units.ghz(5.0)
+    # each kind is converted to its unit, and never filled or clamped
     assert [LANDSCAPE_EMISSION[k] for k in ("omega_q", "chi", "delta_31")] == [
-        ("GHz", units.to_ghz, None), ("MHz", units.to_mhz, chi_clamp),
-        ("GHz", units.to_ghz, delta_clamp)]
-    # forge a resonant (NaN) cell and check the emitted fill and status
-    c = chi_clamp
-    value, unit, status = _emitted("chi",
-                                   [[-0.4 * c, math.nan, 0.6 * c, 20 * c]])
-    assert value.tolist() == units.to_mhz(
-        np.array([-0.4 * c, -c, 0.6 * c, c])).tolist()
-    assert unit == "MHz" and status.tolist() == ["ok", "resonant", "ok", "ok"]
+        ("GHz", units.to_ghz), ("MHz", units.to_mhz), ("GHz", units.to_ghz)]
+    # forge resonant (NaN) cells beside cells far beyond the old +-5 MHz
+    # emission clip, and a signed zero before a resonant run
+    c = units.mhz(5.0)
+    forged = [[-0.4 * c, math.nan, 0.6 * c, 20 * c],
+              [-0.0, math.nan, -30 * c, 0.0]]
+    value, unit, status = _emitted("chi", forged)
+    want = units.to_mhz(np.ravel(forged))
+    assert value.tobytes() == want.tobytes() and unit == "MHz"
+    assert status.tolist() == ["ok", "resonant", "ok", "ok"] * 2
     value, unit, status = _emitted("omega_q", [[100.0]])
     assert value.tolist() == [units.to_ghz(100.0)] and unit == "GHz"
     for kind, raw in grids.items():
-        _, conv, clamp = LANDSCAPE_EMISSION[kind]
+        _, conv = LANDSCAPE_EMISSION[kind]
         value, unit, status = _emitted(kind, raw)
-        want = raw[0, 0] if clamp is None else np.clip(raw[0, 0], -clamp, clamp)
-        assert value.tolist() == [conv(want)] and status.tolist() == ["ok"]
-
-
-def test_fill_and_clamp_leading_and_interior_runs():
-    vals = [math.nan, math.nan, -2.0, math.nan, 3.0, 100.0]
-    out = fill_and_clamp(vals, 5.0)
-    assert list(out) == [-5.0, -5.0, -2.0, -5.0, 3.0, 5.0]
+        assert value.tolist() == [conv(raw[0, 0])] and status.tolist() == ["ok"]
 
 
 def test_anticrossing_reference():
@@ -244,7 +236,8 @@ def _top_two_span_gap(f, mode, transition=(3, 1), dims=CoupledDims()):
     summed overlap on the bare pair |i, 0>, |j, 1>, from a direct coupled
     eigensolve at f."""
     i, j = transition
-    h = coupled.build_coupled_hamiltonian(PARAMS, FluxBias(f), RES, mode, dims)
+    spec = fluxonium_spectrum(PARAMS, FluxBias(f), dims.dim)
+    h = coupled.build_coupled_hamiltonian(PARAMS, spec, RES, mode, dims)
     vals, vecs = np.linalg.eigh(h)
     span = (np.abs(vecs[i * dims.n_res]) ** 2
             + np.abs(vecs[j * dims.n_res + 1]) ** 2)
@@ -330,8 +323,8 @@ def test_resonator_params_validation():
 def test_chi_profile_builder_matches_point_values():
     dims = CoupledDims(dim=30, kept=5, n_res=4)
     grid = chi_grid(0.49, 0.51, 5e-3)
-    profile = chi_profile(grid, sweep_dressed(PARAMS, grid, RES, DEFAULT_MODE,
-                                              dims).chi(), units.mhz(50.0))
+    profile = ChiProfile(grid, sweep_dressed(PARAMS, grid, RES, DEFAULT_MODE,
+                                             dims).chi(), units.mhz(50.0))
     assert profile.flux_grid[0] == pytest.approx(0.49)
     assert profile.flux_grid[-1] == pytest.approx(0.51)
     direct = dispersive_shift(PARAMS, FluxBias(0.5), RES, DEFAULT_MODE, dims)
@@ -354,21 +347,6 @@ def test_chi_grid_ends_on_f_max():
         want = f_min + step * np.arange(n + 1)
         assert want[-1] == f_max
         assert chi_grid(f_min, f_max, step).tobytes() == want.tobytes()
-
-
-def test_zero_does_not_set_the_fill_sign():
-    # the chi-curve emission and the landscape emission share one rule: an
-    # exact +-0.0 just before a resonant run does not choose its sign
-    out = fill_and_clamp([-2.0, 0.0, math.nan, math.nan, 3.0, -0.0, math.nan],
-                         5.0)
-    assert list(out) == [-2.0, 0.0, -5.0, -5.0, 3.0, 0.0, 5.0]
-    assert list(fill_and_clamp([0.0, math.nan, -1.0], 5.0)) == [0.0, -5.0, -1.0]
-    assert list(fill_and_clamp([math.nan, 0.0], 5.0)) == [5.0, 0.0]
-    c = units.mhz(5.0)
-    value, _, _ = _emitted("chi", [[-0.4 * c, 0.0, math.nan],
-                                   [math.nan, 0.6 * c, -0.0]])
-    assert value.tolist() == units.to_mhz(
-        np.array([-0.4 * c, 0.0, -c, -c, 0.6 * c, 0.0])).tolist()
 
 
 def _reference_point(params, f, res, mode, dims=CoupledDims()):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fluxsim import units
 from fluxsim.coupled import CouplingMode, _coupling_operator
-from fluxsim.errors import InvalidDimensionError
+from fluxsim.errors import InvalidDimensionError, NumericalFailureError
 from fluxsim.qubit import (
     DEFAULT_DIM,
     EnergyParams,
@@ -17,6 +17,7 @@ from fluxsim.qubit import (
     anharmonicity,
     build_ho_operators,
     canonical_flux,
+    diagonalize,
     fluxonium_hamiltonians,
     fluxonium_spectrum,
     spectrum_sweep,
@@ -41,6 +42,18 @@ def test_hamiltonian_is_hermitian():
 def test_invalid_dimension_rejected():
     with pytest.raises(InvalidDimensionError):
         build_ho_operators(1, PARAMS.phi0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_an_eigenvalue_that_is_not_finite_is_a_numerical_failure():
+    # 8 E_C / E_L overflows: phi0 is inf and the Hamiltonian NaN
+    params = EnergyParams.from_ghz(4.75, 1e300, 1e-9)
+    assert params.phi0 == math.inf
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        fluxonium_spectrum(params, FluxBias(0.5))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NumericalFailureError, match="eigensolve failed"):
+            diagonalize(np.full((2, 3, 3), bad))
 
 
 def test_harmonic_limit_uniform_spacing():

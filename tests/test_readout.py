@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fluxsim import units
 from fluxsim.coupled import ResonatorParams, dispersive_shift
-from fluxsim.errors import DomainError, StepSizeError
+from fluxsim.errors import DomainError, NumericalFailureError, StepSizeError
 from fluxsim.qubit import EnergyParams, FluxBias
 from fluxsim.readout import (
     ChiProfile,
@@ -292,13 +292,42 @@ def test_chi_profile_interpolation_and_clamp():
     vals = np.array([1.0, 3.0, 200.0])
     profile = ChiProfile(grid, vals, clamp=10.0)
     assert profile.chi_at(0.45) == pytest.approx(2.0)
-    assert profile.chi_at(0.6) == 10.0  # clamped on evaluation
+    # clipped to +-clamp when built
+    assert profile.chi_values.tolist() == [1.0, 3.0, 10.0]
+    assert profile.chi_at(0.6) == 10.0
     with pytest.raises(DomainError):
         profile.chi_at(0.39)
     with pytest.raises(DomainError):
         profile.chi_at(0.61)
     with pytest.raises(ValueError):
         ChiProfile(np.array([0.5, 0.4]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="not empty"):
+        ChiProfile(np.array([]), np.array([]))
+
+
+def _filled(vals, clamp):
+    """The values a profile of vals holds, on a unit-step grid."""
+    return list(ChiProfile(np.arange(len(vals), dtype=float), vals,
+                           clamp).chi_values)
+
+
+def test_fill_and_clamp_leading_and_interior_runs():
+    vals = [math.nan, math.nan, -2.0, math.nan, 3.0, 100.0]
+    assert _filled(vals, 5.0) == [-5.0, -5.0, -2.0, -5.0, 3.0, 5.0]
+
+
+def test_zero_does_not_set_the_fill_sign():
+    # an exact +-0.0 just before a resonant run does not choose its sign
+    out = _filled([-2.0, 0.0, math.nan, math.nan, 3.0, -0.0, math.nan], 5.0)
+    assert out == [-2.0, 0.0, -5.0, -5.0, 3.0, 0.0, 5.0]
+    assert _filled([0.0, math.nan, -1.0], 5.0) == [0.0, -5.0, -1.0]
+    assert _filled([math.nan, 0.0], 5.0) == [5.0, 0.0]
+
+
+def test_entirely_resonant_profile_raises():
+    for vals in ([math.nan], [math.nan, math.inf, -math.inf]):
+        with pytest.raises(NumericalFailureError, match="entirely resonant"):
+            ChiProfile(np.arange(len(vals), dtype=float), vals)
 
 
 def _half_grid(cfg):
