@@ -1,10 +1,12 @@
 """Content-addressed on-disk result cache.
 
-Entries are JSON files named by the SHA-256 of their canonical key. A hit
-requires a deep key comparison (a hash collision is treated as a miss) and
-the entry's numerics tag to match; corrupt files are quarantined rather
-than trusted or deleted. Entries are published with `publish`, which every
-file the program writes goes through.
+Entries are JSON files named by the SHA-256 of their canonical key, holding
+the numerics tag, the key and each array as the base64 text of its
+little-endian float64 bytes, 10.7 characters a value. A hit requires the
+tag and a deep key comparison (a hash collision is a miss) to match before
+anything is decoded; corrupt files are quarantined rather than trusted or
+deleted. Entries are published with `publish`, which every file the
+program writes goes through.
 
 The key names the computation but not the code that produced the value, so
 each entry also records NUMERICS_TAG, the SHA-256 of the name and source of
@@ -15,10 +17,13 @@ what the CLI caches or the layout of an entry.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
 from pathlib import Path
+
+import numpy as np
 
 
 def _source_digest():
@@ -68,38 +73,40 @@ def publish(path, data: bytes) -> Path:
     return path
 
 
-def cache_put(cache_dir, key: dict, value) -> Path:
-    """Publish an entry; last writer wins on races."""
+def cache_put(cache_dir, key: dict, arrays: dict) -> Path:
+    """Publish an entry of {name: float array}; last writer wins on races."""
     return publish(entry_path(cache_dir, key), json.dumps({
         "numerics": NUMERICS_TAG,
         "key": key,
-        "value": value,
+        "value": {name: base64.b64encode(np.asarray(values, "<f8").tobytes())
+                  .decode("ascii") for name, values in arrays.items()},
     }, sort_keys=True).encode("utf-8"))
 
 
-def cache_get(cache_dir, key: dict):
-    """Return the cached value or None on any kind of miss.
-
-    Misses: absent file, numerics-tag mismatch, deep-compare key mismatch
-    (hash collision). A file that fails to parse, or nests deeper than the
-    parser recurses, is renamed to *.corrupt so it is inspectable but
-    never consulted again.
-    """
+def cache_get(cache_dir, key: dict, lengths: dict):
+    """{name: float64 array, owned by the caller} of the entry under key, in
+    the order of lengths ({name: size}); None on a miss: absent file, tag
+    mismatch or deep-compare key mismatch (hash collision). A file that
+    fails to parse or nests deeper than the parser recurses, and an entry of
+    this tag and key whose arrays are not the names and sizes of lengths,
+    are renamed to *.corrupt: inspectable, but never consulted again."""
     path = entry_path(cache_dir, key)
     if not path.is_file():
         return None
     try:
         entry = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(entry, dict):
-            raise ValueError("cache entry is not an object")
-        numerics = entry.get("numerics")
-        stored_key = entry["key"]
+        stored_key = canonical_key_text(entry["key"])
+        if (entry.get("numerics") != NUMERICS_TAG
+                or stored_key != canonical_key_text(key)):
+            return None
         value = entry["value"]
-    except (ValueError, KeyError, RecursionError):
-        quarantine = path.with_suffix(".corrupt")
-        os.replace(path, quarantine)
+        arrays = {name: np.frombuffer(base64.b64decode(value[name],
+                                                       validate=True), "<f8")
+                  .astype(float) for name in lengths}
+        if (value.keys() != lengths.keys()
+                or {name: a.size for name, a in arrays.items()} != lengths):
+            raise ValueError("cache entry holds other arrays")
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError):
+        os.replace(path, path.with_suffix(".corrupt"))
         return None
-    if (numerics != NUMERICS_TAG
-            or canonical_key_text(stored_key) != canonical_key_text(key)):
-        return None
-    return value
+    return arrays

@@ -27,10 +27,10 @@ The result cache holds three kinds of entry, each written and read by
 `_cached`: one per (device, chi window), shared by chi-curve, readout and
 noise-readout; one per (device, sweep) for landscape; and one optimised
 pulse per (device, flux, gate truncation, gate time, smallest gate time,
-gate step), shared by gates and noise-gates. Entries hold raw values (NaN
-where resonant), and the CSVs write them as computed, in their unit, nan
-where resonant; only the readout chi profile fills and clamps, at
-readout.chi_clamp_mhz. spectrum is one bare eigensolve and is not cached.
+gate step), shared by gates and noise-gates. Entries hold raw values, NaN
+where resonant, as base64 float64 bytes; the CSVs write them as computed,
+in their unit, nan where resonant; only the readout chi profile fills and
+clamps, at readout.chi_clamp_mhz. spectrum is one eigensolve, not cached.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -73,7 +72,7 @@ from .gates import PulseParams, build_gate_space, optimize_pulse
 from .noise import noisy_gate_error, noisy_readout_snr
 from .qubit import FluxBias, fluxonium_spectrum
 from .readout import ChiProfile, FluxRamp, ramp_rows, readout_records
-from .output import write_csv, write_manifest
+from .output import float_cells, write_csv, write_manifest
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,21 +83,16 @@ EXIT_IO = 4
 # ---------------------------------------------------------------------------
 # Cached sweeps
 
-def _cached(cache_dir, key, compute):
-    """{name: flat float array} of the cache entry under key; on a miss,
-    compute()'s arrays, flattened and stored under key. The entry holds
-    them as lists with NaN as JSON null. cache_dir None bypasses the
-    cache."""
-    cached = cache_get(cache_dir, key) if cache_dir is not None else None
-    if cached is not None:
-        # numpy reads null as NaN
-        return {name: np.array(values, dtype=float)
-                for name, values in cached.items()}
+def _cached(cache_dir, key, lengths, compute):
+    """{name: flat float array} of the cache entry under key, of the names
+    and sizes in lengths; on a miss, or an entry of other names or sizes,
+    compute()'s arrays, flattened and stored under key as float64 bytes.
+    cache_dir None bypasses the cache."""
+    if cache_dir is not None and (hit := cache_get(cache_dir, key, lengths)):
+        return hit
     arrays = {name: np.ravel(values) for name, values in compute().items()}
     if cache_dir is not None:
-        cache_put(cache_dir, key, {
-            name: [None if math.isnan(v) else v for v in values.tolist()]
-            for name, values in arrays.items()})
+        cache_put(cache_dir, key, arrays)
     return arrays
 
 
@@ -109,8 +103,9 @@ def _chi_values(cfg: RunConfig, cache_dir):
     grid = chi_grid(**cc)
     # raw chi: the readout profile's clamp is not part of the key
     key = {"op": "chi-curve", **cc, "device": cfg.raw["device"]}
-    return grid, _cached(cache_dir, key, lambda: {"chi": sweep_dressed(
-        cfg.params, grid, cfg.resonator, cfg.mode, cfg.dims).chi()})["chi"]
+    return grid, _cached(cache_dir, key, {"chi": grid.size}, lambda: {
+        "chi": sweep_dressed(cfg.params, grid, cfg.resonator,
+                             cfg.mode, cfg.dims).chi()})["chi"]
 
 
 def _status(values):
@@ -159,15 +154,22 @@ def cmd_landscape(cfg: RunConfig, out_dir, cache_dir):
                            sweep["n_e_j"])
     f_axis = np.linspace(sweep["f_min"], sweep["f_max"], sweep["n_f"])
     key = {"op": "landscape", "sweep": sweep, "device": cfg.raw["device"]}
-    landscapes = _cached(cache_dir, key, lambda: compute_landscapes(
+    lengths = dict.fromkeys(LANDSCAPE_EMISSION, e_j_axis.size * f_axis.size)
+    landscapes = _cached(cache_dir, key, lengths, lambda: compute_landscapes(
         units.ghz(e_j_axis), f_axis, cfg.params.e_c, cfg.params.e_l,
         cfg.resonator, cfg.mode, cfg.dims))
-    # the (E_J, f) cell of each row, shared by every kind
-    grid = [np.repeat(e_j_axis, f_axis.size), np.tile(f_axis, e_j_axis.size)]
+    columns = {kind: landscape_columns(kind, values)
+               for kind, values in landscapes.items()}
+    # every float cell of the eight tables in one pass: the (E_J, f) cell of
+    # each row, shared by every kind, then each kind's values
+    cells = float_cells([np.repeat(e_j_axis, f_axis.size),
+                         np.tile(f_axis, e_j_axis.size),
+                         *(value for value, _, _ in columns.values())])
     return [(write_csv(out_dir / f"landscape_{kind}.csv",
                        ["e_j_ghz", "f", "value", "unit", "status"],
-                       [*grid, *landscape_columns(kind, values)]),
-             f"landscape-{kind}") for kind, values in landscapes.items()]
+                       [cells[:, 0], cells[:, 1], cells[:, k], unit, status]),
+             f"landscape-{kind}")
+            for k, (kind, (_, unit, status)) in enumerate(columns.items(), 2)]
 
 
 def cmd_anticrossing(cfg: RunConfig, out_dir, cache_dir):
@@ -235,6 +237,7 @@ def _optimized_pulses(cfg: RunConfig, cache_dir):
                              cfg.mode, cfg.gate_dims)
     gate = cfg.raw["gate"]
     tau_0 = min(cfg.gate_taus)
+    names = ("eps_d", "lam", "fidelity", "error", "leakage")
 
     def cached_pulse(tau, seed=None):
         key = {"op": "pulse", "device": cfg.raw["device"], "flux": cfg.flux,
@@ -245,12 +248,12 @@ def _optimized_pulses(cfg: RunConfig, cache_dir):
         def optimize():
             pulse, result = optimize_pulse(space, tau, dt=cfg.gate_dt,
                                            seed=seed)
-            return {"eps_d": pulse.eps_d, "lam": pulse.lam,
-                    "fidelity": result.fidelity, "error": result.error,
-                    "leakage": result.leakage}
+            return dict(zip(names, (
+                pulse.eps_d, pulse.lam, result.fidelity, result.error,
+                result.leakage)))
 
-        entry = {name: float(values[0]) for name, values
-                 in _cached(cache_dir, key, optimize).items()}
+        entry = {name: float(values[0]) for name, values in _cached(
+            cache_dir, key, dict.fromkeys(names, 1), optimize).items()}
         return (PulseParams(tau, entry.pop("eps_d"), entry.pop("lam"),
                             space.omega_01), entry)
 

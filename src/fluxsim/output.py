@@ -11,14 +11,15 @@ tenth of repr's cost per double. One scan of that text for commas turns
 every row's last comma into a newline and bounds the cells whose notation
 differs from repr's (non-finite, |x| >= 1e16, small exponents); only those
 are re-formatted by repr and spliced in. Constant columns after a float
-run are appended to every row in one replace, a numpy str column (status)
-is joined as tolist() gives it, and the other columns (levels, the gate
-rows) are formatted cell by cell. Every emitted file is listed in
-manifest.json with the SHA-256 of the bytes `write_csv` published, carried
-on the path it returns, so no output is read back; the manifest also
-records the config hash, seed, tool version, and every default the run
-relied on. Files are written through `cache.publish`, so a rerun that
-produces the same bytes leaves each file untouched.
+run are appended to every row in one replace, a numpy str column (status,
+or cells cut once by `float_cells`) is joined as tolist() gives it, and
+the other columns (levels, the gate rows) are formatted cell by cell. Each
+emitted file is listed in manifest.json with the SHA-256 of the bytes
+`write_csv` published, carried on the path it returns, so no output is
+read back; the manifest also records the config hash, seed, tool version,
+and every default the run relied on. Files are written through
+`cache.publish`, so a rerun that produces the same bytes leaves each file
+untouched.
 """
 
 from __future__ import annotations
@@ -91,6 +92,14 @@ def _float_rows(columns) -> list:
         end = stop
     pieces.append(text[end:-1])
     return pieces
+
+
+def float_cells(columns) -> np.ndarray:
+    """(rows, columns) numpy str array of float64 columns, each cell as repr
+    writes it, from one `_float_rows` pass over tables that share columns."""
+    text = b"".join(_float_rows(columns)).decode("ascii")
+    return np.array(text.replace("\n", ",").split(",")).reshape(
+        -1, len(columns))
 
 
 def _rows(columns, n_rows) -> list:

@@ -99,16 +99,21 @@ def _flux_affine_parts(e_c, e_l, dim):
     H0 = 4 E_C n^2 + (1/2) E_L phi^2, C = cos(phi) and S = sin(phi), by
     spectral calculus on the flux operator (exact on the truncated space).
     n^2 = -(a - a^dag)^2 / (2 phi0^2) is real, so all three are real
-    symmetric; they are symmetrized exactly and made read-only.
-    """
+    symmetric; they are symmetrized exactly and made read-only. An H0 that
+    overflows is a NumericalFailureError, not a floating-point warning."""
     phi0 = EnergyParams(0.0, e_c, e_l).phi0
-    a, adag, _, phi_op = build_ho_operators(dim, phi0)
-    p = a - adag
-    n_sq = (p @ p) * (-0.5 / phi0 ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, adag, _, phi_op = build_ho_operators(dim, phi0)
+        p = a - adag
+        n_sq = (p @ p) * (-0.5 / phi0 ** 2)
+        h0 = 4.0 * e_c * n_sq + 0.5 * e_l * (phi_op @ phi_op)
+        h0 = 0.5 * (h0 + h0.T)
+    if not np.all(np.isfinite(h0)):
+        raise NumericalFailureError("bare Hamiltonian is not finite: E_C, "
+                                    "E_L or 8 E_C / E_L overflows", e_c=e_c)
     lam, v = np.linalg.eigh(phi_op)
-    parts = tuple(0.5 * (m + m.T) for m in (
-        4.0 * e_c * n_sq + 0.5 * e_l * (phi_op @ phi_op),
-        (v * np.cos(lam)) @ v.T, (v * np.sin(lam)) @ v.T))
+    parts = (h0, *(0.5 * (m + m.T) for m in (
+        (v * np.cos(lam)) @ v.T, (v * np.sin(lam)) @ v.T)))
     for m in parts:
         m.flags.writeable = False
     return parts

@@ -11,6 +11,7 @@ and a bare chi is a flat profile. The Jaynes-Cummings surrogate is built
 from the same `coupled` calls a dressed sweep makes.
 """
 
+import base64
 import importlib.util
 from pathlib import Path
 
@@ -91,3 +92,9 @@ def at_axis(curve, value):
     value."""
     i = _nearest(curve.axis, value)
     return float(curve.mean[i]), float(curve.stderr[i])
+
+
+def b64(values):
+    """An array as a cache entry holds it: the base64 text of its
+    little-endian float64 bytes."""
+    return base64.b64encode(np.array(values, "<f8").tobytes()).decode("ascii")

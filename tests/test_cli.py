@@ -1,5 +1,6 @@
 """End-to-end tests for the simulate command-line driver."""
 
+import base64
 import csv
 import hashlib
 import importlib.util
@@ -9,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,7 +35,7 @@ from fluxsim.errors import NumericalFailureError
 from fluxsim.qubit import EnergyParams, FluxBias, fluxonium_spectrum
 from fluxsim.readout import ChiProfile
 
-from conftest import STATIC, flat_profile, readout_batch
+from conftest import STATIC, b64, flat_profile, readout_batch
 
 PARAMS = EnergyParams.from_ghz(4.75, 1.25, 1.5)
 RES = ResonatorParams.from_ghz(7.0, 5.0, 50.0)
@@ -192,13 +194,16 @@ def test_one_cache_entry_per_sweep(tmp_path):
     assert diagnostics.eigensolve_count() - before == 0
 
 
-def _forged_chi_curve(cfg, out, **fields):
-    """A cache entry under the current `chi-curve` key holding chi = 1 MHz
-    at every grid point, tagged as this code tags it unless fields replace
-    the tag (or add other fields); returns its path."""
+def _forged_chi_curve(cfg, out, chi=None, encode=b64, **fields):
+    """A cache entry under the current `chi-curve` key holding chi (by
+    default 1 MHz at every grid point) as encode writes it (by default as
+    this code does), tagged as this code tags it unless fields replace the
+    tag (or add other fields); returns its path."""
     cc = cfg.raw["chi_curve"]
     key = {"op": "chi-curve", **cc, "device": cfg.raw["device"]}
-    value = {"chi": [units.mhz(1.0)] * len(chi_grid(**cc))}
+    if chi is None:
+        chi = [units.mhz(1.0)] * len(chi_grid(**cc))
+    value = {"chi": encode(chi)}
     path = entry_path(out / ".cache", key)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"numerics": NUMERICS_TAG, **fields,
@@ -233,10 +238,11 @@ def _assert_chi_curve_recomputed(cfg_path, out, cfg, label):
 
 def test_cache_from_an_older_schema_is_recomputed(tmp_path):
     # an entry in the layout of the code before the source-digest tag (a
-    # schema version, and that code's tag) is a plain miss: recomputed and
-    # overwritten, never quarantined
+    # schema version, that code's tag, and chi as a float list) is a plain
+    # miss: recomputed and overwritten, never quarantined
     cfg_path, out, cfg = _small_chi_window(tmp_path)
-    path = _forged_chi_curve(cfg, out, schema_version=5, numerics="1" * 64)
+    path = _forged_chi_curve(cfg, out, encode=list, schema_version=5,
+                             numerics="1" * 64)
     _assert_chi_curve_recomputed(cfg_path, out, cfg, "older schema")
     entry = json.loads(path.read_text(encoding="utf-8"))
     assert sorted(entry) == ["key", "numerics", "value"]
@@ -246,6 +252,79 @@ def test_cache_from_an_older_schema_is_recomputed(tmp_path):
     _forged_chi_curve(cfg, out)
     assert main(["chi-curve", "--config", str(cfg_path)]) == 0
     assert set(_chi_mhz(out)) == {units.to_mhz(units.mhz(1.0))}
+
+
+def _malformed(path, edit):
+    """Rewrite the cache entry at path with edit applied to its value,
+    keeping this code's tag and the entry's key."""
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    assert entry["numerics"] == NUMERICS_TAG
+    edit(entry["value"])
+    path.write_text(json.dumps(entry), encoding="utf-8")
+
+
+def _resized(value, name, size):
+    value[name] = b64(np.resize(np.frombuffer(base64.b64decode(value[name])),
+                                 size))
+
+
+# edits of an entry's {name: base64 array} that this code must not serve
+MALFORMATIONS = {
+    # cut, or for a one-value pulse entry grown, to 3 values
+    "3 values": lambda value, name: _resized(value, name, 3),
+    "one value more": lambda value, name: _resized(
+        value, name, len(base64.b64decode(value[name])) // 8 + 1),
+    "not numeric": lambda value, name: value.update({name: "chi!" * 8}),
+    "a missing name": lambda value, name: value.pop(name),
+}
+
+
+@pytest.mark.parametrize("malform", list(MALFORMATIONS))
+def test_a_malformed_chi_entry_is_quarantined_and_recomputed(tmp_path,
+                                                             malform):
+    cfg_path, out, cfg = _small_chi_window(tmp_path)
+    assert main(["chi-curve", "--config", str(cfg_path), "--no-cache",
+                 "--out", str(tmp_path / "bare")]) == 0
+    path = _forged_chi_curve(cfg, out)
+    _malformed(path, lambda value: MALFORMATIONS[malform](value, "chi"))
+    _assert_chi_curve_recomputed(cfg_path, out, cfg, malform)
+    assert len(list(path.parent.glob("*.corrupt"))) == 1
+    assert ((out / "chi_curve.csv").read_bytes()
+            == (tmp_path / "bare" / "chi_curve.csv").read_bytes())
+    # the recomputed entry is served on the next run
+    before = diagnostics.eigensolve_count()
+    assert main(["chi-curve", "--config", str(cfg_path)]) == 0
+    assert diagnostics.eigensolve_count() == before
+
+
+@pytest.mark.parametrize("malform", list(MALFORMATIONS))
+def test_a_malformed_landscape_entry_is_quarantined_and_recomputed(
+        tmp_path, malform):
+    cfg_path, out = write_config(tmp_path)
+    assert main(["landscape", "--config", str(cfg_path)]) == 0
+    cold = {p.name: p.read_bytes() for p in out.glob("landscape_*.csv")}
+    (path,) = (out / ".cache").glob("*.json")
+    _malformed(path, lambda value: MALFORMATIONS[malform](value, "delta_21"))
+    before = diagnostics.eigensolve_count()
+    assert main(["landscape", "--config", str(cfg_path)]) == 0
+    assert diagnostics.eigensolve_count() > before
+    assert len(list(path.parent.glob("*.corrupt"))) == 1
+    assert {p.name: p.read_bytes() for p in out.glob("landscape_*.csv")} == cold
+
+
+@pytest.mark.parametrize("malform", list(MALFORMATIONS))
+def test_a_malformed_pulse_entry_is_quarantined_and_reoptimised(
+        tmp_path, monkeypatch, malform):
+    calls = _seed_recording_optimizer(monkeypatch)
+    cfg_path, out = write_config(tmp_path, _gate_config(tmp_path))
+    assert main(["gates", "--config", str(cfg_path)]) == 0
+    cold = (out / "gates.csv").read_bytes()
+    (path,) = (out / ".cache").glob("*.json")
+    _malformed(path, lambda value: MALFORMATIONS[malform](value, "lam"))
+    assert main(["gates", "--config", str(cfg_path)]) == 0
+    assert calls == [(3.0, None)] * 2
+    assert len(list(path.parent.glob("*.corrupt"))) == 1
+    assert (out / "gates.csv").read_bytes() == cold
 
 
 PACKAGE = Path(cache.__file__).parent
@@ -458,19 +537,22 @@ def test_failed_eigensolve_exits_3_with_a_numerical_record(tmp_path, capsys,
     assert not list(out.glob(".cache/*.json"))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_an_overflowing_zero_point_phase_exits_3(tmp_path, capsys):
     # E_C and E_L within their bounds, but 8 E_C / E_L overflows: phi0 is
-    # inf, the Hamiltonian NaN, and no eigenvalue finite
+    # inf and the bare Hamiltonian not finite; stderr holds the record alone
     raw = base_config(tmp_path / "out")
-    raw["device"] = {**raw["device"], "e_c_ghz": 1e300, "e_l_ghz": 1e-9}
-    cfg_path, out = write_config(tmp_path, raw)
-    for sub in ("spectrum", "chi-curve", "landscape"):
-        assert main([sub, "--config", str(cfg_path)]) == 3, sub
-        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record["error"]["category"] == "numerical", sub
-        assert record["error"]["type"] == "NumericalFailureError", sub
-        assert "not finite" in record["error"]["message"], sub
+    for e_c, e_l in ((1e300, 1e-9), (2.8e307, 1e-9), (2.8e307, 2.8e307)):
+        raw["device"] = {**raw["device"], "e_c_ghz": e_c, "e_l_ghz": e_l}
+        cfg_path, out = write_config(tmp_path, raw)
+        for sub in ("spectrum", "chi-curve", "landscape"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([sub, "--config", str(cfg_path)]) == 3, (e_c, sub)
+            (line,) = capsys.readouterr().err.strip().splitlines()
+            record = json.loads(line)
+            assert record["error"]["category"] == "numerical", (e_c, sub)
+            assert record["error"]["type"] == "NumericalFailureError", sub
+            assert "not finite" in record["error"]["message"], (e_c, sub)
     assert not list(out.glob("*.csv"))
 
 
@@ -533,11 +615,10 @@ def test_chi_curve_writes_chi_as_computed(tmp_path):
     # a resonant (NaN) point is written nan,resonant and a point beyond the
     # readout profile's clamp (50 MHz) as it is
     cfg_path, out, cfg = _small_chi_window(tmp_path)
-    path = _forged_chi_curve(cfg, out)
-    entry = json.loads(path.read_text(encoding="utf-8"))
-    entry["value"]["chi"][3] = None
-    entry["value"]["chi"][5] = units.mhz(80.0)
-    path.write_text(json.dumps(entry), encoding="utf-8")
+    chi = np.full(len(chi_grid(**cfg.raw["chi_curve"])), units.mhz(1.0))
+    chi[3] = math.nan
+    chi[5] = units.mhz(80.0)
+    _forged_chi_curve(cfg, out, chi)
     assert main(["chi-curve", "--config", str(cfg_path)]) == 0
     rows = (out / "chi_curve.csv").read_text(encoding="utf-8").splitlines()
     assert rows[1 + 3].endswith(",nan,resonant")

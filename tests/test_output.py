@@ -18,6 +18,7 @@ from fluxsim.config import config_from_dict
 from fluxsim.noise import McCurve
 from fluxsim.output import (
     config_hash,
+    float_cells,
     format_value,
     write_csv,
     write_manifest,
@@ -167,6 +168,34 @@ def test_write_csv_text_columns_match_row_formatter(tmp_path, table):
     header, columns = table
     path = write_csv(tmp_path / "t.csv", header, columns)
     assert path.read_bytes() == _row_formatter_bytes(header, columns)
+
+
+@st.composite
+def float_tables(draw):
+    """Float64 columns of one length, as a landscape's grid and value
+    columns: ordinary, band and edge doubles."""
+    n = draw(st.integers(1, 12))
+    return [np.array(draw(st.lists(BAND_FLOATS | FLOATS, min_size=n,
+                                   max_size=n)), dtype=float)
+            for _ in range(draw(st.integers(1, 10)))]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(float_tables())
+def test_float_cells_are_repr_cell_for_cell(tmp_path, columns):
+    # the one pass the landscape makes over its shared grid columns and its
+    # value columns: every cell as repr writes it, and its slices written
+    # as text columns give the table of the float columns themselves
+    cells = float_cells(columns)
+    assert cells.dtype.kind == "U"
+    assert cells.tolist() == [[_old_format_value(v) for v in row]
+                              for row in zip(*(c.tolist() for c in columns))]
+    header = [f"c{i}" for i in range(len(columns))] + ["unit"]
+    path = write_csv(tmp_path / "t.csv", header,
+                     [*(cells[:, i] for i in range(len(columns))), "MHz"])
+    assert path.read_bytes() == _row_formatter_bytes(header,
+                                                     [*columns, "MHz"])
 
 
 def test_write_csv_float_column_matches_repr_on_random_bits(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the bare fluxonium model."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,13 +45,24 @@ def test_invalid_dimension_rejected():
         build_ho_operators(1, PARAMS.phi0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# (E_C, E_L) in GHz, and phi0: 8 E_C / E_L overflows, so phi0 is inf, or
+# the E_C and E_L terms of H0 overflow at a finite phi0
+OVERFLOWING_DEVICES = [(1e300, 1e-9, math.inf), (2.8e307, 1e-9, math.inf),
+                       (2.8e307, 2.8e307, math.inf), (1e306, 1e306, 8 ** 0.25)]
+
+
+@pytest.mark.parametrize("e_c, e_l, phi0", OVERFLOWING_DEVICES)
+def test_an_overflowing_hamiltonian_is_a_numerical_failure_without_warnings(
+        e_c, e_l, phi0):
+    params = EnergyParams.from_ghz(4.75, e_c, e_l)
+    assert params.phi0 == pytest.approx(phi0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            fluxonium_spectrum(params, FluxBias(0.5))
+
+
 def test_an_eigenvalue_that_is_not_finite_is_a_numerical_failure():
-    # 8 E_C / E_L overflows: phi0 is inf and the Hamiltonian NaN
-    params = EnergyParams.from_ghz(4.75, 1e300, 1e-9)
-    assert params.phi0 == math.inf
-    with pytest.raises(NumericalFailureError, match="not finite"):
-        fluxonium_spectrum(params, FluxBias(0.5))
     for bad in (math.nan, math.inf):
         with pytest.raises(NumericalFailureError, match="eigensolve failed"):
             diagonalize(np.full((2, 3, 3), bad))
